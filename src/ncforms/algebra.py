@@ -11,6 +11,7 @@ derivations, bimodules) are exact rational matrices.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -37,13 +38,14 @@ class Algebra:
         self.structure = [[tuple(Fraction(v) for v in structure[i][j])
                            for j in range(m)] for i in range(m)]
         # left multiplication: column j of L[i] is e_i e_j
-        self.left = [QMat.from_rows(
-            [[self.structure[i][j][k] for j in range(m)] for k in range(m)])
-            for i in range(m)]
+        self.left = [QMat.from_columns(m, self.structure[i]) for i in range(m)]
         # right multiplication: column i of R[j] is e_i e_j
-        self.right = [QMat.from_rows(
-            [[self.structure[i][j][k] for i in range(m)] for k in range(m)])
-            for j in range(m)]
+        self.right = [QMat.from_columns(m, [row[j] for row in self.structure])
+                      for j in range(m)]
+        # degree -> FormSpace, filled by forms.form_space; owned by the
+        # algebra so the spaces die with it
+        self._form_spaces: dict = {}
+        self._form_lock = threading.Lock()
         if check:
             self.validate()
 
@@ -325,7 +327,7 @@ def rebase_unit_first(name: str, basis_names: Sequence[str],
             names.append(basis_names[t])
     if len(cols) != m:
         raise AlgebraError("could not extend unit to a basis")
-    P = QMat.from_rows([[cols[j][i] for j in range(m)] for i in range(m)])
+    P = QMat.from_columns(m, cols)
     Pinv = qmat_inverse(P)
     raw = Algebra(name, basis_names, structure, check=False)
     new_structure = []
@@ -515,7 +517,7 @@ def derivation_space(mod: Bimodule) -> Subspace:
 def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
     """Reshape a derivation-space vector into the dM x m matrix of D."""
     dM, m = mod.dim, mod.algebra.dim
-    return QMat.from_rows([[vec[j * dM + r] for j in range(m)] for r in range(dM)])
+    return QMat.from_columns(dM, [vec[j * dM:(j + 1) * dM] for j in range(m)])
 
 
 def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
@@ -523,7 +525,9 @@ def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
     return [mat.entry(r, j) for j in range(m) for r in range(dM)]
 
 
-def is_derivation(mod: Bimodule, mat: QMat) -> bool:
+def derivation_defect(mod: Bimodule, mat: QMat) -> Optional[tuple[int, int]]:
+    """First basis pair (i, j) where D(e_i e_j) != e_i.D(e_j) + D(e_i).e_j,
+    or None when the dM x m matrix of D is a derivation."""
     A = mod.algebra
     for i in range(A.dim):
         di = mat.col(i)
@@ -532,8 +536,12 @@ def is_derivation(mod: Bimodule, mat: QMat) -> bool:
             dij = qmat_sum([mat.col(k).scale(A.structure[i][j][k])
                             for k in range(A.dim)])
             if dij != mod.left[i] @ dj + mod.right[j] @ di:
-                return False
-    return True
+                return i, j
+    return None
+
+
+def is_derivation(mod: Bimodule, mat: QMat) -> bool:
+    return derivation_defect(mod, mat) is None
 
 
 def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
@@ -543,8 +551,7 @@ def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
     for i in range(A.dim):
         v = (mod.right[i] - mod.left[i]) @ QMat.column(mvec)
         cols.append(v.column_fractions(0))
-    return QMat.from_rows([[cols[j][r] for j in range(A.dim)]
-                           for r in range(mod.dim)])
+    return QMat.from_columns(mod.dim, cols)
 
 
 def derivation_to_hom(sd: SemidirectProduct, dmat: QMat) -> AlgebraHom:
@@ -634,9 +641,7 @@ class TensorQuotient:
             img = mat @ QMat.column(row)
             if not img.is_zero():
                 return None
-        cols = [[mat.entry(r, t) for r in range(mat.shape[0])] for t in self.free]
-        return QMat.from_rows([[cols[j][r] for j in range(self.dim)]
-                               for r in range(mat.shape[0])])
+        return QMat(mat.num[:, self.free], mat.den).reduced()
 
 
 def tensor_over_A(right_mod: Bimodule, left_mod: Bimodule) -> TensorQuotient:

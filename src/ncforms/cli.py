@@ -44,7 +44,7 @@ from .forms import (FormError, commutator_subspace, de_rham_homology,
 from .hochschild import (NormalizedCochain, coboundary, cochain_dim,
                          cochain_to_hom, cohomology_report, form_hom_space,
                          hom_to_cochain, tensor_module)
-from .linalg import (QMat, RowReducer, Subspace, format_scalar, parse_scalar)
+from .linalg import QMat, Subspace, format_scalar, parse_scalar, rank
 from .schouten import (MultiMap, SchoutenError, alternation, commutator_bivector,
                        insertion, multimap_from_json, nr_bracket,
                        poisson_bracket_hom_check, poisson_check)
@@ -319,13 +319,6 @@ class _VerifyEnv:
         return self._cache["bundle"]
 
 
-def _mat_rank(mat: QMat) -> int:
-    red = RowReducer(mat.shape[1])
-    for row in mat.to_fraction_rows():
-        red.add_dense(row)
-    return red.dim
-
-
 def _random_subspace(rng: random.Random, n: int) -> Subspace:
     gens = [_rand_vec(rng, n) for _ in range(rng.randint(0, n))]
     return Subspace.from_generators(n, gens)
@@ -346,7 +339,7 @@ def _chk_scalar_roundtrip(env: _VerifyEnv, rng: random.Random):
 def _chk_rank_transpose(env: _VerifyEnv, rng: random.Random):
     for _ in range(10):
         mat = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        rr, cr = _mat_rank(mat), _mat_rank(mat.T)
+        rr, cr = rank(mat.to_fraction_rows()), rank(mat.T.to_fraction_rows())
         if rr != cr:
             rows = [_fmt_vec(r) for r in mat.to_fraction_rows()]
             return (f"row rank {rr} != column rank {cr} "

@@ -230,10 +230,7 @@ def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
         for j in J:
             acc = product(acc, images[j])
         cols.append(acc.coords())
-    if not cols or tgt.dim == 0:
-        return QMat.zeros(tgt.dim, tgt.dim)
-    return QMat.from_rows([[cols[c][r] for c in range(len(cols))]
-                           for r in range(tgt.dim)])
+    return QMat.from_columns(tgt.dim, cols)
 
 
 def _matrix_kernel(mat: QMat) -> Subspace:
@@ -331,8 +328,7 @@ def bimodule_endomorphism_space(algebra: Algebra) -> list[QMat]:
     space = nullspace_sparse(n * n, rows)
     out = []
     for vec in space.basis:
-        out.append(QMat.from_rows([[vec[i * n + j] for j in range(n)]
-                                   for i in range(n)]))
+        out.append(QMat.from_rows([vec[i * n:(i + 1) * n] for i in range(n)]))
     return out
 
 

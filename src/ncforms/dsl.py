@@ -704,8 +704,7 @@ def parse_group_action(text: str, over: Algebra) -> GroupActionSpec:
             raise DslError(
                 f"map for {g!r} does not assign an image to "
                 f"{missing[0]!r}", kw.line, kw.col)
-        mat = QMat.from_rows(
-            [[cols[nm][r] for nm in over.basis_names] for r in range(m)])
+        mat = QMat.from_columns(m, [cols[nm] for nm in over.basis_names])
         try:
             qmat_inverse(mat)
         except Exception:

@@ -15,9 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Algebra, AlgebraHom, Bimodule, derivation_matrix, derivation_space
+from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
+                      derivation_space)
 from .forms import Form, form_space
-from .linalg import QMat, Subspace, qmat_sum, solve_linear
+from .linalg import QMat, solve_linear
 
 
 class FieldFormError(ValueError):
@@ -42,17 +43,11 @@ class FieldValuedForm:
 
     def validate(self) -> None:
         """delta(ab) = delta(a).b + a.delta(b) on all basis pairs."""
-        A = self.algebra
-        sp = form_space(A, self.degree)
-        for i in range(A.dim):
-            di = self.delta.col(i)
-            for j in range(A.dim):
-                dj = self.delta.col(j)
-                dij = qmat_sum([self.delta.col(k).scale(A.structure[i][j][k])
-                                for k in range(A.dim)])
-                if dij != sp.right[j] @ di + sp.left[i] @ dj:
-                    raise FieldFormError(
-                        f"not a derivation into forms at basis pair ({i},{j})")
+        mod = form_space(self.algebra, self.degree).as_bimodule()
+        pair = derivation_defect(mod, self.delta)
+        if pair is not None:
+            raise FieldFormError(
+                f"not a derivation into forms at basis pair ({pair[0]},{pair[1]})")
 
     def extension(self) -> QMat:
         """The bimodule-hom matrix Omega_1 -> Omega_k, K(e_i de_j) = e_i.delta(e_j)."""
@@ -65,8 +60,7 @@ class FieldValuedForm:
                 li = sp.left[i]
                 for j in range(1, m):
                     cols.append((li @ self.delta.col(j)).column_fractions(0))
-            self._ext = QMat.from_rows(
-                [[cols[c][r] for c in range(len(cols))] for r in range(sp.dim)])
+            self._ext = QMat.from_columns(sp.dim, cols)
         return self._ext
 
     # -- linear structure ---------------------------------------------------
@@ -292,12 +286,8 @@ def contraction(K: FieldValuedForm, max_input: int) -> GradedDerivation:
     # W_p : slot -> delta tail block, shape ((m-1)^kappa, m-1)
     Ws = []
     for p in range(m):
-        rows = [[K.delta.entry(p * tail_k + t, j) for j in range(1, m)]
-                for t in range(tail_k)]
-        if not rows or not rows[0]:
-            Ws.append(QMat.zeros(tail_k, m - 1))
-        else:
-            Ws.append(QMat.from_rows(rows))
+        block = K.delta.num[p * tail_k:(p + 1) * tail_k, 1:]
+        Ws.append(QMat(block.copy(), K.delta.den).reduced())
     mats: dict[int, Optional[QMat]] = {}
     mats[0] = (None if opdeg < 0
                else QMat.zeros(form_space(A, opdeg).dim, form_space(A, 0).dim))

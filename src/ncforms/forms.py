@@ -3,7 +3,8 @@
 Degree-k forms have basis e_i . d(e_{j1}) ... d(e_{jk}) indexed by tuples
 (i, j_1..j_k) with i in 0..m-1 and j_t in 1..m-1 (the unit has index 0 and
 d(1) = 0, so unit indices never appear in d-slots).  The flat index is
-big-endian: i is the most significant digit, the j's follow in base (m-1).
+i * (m-1)^k plus the index of (j_1..j_k) under the tuple codec of
+``linalg`` (base m-1, digits from 1), so i is the most significant digit.
 
 This makes the differential an index relabeling, the left action a Kronecker
 product, and the product of forms a sum of outer products — everything stays
@@ -12,32 +13,25 @@ in integer matrix arithmetic.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
-from .linalg import QMat, RowReducer, Subspace, qmat_sum
+from .linalg import QMat, RowReducer, Subspace, digits_at, flat_index, qmat_sum
 
 
 class FormError(ValueError):
     pass
 
 
-_cache_lock = threading.Lock()
-_space_cache: dict[tuple[int, int], "FormSpace"] = {}
-
-
 def form_space(algebra: Algebra, degree: int) -> "FormSpace":
     """The degree-k form space, built at most once per (algebra, degree)."""
     if degree < 0:
         raise FormError("form degree must be >= 0")
-    key = (id(algebra), degree)
-    with _cache_lock:
-        sp = _space_cache.get(key)
+    with algebra._form_lock:
+        sp = algebra._form_spaces.get(degree)
         if sp is None:
-            sp = FormSpace(algebra, degree)
-            _space_cache[key] = sp
+            sp = algebra._form_spaces[degree] = FormSpace(algebra, degree)
         return sp
 
 
@@ -64,20 +58,11 @@ class FormSpace:
 
     def index_of(self, i: int, J: Sequence[int]) -> int:
         m = self.algebra.dim
-        idx = i
-        for j in J:
-            if not 1 <= j < m:
-                raise FormError("d-slot index out of range")
-            idx = idx * (m - 1) + (j - 1)
-        return idx
+        return flat_index((i,), m) * self._tail + flat_index(J, m - 1, 1)
 
     def tuple_of(self, idx: int) -> tuple[int, tuple[int, ...]]:
-        m = self.algebra.dim
-        J = []
-        for _ in range(self.degree):
-            idx, r = divmod(idx, m - 1)
-            J.append(r + 1)
-        return idx, tuple(reversed(J))
+        i, rest = divmod(idx, self._tail)
+        return i, digits_at(rest, self.algebra.dim - 1, self.degree, 1)
 
     # -- differential ----------------------------------------------------------
 
@@ -86,11 +71,7 @@ class FormSpace:
         i, J = self.tuple_of(idx)
         if i == 0:
             return -1
-        m = self.algebra.dim
-        out = 0
-        for j in (i,) + J:
-            out = out * (m - 1) + (j - 1)
-        return out
+        return flat_index((i,) + J, self.algebra.dim - 1, 1)
 
     def d_matrix(self) -> QMat:
         """d: degree k -> k+1 as a matrix (memoized; the value is immutable)."""
@@ -120,12 +101,11 @@ class FormSpace:
         n = self.degree
         if n == 0:
             return A.right[b]
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.dim)]
+        cols = [[Fraction(0)] * self.dim for _ in range(self.dim)]
 
-        def put(col: dict, i: int, J: Sequence[int], coeff: Fraction):
+        def put(col: list, i: int, J: Sequence[int], coeff: Fraction):
             if coeff:
-                idx = self.index_of(i, J)
-                col[idx] = col.get(idx, Fraction(0)) + coeff
+                col[self.index_of(i, J)] += coeff
 
         for idx in range(self.dim):
             i0, J = self.tuple_of(idx)
@@ -149,9 +129,7 @@ class FormSpace:
                 for k in range(m):
                     if lead[k]:
                         put(col, k, tailslots, sign * lead[k])
-        rows = [[cols[j].get(r, Fraction(0)) for j in range(self.dim)]
-                for r in range(self.dim)]
-        return QMat.from_rows(rows)
+        return QMat.from_columns(self.dim, cols)
 
     def left_action(self, a: Sequence[Fraction]) -> QMat:
         return qmat_sum([self.left[i].scale(v) for i, v in enumerate(a)])
@@ -338,10 +316,7 @@ def omega_functor(f: AlgebraHom, degree: int) -> QMat:
         for j in J:
             img = product(img, dfs[j])
         cols.append(img.coords())
-    if not cols or tgt.dim == 0:
-        return QMat.zeros(tgt.dim, src.dim)
-    return QMat.from_rows([[cols[c][r] for c in range(src.dim)]
-                           for r in range(tgt.dim)])
+    return QMat.from_columns(tgt.dim, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +331,12 @@ def multiplication_matrix(algebra: Algebra, n: int) -> QMat:
     m = algebra.dim
     cols = []
     for flat in range(m ** n):
-        digits = []
-        x = flat
-        for _ in range(n):
-            x, r = divmod(x, m)
-            digits.append(r)
-        digits.reverse()
+        digits = digits_at(flat, m, n)
         vec = [Fraction(t == digits[0]) for t in range(m)]
         for dgt in digits[1:]:
             vec = algebra.mult_vec(vec, [Fraction(t == dgt) for t in range(m)])
         cols.append(vec)
-    return QMat.from_rows([[cols[c][r] for c in range(m ** n)] for r in range(m)])
+    return QMat.from_columns(m, cols)
 
 
 def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import QMat, Subspace, nullspace_sparse, solve_linear
+from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace_sparse,
+                     solve_linear)
 
 
 class HochschildError(ValueError):
@@ -32,35 +33,12 @@ class HochschildError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Bar-tuple indexing: tuples (j_1..j_n), j in 1..m-1, flat index big-endian
+# Bar tuples (j_1..j_n), j in 1..m-1: the tuple codec with base m-1, lo 1
 # ---------------------------------------------------------------------------
 
 
 def _bar_dim(m: int, n: int) -> int:
     return (m - 1) ** n
-
-
-def _bar_flat(m: int, J: Sequence[int]) -> int:
-    idx = 0
-    for j in J:
-        if not 1 <= j < m:
-            raise HochschildError("bar-tuple index out of range")
-        idx = idx * (m - 1) + (j - 1)
-    return idx
-
-
-def _bar_tuple(m: int, n: int, idx: int) -> tuple[int, ...]:
-    J = []
-    for _ in range(n):
-        idx, r = divmod(idx, m - 1)
-        J.append(r + 1)
-    return tuple(reversed(J))
-
-
-def _cols_to_qmat(height: int, cols: Sequence[Sequence[Fraction]]) -> QMat:
-    if not cols:
-        return QMat.zeros(height, 0)
-    return QMat.from_rows([[c[r] for c in cols] for r in range(height)])
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +73,8 @@ class NormalizedCochain:
         nJ, dM = _bar_dim(m, arity), module.dim
         if len(vec) != nJ * dM:
             raise HochschildError("cochain vector length mismatch")
-        return cls(module, arity, QMat.from_rows(
-            [[vec[j * dM + r] for j in range(nJ)] for r in range(dM)]))
+        return cls(module, arity, QMat.from_columns(
+            dM, [vec[j * dM:(j + 1) * dM] for j in range(nJ)]))
 
     def to_vector(self) -> list[Fraction]:
         nJ, dM = self.data.shape[1], self.module.dim
@@ -106,7 +84,7 @@ class NormalizedCochain:
         """Value on the basis tuple J, as a column over the module basis."""
         if len(J) != self.arity:
             raise HochschildError("tuple length does not match arity")
-        return self.data.col(_bar_flat(self.module.algebra.dim, tuple(J)))
+        return self.data.col(flat_index(J, self.module.algebra.dim - 1, 1))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
         """Multilinear extension; unit components of the arguments drop out."""
@@ -115,7 +93,7 @@ class NormalizedCochain:
         m = self.module.algebra.dim
         acc = QMat.zeros(self.module.dim, 1)
         for flat in range(self.data.shape[1]):
-            J = _bar_tuple(m, self.arity, flat)
+            J = digits_at(flat, m - 1, self.arity, 1)
             coeff = Fraction(1)
             for t, j in enumerate(J):
                 coeff *= Fraction(args[t][j])
@@ -181,7 +159,7 @@ def coboundary(c: NormalizedCochain) -> NormalizedCochain:
     m, n, dM = A.dim, c.arity, module.dim
     cols = []
     for flat in range(_bar_dim(m, n + 1)):
-        K = _bar_tuple(m, n + 1, flat)
+        K = digits_at(flat, m - 1, n + 1, 1)
         acc = module.left[K[0]] @ c.value(K[1:])
         for t in range(n):
             sign = -1 if (t + 1) % 2 else 1
@@ -193,7 +171,7 @@ def coboundary(c: NormalizedCochain) -> NormalizedCochain:
         sign = -1 if (n + 1) % 2 else 1
         acc = acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign)
         cols.append(acc.column_fractions(0))
-    return NormalizedCochain(module, n + 1, _cols_to_qmat(dM, cols))
+    return NormalizedCochain(module, n + 1, QMat.from_columns(dM, cols))
 
 
 def coboundary_rows(module: Bimodule, n: int):
@@ -205,17 +183,17 @@ def coboundary_rows(module: Bimodule, n: int):
     A = module.algebra
     m, dM = A.dim, module.dim
     for flat in range(_bar_dim(m, n + 1)):
-        K = _bar_tuple(m, n + 1, flat)
-        head = _bar_flat(m, K[1:])
-        tail = _bar_flat(m, K[:-1])
+        K = digits_at(flat, m - 1, n + 1, 1)
+        head = flat_index(K[1:], m - 1, 1)
+        tail = flat_index(K[:-1], m - 1, 1)
         merges = []
         for t in range(n):
             sign = -1 if (t + 1) % 2 else 1
             prod = A.structure[K[t]][K[t + 1]]
             for p in range(1, m):
                 if prod[p]:
-                    merges.append((_bar_flat(m, K[:t] + (p,) + K[t + 2:]),
-                                   sign * prod[p]))
+                    merges.append((flat_index(K[:t] + (p,) + K[t + 2:],
+                                              m - 1, 1), sign * prod[p]))
         last_sign = -1 if (n + 1) % 2 else 1
         left, right = module.left[K[0]], module.right[K[-1]]
         for r in range(dM):
@@ -272,7 +250,7 @@ def universal_cocycle(algebra: Algebra, n: int) -> NormalizedCochain:
         col = [Fraction(0)] * sp.dim
         col[flat] = Fraction(1)  # index_of(0, J) == flat J, big-endian
         cols.append(col)
-    return NormalizedCochain(module, n, _cols_to_qmat(sp.dim, cols))
+    return NormalizedCochain(module, n, QMat.from_columns(sp.dim, cols))
 
 
 def cochain_to_hom(c: NormalizedCochain) -> QMat:
@@ -286,7 +264,7 @@ def cochain_to_hom(c: NormalizedCochain) -> QMat:
     for idx in range(sp.dim):
         i, J = sp.tuple_of(idx)
         cols.append((c.module.left[i] @ c.value(J)).column_fractions(0))
-    return _cols_to_qmat(c.module.dim, cols)
+    return QMat.from_columns(c.module.dim, cols)
 
 
 def hom_to_cochain(module: Bimodule, n: int, hom: QMat) -> NormalizedCochain:
@@ -296,8 +274,7 @@ def hom_to_cochain(module: Bimodule, n: int, hom: QMat) -> NormalizedCochain:
         raise HochschildError("hom matrix shape mismatch")
     nJ = _bar_dim(module.algebra.dim, n)
     # the (0; J) block is the leading block of columns, in bar-tuple order
-    data = QMat.from_rows([[hom.entry(r, j) for j in range(nJ)]
-                           for r in range(module.dim)])
+    data = QMat(hom.num[:, :nJ].copy(), hom.den).reduced()
     return NormalizedCochain(module, n, data)
 
 
@@ -356,7 +333,7 @@ def form_hom_space(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
                     for q, w in enumerate(moved):
                         if w:
                             i, Jq = sp.tuple_of(q)
-                            flat_q = _bar_flat(m, Jq)
+                            flat_q = flat_index(Jq, m - 1, 1)
                             for s in range(dM):
                                 v = module.left[i].entry(r, s)
                                 if v:
@@ -406,13 +383,13 @@ class TensorBimodule(Bimodule):
             raise HochschildError("outer index out of range")
         if len(J) != self.middles:
             raise HochschildError("middle tuple length mismatch")
-        return (i * _bar_dim(m, self.middles) + _bar_flat(m, J)) * m + l
+        return (i * _bar_dim(m, self.middles) + flat_index(J, m - 1, 1)) * m + l
 
     def tuple_of(self, idx: int) -> tuple[int, tuple[int, ...], int]:
         m = self.algebra.dim
         idx, l = divmod(idx, m)
         i, flat = divmod(idx, _bar_dim(m, self.middles))
-        return i, _bar_tuple(m, self.middles, flat), l
+        return i, digits_at(flat, m - 1, self.middles, 1), l
 
 
 def tensor_module(algebra: Algebra, n: int) -> TensorBimodule:
@@ -433,9 +410,10 @@ def tensor_hom_from_values(tensor: TensorBimodule, module: Bimodule,
     cols = []
     for idx in range(tensor.dim):
         i, J, l = tensor.tuple_of(idx)
-        col = module.left[i] @ module.right[l] @ values.col(_bar_flat(m, J))
+        col = module.left[i] @ module.right[l] @ values.col(
+            flat_index(J, m - 1, 1))
         cols.append(col.column_fractions(0))
-    return _cols_to_qmat(module.dim, cols)
+    return QMat.from_columns(module.dim, cols)
 
 
 def tensor_hom_basis(tensor: TensorBimodule, module: Bimodule) -> list[QMat]:
@@ -461,9 +439,9 @@ def unit_frame_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
     cols = []
     for flat in range(mid):
         col = [Fraction(0)] * tensor.dim
-        col[tensor.index_of(0, _bar_tuple(m, n - 1, flat), 0)] = Fraction(1)
+        col[tensor.index_of(0, digits_at(flat, m - 1, n - 1, 1), 0)] = Fraction(1)
         cols.append(col)
-    return NormalizedCochain(tensor, n - 1, _cols_to_qmat(tensor.dim, cols))
+    return NormalizedCochain(tensor, n - 1, QMat.from_columns(tensor.dim, cols))
 
 
 def comparison_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
@@ -522,8 +500,8 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     mid = _bar_dim(m, n - 1)
     dM = module.dim
     # unknowns were ordered middle-tuple major, module coordinate minor
-    values = QMat.from_rows([[sol[j * dM + r] for j in range(mid)]
-                             for r in range(dM)])
+    values = QMat.from_columns(dM, [sol[j * dM:(j + 1) * dM]
+                                    for j in range(mid)])
     psi_hom = tensor_hom_from_values(tensor, module, values)
     if psi_hom @ comp != hom:
         raise HochschildError("factorization check failed")  # pragma: no cover

@@ -11,6 +11,15 @@ Two representations are used:
   denominator.  Integer matrix products run at C speed; the array dtype is
   promoted from int64 to Python objects before any operation whose result
   could exceed 2**62, so results are always exact.
+
+Two conventions are fixed here and nowhere else:
+
+* Tuple indexing.  Form bases, bar tuples, tensor bimodules and multimaps
+  are indexed by tuples whose digits run over ``lo..lo+base-1``;
+  :func:`flat_index` and :func:`digits_at` are the one big-endian codec
+  between such a tuple and its flat index.
+* Column building.  A structural matrix assembled one column at a time goes
+  through :meth:`QMat.from_columns`.
 """
 
 from __future__ import annotations
@@ -56,6 +65,32 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(x: Fraction) -> str:
     """Inverse of parse_scalar: '3', '-1/2', ..."""
     return str(Fraction(x))
+
+
+# ---------------------------------------------------------------------------
+# Tuple codec: big-endian, digits in lo..lo+base-1
+# ---------------------------------------------------------------------------
+
+
+def flat_index(digits: Iterable[int], base: int, lo: int = 0) -> int:
+    """Flat index of a digit tuple, most significant digit first."""
+    idx = 0
+    for d in digits:
+        if not lo <= d < lo + base:
+            raise LinAlgError(f"digit {d} outside {lo}..{lo + base - 1}")
+        idx = idx * base + (d - lo)
+    return idx
+
+
+def digits_at(idx: int, base: int, length: int, lo: int = 0) -> tuple[int, ...]:
+    """Inverse of :func:`flat_index`: the length-digit tuple at idx."""
+    if not 0 <= idx < base ** length:
+        raise LinAlgError(f"flat index {idx} outside 0..{base ** length - 1}")
+    out = [lo] * length
+    for t in range(length - 1, -1, -1):
+        idx, r = divmod(idx, base)
+        out[t] += r
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +429,15 @@ class QMat:
         if arr.ndim == 1:  # empty rows edge case
             arr = arr.reshape(len(ints), 0)
         return cls(arr, den)
+
+    @classmethod
+    def from_columns(cls, height: int, cols: Sequence[Sequence]) -> "QMat":
+        """The height x len(cols) matrix whose j-th column is cols[j]."""
+        if any(len(c) != height for c in cols):
+            raise LinAlgError(f"every column must have length {height}")
+        if not cols:
+            return cls.zeros(height, 0)
+        return cls.from_rows(cols).T
 
     @classmethod
     def column(cls, values: Sequence) -> "QMat":

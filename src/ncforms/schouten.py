@@ -22,30 +22,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra
-from .linalg import QMat, format_scalar, nullspace_sparse, parse_scalar
+from .linalg import (QMat, digits_at, flat_index, format_scalar,
+                     nullspace_sparse, parse_scalar)
 
 MAX_ARITY = 6
 
 
 class SchoutenError(ValueError):
     pass
-
-
-def _flat(m: int, I: Sequence[int]) -> int:
-    idx = 0
-    for i in I:
-        if not 0 <= i < m:
-            raise SchoutenError("basis index out of range")
-        idx = idx * m + i
-    return idx
-
-
-def _tuple_at(m: int, k: int, idx: int) -> tuple[int, ...]:
-    I = []
-    for _ in range(k):
-        idx, r = divmod(idx, m)
-        I.append(r)
-    return tuple(reversed(I))
 
 
 def _shuffle_sign(S: Sequence[int]) -> int:
@@ -85,7 +69,7 @@ class MultiMap:
     def value(self, I: Sequence[int]) -> list[Fraction]:
         if len(I) != self.arity:
             raise SchoutenError("tuple length does not match arity")
-        return self.data.column_fractions(_flat(self.algebra.dim, tuple(I)))
+        return self.data.column_fractions(flat_index(I, self.algebra.dim))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
         if len(args) != self.arity:
@@ -93,7 +77,7 @@ class MultiMap:
         m = self.algebra.dim
         acc = [Fraction(0)] * self.target_dim
         for flat in range(self.data.shape[1]):
-            I = _tuple_at(m, self.arity, flat)
+            I = digits_at(flat, m, self.arity)
             coeff = Fraction(1)
             for t, i in enumerate(I):
                 coeff *= Fraction(args[t][i])
@@ -174,13 +158,13 @@ def is_skew(mm: MultiMap) -> bool:
     """Adjacent swaps negate the value on every basis tuple."""
     m = mm.algebra.dim
     for flat in range(mm.data.shape[1]):
-        I = _tuple_at(m, mm.arity, flat)
+        I = digits_at(flat, m, mm.arity)
         col = None
         for t in range(mm.arity - 1):
             swapped = I[:t] + (I[t + 1], I[t]) + I[t + 2:]
             if col is None:
                 col = mm.data.column_fractions(flat)
-            other = mm.data.column_fractions(_flat(m, swapped))
+            other = mm.data.column_fractions(flat_index(swapped, m))
             if any(a + b for a, b in zip(col, other)):
                 return False
     return True
@@ -193,7 +177,7 @@ def alternation(mm: MultiMap) -> MultiMap:
     norm = Fraction(1, math.factorial(k))
     cols = []
     for flat in range(mm.data.shape[1]):
-        I = _tuple_at(m, k, flat)
+        I = digits_at(flat, m, k)
         acc = [Fraction(0)] * mm.target_dim
         for perm in itertools.permutations(range(k)):
             sign = _perm_sign(perm)
@@ -201,7 +185,7 @@ def alternation(mm: MultiMap) -> MultiMap:
             for r in range(mm.target_dim):
                 acc[r] += sign * col[r]
         cols.append([v * norm for v in acc])
-    return MultiMap(mm.algebra, k, _cols_to_qmat(mm.target_dim, cols),
+    return MultiMap(mm.algebra, k, QMat.from_columns(mm.target_dim, cols),
                     scalar=mm.scalar)
 
 
@@ -212,12 +196,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def _cols_to_qmat(height: int, cols: Sequence[Sequence[Fraction]]) -> QMat:
-    if not cols:
-        return QMat.zeros(height, 0)
-    return QMat.from_rows([[c[r] for c in cols] for r in range(height)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +217,7 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     dim_out = 1 if scalar_out else m
     cols = []
     for flat in range(m ** (k + l)):
-        I = _tuple_at(m, k + l, flat)
+        I = digits_at(flat, m, k + l)
         acc = [Fraction(0)] * dim_out
         for S in itertools.combinations(range(k + l), k):
             rest = [t for t in range(k + l) if t not in S]
@@ -257,7 +235,7 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
             for r in range(dim_out):
                 acc[r] += sign * term[r]
         cols.append(acc)
-    return MultiMap(A, k + l, _cols_to_qmat(dim_out, cols),
+    return MultiMap(A, k + l, QMat.from_columns(dim_out, cols),
                     scalar=scalar_out, check=False)
 
 
@@ -281,7 +259,7 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
     dim_out = phi.target_dim
     cols = []
     for flat in range(m ** n):
-        I = _tuple_at(m, n, flat)
+        I = digits_at(flat, m, n)
         acc = [Fraction(0)] * dim_out
         for S in itertools.combinations(range(n), kappa):
             rest = tuple(I[t] for t in range(n) if t not in S)
@@ -291,7 +269,7 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
             for r in range(dim_out):
                 acc[r] += sign * term[r]
         cols.append(acc)
-    return MultiMap(A, n, _cols_to_qmat(dim_out, cols),
+    return MultiMap(A, n, QMat.from_columns(dim_out, cols),
                     scalar=phi.scalar, check=False)
 
 
@@ -317,7 +295,7 @@ def first_slot_leibniz(K: MultiMap) -> bool:
     A = K.algebra
     m = A.dim
     for flat in range(m ** (K.arity - 1)):
-        rest = _tuple_at(m, K.arity - 1, flat)
+        rest = digits_at(flat, m, K.arity - 1)
         vals = [K.value((i,) + rest) for i in range(m)]
         for i in range(m):
             ei = [Fraction(t == i) for t in range(m)]
@@ -357,11 +335,11 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
 
     def rows():
         for flat in range(m ** arity):
-            I = _tuple_at(m, arity, flat)
+            I = digits_at(flat, m, arity)
             # adjacent swaps negate
             for t in range(arity - 1):
                 swapped = I[:t] + (I[t + 1], I[t]) + I[t + 2:]
-                sflat = _flat(m, swapped)
+                sflat = flat_index(swapped, m)
                 if sflat < flat:
                     continue  # each unordered pair once
                 for r in range(m):
@@ -371,8 +349,8 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
                     yield row
         # first-slot Leibniz on basis pairs
         for flat in range(m ** (arity - 1)):
-            rest = _tuple_at(m, arity - 1, flat)
-            idx = [_flat(m, (q,) + rest) for q in range(m)]
+            rest = digits_at(flat, m, arity - 1)
+            idx = [flat_index((q,) + rest, m) for q in range(m)]
             for i in range(m):
                 for j in range(m):
                     prod = algebra.structure[i][j]
@@ -400,8 +378,8 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
 
     out = []
     for vec in nullspace_sparse(ncols, rows()).basis:
-        data = QMat.from_rows([[vec[c * m + r] for c in range(m ** arity)]
-                               for r in range(m)])
+        data = QMat.from_columns(m, [vec[c * m:(c + 1) * m]
+                                     for c in range(m ** arity)])
         out.append(MultiMap(algebra, arity, data))
     return out
 
@@ -411,10 +389,10 @@ def commutator_bivector(algebra: Algebra) -> MultiMap:
     m = algebra.dim
     cols = []
     for flat in range(m * m):
-        i, j = _tuple_at(m, 2, flat)
+        i, j = digits_at(flat, m, 2)
         cols.append([algebra.structure[i][j][r] - algebra.structure[j][i][r]
                      for r in range(m)])
-    return MultiMap(algebra, 2, _cols_to_qmat(m, cols))
+    return MultiMap(algebra, 2, QMat.from_columns(m, cols))
 
 
 def poisson_check(mu: MultiMap) -> dict:
@@ -453,7 +431,7 @@ def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
     """The linear map b |-> mu(a, b) as a matrix."""
     m = mu.algebra.dim
     cols = [mu.value_with_first(a, (j,)) for j in range(m)]
-    return _cols_to_qmat(m, cols)
+    return QMat.from_columns(m, cols)
 
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:

@@ -1,7 +1,9 @@
 """Differential forms: dims, differential, actions, products, functors."""
 
+import gc
 import random
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -301,6 +303,15 @@ def test_form_space_cache_identity_and_threads():
     for t in threads:
         t.join()
     assert all(r is results[0] for r in results)
+
+
+def test_form_space_cache_dies_with_its_algebra():
+    alg = truncated_polynomial_algebra(3)
+    form_space(alg, 2)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_form_serialization_roundtrip():

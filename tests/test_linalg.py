@@ -1,6 +1,9 @@
 """Exact linear algebra: canonical subspaces, kernels, the QMat engine."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncforms
+from ncforms.algebra import matrix_algebra
+from ncforms.forms import form_space
+from ncforms.hochschild import NormalizedCochain, TensorBimodule
 from ncforms.linalg import (
-    LinAlgError, QMat, RowReducer, Subspace, format_scalar, make_scalar,
-    nullspace, nullspace_sparse, parse_scalar, rank, rref, solve_linear,
-    subspace_from_columns,
+    LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
+    format_scalar, make_scalar, nullspace, nullspace_sparse, parse_scalar,
+    rank, rref, solve_linear, subspace_from_columns,
 )
+from ncforms.schouten import MultiMap
 from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -225,3 +233,90 @@ def test_subspace_from_columns():
     assert sp.contains([1, 0, 1])
     assert sp.contains([3, 1, 4])
     assert not sp.contains([0, 1, 0])
+
+
+# -- tuple codec and column builder ----------------------------------------
+
+
+@given(st.integers(1, 5), st.sampled_from([0, 1]), st.data())
+@settings(max_examples=80)
+def test_tuple_codec_round_trip(base, lo, data):
+    length = data.draw(st.integers(0, 4))
+    digits = tuple(data.draw(st.lists(st.integers(lo, lo + base - 1),
+                                      min_size=length, max_size=length)))
+    idx = flat_index(digits, base, lo)
+    # big-endian: the first digit is the most significant
+    assert idx == sum((d - lo) * base ** (length - 1 - t)
+                      for t, d in enumerate(digits))
+    assert digits_at(idx, base, length, lo) == digits
+    with pytest.raises(LinAlgError):
+        digits_at(base ** length, base, length, lo)
+    if length:
+        for bad in (lo - 1, lo + base):
+            with pytest.raises(LinAlgError):
+                flat_index(digits[:-1] + (bad,), base, lo)
+
+
+def _hand_transposed(height, cols):
+    return QMat.from_rows([[c[r] for c in cols] for r in range(height)])
+
+
+def _same_qmat(a, b):
+    return (a.shape == b.shape and a.den == b.den
+            and a.num.dtype == b.num.dtype and np.array_equal(a.num, b.num))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60)
+def test_from_columns_matches_hand_transposition(height, ncols, data):
+    cols = [data.draw(st.lists(fractions_st, min_size=height,
+                               max_size=height)) for _ in range(ncols)]
+    cols[data.draw(st.integers(0, ncols - 1))] = [Fraction(0)] * height
+    assert _same_qmat(QMat.from_columns(height, cols),
+                      _hand_transposed(height, cols))
+
+
+def test_from_columns_edge_cases():
+    assert QMat.from_columns(3, []).shape == (3, 0)
+    assert QMat.from_columns(0, [[], []]).shape == (0, 2)
+    cols = [[1, 2 ** 62], [Fraction(1, 3), 0]]
+    big = QMat.from_columns(2, cols)
+    assert big.num.dtype == object
+    assert big.entry(1, 0) == 2 ** 62 and big.entry(0, 1) == Fraction(1, 3)
+    assert _same_qmat(big, _hand_transposed(2, cols))
+    with pytest.raises(LinAlgError):
+        QMat.from_columns(2, [[1, 2], [3]])
+
+
+def test_structural_indices_reject_out_of_range_digits():
+    A = matrix_algebra(2)
+    m = A.dim
+    sp = form_space(A, 1)
+    tensor = TensorBimodule(A, 2)
+    cochain = NormalizedCochain.zeros(A.regular_bimodule(), 1)
+    mm = MultiMap.zeros(A, 2)
+    for call in (lambda: sp.index_of(0, (0,)),       # unit in a d-slot
+                 lambda: sp.index_of(0, (m,)),
+                 lambda: tensor.index_of(0, (0,), 0),
+                 lambda: tensor.index_of(0, (m,), 0),
+                 lambda: cochain.value((0,)),
+                 lambda: cochain.value((m,)),
+                 lambda: mm.value((0, m)),
+                 lambda: mm.value((-1, 0))):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_no_private_codec_or_column_copies():
+    banned = {"_cols_to_qmat", "_bar_flat", "_bar_tuple", "_flat",
+              "_tuple_at", "_mat_rank"}
+    found = []
+    for info in pkgutil.iter_modules(ncforms.__path__):
+        mod = importlib.import_module(f"ncforms.{info.name}")
+        owners = [mod] + [cls for _, cls in inspect.getmembers(mod, inspect.isclass)
+                          if cls.__module__ == mod.__name__]
+        for owner in owners:
+            found += [f"{mod.__name__}.{name}"
+                      for name, _ in inspect.getmembers(owner)
+                      if name in banned]
+    assert not found
