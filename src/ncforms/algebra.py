@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .linalg import (
-    QMat, RowReducer, Subspace, nullspace_sparse, qmat_inverse, qmat_sum,
-)
+from .linalg import QMat, RowReducer, Subspace, nullspace, qmat_inverse, qmat_sum
 
 
 class AlgebraError(ValueError):
@@ -117,13 +115,9 @@ class Algebra:
 
     def center(self) -> Subspace:
         """{x : xa = ax for all a}, as coefficient vectors."""
-        rows = []
-        for j in range(self.dim):
-            diff = self.left[j] - self.right[j]
-            rows.extend(diff.to_fraction_rows())
-        return nullspace_sparse(
-            self.dim,
-            ({c: v for c, v in enumerate(r) if v} for r in rows))
+        return nullspace(self.dim, (
+            row for j in range(self.dim)
+            for row in (self.left[j] - self.right[j]).sparse_rows()))
 
     def opposite(self, name: Optional[str] = None) -> "Algebra":
         m = self.dim
@@ -511,7 +505,7 @@ def derivation_space(mod: Bimodule) -> Subspace:
                             row[i * dM + s] = row.get(i * dM + s, Fraction(0)) - v
                     yield {c: v for c, v in row.items() if v}
 
-    return nullspace_sparse(m * dM, rows())
+    return nullspace(m * dM, rows())
 
 
 def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
@@ -608,8 +602,7 @@ class TensorQuotient:
                         if v:
                             row[p * dn + s] = row.get(p * dn + s, Fraction(0)) - v
                     red.add({c: v for c, v in row.items() if v})
-        self.relations = Subspace(self.ambient, red.basis(), red.pivots(),
-                                  _canonical=True)
+        self.relations = red.subspace()
         self._reducer = red
         pivset = set(red.pivots())
         self.free = [t for t in range(self.ambient) if t not in pivset]

@@ -7,8 +7,8 @@ stdout either as fixed-layout text or as canonically serialized JSON
 given the same input, seed, and package version.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check fails
-(the report carries a witness), 2 for input or parse errors (diagnostics
-go to stderr).
+(the report carries a witness), 2 for input or parse errors and for inputs
+too large for the available memory (diagnostics go to stderr).
 """
 
 from __future__ import annotations
@@ -114,13 +114,17 @@ def _load_algebra(algebra_path: Optional[str],
             "provide exactly one of --algebra FILE or --builtin EXPR")
     try:
         if builtin_expr is not None:
-            return builtin_algebra(builtin_expr), f"builtin {builtin_expr}"
-        text = Path(algebra_path).read_text(encoding="utf-8")
-        return load_algebra_text(text), f"file {algebra_path}"
+            A, source = builtin_algebra(builtin_expr), f"builtin {builtin_expr}"
+        else:
+            text = Path(algebra_path).read_text(encoding="utf-8")
+            A, source = load_algebra_text(text), f"file {algebra_path}"
     except DslError as exc:
         raise InputError(f"algebra definition: {exc}")
     except OSError as exc:
         raise InputError(f"cannot read {algebra_path}: {exc.strerror}")
+    # read back by _Reports if the report runs out of memory
+    click.get_current_context().meta["ncforms.size"] = (A.dim, truncation)
+    return A, source
 
 
 def _load_json_file(path: str, what: str) -> dict:
@@ -698,7 +702,7 @@ def _chk_cochain_hom_roundtrip(env: _VerifyEnv, rng: random.Random):
     return None
 
 
-def _chk_alternation_canonical(env: _VerifyEnv, rng: random.Random):
+def _chk_alternation_idempotent(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     for arity in (1, 2):
         for _ in range(4):
@@ -791,7 +795,7 @@ _VERIFY_CHECKS: list[tuple[str, Callable]] = [
     ("coboundary-squared", _chk_coboundary_squared),
     ("cohomology-routes", _chk_cohomology_routes),
     ("cochain-hom-roundtrip", _chk_cochain_hom_roundtrip),
-    ("alternation-canonical", _chk_alternation_canonical),
+    ("alternation-canonical", _chk_alternation_idempotent),
     ("insertion-arity", _chk_insertion_arity),
     ("schouten-jacobi", _chk_schouten_jacobi),
     ("bracket-compatibility", _chk_bracket_compatibility),
@@ -814,7 +818,23 @@ def _run_verify(env: _VerifyEnv) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _Reports(click.Group):
+    """Running out of memory means the input is too large for this machine:
+    exit 2 with the size that was asked for, not a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            msg = f"out of memory in {ctx.invoked_subcommand}"
+            if "ncforms.size" in ctx.meta:
+                m, N = ctx.meta["ncforms.size"]
+                msg += (f" on a dimension-{m} algebra at -N {N} (Omega_{N} has "
+                        f"dimension {m * (m - 1) ** N}); try a smaller -N")
+            raise InputError(msg) from None
+
+
+@click.group(cls=_Reports)
 @click.version_option(__version__, prog_name="ncforms")
 def main() -> None:
     """Exact differential calculus over finite-dimensional algebras."""

@@ -22,8 +22,8 @@ from .fieldforms import (
 )
 from .forms import Form, form_space, product
 from .linalg import (
-    QMat, RowReducer, Subspace, nullspace, nullspace_sparse, qmat_sum,
-    solve_linear,
+    QMat, RowReducer, Subspace, nullspace, qmat_sum, solve_linear,
+    subspace_from_columns,
 )
 
 
@@ -97,8 +97,7 @@ def bimodule_span(algebra: Algebra, generators) -> Distribution:
                 out = (M @ col).column_fractions(0)
                 if red.add_dense(out):
                     queue.append(out)
-    space = Subspace(sp.dim, red.basis(), red.pivots(), _canonical=True)
-    return Distribution(algebra, space, check=False)
+    return Distribution(algebra, red.subspace(), check=False)
 
 
 def exact_span(algebra: Algebra, sub: Subspace) -> Distribution:
@@ -130,8 +129,7 @@ def ideal_component(dist: Distribution, r: int) -> Subspace:
             b = sp1.basis_form(i)
             red.add_dense(product(b, w).coords())
             red.add_dense(product(w, b).coords())
-    return Subspace(form_space(A, r).dim, red.basis(), red.pivots(),
-                    _canonical=True)
+    return red.subspace()
 
 
 def involutive(dist: Distribution, N: int = 2) -> bool:
@@ -181,15 +179,11 @@ class Projection:
         return Projection(identity_one_form(self.algebra) - self.chi)
 
     def image(self) -> Distribution:
-        sp = form_space(self.algebra, 1)
-        gens = [self.ext.column_fractions(j) for j in range(sp.dim)]
-        space = Subspace.from_generators(sp.dim, gens)
-        return Distribution(self.algebra, space, check=False)
+        return Distribution(self.algebra, subspace_from_columns(self.ext),
+                            check=False)
 
     def kernel(self) -> Distribution:
-        n = self.ext.shape[0]
-        space = nullspace(self.ext.to_fraction_rows()) if n else \
-            Subspace.zero(0)
+        space = nullspace(self.ext.shape[1], self.ext.sparse_rows())
         return Distribution(self.algebra, space, check=False)
 
     def __eq__(self, other: object) -> bool:
@@ -233,12 +227,6 @@ def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
     return QMat.from_columns(tgt.dim, cols)
 
 
-def _matrix_kernel(mat: QMat) -> Subspace:
-    if mat.shape[0] == 0:
-        return Subspace.zero(mat.shape[1])
-    return nullspace(mat.to_fraction_rows())
-
-
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     """Curvature formulas, ideal = functor kernel, involutivity criteria."""
     A = p.algebra
@@ -265,12 +253,13 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     kerP = p.kernel()
     imP = p.image()
     for k in range(1, N + 1):
+        dk = form_space(A, k).dim
         lhs = ideal_component(kerP, k)
-        rhs = _matrix_kernel(omega_p[k])
+        rhs = nullspace(dk, omega_p[k].sparse_rows())
         if lhs != rhs:
             ker_ideal = False
         lhs2 = ideal_component(imP, k)
-        rhs2 = _matrix_kernel(omega_pb[k])
+        rhs2 = nullspace(dk, omega_pb[k].sparse_rows())
         if lhs2 != rhs2:
             im_ideal = False
     report["kernel_ideal_is_functor_kernel"] = ker_ideal
@@ -325,7 +314,7 @@ def bimodule_endomorphism_space(algebra: Algebra) -> list[QMat]:
                     row = {i: v for i, v in row.items() if v}
                     if row:
                         rows.append(row)
-    space = nullspace_sparse(n * n, rows)
+    space = nullspace(n * n, rows)
     out = []
     for vec in space.basis:
         out.append(QMat.from_rows([vec[i * n:(i + 1) * n] for i in range(n)]))
@@ -561,11 +550,8 @@ class GroupAction:
 
     def fixed_subspace(self) -> Subspace:
         m = self.algebra.dim
-        rows = []
-        for h in self.homs:
-            diff = h.matrix - QMat.eye(m)
-            rows.extend(diff.to_fraction_rows())
-        return nullspace(rows) if rows else Subspace.full(m)
+        return nullspace(m, (row for h in self.homs
+                             for row in (h.matrix - QMat.eye(m)).sparse_rows()))
 
 
 class Bundle:
@@ -635,8 +621,7 @@ def horizontal_forms(bundle: Bundle, k: int) -> Subspace:
         w = spp.form(v)
         for h in hor1.basis:
             red.add_dense(product(w, sp1.form(h)).coords())
-    return Subspace(form_space(A, k).dim, red.basis(), red.pivots(),
-                    _canonical=True)
+    return red.subspace()
 
 
 def is_connection(bundle: Bundle, chi: FieldValuedForm) -> dict:
@@ -646,9 +631,7 @@ def is_connection(bundle: Bundle, chi: FieldValuedForm) -> dict:
     ext = chi.extension()
     hor = horizontal_forms(bundle, 1)
     idem = (ext @ ext == ext)
-    n = ext.shape[1]
-    image = Subspace.from_generators(
-        ext.shape[0], [ext.column_fractions(j) for j in range(n)])
+    image = subspace_from_columns(ext)
     report = {"idempotent": idem, "image_is_horizontal": image == hor}
     report["connection"] = idem and report["image_is_horizontal"]
     return report
@@ -671,8 +654,8 @@ def find_connections(bundle: Bundle) -> list[FieldValuedForm]:
             return [zero_field_valued_form(A, 1)]
         return []
     hor = horizontal_forms(bundle, 1)
-    ann = nullspace([list(b) for b in hor.basis]) if hor.dim else \
-        Subspace.full(n)
+    ann = nullspace(n, [{c: v for c, v in enumerate(b) if v}
+                        for b in hor.basis])
     rows, rhs = [], []
     for h in hor.basis:
         col = QMat.column(h)
@@ -689,7 +672,8 @@ def find_connections(bundle: Bundle) -> list[FieldValuedForm]:
     if sol is None:
         return []
     particular = qmat_sum([E.scale(c) for E, c in zip(endos, sol)])
-    hom = nullspace(rows)
+    hom = nullspace(len(endos), [{c: v for c, v in enumerate(r) if v}
+                                 for r in rows])
     exts = [particular]
     for v in hom.basis:
         shift = qmat_sum([E.scale(c) for E, c in zip(endos, v)])

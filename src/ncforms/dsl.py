@@ -35,7 +35,7 @@ from .algebra import (
     Algebra, AlgebraError, AlgebraHom, base_field, dual_numbers, group_algebra,
     matrix_algebra, product_algebra, truncated_polynomial_algebra,
 )
-from .linalg import QMat, Subspace, format_scalar, nullspace_sparse, qmat_inverse
+from .linalg import QMat, Subspace, format_scalar, nullspace, qmat_inverse
 
 
 class DslError(ValueError):
@@ -737,16 +737,8 @@ def fixed_subspace(action: GroupActionSpec) -> Subspace:
     """Elements fixed by every automorphism of the action (a subalgebra)."""
     m = action.algebra.dim
     eye = QMat.eye(m)
-
-    def rows():
-        for g in action.elements:
-            diff = action.matrices[g] - eye
-            for r in range(m):
-                row = {c: diff.entry(r, c) for c in range(m)
-                       if diff.entry(r, c)}
-                if row:
-                    yield row
-    return nullspace_sparse(m, rows())
+    return nullspace(m, (row for g in action.elements
+                         for row in (action.matrices[g] - eye).sparse_rows()))
 
 
 # ---------------------------------------------------------------------------

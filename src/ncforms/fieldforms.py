@@ -12,8 +12,7 @@ L_K = [j_K, d] has operator degree (subscript).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)

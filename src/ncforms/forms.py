@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
-from .linalg import QMat, RowReducer, Subspace, digits_at, flat_index, qmat_sum
+from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, nullspace,
+                     qmat_sum)
 
 
 class FormError(ValueError):
@@ -349,10 +350,8 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
     m = algebra.dim
     if m ** n > size_cap:
         raise FormError(f"tensor power dimension {m ** n} exceeds cap {size_cap}")
-    from .linalg import nullspace
-    mu = multiplication_matrix(algebra, n)
-    ker = nullspace(mu.to_fraction_rows())
-    k2 = nullspace(multiplication_matrix(algebra, 2).to_fraction_rows())
+    ker = nullspace(m ** n, multiplication_matrix(algebra, n).sparse_rows())
+    k2 = nullspace(m * m, multiplication_matrix(algebra, 2).sparse_rows())
     red = RowReducer(m ** n)
     for i in range(n - 1):
         left_dim = m ** i
@@ -365,7 +364,7 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
                         if val:
                             row[(ls * m * m + t) * right_dim + rs] = val
                     red.add(row)
-    span = Subspace(m ** n, red.basis(), red.pivots(), _canonical=True)
+    span = red.subspace()
     return {
         "arity": n,
         "dim_kernel": ker.dim,
@@ -394,10 +393,8 @@ def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
             for ib in range(sb.dim):
                 hb = sb.basis_form(ib)
                 comm = product(wa, hb).vec - product(hb, wa).vec.scale(sign)
-                den = comm.den
-                red.add({t: Fraction(int(v), den)
-                         for t, v in enumerate(comm.num[:, 0]) if v})
-    return Subspace(sp_r.dim, red.basis(), red.pivots(), _canonical=True)
+                red.add(comm.T.sparse_rows()[0])
+    return red.subspace()
 
 
 def de_rham_homology(algebra: Algebra, truncation: int,

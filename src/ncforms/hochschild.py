@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace_sparse,
+from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace,
                      solve_linear)
 
 
@@ -220,7 +220,7 @@ def coboundary_rows(module: Bimodule, n: int):
 
 def cocycle_space(module: Bimodule, n: int) -> Subspace:
     """Kernel of the degree-n coboundary, in cochain-vector coordinates."""
-    return nullspace_sparse(cochain_dim(module, n), coboundary_rows(module, n))
+    return nullspace(cochain_dim(module, n), coboundary_rows(module, n))
 
 
 def complex_dims(module: Bimodule, n: int) -> dict:
@@ -345,7 +345,7 @@ def form_hom_space(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
                             bump(flat * dM + s, -v)
                     yield row
 
-    return nullspace_sparse(nJ * dM, rows())
+    return nullspace(nJ * dM, rows())
 
 
 def form_hom_matrices(algebra: Algebra, n: int, module: Bimodule) -> list[QMat]:

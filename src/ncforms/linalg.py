@@ -12,7 +12,7 @@ Two representations are used:
   promoted from int64 to Python objects before any operation whose result
   could exceed 2**62, so results are always exact.
 
-Two conventions are fixed here and nowhere else:
+Three conventions are fixed here and nowhere else:
 
 * Tuple indexing.  Form bases, bar tuples, tensor bimodules and multimaps
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
@@ -20,6 +20,9 @@ Two conventions are fixed here and nowhere else:
   between such a tuple and its flat index.
 * Column building.  A structural matrix assembled one column at a time goes
   through :meth:`QMat.from_columns`.
+* Elimination.  Every rank, kernel, solve, inverse and span goes through
+  :class:`RowReducer`; :meth:`RowReducer.subspace` and :func:`nullspace`
+  hand out canonical subspaces without a second reduction.
 """
 
 from __future__ import annotations
@@ -94,58 +97,23 @@ def digits_at(idx: int, base: int, length: int, lo: int = 0) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-level row reduction
+# Row reduction: the one elimination
 # ---------------------------------------------------------------------------
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    Dense textbook Gauss-Jordan over Fraction; fine for the small systems
-    this is called on directly.  Large/sparse systems go through
-    :class:`RowReducer` instead.
-    """
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for r in range(pr, len(m)):
-            if m[r][pc] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = 1 / m[pr][pc]
-        m[pr] = [v * inv for v in m[pr]]
-        for r in range(len(m)):
-            if r != pr and m[r][pc] != 0:
-                f = m[r][pc]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    return m[:pr], pivots
 
 
 class RowReducer:
     """Incremental sparse RREF accumulator.
 
-    Rows are dicts {column: Fraction}.  The stored rows always form a
-    reduced echelon basis (monic pivots, pivot columns cleared in all other
-    rows), so ``basis()`` is canonical.
+    Rows are dicts {column: value} with int or Fraction values.  The stored
+    rows always form a reduced echelon basis over Fraction (monic pivots,
+    pivot columns cleared in all other rows), so ``basis()`` is canonical.
     """
 
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.rows: dict[int, dict[int, Fraction]] = {}
 
-    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _reduce(self, row: dict) -> dict:
         # Eliminate every pivot coordinate (not just leading ones), so the
         # result is the canonical coset representative: supported on free
         # columns only.  Stored rows touch only their own pivot plus free
@@ -164,13 +132,13 @@ class RowReducer:
                 else:
                     row.pop(cc, None)
 
-    def add(self, row: dict[int, Fraction]) -> bool:
+    def add(self, row: dict) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         row = self._reduce(row)
         if not row:
             return False
         c = min(row)
-        inv = 1 / row[c]
+        inv = Fraction(1) / row[c]          # 1 / int would be a float
         row = {cc: vv * inv for cc, vv in row.items()}
         # clear the new pivot column from existing rows
         for pc, prow in self.rows.items():
@@ -214,19 +182,23 @@ class RowReducer:
     def pivots(self) -> list[int]:
         return sorted(self.rows)
 
+    def subspace(self) -> "Subspace":
+        """The span of the rows added so far."""
+        return Subspace(self.ambient, self.basis(), self.pivots())
+
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF basis) form."""
+    """A linear subspace of Q^n in canonical (RREF basis) form.
+
+    The constructor stores a basis that is already canonical; every
+    producer (:meth:`RowReducer.subspace`, :func:`nullspace`, the
+    classmethods below) hands it one.
+    """
 
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis: Sequence[Sequence[Fraction]],
-                 pivots: Sequence[int], _canonical: bool = False):
-        if not _canonical:
-            red = RowReducer(ambient)
-            for row in basis:
-                red.add_dense(row)
-            basis, pivots = red.basis(), red.pivots()
+                 pivots: Sequence[int]):
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
@@ -236,16 +208,15 @@ class Subspace:
         red = RowReducer(ambient)
         for g in gens:
             red.add_dense(g)
-        return cls(ambient, red.basis(), red.pivots(), _canonical=True)
+        return red.subspace()
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [], [], _canonical=True)
+        return cls(ambient, [], [])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        eye = [[Fraction(i == j) for j in range(ambient)] for i in range(ambient)]
-        return cls(ambient, eye, list(range(ambient)), _canonical=True)
+        return nullspace(ambient, ())      # the kernel of no equations
 
     @property
     def dim(self) -> int:
@@ -271,7 +242,7 @@ class Subspace:
         red = self._reducer()
         for row in other.basis:
             red.add_dense(row)
-        return Subspace(self.ambient, red.basis(), red.pivots(), _canonical=True)
+        return red.subspace()
 
     __add__ = add
 
@@ -285,10 +256,11 @@ class Subspace:
         k1, k2 = self.dim, other.dim
         rows = []
         for col in range(self.ambient):
-            row = [self.basis[i][col] for i in range(k1)]
-            row += [-other.basis[j][col] for j in range(k2)]
+            row = {i: b[col] for i, b in enumerate(self.basis) if b[col]}
+            row.update((k1 + j, -b[col]) for j, b in enumerate(other.basis)
+                       if b[col])
             rows.append(row)
-        ns = nullspace(rows)
+        ns = nullspace(k1 + k2, rows)
         gens = []
         for sol in ns.basis:
             vec = [Fraction(0)] * self.ambient
@@ -322,54 +294,42 @@ def rank(rows: Sequence[Sequence]) -> int:
     return red.dim
 
 
-def nullspace(rows: Sequence[Sequence]) -> Subspace:
-    """Kernel {x : A x = 0} of the matrix with the given rows."""
-    if not rows:
-        raise LinAlgError("nullspace of empty matrix is ambiguous; pass ncols rows")
-    ncols = len(rows[0])
-    rr, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    gens = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in zip(rr, pivots):
-            vec[p] = -r[f]
-        gens.append(vec)
-    return Subspace.from_generators(ncols, gens)
+def nullspace(ncols: int, rows: Iterable[dict]) -> Subspace:
+    """Kernel {x : A x = 0} of the system with sparse rows {col: coeff}.
 
-
-def nullspace_sparse(ncols: int, eq_rows: Iterable[dict[int, Fraction]]) -> Subspace:
-    """Kernel of a system given as sparse rows {col: coeff}."""
+    Columns are eliminated last to first (column c is reduced as
+    ncols-1-c), so each reduced row solves for its highest column p in
+    terms of lower free columns.  The kernel vectors
+    e_f - sum_p row_p[f] e_p, one per free column f, then lead at f and
+    are zero at every other free column: they already are the canonical
+    basis, with pivots at the free columns.
+    """
+    last = ncols - 1
     red = RowReducer(ncols)
-    for r in eq_rows:
-        red.add(dict(r))
-    pivset = set(red.pivots())
-    free = [c for c in range(ncols) if c not in pivset]
-    gens = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
+    for row in rows:
+        red.add({last - c: v for c, v in row.items()})
+    kernel = {f: [Fraction(0)] * ncols for f in range(ncols)
+              if last - f not in red.rows}
+    for f, vec in kernel.items():
         vec[f] = Fraction(1)
-        for p in red.pivots():
-            v = red.rows[p].get(f)
-            if v:
-                vec[p] = -v
-        gens.append(vec)
-    return Subspace.from_generators(ncols, gens)
+    for q, prow in red.rows.items():
+        for c, v in prow.items():
+            if c != q:
+                kernel[last - c][last - q] = -v
+    return Subspace(ncols, list(kernel.values()), list(kernel))
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
     """One solution of A x = b, or None if inconsistent."""
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    rr, pivots = rref(aug)
-    for r, p in zip(rr, pivots):
-        if p == ncols:
-            return None
+    red = RowReducer(ncols + 1)
+    for r, v in zip(rows, rhs):
+        red.add_dense([*r, v])
+    if ncols in red.rows:
+        return None
     sol = [Fraction(0)] * ncols
-    for r, p in zip(rr, pivots):
-        sol[p] = r[ncols]
+    for p, row in red.rows.items():
+        sol[p] = row.get(ncols, Fraction(0))
     return sol
 
 
@@ -479,6 +439,12 @@ class QMat:
         d = self.den
         return [Fraction(int(v), d) for v in self.num[:, j]]
 
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """The nonzero numerator entries of each row, {col: int}.  Rows
+        scaled by den span the same space and have the same kernel."""
+        return [{int(j): int(row[j]) for j in np.flatnonzero(row)}
+                for row in self.num]
+
     def is_zero(self) -> bool:
         if self.num.dtype == object:
             return all(int(v) == 0 for v in self.num.flat)
@@ -562,16 +528,20 @@ class QMat:
 
 
 def qmat_inverse(mat: QMat) -> QMat:
-    """Inverse of a square QMat; raises LinAlgError if singular."""
+    """Inverse of a square QMat; raises LinAlgError if singular.
+
+    Reduces [num | I] to [I | num^-1]; the inverse is den * num^-1.
+    """
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise LinAlgError("inverse of non-square matrix")
-    aug = [row + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(mat.to_fraction_rows())]
-    rr, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
+    red = RowReducer(2 * n)
+    for i, row in enumerate(mat.sparse_rows()):
+        red.add({**row, n + i: 1})
+    if red.pivots()[:n] != list(range(n)):
         raise LinAlgError("matrix is singular")
-    return QMat.from_rows([row[n:] for row in rr])
+    return QMat.from_rows([[mat.den * red.rows[i].get(n + j, 0)
+                            for j in range(n)] for i in range(n)])
 
 
 def qmat_sum(mats: Sequence[QMat]) -> QMat:
@@ -584,7 +554,6 @@ def qmat_sum(mats: Sequence[QMat]) -> QMat:
 def subspace_from_columns(mat: QMat) -> Subspace:
     """Column space of a QMat as a canonical Subspace."""
     red = RowReducer(mat.shape[0])
-    den = mat.den
-    for j in range(mat.shape[1]):
-        red.add({i: Fraction(int(v), den) for i, v in enumerate(mat.num[:, j]) if v})
-    return Subspace(mat.shape[0], red.basis(), red.pivots(), _canonical=True)
+    for col in mat.T.sparse_rows():
+        red.add(col)
+    return red.subspace()

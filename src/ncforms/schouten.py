@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, is_derivation
 from .linalg import (QMat, digits_at, flat_index, format_scalar,
-                     nullspace_sparse, parse_scalar)
+                     nullspace, parse_scalar)
 
 MAX_ARITY = 6
 
@@ -292,26 +292,11 @@ def first_slot_leibniz(K: MultiMap) -> bool:
     """a |-> K(a, rest) is a derivation for every basis rest-tuple."""
     if K.scalar or K.arity < 1:
         raise SchoutenError("Leibniz test needs an algebra-valued arity >= 1")
-    A = K.algebra
-    m = A.dim
-    for flat in range(m ** (K.arity - 1)):
-        rest = digits_at(flat, m, K.arity - 1)
-        vals = [K.value((i,) + rest) for i in range(m)]
-        for i in range(m):
-            ei = [Fraction(t == i) for t in range(m)]
-            for j in range(m):
-                prod = A.structure[i][j]
-                got = [Fraction(0)] * m
-                for q in range(m):
-                    if prod[q]:
-                        for r in range(m):
-                            got[r] += prod[q] * vals[q][r]
-                ej = [Fraction(t == j) for t in range(m)]
-                want = [a + b for a, b in zip(A.mult_vec(ei, vals[j]),
-                                              A.mult_vec(vals[i], ej))]
-                if got != want:
-                    return False
-    return True
+    M = K.algebra.regular_bimodule()
+    # K(e_i, rest) is data column i * stride + flat_index(rest)
+    stride = K.algebra.dim ** (K.arity - 1)
+    return all(is_derivation(M, QMat(K.data.num[:, flat::stride], K.data.den))
+               for flat in range(stride))
 
 
 def is_polyderivation(K: MultiMap) -> bool:
@@ -377,7 +362,7 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
                         yield row
 
     out = []
-    for vec in nullspace_sparse(ncols, rows()).basis:
+    for vec in nullspace(ncols, rows()).basis:
         data = QMat.from_columns(m, [vec[c * m:(c + 1) * m]
                                      for c in range(m ** arity)])
         out.append(MultiMap(algebra, arity, data))
@@ -403,25 +388,10 @@ def poisson_check(mu: MultiMap) -> dict:
     m = A.dim
     skew = is_skew(mu)
     first = first_slot_leibniz(mu)
-    second = True
-    for i in range(m):
-        ei = [Fraction(t == i) for t in range(m)]
-        for j in range(m):
-            ej = [Fraction(t == j) for t in range(m)]
-            for l in range(m):
-                prod = A.structure[j][l]
-                got = [Fraction(0)] * m
-                for q in range(m):
-                    if prod[q]:
-                        col = mu.value((i, q))
-                        for r in range(m):
-                            got[r] += prod[q] * col[r]
-                el = [Fraction(t == l) for t in range(m)]
-                want = [a + b for a, b in zip(
-                    A.mult_vec(ej, mu.value((i, l))),
-                    A.mult_vec(mu.value((i, j)), el))]
-                if got != want:
-                    second = False
+    # b |-> mu(e_i, b) is data columns i*m .. i*m + m - 1
+    M = A.regular_bimodule()
+    second = all(is_derivation(M, QMat(mu.data.num[:, i * m:(i + 1) * m],
+                                       mu.data.den)) for i in range(m))
     jacobi = nr_bracket(mu, mu).is_zero()
     return {"skew": skew, "biderivation": first and second,
             "jacobi": jacobi, "poisson": skew and first and second and jacobi}
@@ -436,7 +406,6 @@ def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:
     """a |-> mu(a, .) lands in derivations and turns mu into commutators."""
-    from .algebra import is_derivation
     A = mu.algebra
     m = A.dim
     M = A.regular_bimodule()

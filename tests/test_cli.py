@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from importlib.resources import files
 
+import click
 import jsonschema
 import pytest
 from click.testing import CliRunner
@@ -288,6 +289,36 @@ def test_size_cap_option_overrides_env():
                               env={"NCFORMS_SIZE_CAP": "10"})
     assert result.exit_code == 0
     assert report["size_cap"] == 100000
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+def test_out_of_memory_exits_2_with_one_size_line(monkeypatch):
+    monkeypatch.setattr("ncforms.cli.form_space", _out_of_memory)
+    result = run_cli("info", "--builtin", "matrix(3)", "-N", "3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert ("out of memory in info on a dimension-9 algebra at -N 3 "
+            "(Omega_3 has dimension 4608)") in result.stderr
+
+
+def test_out_of_memory_exits_2_from_every_subcommand(monkeypatch, tmp_path):
+    # every subcommand resolves its size cap right after loading the algebra
+    monkeypatch.setattr("ncforms.cli._resolve_cap", _out_of_memory)
+    some = tmp_path / "input.json"
+    some.write_text("{}")
+    for name, cmd in sorted(main.commands.items()):
+        files = [str(some) for p in cmd.params
+                 if isinstance(p, click.Argument) and p.required]
+        result = run_cli(name, *files, "--builtin", "m2", "-N", "2")
+        assert result.exit_code == 2, (name, result.output)
+        assert result.stderr == (
+            f"Error: out of memory in {name} on a dimension-4 algebra at "
+            f"-N 2 (Omega_2 has dimension 36); try a smaller -N\n")
 
 
 # ---------------------------------------------------------------------------

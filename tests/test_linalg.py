@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,8 @@ from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
 from ncforms.linalg import (
     LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
-    format_scalar, make_scalar, nullspace, nullspace_sparse, parse_scalar,
-    rank, rref, solve_linear, subspace_from_columns,
+    format_scalar, make_scalar, nullspace, parse_scalar, qmat_inverse, rank,
+    solve_linear, subspace_from_columns,
 )
 from ncforms.schouten import MultiMap
 from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
@@ -26,6 +27,17 @@ from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_matrix = st.lists(
     st.lists(fractions_st, min_size=4, max_size=4), min_size=1, max_size=6)
+# mostly-zero entries, so rows are sparse and often dependent
+sparse_st = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st)
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _sympy_matrix(rows, ncols):
+    return sympy.Matrix(len(rows), ncols,
+                        lambda i, j: sympy.Rational(rows[i][j]))
 
 
 def test_scalar_roundtrip():
@@ -47,10 +59,12 @@ def test_scalar_zero_denominator_rejected():
 @given(small_matrix)
 @settings(max_examples=60)
 def test_rref_matches_sympy(rows):
-    ours, piv = rref(rows)
+    red = RowReducer(4)
+    for r in rows:
+        red.add_dense(r)
     theirs, piv2 = sympy_rref(rows)
-    assert ours == theirs
-    assert tuple(piv) == piv2
+    assert red.basis() == theirs
+    assert tuple(red.pivots()) == piv2
 
 
 @given(small_matrix)
@@ -64,7 +78,7 @@ def test_rank_three_ways(rows):
 @given(small_matrix)
 @settings(max_examples=40)
 def test_nullspace_dim_and_membership(rows):
-    ns = nullspace(rows)
+    ns = nullspace(4, _sparse(rows))
     assert ns.dim == sympy_nullspace_dim(rows)
     for vec in ns.basis:
         for row in rows:
@@ -123,9 +137,9 @@ def test_row_reducer_incremental_matches_batch():
     red = RowReducer(3)
     for r in rows:
         red.add_dense(r)
-    batch, piv = rref(rows)
+    batch, piv = sympy_rref(rows)
     assert red.basis() == batch
-    assert red.pivots() == list(piv)
+    assert tuple(red.pivots()) == piv
 
 
 def test_row_reducer_clears_trailing_pivot_columns():
@@ -146,7 +160,6 @@ def test_row_reducer_clears_trailing_pivot_columns():
 
 
 def test_qmat_inverse():
-    from ncforms.linalg import qmat_inverse
     m = QMat.from_rows([[1, 2], [3, Fraction(1, 2)]])
     inv = qmat_inverse(m)
     assert (m @ inv).to_fraction_rows() == QMat.eye(2).to_fraction_rows()
@@ -157,10 +170,65 @@ def test_qmat_inverse():
 
 def test_nullspace_sparse_matches_dense():
     rows = [[1, 0, 2, 0], [0, 1, 0, 3]]
-    dense = nullspace(rows)
-    sparse = nullspace_sparse(4, [{0: Fraction(1), 2: Fraction(2)},
-                                  {1: Fraction(1), 3: Fraction(3)}])
+    dense = nullspace(4, QMat.from_rows(rows).sparse_rows())
+    sparse = nullspace(4, [{0: Fraction(1), 2: Fraction(2)},
+                           {1: Fraction(1), 3: Fraction(3)}])
     assert dense == sparse
+    assert sparse.pivots == (0, 1)
+    assert sparse.basis == ((1, 0, Fraction(-1, 2), 0),
+                            (0, 1, 0, Fraction(-1, 3)))
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=80)
+def test_nullspace_is_the_canonical_sympy_kernel(nrows, ncols, data):
+    # covers systems with no rows (kernel = everything) and no columns
+    rows = [data.draw(st.lists(sparse_st, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    kernel = _sympy_matrix(rows, ncols).nullspace()
+    if kernel:
+        basis, piv = sympy_rref([list(v) for v in kernel])
+    else:
+        basis, piv = [], ()
+    ours = nullspace(ncols, _sparse(rows))
+    assert ours.basis == tuple(map(tuple, basis))
+    assert ours.pivots == piv
+    assert all(isinstance(v, Fraction) for vec in ours.basis for v in vec)
+    # integer numerator rows (a QMat's sparse_rows) give the same kernel
+    if nrows and ncols:
+        assert nullspace(ncols, QMat.from_rows(rows).sparse_rows()) == ours
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+@settings(max_examples=60)
+def test_solve_linear_matches_sympy(nrows, ncols, data):
+    rows = [data.draw(st.lists(sparse_st, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    rhs = data.draw(st.lists(sparse_st, min_size=nrows, max_size=nrows))
+    try:
+        sol, params = _sympy_matrix(rows, ncols).gauss_jordan_solve(
+            sympy.Matrix([sympy.Rational(v) for v in rhs]))
+    except ValueError:       # sympy: the system is inconsistent
+        assert solve_linear(rows, rhs) is None
+        return
+    # the free parameters at 0: the same particular solution
+    expect = [Fraction(str(v)) for v in sol.subs({t: 0 for t in params})]
+    assert solve_linear(rows, rhs) == expect
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=60)
+def test_qmat_inverse_matches_sympy(n, data):
+    rows = [data.draw(st.lists(sparse_st, min_size=n, max_size=n))
+            for _ in range(n)]
+    M = _sympy_matrix(rows, n)
+    if M.det() == 0:
+        with pytest.raises(LinAlgError):
+            qmat_inverse(QMat.from_rows(rows))
+        return
+    inv = M.inv()
+    expect = [[Fraction(str(inv[i, j])) for j in range(n)] for i in range(n)]
+    assert qmat_inverse(QMat.from_rows(rows)).to_fraction_rows() == expect
 
 
 # -- QMat ------------------------------------------------------------------
@@ -309,7 +377,8 @@ def test_structural_indices_reject_out_of_range_digits():
 
 def test_no_private_codec_or_column_copies():
     banned = {"_cols_to_qmat", "_bar_flat", "_bar_tuple", "_flat",
-              "_tuple_at", "_mat_rank"}
+              "_tuple_at", "_mat_rank", "rref", "nullspace_sparse",
+              "_matrix_kernel"}
     found = []
     for info in pkgutil.iter_modules(ncforms.__path__):
         mod = importlib.import_module(f"ncforms.{info.name}")
