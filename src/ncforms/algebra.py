@@ -6,16 +6,20 @@ basis whose first vector is the unit:
     e_i * e_j = sum_k c[i][j][k] e_k,       e_0 = 1.
 
 All the derived data (left/right multiplication operators, centers,
-derivations, bimodules) are exact rational matrices.
+derivations, bimodules) are exact rational matrices.  The constants are also
+kept as sparse integers over one common denominator (``constants``,
+``structure_den``); operators fixed by them are built from those directly.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import QMat, RowReducer, Subspace, nullspace, qmat_inverse, qmat_sum
+from .linalg import (QMat, RowReducer, Subspace, nullspace, qmat_hstack, qmat_inverse,
+                     qmat_sum)
 
 
 class AlgebraError(ValueError):
@@ -35,10 +39,20 @@ class Algebra:
             raise AlgebraError("structure tensor shape mismatch")
         self.structure = [[tuple(Fraction(v) for v in structure[i][j])
                            for j in range(m)] for i in range(m)]
+        # the same constants as integers over one common denominator:
+        # constants[i][j] lists (k, structure_den * c[i][j][k]), nonzero only
+        den = self.structure_den = math.lcm(
+            *(c.denominator for row in self.structure for cs in row for c in cs))
+        C = self.constants = [[[(k, c.numerator * (den // c.denominator))
+                                for k, c in enumerate(cs) if c] for cs in row]
+                              for row in self.structure]
         # left multiplication: column j of L[i] is e_i e_j
-        self.left = [QMat.from_columns(m, self.structure[i]) for i in range(m)]
+        self.left = [QMat.from_coo((m, m), ((k, j, v) for j in range(m)
+                                            for k, v in C[i][j]), den)
+                     for i in range(m)]
         # right multiplication: column i of R[j] is e_i e_j
-        self.right = [QMat.from_columns(m, [row[j] for row in self.structure])
+        self.right = [QMat.from_coo((m, m), ((k, i, v) for i in range(m)
+                                             for k, v in C[i][j]), den)
                       for j in range(m)]
         # degree -> FormSpace, filled by forms.form_space; owned by the
         # algebra so the spaces die with it
@@ -540,12 +554,9 @@ def is_derivation(mod: Bimodule, mat: QMat) -> bool:
 
 def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
     """D_m(a) = m.a - a.m for a fixed module element m."""
-    A = mod.algebra
-    cols = []
-    for i in range(A.dim):
-        v = (mod.right[i] - mod.left[i]) @ QMat.column(mvec)
-        cols.append(v.column_fractions(0))
-    return QMat.from_columns(mod.dim, cols)
+    col = QMat.column(mvec)
+    return qmat_hstack(mod.dim, [(mod.right[i] - mod.left[i]) @ col
+                                 for i in range(mod.algebra.dim)])
 
 
 def derivation_to_hom(sd: SemidirectProduct, dmat: QMat) -> AlgebraHom:

@@ -22,7 +22,7 @@ from .fieldforms import (
 )
 from .forms import Form, form_space, product
 from .linalg import (
-    QMat, RowReducer, Subspace, nullspace, qmat_sum, solve_linear,
+    QMat, RowReducer, Subspace, nullspace, qmat_hstack, qmat_sum, solve_linear,
     subspace_from_columns,
 )
 
@@ -223,8 +223,8 @@ def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
         acc = form_space(algebra, 0).basis_form(i)
         for j in J:
             acc = product(acc, images[j])
-        cols.append(acc.coords())
-    return QMat.from_columns(tgt.dim, cols)
+        cols.append(acc.vec)
+    return qmat_hstack(tgt.dim, cols)
 
 
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:

@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
 from .forms import Form, form_space
-from .linalg import QMat, solve_linear
+from .linalg import QMat, qmat_hstack, solve_linear
 
 
 class FieldFormError(ValueError):
@@ -54,12 +54,9 @@ class FieldValuedForm:
             A = self.algebra
             sp = form_space(A, self.degree)
             m = A.dim
-            cols = []
-            for i in range(m):
-                li = sp.left[i]
-                for j in range(1, m):
-                    cols.append((li @ self.delta.col(j)).column_fractions(0))
-            self._ext = QMat.from_columns(sp.dim, cols)
+            self._ext = qmat_hstack(sp.dim, [sp.left[i] @ self.delta.col(j)
+                                             for i in range(m)
+                                             for j in range(1, m)])
         return self._ext
 
     # -- linear structure ---------------------------------------------------

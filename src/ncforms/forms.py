@@ -6,9 +6,11 @@ d(1) = 0, so unit indices never appear in d-slots).  The flat index is
 i * (m-1)^k plus the index of (j_1..j_k) under the tuple codec of
 ``linalg`` (base m-1, digits from 1), so i is the most significant digit.
 
-This makes the differential an index relabeling, the left action a Kronecker
+This makes the differential an index shift, the left action a Kronecker
 product, and the product of forms a sum of outer products — everything stays
-in integer matrix arithmetic.
+in integer matrix arithmetic.  The right actions and d are emitted as integer
+(row, col, value) triples straight from the algebra's integer structure
+constants and built by ``QMat.from_coo``; no dense ``Fraction`` matrix is made.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
 from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, nullspace,
-                     qmat_sum)
+                     qmat_hstack, qmat_sum)
 
 
 class FormError(ValueError):
@@ -67,24 +69,16 @@ class FormSpace:
 
     # -- differential ----------------------------------------------------------
 
-    def d_index(self, idx: int) -> int:
-        """Image basis index of d on basis vector idx, or -1 for zero."""
-        i, J = self.tuple_of(idx)
-        if i == 0:
-            return -1
-        return flat_index((i,) + J, self.algebra.dim - 1, 1)
-
     def d_matrix(self) -> QMat:
-        """d: degree k -> k+1 as a matrix (memoized; the value is immutable)."""
+        """d: degree k -> k+1 as a matrix (memoized; the value is immutable).
+
+        d(e_i dJ) = d(e_i) dJ is the basis form (0; i, J), whose flat index
+        is idx - (m-1)^k; forms with i = 0 go to zero.
+        """
         if self._dmat is None:
-            import numpy as np
             target = form_space(self.algebra, self.degree + 1)
-            mat = np.zeros((target.dim, self.dim), dtype=np.int64)
-            for idx in range(self.dim):
-                t = self.d_index(idx)
-                if t >= 0:
-                    mat[t, idx] = 1
-            self._dmat = QMat(mat)
+            self._dmat = QMat.from_coo((target.dim, self.dim), (
+                (idx - self._tail, idx, 1) for idx in range(self._tail, self.dim)))
         return self._dmat
 
     # -- actions ---------------------------------------------------------------
@@ -95,42 +89,33 @@ class FormSpace:
         (a0 da1...dan).b = sum_{t=1..n} (-1)^{n-t} a0 da1...d(a_t a_{t+1})...da_{n+1}
                            + (-1)^n (a0 a1) da2...da_{n+1},   a_{n+1} = b,
         where each merged slot d(e_p e_q) expands through the structure
-        constants and unit components vanish under d.
+        constants and unit components vanish under d.  Each term carries one
+        structure constant: integers over the algebra's common denominator.
         """
         A = self.algebra
-        m = A.dim
         n = self.degree
         if n == 0:
             return A.right[b]
-        cols = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-
-        def put(col: list, i: int, J: Sequence[int], coeff: Fraction):
-            if coeff:
-                col[self.index_of(i, J)] += coeff
-
+        C = A.constants
+        entries = []
         for idx in range(self.dim):
             i0, J = self.tuple_of(idx)
-            word = list(J) + [b]  # a_1 .. a_{n+1}
-            col = cols[idx]
+            word = J + (b,)  # a_1 .. a_{n+1}
             for t in range(1, n + 1):
-                sign = Fraction((-1) ** (n - t))
-                merged = A.structure[word[t - 1]][word[t]]
-                rest = word[:t - 1] + [None] + word[t + 1:]
-                for k in range(1, m):  # unit component k = 0 dies under d
-                    if merged[k]:
-                        slots = rest.copy()
-                        slots[t - 1] = k
-                        if all(s >= 1 for s in slots):
-                            put(col, i0, slots, sign * merged[k])
+                sign = (-1) ** (n - t)
+                pre, post = word[:t - 1], word[t + 1:]
+                if 0 in post:
+                    continue
+                for k, v in C[word[t - 1]][word[t]]:
+                    if k:  # the unit component dies under d
+                        entries.append((self.index_of(i0, pre + (k,) + post),
+                                        idx, sign * v))
             # last term: leading coefficients multiply
-            lead = A.structure[i0][word[0]]
-            tailslots = word[1:]
-            if all(s >= 1 for s in tailslots):
-                sign = Fraction((-1) ** n)
-                for k in range(m):
-                    if lead[k]:
-                        put(col, k, tailslots, sign * lead[k])
-        return QMat.from_columns(self.dim, cols)
+            if b:
+                sign = (-1) ** n
+                for k, v in C[i0][word[0]]:
+                    entries.append((self.index_of(k, word[1:]), idx, sign * v))
+        return QMat.from_coo((self.dim, self.dim), entries, A.structure_den)
 
     def left_action(self, a: Sequence[Fraction]) -> QMat:
         return qmat_sum([self.left[i].scale(v) for i, v in enumerate(a)])
@@ -158,7 +143,7 @@ class FormSpace:
         return Form(self, QMat.zeros(self.dim, 1))
 
     def basis_form(self, idx: int) -> "Form":
-        return self.form([Fraction(t == idx) for t in range(self.dim)])
+        return Form(self, QMat.from_coo((self.dim, 1), [(idx, 0, 1)]))
 
     def __repr__(self) -> str:
         return f"FormSpace({self.algebra.name}, degree={self.degree}, dim={self.dim})"
@@ -310,14 +295,14 @@ def omega_functor(f: AlgebraHom, degree: int) -> QMat:
     tgt = form_space(B, degree)
     d0 = form_space(B, 0).d_matrix()
     dfs = [Form(form_space(B, 1), d0 @ f.matrix.col(j)) for j in range(A.dim)]
-    cols: list[list[Fraction]] = []
+    cols = []
     for idx in range(src.dim):
         i, J = src.tuple_of(idx)
         img = Form(form_space(B, 0), f.matrix.col(i))
         for j in J:
             img = product(img, dfs[j])
-        cols.append(img.coords())
-    return QMat.from_columns(tgt.dim, cols)
+        cols.append(img.vec)
+    return qmat_hstack(tgt.dim, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +311,16 @@ def omega_functor(f: AlgebraHom, degree: int) -> QMat:
 
 
 def multiplication_matrix(algebra: Algebra, n: int) -> QMat:
-    """mu^n : A^(x n) -> A as a matrix (m x m^n, big-endian index)."""
+    """mu^n : A^(x n) -> A as a matrix (m x m^n, big-endian index): mu^2 has
+    column (i, j) = column j of L_i, and mu^(l+1) = mu^2 (mu^l (x) id)."""
     if n < 1:
         raise FormError("multiplication arity must be >= 1")
     m = algebra.dim
-    cols = []
-    for flat in range(m ** n):
-        digits = digits_at(flat, m, n)
-        vec = [Fraction(t == digits[0]) for t in range(m)]
-        for dgt in digits[1:]:
-            vec = algebra.mult_vec(vec, [Fraction(t == dgt) for t in range(m)])
-        cols.append(vec)
-    return QMat.from_columns(m, cols)
+    mu2 = qmat_hstack(m, algebra.left)
+    mu = QMat.eye(m)
+    for _ in range(n - 1):
+        mu = (mu2 @ mu.kron(QMat.eye(m))).reduced()
+    return mu
 
 
 def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:

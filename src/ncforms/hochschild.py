@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace,
+from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace, qmat_hstack,
                      solve_linear)
 
 
@@ -169,9 +169,8 @@ def coboundary(c: NormalizedCochain) -> NormalizedCochain:
                     merged = K[:t] + (p,) + K[t + 2:]
                     acc = acc + c.value(merged).scale(sign * prod[p])
         sign = -1 if (n + 1) % 2 else 1
-        acc = acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign)
-        cols.append(acc.column_fractions(0))
-    return NormalizedCochain(module, n + 1, QMat.from_columns(dM, cols))
+        cols.append(acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign))
+    return NormalizedCochain(module, n + 1, qmat_hstack(dM, cols))
 
 
 def coboundary_rows(module: Bimodule, n: int):
@@ -245,12 +244,9 @@ def universal_cocycle(algebra: Algebra, n: int) -> NormalizedCochain:
     sp = form_space(algebra, n)
     module = sp.as_bimodule()
     nJ = _bar_dim(algebra.dim, n)
-    cols = []
-    for flat in range(nJ):
-        col = [Fraction(0)] * sp.dim
-        col[flat] = Fraction(1)  # index_of(0, J) == flat J, big-endian
-        cols.append(col)
-    return NormalizedCochain(module, n, QMat.from_columns(sp.dim, cols))
+    # index_of(0, J) == flat J, big-endian
+    return NormalizedCochain(module, n, QMat.from_coo(
+        (sp.dim, nJ), ((flat, flat, 1) for flat in range(nJ))))
 
 
 def cochain_to_hom(c: NormalizedCochain) -> QMat:
@@ -263,8 +259,8 @@ def cochain_to_hom(c: NormalizedCochain) -> QMat:
     cols = []
     for idx in range(sp.dim):
         i, J = sp.tuple_of(idx)
-        cols.append((c.module.left[i] @ c.value(J)).column_fractions(0))
-    return QMat.from_columns(c.module.dim, cols)
+        cols.append(c.module.left[i] @ c.value(J))
+    return qmat_hstack(c.module.dim, cols)
 
 
 def hom_to_cochain(module: Bimodule, n: int, hom: QMat) -> NormalizedCochain:
@@ -410,25 +406,18 @@ def tensor_hom_from_values(tensor: TensorBimodule, module: Bimodule,
     cols = []
     for idx in range(tensor.dim):
         i, J, l = tensor.tuple_of(idx)
-        col = module.left[i] @ module.right[l] @ values.col(
-            flat_index(J, m - 1, 1))
-        cols.append(col.column_fractions(0))
-    return QMat.from_columns(module.dim, cols)
+        cols.append(module.left[i] @ module.right[l] @ values.col(
+            flat_index(J, m - 1, 1)))
+    return qmat_hstack(module.dim, cols)
 
 
 def tensor_hom_basis(tensor: TensorBimodule, module: Bimodule) -> list[QMat]:
     """Basis of all bimodule homomorphisms out of the free bimodule."""
     m = tensor.algebra.dim
     mid = _bar_dim(m, tensor.middles)
-    dM = module.dim
-    out = []
-    for flat in range(mid):
-        for r in range(dM):
-            values = [[Fraction(j == flat and s == r) for j in range(mid)]
-                      for s in range(dM)]
-            out.append(tensor_hom_from_values(tensor, module,
-                                              QMat.from_rows(values)))
-    return out
+    return [tensor_hom_from_values(tensor, module, QMat.from_coo(
+        (module.dim, mid), [(r, flat, 1)]))
+        for flat in range(mid) for r in range(module.dim)]
 
 
 def unit_frame_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
@@ -436,12 +425,9 @@ def unit_frame_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
     tensor = tensor_module(algebra, n)
     m = algebra.dim
     mid = _bar_dim(m, n - 1)
-    cols = []
-    for flat in range(mid):
-        col = [Fraction(0)] * tensor.dim
-        col[tensor.index_of(0, digits_at(flat, m - 1, n - 1, 1), 0)] = Fraction(1)
-        cols.append(col)
-    return NormalizedCochain(tensor, n - 1, QMat.from_columns(tensor.dim, cols))
+    return NormalizedCochain(tensor, n - 1, QMat.from_coo(
+        (tensor.dim, mid), ((tensor.index_of(0, digits_at(flat, m - 1, n - 1, 1), 0),
+                             flat, 1) for flat in range(mid))))
 
 
 def comparison_cochain(algebra: Algebra, n: int) -> NormalizedCochain:

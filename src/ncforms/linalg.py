@@ -18,8 +18,12 @@ Three conventions are fixed here and nowhere else:
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
   :func:`flat_index` and :func:`digits_at` are the one big-endian codec
   between such a tuple and its flat index.
-* Column building.  A structural matrix assembled one column at a time goes
-  through :meth:`QMat.from_columns`.
+* Matrix building.  An operator fixed by integer constants (bimodule
+  actions from structure constants, d, mu^n, unit columns) is emitted as
+  integer (row, col, value) triples over one denominator and built by
+  :meth:`QMat.from_coo`; columns that are already QMats are joined by
+  :func:`qmat_hstack`.  :meth:`QMat.from_columns` is kept for genuine
+  ``Fraction`` data.  All three return the reduced (num, den).
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`; :meth:`RowReducer.subspace` and :func:`nullspace`
   hand out canonical subspaces without a second reduction.
@@ -391,6 +395,23 @@ class QMat:
         return cls(arr, den)
 
     @classmethod
+    def from_coo(cls, shape: tuple[int, int],
+                 entries: Iterable[tuple[int, int, int]], den: int = 1) -> "QMat":
+        """The reduced matrix with integer entries (row, col, value) over den.
+        Values at a repeated (row, col) add up; the dtype follows the 2**62
+        rule of :meth:`from_rows`, applied after reduction."""
+        acc: dict[tuple[int, int], int] = {}
+        for r, c, v in entries:
+            acc[r, c] = acc.get((r, c), 0) + v
+        g = math.gcd(den, *acc.values())
+        vals = [v // g for v in acc.values()]
+        big = max(map(abs, vals), default=0)
+        num = np.zeros(shape, dtype=object if big >= _INT64_SAFE else np.int64)
+        for rc, v in zip(acc, vals):
+            num[rc] = v
+        return cls(num, den // g)
+
+    @classmethod
     def from_columns(cls, height: int, cols: Sequence[Sequence]) -> "QMat":
         """The height x len(cols) matrix whose j-th column is cols[j]."""
         if any(len(c) != height for c in cols):
@@ -413,20 +434,10 @@ class QMat:
         """Divide out gcd(all entries, den)."""
         if self.den == 1:
             return self
-        g = self.den
-        for v in self.num.flat:
-            g = math.gcd(g, int(v))
-            if g == 1:
-                return self
-        if g <= 1:
+        g = math.gcd(self.den, int(np.gcd.reduce(self.num, axis=None)))
+        if g == 1:
             return self
-        if self.num.dtype == object:
-            num = np.array([[int(v) // g for v in row] for row in self.num], dtype=object)
-            if num.ndim == 1:
-                num = num.reshape(self.num.shape)
-        else:
-            num = self.num // g
-        return QMat(num, self.den // g)
+        return QMat(self.num // g, self.den // g)
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.num[i, j]), self.den)
@@ -519,10 +530,6 @@ class QMat:
     def col(self, j: int) -> "QMat":
         return QMat(self.num[:, j:j + 1].copy(), self.den)
 
-    def hstack(self, other: "QMat") -> "QMat":
-        a, b, l = self._aligned(other)
-        return QMat(np.hstack([a, b]), l)
-
     def __repr__(self) -> str:
         return f"QMat({self.shape[0]}x{self.shape[1]}, den={self.den})"
 
@@ -549,6 +556,17 @@ def qmat_sum(mats: Sequence[QMat]) -> QMat:
     for m in mats[1:]:
         acc = acc + m
     return acc
+
+
+def qmat_hstack(height: int, blocks: Sequence[QMat]) -> QMat:
+    """The blocks side by side over one common denominator, reduced."""
+    if not blocks:
+        return QMat.zeros(height, 0)
+    den = math.lcm(*(b.den for b in blocks))
+    big = max(_max_abs(b.num) * (den // b.den) for b in blocks)
+    dtype = object if big >= _INT64_SAFE else np.int64
+    return QMat(np.hstack([b.num.astype(dtype) * (den // b.den) for b in blocks]),
+                den).reduced()
 
 
 def subspace_from_columns(mat: QMat) -> Subspace:

@@ -6,10 +6,11 @@ import threading
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncforms.algebra import (
-    AlgebraHom, base_field, dual_numbers, matrix_algebra, product_algebra,
+    Algebra, AlgebraHom, base_field, dual_numbers, matrix_algebra, product_algebra,
     truncated_polynomial_algebra,
 )
 from ncforms.forms import (
@@ -91,12 +92,36 @@ def _embed_coords(cols, coords):
     return acc
 
 
-@pytest.mark.parametrize("algname", ["dual", "truncpoly3", "kxk", "m2",
-                                     "kc2", "upper2"])
-def test_embedding_model_agrees(algname):
-    alg = catalog()[algname]
+def _rescaled(alg, scales, name):
+    """alg in the basis s_i e_i: constants s_i s_j c_ij^k / s_k."""
     m = alg.dim
-    max_deg = 3 if m <= 3 else 2
+    return Algebra(name, alg.basis_names, [[[
+        Fraction(scales[i] * scales[j]) * c / scales[k]
+        for k, c in enumerate(alg.structure[i][j])] for j in range(m)]
+        for i in range(m)])
+
+
+def _algebras():
+    algs = catalog()
+    # m2 with e2 = 2 E12 and e3 = E21/3: fractional structure constants
+    algs["m2frac"] = _rescaled(algs["m2"], [1, 1, 2, Fraction(1, 3)], "m2frac")
+    # truncpoly(3) with y = x/2**31: y y = x^2/2**62, so the numerators over
+    # the common denominator 2**62 reach 2**62
+    algs["t3big"] = _rescaled(algs["truncpoly3"], [1, Fraction(1, 2 ** 31), 1],
+                              "t3big")
+    return algs
+
+
+# highest degree checked against the embedding model, per algebra
+EMBED_DEGREES = {"dual": 3, "truncpoly3": 3, "kxk": 3, "m2": 2, "kc2": 3,
+                 "upper2": 3, "m2frac": 3, "t3big": 3}
+
+
+@pytest.mark.parametrize("algname", EMBED_DEGREES)
+def test_embedding_model_agrees(algname):
+    alg = _algebras()[algname]
+    m = alg.dim
+    max_deg = EMBED_DEGREES[algname]
     rng = random.Random(7)
     for n in range(max_deg + 1):
         sp, cols = _embedding_columns(alg, n)
@@ -142,6 +167,48 @@ def test_embedding_model_agrees(algname):
                 ours = _embed_coords(tcols, prod.coords())
                 theirs = emb_concat(alg, cols[ia], n, colsb[ib], deg_b)
                 assert ours == theirs, (algname, n, deg_b, ia, ib)
+
+
+def test_structural_operators_are_reduced():
+    for name, alg in _algebras().items():
+        mats = alg.left + alg.right
+        for k in range(3):
+            sp = form_space(alg, k)
+            mats += sp.right + [sp.d_matrix()]
+        for M in mats:
+            R = M.reduced()
+            assert M.den == R.den and np.array_equal(M.num, R.num), name
+
+
+def test_big_common_denominator_gives_exact_object_actions():
+    alg = _algebras()["t3big"]
+    assert alg.structure_den == 2 ** 62
+    assert alg.right[1].entry(2, 1) == Fraction(1, 2 ** 62)
+    for k in range(3):
+        sp = form_space(alg, k)
+        assert sp.right[1].num.dtype == object, k
+        assert sp.right[1].den == 2 ** 62, k
+    # (1 dy) . y = d(y y) - (1 y) dy = 2**-62 d(x^2) - y dy
+    sp1 = form_space(alg, 1)
+    assert sp1.basis_form(0).right_mult([0, 1, 0]).coords() == [
+        0, Fraction(1, 2 ** 62), -1, 0, 0, 0]
+
+
+def test_form_space_build_makes_no_fraction_rows(monkeypatch):
+    alg = matrix_algebra(2)
+    calls = []
+    from_rows = QMat.from_rows.__func__
+
+    def counting(cls, rows):
+        calls.append(len(rows))
+        return from_rows(cls, rows)
+
+    monkeypatch.setattr(QMat, "from_rows", classmethod(counting))
+    sp = form_space(alg, 4)
+    form_space(alg, 3).d_matrix()
+    sp.basis_form(7)
+    multiplication_matrix(alg, 3)
+    assert not calls
 
 
 def test_product_unital_and_examples():

@@ -18,8 +18,8 @@ from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
 from ncforms.linalg import (
     LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
-    format_scalar, make_scalar, nullspace, parse_scalar, qmat_inverse, rank,
-    solve_linear, subspace_from_columns,
+    format_scalar, make_scalar, nullspace, parse_scalar, qmat_hstack,
+    qmat_inverse, rank, solve_linear, subspace_from_columns,
 )
 from ncforms.schouten import MultiMap
 from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
@@ -244,7 +244,8 @@ def test_qmat_basics():
     assert (a - a).is_zero()
     assert a.scale(Fraction(2, 3)).entry(0, 1) == Fraction(1, 3)
     assert a.T.entry(1, 0) == Fraction(1, 2)
-    assert QMat.eye(3) @ a.hstack(b) == a.hstack(b) if a.shape[0] == 3 else True
+    assert qmat_hstack(2, [a, b]).to_fraction_rows() == [
+        [1, Fraction(1, 2), 2, 0], [0, 1, Fraction(1, 3), 1]]
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -356,6 +357,50 @@ def test_from_columns_edge_cases():
         QMat.from_columns(2, [[1, 2], [3]])
 
 
+def _dense_of(shape, entries, den):
+    rows = [[Fraction(0)] * shape[1] for _ in range(shape[0])]
+    for r, c, v in entries:
+        rows[r][c] += Fraction(v, den)
+    return QMat.from_rows(rows) if shape[0] else QMat.zeros(*shape)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 12), st.data())
+@settings(max_examples=60)
+def test_from_coo_matches_from_rows(nrows, ncols, den, data):
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                      st.integers(-20, 20))
+    entries = data.draw(st.lists(cells, max_size=10)) if nrows and ncols else []
+    assert _same_qmat(QMat.from_coo((nrows, ncols), entries, den),
+                      _dense_of((nrows, ncols), entries, den))
+
+
+def test_from_coo_edge_cases():
+    empty = QMat.from_coo((3, 2), [], 5)
+    assert empty.shape == (3, 2) and empty.den == 1 and empty.is_zero()
+    assert empty.num.dtype == np.int64
+    assert QMat.from_coo((0, 4), []).shape == (0, 4)
+    # repeated cells add up, cancellations included, then reduce
+    summed = QMat.from_coo((2, 2), [(0, 1, 3), (0, 1, 3), (1, 0, 4), (1, 0, -4),
+                                    (1, 1, 2)], 4)
+    assert summed.den == 2 and summed.num.tolist() == [[0, 3], [0, 1]]
+    # the int64 -> object rule applies to the reduced values
+    big = QMat.from_coo((1, 2), [(0, 0, 2 ** 62), (0, 1, 1)], 2 ** 62)
+    assert big.num.dtype == object and big.den == 2 ** 62
+    assert big.entry(0, 0) == 1 and big.entry(0, 1) == Fraction(1, 2 ** 62)
+    assert _same_qmat(big, _dense_of((1, 2), [(0, 0, 2 ** 62), (0, 1, 1)], 2 ** 62))
+    assert QMat.from_coo((1, 1), [(0, 0, 2 ** 62)], 2).num.dtype == np.int64
+    assert QMat.from_coo((1, 1), [(0, 0, 2 ** 62), (0, 0, 2 ** 62)]).num.dtype == object
+
+
+def test_qmat_hstack_matches_from_columns():
+    blocks = [QMat.from_rows([[1, 2], [Fraction(1, 3), 0]]),
+              QMat.zeros(2, 0), QMat(np.array([[6], [4]]), 4),
+              QMat(np.array([[2 ** 61], [1]]), 3)]
+    cols = [b.column_fractions(j) for b in blocks for j in range(b.shape[1])]
+    assert _same_qmat(qmat_hstack(2, blocks), QMat.from_columns(2, cols))
+    assert qmat_hstack(3, []).shape == (3, 0)
+
+
 def test_structural_indices_reject_out_of_range_digits():
     A = matrix_algebra(2)
     m = A.dim
@@ -378,7 +423,7 @@ def test_structural_indices_reject_out_of_range_digits():
 def test_no_private_codec_or_column_copies():
     banned = {"_cols_to_qmat", "_bar_flat", "_bar_tuple", "_flat",
               "_tuple_at", "_mat_rank", "rref", "nullspace_sparse",
-              "_matrix_kernel"}
+              "_matrix_kernel", "d_index"}
     found = []
     for info in pkgutil.iter_modules(ncforms.__path__):
         mod = importlib.import_module(f"ncforms.{info.name}")
