@@ -18,8 +18,8 @@ import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import (QMat, RowReducer, Subspace, nullspace, qmat_hstack, qmat_inverse,
-                     qmat_sum)
+from .linalg import (QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack,
+                     qmat_inverse, qmat_sum)
 
 
 class AlgebraError(ValueError):
@@ -491,35 +491,35 @@ class SemidirectProduct:
 # ---------------------------------------------------------------------------
 
 
+def leibniz_terms(mod: Bimodule) -> list[tuple[QMat, QMat | int]]:
+    """Kronecker terms of the Leibniz system of a linear D: A -> M.
+
+    On vec(D) (D[r, j] at index j*dM + r) the condition at (e_i, e_j) is
+    c_ij^T (x) I - e_j^T (x) L_i - e_i^T (x) R_j, with c_ij the column of
+    structure constants of e_i e_j; the terms stack it over (i, j), row
+    (i*m + j)*dM + r.
+    """
+    A = mod.algebra
+    m = A.dim
+    C = QMat.from_coo((m * m, m), ((i * m + j, k, v) for i in range(m)
+                                   for j in range(m) for k, v in A.constants[i][j]),
+                      A.structure_den)
+    terms: list[tuple[QMat, QMat | int]] = [(C, mod.dim)]
+    for a in range(m):
+        terms.append((QMat.from_coo((m * m, m), ((a * m + j, j, -1) for j in range(m))),
+                      mod.left[a]))
+        terms.append((QMat.from_coo((m * m, m), ((i * m + a, i, -1) for i in range(m))),
+                      mod.right[a]))
+    return terms
+
+
 def derivation_space(mod: Bimodule) -> Subspace:
     """All linear D: A -> M with D(ab) = a.D(b) + D(a).b.
 
     Vectors live in Q^(m*dM): D[r, j] at index j*dM + r (column-major).
     """
-    A, dM = mod.algebra, mod.dim
-    m = A.dim
-
-    def rows():
-        for i in range(m):
-            li = mod.left[i]
-            for j in range(m):
-                rj = mod.right[j]
-                cij = A.structure[i][j]
-                for r in range(dM):
-                    row: dict[int, Fraction] = {}
-                    for k in range(m):
-                        if cij[k]:
-                            row[k * dM + r] = row.get(k * dM + r, Fraction(0)) + cij[k]
-                    for s in range(dM):
-                        v = li.entry(r, s)
-                        if v:
-                            row[j * dM + s] = row.get(j * dM + s, Fraction(0)) - v
-                        v = rj.entry(r, s)
-                        if v:
-                            row[i * dM + s] = row.get(i * dM + s, Fraction(0)) - v
-                    yield {c: v for c, v in row.items() if v}
-
-    return nullspace(m * dM, rows())
+    _, rows = kron_rows(leibniz_terms(mod))
+    return nullspace(mod.algebra.dim * mod.dim, rows)
 
 
 def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
@@ -598,21 +598,13 @@ class TensorQuotient:
         dm, dn = right_mod.dim, left_mod.dim
         self.ambient = dm * dn
         red = RowReducer(self.ambient)
-        for i in range(1, self.algebra.dim):  # a = unit gives the zero relation
-            ra = right_mod.right[i]
-            la = left_mod.left[i]
-            for p in range(dm):
-                for q in range(dn):
-                    row: dict[int, Fraction] = {}
-                    for r in range(dm):
-                        v = ra.entry(r, p)
-                        if v:
-                            row[r * dn + q] = row.get(r * dn + q, Fraction(0)) + v
-                    for s in range(dn):
-                        v = la.entry(s, q)
-                        if v:
-                            row[p * dn + s] = row.get(p * dn + s, Fraction(0)) - v
-                    red.add({c: v for c, v in row.items() if v})
+        # m.a (x) n - m (x) a.n: rows R_a^T (x) I - I (x) L_a^T; the unit
+        # gives the zero relation
+        for a in range(1, self.algebra.dim):
+            _, rows = kron_rows([(right_mod.right[a].T, dn),
+                                 (dm, -left_mod.left[a].T)])
+            for row in rows:
+                red.add(row)
         self.relations = red.subspace()
         self._reducer = red
         pivset = set(red.pivots())

@@ -22,8 +22,8 @@ from .fieldforms import (
 )
 from .forms import Form, form_space, product
 from .linalg import (
-    QMat, RowReducer, Subspace, nullspace, qmat_hstack, qmat_sum, solve_linear,
-    subspace_from_columns,
+    QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack, qmat_sum,
+    solve_linear, subspace_from_columns,
 )
 
 
@@ -296,29 +296,12 @@ def bimodule_endomorphism_space(algebra: Algebra) -> list[QMat]:
     """Basis of End^A_A(Omega_1): matrices commuting with both actions."""
     sp = form_space(algebra, 1)
     n = sp.dim
-    rows = []
-    for mats in (sp.left, sp.right):
-        for M in mats[1:]:           # the unit acts as identity
-            mf = M.to_fraction_rows()
-            # (M E - E M)[r, c] = 0 ; unknowns E[i, j] at index i*n + j
-            for r in range(n):
-                for c in range(n):
-                    row: dict[int, Fraction] = {}
-                    for k in range(n):
-                        if mf[r][k]:
-                            row[k * n + c] = row.get(k * n + c, Fraction(0)) \
-                                + mf[r][k]
-                        if mf[k][c]:
-                            row[r * n + k] = row.get(r * n + k, Fraction(0)) \
-                                - mf[k][c]
-                    row = {i: v for i, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-    space = nullspace(n * n, rows)
-    out = []
-    for vec in space.basis:
-        out.append(QMat.from_rows([vec[i * n:(i + 1) * n] for i in range(n)]))
-    return out
+    # M E - E M = 0 on E[i, j] at index i*n + j: rows M (x) I - I (x) M^T;
+    # the unit acts as identity
+    rows = itertools.chain.from_iterable(
+        kron_rows([(M, n), (n, -M.T)])[1] for M in (*sp.left[1:], *sp.right[1:]))
+    return [QMat.from_rows([vec[i * n:(i + 1) * n] for i in range(n)])
+            for vec in nullspace(n * n, rows).basis]
 
 
 # polynomial helpers over Fraction, ascending coefficient lists

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
-from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, nullspace,
-                     qmat_hstack, qmat_sum)
+from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, kron_rows,
+                     nullspace, qmat_hstack, qmat_sum)
 
 
 class FormError(ValueError):
@@ -335,18 +335,11 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
         raise FormError(f"tensor power dimension {m ** n} exceeds cap {size_cap}")
     ker = nullspace(m ** n, multiplication_matrix(algebra, n).sparse_rows())
     k2 = nullspace(m * m, multiplication_matrix(algebra, 2).sparse_rows())
+    K2 = QMat.from_rows(k2.basis)
     red = RowReducer(m ** n)
     for i in range(n - 1):
-        left_dim = m ** i
-        right_dim = m ** (n - 2 - i)
-        for v in k2.basis:
-            for ls in range(left_dim):
-                for rs in range(right_dim):
-                    row = {}
-                    for t, val in enumerate(v):
-                        if val:
-                            row[(ls * m * m + t) * right_dim + rs] = val
-                    red.add(row)
+        for row in kron_rows([(m ** i, K2, m ** (n - 2 - i))])[1]:
+            red.add(row)
     span = red.subspace()
     return {
         "arity": n,

@@ -19,13 +19,14 @@ from the normalized complex; the two dimensions must agree.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, Subspace, digits_at, flat_index, nullspace, qmat_hstack,
-                     solve_linear)
+from .linalg import (QMat, Subspace, digits_at, flat_index, kron_rows, nullspace,
+                     qmat_hstack, solve_linear)
 
 
 class HochschildError(ValueError):
@@ -173,53 +174,34 @@ def coboundary(c: NormalizedCochain) -> NormalizedCochain:
     return NormalizedCochain(module, n + 1, qmat_hstack(dM, cols))
 
 
-def coboundary_rows(module: Bimodule, n: int):
-    """Sparse rows of the degree-n coboundary matrix on cochain vectors.
+def coboundary_rows(module: Bimodule, n: int) -> tuple[int, Iterator[dict[int, int]]]:
+    """The degree-n coboundary matrix on cochain vectors, as :func:`kron_rows`
+    (den, rows): row (flat K) * dim M + r is den times the matrix row of
+    output coordinate r at K; columns as in NormalizedCochain.to_vector.
 
-    Row order: output coordinate (flat K) * dim M + r; column convention
-    matches NormalizedCochain.to_vector.
+    With u_a the unit column of a in Abar and Cbar the (m-1)^2 x (m-1)
+    structure constants of Abar x Abar -> Abar, the terms are the head
+    u_a (x) I (x) L_a, the merges (-1)^(t+1) I (x) Cbar (x) I at slots
+    t, t+1, and the tail (-1)^(n+1) I (x) u_a (x) R_a.
     """
     A = module.algebra
-    m, dM = A.dim, module.dim
-    for flat in range(_bar_dim(m, n + 1)):
-        K = digits_at(flat, m - 1, n + 1, 1)
-        head = flat_index(K[1:], m - 1, 1)
-        tail = flat_index(K[:-1], m - 1, 1)
-        merges = []
-        for t in range(n):
-            sign = -1 if (t + 1) % 2 else 1
-            prod = A.structure[K[t]][K[t + 1]]
-            for p in range(1, m):
-                if prod[p]:
-                    merges.append((flat_index(K[:t] + (p,) + K[t + 2:],
-                                              m - 1, 1), sign * prod[p]))
-        last_sign = -1 if (n + 1) % 2 else 1
-        left, right = module.left[K[0]], module.right[K[-1]]
-        for r in range(dM):
-            row: dict[int, Fraction] = {}
-
-            def bump(col: int, v: Fraction) -> None:
-                val = row.get(col, Fraction(0)) + v
-                if val:
-                    row[col] = val
-                else:
-                    row.pop(col, None)
-
-            for s in range(dM):
-                v = left.entry(r, s)
-                if v:
-                    bump(head * dM + s, v)
-                v = right.entry(r, s)
-                if v:
-                    bump(tail * dM + s, last_sign * v)
-            for merged, coeff in merges:
-                bump(merged * dM + r, Fraction(coeff))
-            yield row
+    m, dM, nJ = A.dim, module.dim, _bar_dim(A.dim, n)
+    units = [QMat.from_coo((m - 1, 1), [(a - 1, 0, 1)]) for a in range(1, m)]
+    cbar = QMat.from_coo(((m - 1) ** 2, m - 1), (
+        ((a - 1) * (m - 1) + b - 1, p - 1, v) for a in range(1, m)
+        for b in range(1, m) for p, v in A.constants[a][b] if p), A.structure_den)
+    tail_sign = -1 if (n + 1) % 2 else 1
+    terms = [(u, nJ, L) for u, L in zip(units, module.left[1:])]
+    terms += [((m - 1) ** t, -cbar if t % 2 == 0 else cbar, (m - 1) ** (n - 1 - t), dM)
+              for t in range(n)]
+    terms += [(nJ, u, R.scale(tail_sign)) for u, R in zip(units, module.right[1:])]
+    return kron_rows(terms)
 
 
 def cocycle_space(module: Bimodule, n: int) -> Subspace:
     """Kernel of the degree-n coboundary, in cochain-vector coordinates."""
-    return nullspace(cochain_dim(module, n), coboundary_rows(module, n))
+    _, rows = coboundary_rows(module, n)
+    return nullspace(cochain_dim(module, n), rows)
 
 
 def complex_dims(module: Bimodule, n: int) -> dict:
@@ -304,44 +286,22 @@ def form_hom_space(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
     condition need only be imposed on those generators.  The coordinates of
     the result are exactly cochain vectors (the generator values), so this
     space can be compared verbatim with the cocycle space.
+
+    For each p >= 1 the condition Phi((0; J) . e_p) = Phi(0; J) . e_p has
+    rows sum_i W_{p,i}^T (x) L_i - I (x) R_p, where W_{p,i} is row block i
+    of the form space's right action by e_p on the generator columns.
     """
     m = algebra.dim
     sp = form_space(algebra, n)
-    dM = module.dim
     nJ = _bar_dim(m, n)
 
-    def rows():
-        for flat in range(nJ):
-            gen = flat  # == sp.index_of(0, J)
-            for p in range(1, m):
-                moved = sp.right[p].col(gen).column_fractions(0)
-                for r in range(dM):
-                    row: dict[int, Fraction] = {}
+    def rows(p: int) -> Iterator[dict[int, int]]:
+        R = sp.right[p]
+        W = [QMat(R.num[i * nJ:(i + 1) * nJ, :nJ].T.copy(), R.den) for i in range(m)]
+        return kron_rows([*zip(W, module.left), (nJ, -module.right[p])])[1]
 
-                    def bump(col: int, v: Fraction) -> None:
-                        val = row.get(col, Fraction(0)) + v
-                        if val:
-                            row[col] = val
-                        else:
-                            row.pop(col, None)
-
-                    # value of the extension on (0; J) . e_p ...
-                    for q, w in enumerate(moved):
-                        if w:
-                            i, Jq = sp.tuple_of(q)
-                            flat_q = flat_index(Jq, m - 1, 1)
-                            for s in range(dM):
-                                v = module.left[i].entry(r, s)
-                                if v:
-                                    bump(flat_q * dM + s, w * v)
-                    # ... must equal the value on (0; J) moved by e_p in M
-                    for s in range(dM):
-                        v = module.right[p].entry(r, s)
-                        if v:
-                            bump(flat * dM + s, -v)
-                    yield row
-
-    return nullspace(nJ * dM, rows())
+    return nullspace(nJ * module.dim,
+                     itertools.chain.from_iterable(map(rows, range(1, m))))
 
 
 def form_hom_matrices(algebra: Algebra, n: int, module: Bimodule) -> list[QMat]:

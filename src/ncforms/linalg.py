@@ -12,7 +12,7 @@ Two representations are used:
   promoted from int64 to Python objects before any operation whose result
   could exceed 2**62, so results are always exact.
 
-Three conventions are fixed here and nowhere else:
+Four conventions are fixed here and nowhere else:
 
 * Tuple indexing.  Form bases, bar tuples, tensor bimodules and multimaps
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
@@ -27,13 +27,19 @@ Three conventions are fixed here and nowhere else:
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`; :meth:`RowReducer.subspace` and :func:`nullspace`
   hand out canonical subspaces without a second reduction.
+* Linear conditions.  A system whose matrix is a sum of Kronecker products
+  of action matrices (derivations, bimodule maps, cocycles,
+  polyderivations, commutants, tensor relations, tensor spans) is written
+  as its list of terms and turned into sparse integer rows by
+  :func:`kron_rows`, which feed :func:`nullspace` or a :class:`RowReducer`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -321,6 +327,68 @@ def nullspace(ncols: int, rows: Iterable[dict]) -> Subspace:
             if c != q:
                 kernel[last - c][last - q] = -v
     return Subspace(ncols, list(kernel.values()), list(kernel))
+
+
+# ---------------------------------------------------------------------------
+# Linear conditions: sums of Kronecker products, row by row
+# ---------------------------------------------------------------------------
+
+
+def kron_rows(terms: Iterable[Sequence[QMat | int]]) -> tuple[int, Iterator[dict[int, int]]]:
+    """The rows of sum_t F_t1 (x) F_t2 (x) ..., as integers over one denominator.
+
+    A term is a sequence of factors; a factor is a QMat or an int n, which
+    stands for the identity I_n.  Every term's Kronecker product must have
+    the same shape.  Returns (den, rows): den is the lcm over the terms of
+    the product of their factors' denominators, and rows yields, in row
+    order, one dict {col: int} per row of den * sum (empty for a zero row).
+    Each row is built from the factors' sparse rows; no Kronecker product
+    is formed as a matrix.
+    """
+    terms = [[_kron_factor(f) for f in term] for term in terms]
+    shapes = {(math.prod(len(rows) for rows, _, _ in t),
+               math.prod(width for _, width, _ in t)) for t in terms}
+    if len(shapes) > 1:
+        raise LinAlgError(f"kron_rows: terms of shapes {sorted(shapes)}")
+    den = math.lcm(*(math.prod(d for _, _, d in t) for t in terms))
+    parts = [_term_rows(t, den // math.prod(d for _, _, d in t)) for t in terms]
+
+    def rows() -> Iterator[dict[int, int]]:
+        for row_parts in zip(*parts):
+            row: dict[int, int] = {}
+            for part in row_parts:
+                for c, v in part.items():
+                    row[c] = row.get(c, 0) + v
+            yield {c: v for c, v in row.items() if v}
+
+    return den, rows()
+
+
+def _kron_factor(f: QMat | int) -> tuple[list[dict[int, int]], int, int]:
+    """(sparse integer rows, width, den) of a kron_rows factor."""
+    if isinstance(f, QMat):
+        return f.sparse_rows(), f.shape[1], f.den
+    return [{i: 1} for i in range(f)], f, 1
+
+
+def _term_rows(factors: list, scale: int) -> Iterator[dict[int, int]]:
+    """The rows of scale * F_1 (x) ... (x) F_k in order; a zero row of an
+    outer factor stands for a whole block of zero rows."""
+    def level(k: int, acc: dict[int, int]) -> Iterator[dict[int, int]]:
+        rows, width, _ = factors[k]
+        block = math.prod(len(r) for r, _, _ in factors[k + 1:])
+        for frow in rows:
+            if not frow:
+                yield from itertools.repeat({}, block)
+                continue
+            out = {c * width + fc: v * fv for c, v in acc.items()
+                   for fc, fv in frow.items()}
+            if k + 1 == len(factors):
+                yield out
+            else:
+                yield from level(k + 1, out)
+
+    return level(0, {0: scale})
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:

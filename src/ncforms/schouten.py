@@ -21,9 +21,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, is_derivation
-from .linalg import (QMat, digits_at, flat_index, format_scalar,
-                     nullspace, parse_scalar)
+import numpy as np
+
+from .algebra import Algebra, is_derivation, leibniz_terms
+from .linalg import (QMat, digits_at, flat_index, format_scalar, kron_rows,
+                     nullspace, parse_scalar, qmat_sum)
 
 MAX_ARITY = 6
 
@@ -154,39 +156,31 @@ def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
                     scalar=bool(obj.get("scalar", False)))
 
 
+def _permuted_columns(m: int, k: int, perm: Sequence[int]) -> np.ndarray:
+    """idx with idx[flat I] = flat (I[perm[0]], .., I[perm[k-1]]), so
+    num[:, idx] holds the values on the permuted tuples."""
+    return np.arange(m ** k).reshape((m,) * k).transpose(np.argsort(perm)).ravel()
+
+
+def _adjacent_swaps(k: int) -> list[tuple[int, ...]]:
+    return [(*range(t), t + 1, t, *range(t + 2, k)) for t in range(k - 1)]
+
+
 def is_skew(mm: MultiMap) -> bool:
     """Adjacent swaps negate the value on every basis tuple."""
-    m = mm.algebra.dim
-    for flat in range(mm.data.shape[1]):
-        I = digits_at(flat, m, mm.arity)
-        col = None
-        for t in range(mm.arity - 1):
-            swapped = I[:t] + (I[t + 1], I[t]) + I[t + 2:]
-            if col is None:
-                col = mm.data.column_fractions(flat)
-            other = mm.data.column_fractions(flat_index(swapped, m))
-            if any(a + b for a, b in zip(col, other)):
-                return False
-    return True
+    num = mm.data.num
+    return not any(
+        np.count_nonzero(num + num[:, _permuted_columns(mm.algebra.dim, mm.arity, swap)])
+        for swap in _adjacent_swaps(mm.arity))
 
 
 def alternation(mm: MultiMap) -> MultiMap:
     """Skew-symmetrization (1/k!) sum of signed argument permutations."""
-    m = mm.algebra.dim
-    k = mm.arity
-    norm = Fraction(1, math.factorial(k))
-    cols = []
-    for flat in range(mm.data.shape[1]):
-        I = digits_at(flat, m, k)
-        acc = [Fraction(0)] * mm.target_dim
-        for perm in itertools.permutations(range(k)):
-            sign = _perm_sign(perm)
-            col = mm.value(tuple(I[p] for p in perm))
-            for r in range(mm.target_dim):
-                acc[r] += sign * col[r]
-        cols.append([v * norm for v in acc])
-    return MultiMap(mm.algebra, k, QMat.from_columns(mm.target_dim, cols),
-                    scalar=mm.scalar)
+    m, k = mm.algebra.dim, mm.arity
+    total = qmat_sum([QMat(mm.data.num[:, _permuted_columns(m, k, perm)]).scale(
+        _perm_sign(perm)) for perm in itertools.permutations(range(k))])
+    data = QMat(total.num, mm.data.den * math.factorial(k)).reduced()
+    return MultiMap(mm.algebra, k, data, scalar=mm.scalar)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -316,55 +310,21 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
     if arity < 1:
         raise SchoutenError("polyderivations have arity >= 1")
     m = algebra.dim
-    ncols = m ** arity * m  # unknown index: flat tuple * m + component
-
-    def rows():
-        for flat in range(m ** arity):
-            I = digits_at(flat, m, arity)
-            # adjacent swaps negate
-            for t in range(arity - 1):
-                swapped = I[:t] + (I[t + 1], I[t]) + I[t + 2:]
-                sflat = flat_index(swapped, m)
-                if sflat < flat:
-                    continue  # each unordered pair once
-                for r in range(m):
-                    row = {flat * m + r: Fraction(1)}
-                    key = sflat * m + r
-                    row[key] = row.get(key, Fraction(0)) + 1
-                    yield row
-        # first-slot Leibniz on basis pairs
-        for flat in range(m ** (arity - 1)):
-            rest = digits_at(flat, m, arity - 1)
-            idx = [flat_index((q,) + rest, m) for q in range(m)]
-            for i in range(m):
-                for j in range(m):
-                    prod = algebra.structure[i][j]
-                    for r in range(m):
-                        row: dict[int, Fraction] = {}
-
-                        def bump(col: int, v: Fraction) -> None:
-                            val = row.get(col, Fraction(0)) + v
-                            if val:
-                                row[col] = val
-                            else:
-                                row.pop(col, None)
-
-                        for q in range(m):
-                            if prod[q]:
-                                bump(idx[q] * m + r, Fraction(prod[q]))
-                        for s in range(m):
-                            v = algebra.left[i].entry(r, s)
-                            if v:
-                                bump(idx[j] * m + s, -v)
-                            v = algebra.right[j].entry(r, s)
-                            if v:
-                                bump(idx[i] * m + s, -v)
-                        yield row
-
+    N = m ** arity  # unknown index: flat tuple * m + component
+    # adjacent swaps negate: (I + P_t) (x) I_m, stacked over t; of the two
+    # equal rows f and P_t f only the first is kept.  These sparse rows go
+    # first: they halve the unknowns before the Leibniz rows arrive.
+    swaps = QMat.from_coo((N * (arity - 1), N), (
+        (t * N + f, g, 1) for t, swap in enumerate(_adjacent_swaps(arity))
+        for f, idx in enumerate(_permuted_columns(m, arity, swap)) if f <= idx
+        for g in (f, int(idx))))
+    _, skew = kron_rows([(swaps, m)])
+    # first-slot Leibniz: the derivation terms on K(., rest), rest in the middle
+    _, leibniz = kron_rows([(a, m ** (arity - 1), b)
+                            for a, b in leibniz_terms(algebra.regular_bimodule())])
     out = []
-    for vec in nullspace(ncols, rows()).basis:
-        data = QMat.from_columns(m, [vec[c * m:(c + 1) * m]
-                                     for c in range(m ** arity)])
+    for vec in nullspace(N * m, itertools.chain(skew, leibniz)).basis:
+        data = QMat.from_columns(m, [vec[c * m:(c + 1) * m] for c in range(N)])
         out.append(MultiMap(algebra, arity, data))
     return out
 

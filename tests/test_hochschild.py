@@ -19,6 +19,7 @@ from ncforms.hochschild import (
 from ncforms.linalg import QMat
 from oracles import emb_comparison_columns, sympy_hochschild_dim
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
+from test_forms import _algebras
 
 F = Fraction
 
@@ -150,16 +151,20 @@ def test_coboundary_squares_to_zero(algebras):
 
 def test_sparse_rows_match_column_coboundary(algebras):
     rng = random.Random(23)
-    for name in ("dual", "kxk", "m2"):
-        A = algebras[name]
-        M = A.regular_bimodule()
-        for n in range(3):
+    # m2frac (e2 = 2 E12, e3 = E21/3) puts denominators into the structure
+    # constants and, through the free bimodule, into the actions
+    m2frac = _algebras()["m2frac"]
+    modules = [algebras[name].regular_bimodule()
+               for name in ("dual", "kxk", "m2", "upper2")]
+    modules += [m2frac.regular_bimodule(), tensor_module(m2frac, 1)]
+    for M in modules:
+        for n in range(4):
             c = random_cochain(rng, M, n)
             vec = c.to_vector()
-            out = []
-            for row in coboundary_rows(M, n):
-                out.append(sum((v * vec[col] for col, v in row.items()), F(0)))
-            assert out == coboundary(c).to_vector(), (name, n)
+            den, rows = coboundary_rows(M, n)
+            out = [sum((v * vec[col] for col, v in row.items()), F(0)) / den
+                   for row in rows]
+            assert out == coboundary(c).to_vector(), (M.name, n)
 
 
 # -- cocycles as homomorphisms out of form spaces ----------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical subspaces, kernels, the QMat engine."""
 
+import functools
 import importlib
 import inspect
 import math
@@ -13,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncforms
+from ncforms import algebra, connections, forms, hochschild, schouten
 from ncforms.algebra import matrix_algebra
 from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
 from ncforms.linalg import (
     LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
-    format_scalar, make_scalar, nullspace, parse_scalar, qmat_hstack,
-    qmat_inverse, rank, solve_linear, subspace_from_columns,
+    format_scalar, kron_rows, make_scalar, nullspace, parse_scalar, qmat_hstack,
+    qmat_inverse, qmat_sum, rank, solve_linear, subspace_from_columns,
 )
 from ncforms.schouten import MultiMap
 from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
@@ -401,6 +403,50 @@ def test_qmat_hstack_matches_from_columns():
     assert qmat_hstack(3, []).shape == (3, 0)
 
 
+def _kron_factor_st(nrows, ncols):
+    """A QMat of the shape (mixed denominators, often zero, some entries
+    >= 2**62 so the array is object) or, when square, an int for I_n."""
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st,
+                      st.integers(2 ** 62, 2 ** 70).map(Fraction))
+    mats = st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(QMat.from_rows)
+    return mats | st.just(nrows) if nrows == ncols else mats
+
+
+def _as_qmat(factor):
+    return factor if isinstance(factor, QMat) else QMat.eye(factor)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_kron_rows_matches_dense_kronecker_sum(data):
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                min_size=1, max_size=3))
+    terms = data.draw(st.lists(st.tuples(*(_kron_factor_st(*sh) for sh in shapes)),
+                               min_size=1, max_size=3))
+    den, rows = kron_rows(terms)
+    assert den == math.lcm(*(math.prod(_as_qmat(f).den for f in t) for t in terms))
+    dense = qmat_sum([functools.reduce(QMat.kron, map(_as_qmat, t)) for t in terms])
+    want = [{c: Fraction(int(v), dense.den) * den for c, v in row.items()}
+            for row in dense.sparse_rows()]
+    got = list(rows)
+    assert all(type(v) is int for row in got for v in row.values())
+    assert got == want
+
+
+def test_kron_rows_edge_cases():
+    den, rows = kron_rows([])
+    assert den == 1 and list(rows) == []
+    # the same 2x2 shape from two factorizations; a zero row stays in place
+    a = QMat.from_rows([[1], [0]])
+    b = QMat.from_rows([[Fraction(1, 2), 3]])
+    c = QMat.from_rows([[0, Fraction(1, 3)], [0, 0]])
+    den, rows = kron_rows([(a, b), (c,)])
+    assert den == 6 and list(rows) == [{0: 3, 1: 20}, {}]
+    with pytest.raises(LinAlgError):
+        kron_rows([(a, b), (2, 2)])
+
+
 def test_structural_indices_reject_out_of_range_digits():
     A = matrix_algebra(2)
     m = A.dim
@@ -434,3 +480,15 @@ def test_no_private_codec_or_column_copies():
                       for name, _ in inspect.getmembers(owner)
                       if name in banned]
     assert not found
+
+
+def test_linear_condition_builders_go_through_kron_rows():
+    builders = [algebra.derivation_space, algebra.TensorQuotient.__init__,
+                schouten.polyderivation_space, hochschild.form_hom_space,
+                hochschild.coboundary_rows, connections.bimodule_endomorphism_space,
+                forms.kernel_of_mu_n]
+    banned = (".entry(", "to_fraction_rows(", "Fraction(0)", "bump")
+    for fn in builders:
+        src = inspect.getsource(fn)
+        assert "kron_rows(" in src, fn.__qualname__
+        assert not [b for b in banned if b in src], fn.__qualname__
