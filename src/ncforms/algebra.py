@@ -479,9 +479,6 @@ class SemidirectProduct:
     def embed(self, a: Sequence[Fraction], mvec: Sequence[Fraction]) -> Element:
         return self.algebra.element(list(a) + list(mvec))
 
-    def project_base(self, x: Element) -> list[Fraction]:
-        return list(x.coeffs[: self.base.dim])
-
     def project_module(self, x: Element) -> list[Fraction]:
         return list(x.coeffs[self.base.dim:])
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import click
+import numpy as np
 
 from . import __version__
 from .algebra import (Algebra, AlgebraError, AlgebraHom, derivation_matrix,
@@ -264,12 +265,12 @@ class _VerifyEnv:
     """Shared state for verify checks: algebra, bounds, cached searches."""
 
     def __init__(self, algebra: Algebra, truncation: int, seed: int,
-                 size_cap: int, action: Optional[GroupAction]):
+                 size_cap: int, action: GroupAction):
         self.algebra = algebra
         self.N = truncation
         self.seed = seed
         self.size_cap = size_cap
-        self._action = action
+        self.action = action
         self._cache: dict = {}
 
     def rng(self, name: str) -> random.Random:
@@ -296,6 +297,15 @@ class _VerifyEnv:
                 delta = delta + b.delta.scale(Fraction(c))
         return FieldValuedForm(self.algebra, degree, delta, check=False)
 
+    def random_derivation(self, rng: random.Random) -> QMat:
+        """A random integer combination of the derivation basis, as a matrix."""
+        combo = [Fraction(0)] * (self.algebra.dim ** 2)
+        for b in self.derivations().basis:
+            c = rng.randint(-2, 2)
+            if c:
+                combo = [x + c * y for x, y in zip(combo, b)]
+        return derivation_matrix(self.algebra.regular_bimodule(), combo)
+
     def random_multimap(self, arity: int, rng: random.Random) -> MultiMap:
         m = self.algebra.dim
         raw = _rand_matrix(rng, m, m ** arity)
@@ -307,19 +317,11 @@ class _VerifyEnv:
                                                     seed=self.seed)
         return self._cache["projs"]
 
-    def action(self) -> GroupAction:
-        if self._action is None:
-            A = self.algebra
-            ident = AlgebraHom(A, A, QMat.eye(A.dim), name="id")
-            self._action = GroupAction(A, [ident])
-        return self._action
-
     def bundle(self) -> Bundle:
         if "bundle" not in self._cache:
-            action = self.action()
             self._cache["bundle"] = Bundle(self.algebra,
-                                           action.fixed_subspace(),
-                                           action=action)
+                                           self.action.fixed_subspace(),
+                                           action=self.action)
         return self._cache["bundle"]
 
 
@@ -395,14 +397,10 @@ def _chk_derivation_leibniz(env: _VerifyEnv, rng: random.Random):
         if not is_derivation(mod, derivation_matrix(mod, list(vec))):
             return f"solution-space basis vector {_fmt_vec(vec)} fails Leibniz"
     for _ in range(8):
-        combo = [Fraction(0)] * (A.dim * A.dim)
-        for b in der.basis:
-            c = rng.randint(-2, 2)
-            if c:
-                combo = [x + Fraction(c) * Fraction(y)
-                         for x, y in zip(combo, b)]
-        if not is_derivation(mod, derivation_matrix(mod, combo)):
-            return f"random combination {_fmt_vec(combo)} fails Leibniz"
+        rand = env.random_derivation(rng)
+        if not is_derivation(mod, rand):
+            return (f"random combination {_fmt_vec(derivation_vector(mod, rand))} "
+                    f"fails Leibniz")
         mvec = _rand_vec(rng, A.dim)
         inner = inner_derivation(mod, mvec)
         if not is_derivation(mod, inner):
@@ -464,13 +462,11 @@ def _chk_d_squared_zero(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     for k in range(env.N):
         dd = form_space(A, k + 1).d_matrix() @ form_space(A, k).d_matrix()
-        if not dd.is_zero():
-            rows = dd.to_fraction_rows()
-            for r, row in enumerate(rows):
-                for c, v in enumerate(row):
-                    if v:
-                        return (f"(d o d) on degree {k} has entry "
-                                f"{format_scalar(v)} at ({r}, {c})")
+        nonzero = np.argwhere(dd.num)
+        if len(nonzero):
+            r, c = nonzero[0]
+            return (f"(d o d) on degree {k} has entry "
+                    f"{format_scalar(dd.entry(r, c))} at ({r}, {c})")
     return None
 
 
@@ -644,7 +640,7 @@ def _chk_projection_complement(env: _VerifyEnv, rng: random.Random):
 
 def _chk_action_functoriality(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
-    for h in env.action().homs:
+    for h in env.action.homs:
         for k in range(1, env.N + 1):
             dk = form_space(A, k - 1).d_matrix()
             if omega_functor(h, k) @ dk != dk @ omega_functor(h, k - 1):
@@ -745,24 +741,10 @@ def _chk_schouten_jacobi(env: _VerifyEnv, rng: random.Random):
 
 def _chk_bracket_compatibility(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
-    mod = A.regular_bimodule()
-    der = env.derivations()
-
-    def rand_der():
-        combo = [Fraction(0)] * (A.dim * A.dim)
-        for b in der.basis:
-            c = rng.randint(-2, 2)
-            if c:
-                combo = [x + Fraction(c) * Fraction(y)
-                         for x, y in zip(combo, b)]
-        return derivation_matrix(mod, combo)
-
     for _ in range(6):
-        m1, m2 = rand_der(), rand_der()
-        K1 = MultiMap(A, 1, m1)
-        K2 = MultiMap(A, 1, m2)
-        X1 = field_from_derivation(A, m1)
-        X2 = field_from_derivation(A, m2)
+        m1, m2 = env.random_derivation(rng), env.random_derivation(rng)
+        K1, K2 = MultiMap(A, 1, m1), MultiMap(A, 1, m2)
+        X1, X2 = field_from_derivation(A, m1), field_from_derivation(A, m2)
         if nr_bracket(K1, K2).data != lie_bracket_fields(X2, X1).delta:
             return ("arity-1 algebraic bracket disagrees with the "
                     "derivation commutator (argument-swapped)")
@@ -866,8 +848,7 @@ def verify(algebra_path, builtin_expr, truncation, seed, fmt, size_cap,
     """Run the full invariant suite and report each identity."""
     A, source = _load_algebra(algebra_path, builtin_expr, truncation)
     cap = _resolve_cap(size_cap)
-    action = _load_action(A, action_path) if action_path is not None else None
-    env = _VerifyEnv(A, truncation, seed, cap, action)
+    env = _VerifyEnv(A, truncation, seed, cap, _load_action(A, action_path))
     checks = _run_verify(env)
     report = _make_report("verify", A, source, seed, truncation, cap,
                           checks, {})

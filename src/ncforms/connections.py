@@ -20,9 +20,9 @@ from .fieldforms import (
     FieldValuedForm, fn_bracket, identity_one_form, insertion_compose,
     zero_field_valued_form,
 )
-from .forms import Form, form_space, product
+from .forms import Form, form_space, multiplicative_extension, products
 from .linalg import (
-    QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack, qmat_sum,
+    QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_sum,
     solve_linear, subspace_from_columns,
 )
 
@@ -120,15 +120,13 @@ def ideal_component(dist: Distribution, r: int) -> Subspace:
     if r == 1:
         return dist.space
     prev = ideal_component(dist, r - 1)
-    sp1 = form_space(A, 1)
-    spp = form_space(A, r - 1)
+    P = QMat.from_columns(form_space(A, r - 1).dim, prev.basis)
+    one = QMat.eye(form_space(A, 1).dim)
     red = RowReducer(form_space(A, r).dim)
-    for vec in prev.basis:
-        w = spp.form(vec)
-        for i in range(sp1.dim):
-            b = sp1.basis_form(i)
-            red.add_dense(product(b, w).coords())
-            red.add_dense(product(w, b).coords())
+    for i in range(one.shape[1]):
+        red.add_columns(products(A, one.col(i), 1, P, r - 1))
+    for c in range(P.shape[1]):
+        red.add_columns(products(A, P.col(c), r - 1, one, 1))
     return red.subspace()
 
 
@@ -211,20 +209,8 @@ def curvature(p: Projection) -> tuple[FieldValuedForm, FieldValuedForm]:
 
 def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
     """The algebra endomorphism of Omega_k applying ext to every d-slot."""
-    sp1 = form_space(algebra, 1)
-    tgt = form_space(algebra, k)
-    if k == 0:
-        return QMat.eye(algebra.dim)
     d0 = form_space(algebra, 0).d_matrix()
-    images = [Form(sp1, ext @ d0.col(j)) for j in range(algebra.dim)]
-    cols = []
-    for idx in range(tgt.dim):
-        i, J = tgt.tuple_of(idx)
-        acc = form_space(algebra, 0).basis_form(i)
-        for j in J:
-            acc = product(acc, images[j])
-        cols.append(acc.vec)
-    return qmat_hstack(tgt.dim, cols)
+    return multiplicative_extension(algebra, None, ext @ d0, k)
 
 
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:
@@ -597,13 +583,11 @@ def horizontal_forms(bundle: Bundle, k: int) -> Subspace:
     if k == 1:
         return hor1
     prev = horizontal_forms(bundle, k - 1)
-    spp = form_space(A, k - 1)
-    sp1 = form_space(A, 1)
+    P = QMat.from_columns(form_space(A, k - 1).dim, prev.basis)
+    H = QMat.from_columns(form_space(A, 1).dim, hor1.basis)
     red = RowReducer(form_space(A, k).dim)
-    for v in prev.basis:
-        w = spp.form(v)
-        for h in hor1.basis:
-            red.add_dense(product(w, sp1.form(h)).coords())
+    for c in range(P.shape[1]):
+        red.add_columns(products(A, P.col(c), k - 1, H, 1))
     return red.subspace()
 
 

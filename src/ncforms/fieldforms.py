@@ -16,8 +16,8 @@ from typing import Optional
 
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
-from .forms import Form, form_space
-from .linalg import QMat, qmat_hstack, solve_linear
+from .forms import Form, d_slots, form_space, products
+from .linalg import QMat, qmat_sum, solve_linear
 
 
 class FieldFormError(ValueError):
@@ -49,14 +49,11 @@ class FieldValuedForm:
                 f"not a derivation into forms at basis pair ({pair[0]},{pair[1]})")
 
     def extension(self) -> QMat:
-        """The bimodule-hom matrix Omega_1 -> Omega_k, K(e_i de_j) = e_i.delta(e_j)."""
+        """The bimodule-hom matrix Omega_1 -> Omega_k, K(e_i de_j) = e_i.delta(e_j):
+        products(I, 0, delta[:, 1:], k), column i*(m-1) + j-1."""
         if self._ext is None:
-            A = self.algebra
-            sp = form_space(A, self.degree)
-            m = A.dim
-            self._ext = qmat_hstack(sp.dim, [sp.left[i] @ self.delta.col(j)
-                                             for i in range(m)
-                                             for j in range(1, m)])
+            self._ext = products(self.algebra, None, 0, d_slots(self.delta),
+                                 self.degree)
         return self._ext
 
     # -- linear structure ---------------------------------------------------
@@ -270,41 +267,24 @@ def contraction(K: FieldValuedForm, max_input: int) -> GradedDerivation:
 
         (prefix . lead-coefficient-of-delta) (x) delta-tail (x) suffix,
 
-    realized as sum_p R_{Omega_{s-1}}[e_p] (x) W_p (x) I with W_p the slice
-    of delta with leading index p; the sign is (-1)^{(s-1)(k-1)} for K of
-    subscript k.  Input degree 0 is killed.
+    that is products(I, s-1, delta[:, 1:], k) (x) I: every prefix in
+    Omega_{s-1} times the image K(d e_j) of the slot, then the suffix
+    unchanged; the sign is (-1)^{(s-1)(k-1)} for K of subscript k.  Input
+    degree 0 is killed.
     """
     A = K.algebra
     m = A.dim
     kappa = K.degree
     opdeg = kappa - 1
-    tail_k = (m - 1) ** kappa
-    # W_p : slot -> delta tail block, shape ((m-1)^kappa, m-1)
-    Ws = []
-    for p in range(m):
-        block = K.delta.num[p * tail_k:(p + 1) * tail_k, 1:]
-        Ws.append(QMat(block.copy(), K.delta.den).reduced())
-    mats: dict[int, Optional[QMat]] = {}
-    mats[0] = (None if opdeg < 0
-               else QMat.zeros(form_space(A, opdeg).dim, form_space(A, 0).dim))
+    slots = []
+    for s in range(1, max_input + 1):
+        slot = products(A, None, s - 1, d_slots(K.delta), kappa)
+        slots.append(-slot if ((s - 1) * opdeg) % 2 else slot)
+    mats: dict[int, Optional[QMat]] = {0: None if opdeg < 0 else QMat.zeros(
+        form_space(A, opdeg).dim, form_space(A, 0).dim)}
     for n in range(1, max_input + 1):
-        tgt = form_space(A, n + opdeg)
-        acc = QMat.zeros(tgt.dim, form_space(A, n).dim)
-        for s in range(1, n + 1):
-            prefix = form_space(A, s - 1)
-            suffix = QMat.eye((m - 1) ** (n - s))
-            term = None
-            for p in range(m):
-                if Ws[p].is_zero():
-                    continue
-                piece = prefix.right[p].kron(Ws[p]).kron(suffix)
-                term = piece if term is None else term + piece
-            if term is None:
-                continue
-            if ((s - 1) * (kappa - 1)) % 2:
-                term = term.scale(-1)
-            acc = acc + term
-        mats[n] = acc
+        mats[n] = qmat_sum(slots[s - 1].kron(QMat.eye((m - 1) ** (n - s)))
+                           for s in range(1, n + 1))
     return GradedDerivation(A, opdeg, mats)
 
 
@@ -363,32 +343,29 @@ def insertion_compose(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm
 
 
 def is_graded_derivation(D: GradedDerivation, max_total: Optional[int] = None) -> bool:
-    """Graded Leibniz D(wh) = D(w)h + (-1)^{k deg w} w D(h) on basis pairs."""
-    from .forms import product
+    """Graded Leibniz D(wh) = D(w)h + (-1)^{k deg w} w D(h) on basis pairs.
+
+    For each basis form w of degree a, one matrix identity over all h in
+    Omega_b: D_{a+b} mu(w, I) = mu(D_a w, I) + (-1)^{ka} mu(w, D_b).
+    """
     A = D.algebra
     k = D.degree
     degs = D.input_degrees()
-    top = max(degs)
-    if max_total is None:
-        max_total = top
+    top = max(degs) if max_total is None else min(max(degs), max_total)
     for a in degs:
         for b in degs:
-            if a + b > min(top, max_total) or (a + b) not in D.mats:
+            Da, Db, Dab = D.mats[a], D.mats[b], D.mats.get(a + b)
+            if a + b > top or Da is None or Db is None or Dab is None:
                 continue
-            if D.mats[a] is None or D.mats[b] is None or D.mats[a + b] is None:
-                continue
-            spa, spb = form_space(A, a), form_space(A, b)
-            for ia in range(spa.dim):
-                w = spa.basis_form(ia)
-                dw = D.apply(w)
-                for ib in range(spb.dim):
-                    h = spb.basis_form(ib)
-                    lhs = D.apply(product(w, h))
-                    rhs = product(dw, h)
-                    sgn = (-1) ** ((k * a) % 2)
-                    rhs = rhs + product(w, D.apply(h)).scale(sgn)
-                    if lhs != rhs:
-                        return False
+            eye_a, eye_b = (QMat.eye(form_space(A, t).dim) for t in (a, b))
+            sgn = (-1) ** ((k * a) % 2)
+            for ia in range(eye_a.shape[0]):
+                w = eye_a.col(ia)
+                lhs = Dab @ products(A, w, a, eye_b, b)
+                rhs = (products(A, Da.col(ia), a + k, eye_b, b)
+                       + products(A, w, a, Db, b + k).scale(sgn))
+                if lhs != rhs:
+                    return False
     return True
 
 

@@ -11,6 +11,9 @@ product, and the product of forms a sum of outer products — everything stays
 in integer matrix arithmetic.  The right actions and d are emitted as integer
 (row, col, value) triples straight from the algebra's integer structure
 constants and built by ``QMat.from_coo``; no dense ``Fraction`` matrix is made.
+The product's merge formula a.b = sum_p (R_p a) (x) S_p b lives only in
+:func:`products`, which multiplies whole blocks of forms; functoriality,
+ideals, commutators, graded Leibniz, contraction and extension call it.
 """
 
 from __future__ import annotations
@@ -134,11 +137,6 @@ class FormSpace:
             raise FormError("coordinate length does not match space dimension")
         return Form(self, QMat.column(coords))
 
-    def form_from_qmat(self, vec: QMat) -> "Form":
-        if vec.shape != (self.dim, 1):
-            raise FormError("coordinate length does not match space dimension")
-        return Form(self, vec)
-
     def zero(self) -> "Form":
         return Form(self, QMat.zeros(self.dim, 1))
 
@@ -216,28 +214,38 @@ def form_from_json(algebra: Algebra, obj: dict) -> Form:
     return sp.form([parse_scalar(s) for s in obj["coords"]])
 
 
-def product(a: Form, b: Form) -> Form:
-    """Concatenation product Omega_k x Omega_l -> Omega_{k+l}.
+def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int) -> QMat:
+    """All products of a block of k-forms with a block of l-forms.
 
-    (omega)(e_p dJ') = (omega.e_p) dJ': right-act by the leading coefficient
-    of the second factor, then append its d-word.
+    P (dim Omega_k x r) and Q (dim Omega_l x s) hold forms as columns; P None
+    stands for the identity, every basis k-form, and costs no matmul.  The
+    result is the dim Omega_{k+l} x r*s block whose column i*s + j is
+    P_i . Q_j, reduced:
+
+        P . Q = sum_p (R_p P) (x) (S_p Q),
+
+    with R_p the right action of e_p on Omega_k and S_p Q the rows of Q with
+    leading index p: (omega)(e_p dJ) = (omega . e_p) dJ.  The Kronecker row
+    index a*(m-1)^l + t is the target word, and its column index i*s + j the
+    pair, both big-endian.
     """
-    if a.space.algebra is not b.space.algebra:
-        raise FormError("cannot multiply forms over different algebras")
+    left = form_space(algebra, k)
+    w = form_space(algebra, l)._tail
+    acc = QMat.zeros(left.dim * w, (left.dim if P is None else P.shape[1]) * Q.shape[1])
+    for p, R in enumerate(left.right):
+        SQ = QMat(Q.num[p * w:(p + 1) * w], Q.den)
+        if not SQ.is_zero():
+            acc = acc + (R if P is None else R @ P).kron(SQ)
+    return acc.reduced()
+
+
+def product(a: Form, b: Form) -> Form:
+    """Concatenation product Omega_k x Omega_l -> Omega_{k+l}."""
     A = a.space.algebra
-    m = A.dim
-    target = form_space(A, a.degree + b.degree)
-    w = b.space._tail
-    acc: Optional[QMat] = None
-    for p in range(m):
-        col = a.space.right[p] @ a.vec
-        seg = QMat(b.vec.num[p * w:(p + 1) * w].reshape(1, w), b.vec.den)
-        if seg.is_zero() or col.is_zero():
-            continue
-        block = col.kron(seg)  # (dim_a, w): row-major flatten = target index
-        term = QMat(block.num.reshape(target.dim, 1), block.den)
-        acc = term if acc is None else acc + term
-    return Form(target, acc if acc is not None else QMat.zeros(target.dim, 1))
+    if A is not b.space.algebra:
+        raise FormError("cannot multiply forms over different algebras")
+    return Form(form_space(A, a.degree + b.degree),
+                products(A, a.vec, a.degree, b.vec, b.degree))
 
 
 class GradedForm:
@@ -288,21 +296,32 @@ class GradedForm:
 # ---------------------------------------------------------------------------
 
 
+def d_slots(images: QMat) -> QMat:
+    """Columns 1..m-1 of values on d e_0..d e_{m-1}: the d-slots (d1 = 0)."""
+    return QMat(images.num[:, 1:], images.den)
+
+
+def multiplicative_extension(algebra: Algebra, lead: Optional[QMat], dimages: QMat,
+                             degree: int) -> QMat:
+    """The map e_i dJ |-> lead(e_i) . dimages_{j1} ... dimages_{jk} into Omega_k.
+
+    lead sends A into Omega_0(algebra) (None: the identity of A) and
+    column j of dimages is the image of d e_j, a one-form over algebra
+    (column 0, the image of d1 = 0, is not read).  Degree by degree,
+    M_k = products(M_{k-1}, k-1, dimages[:, 1:], 1): the big-endian column
+    order of the block is the basis order of Omega_k.
+    """
+    M = lead
+    for n in range(degree):
+        M = products(algebra, M, n, d_slots(dimages), 1)
+    return QMat.eye(algebra.dim) if M is None else M.reduced()
+
+
 def omega_functor(f: AlgebraHom, degree: int) -> QMat:
     """Matrix of Omega_k(f): e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
-    A, B = f.source, f.target
-    src = form_space(A, degree)
-    tgt = form_space(B, degree)
-    d0 = form_space(B, 0).d_matrix()
-    dfs = [Form(form_space(B, 1), d0 @ f.matrix.col(j)) for j in range(A.dim)]
-    cols = []
-    for idx in range(src.dim):
-        i, J = src.tuple_of(idx)
-        img = Form(form_space(B, 0), f.matrix.col(i))
-        for j in J:
-            img = product(img, dfs[j])
-        cols.append(img.vec)
-    return qmat_hstack(tgt.dim, cols)
+    B = f.target
+    return multiplicative_extension(B, f.matrix, form_space(B, 0).d_matrix() @ f.matrix,
+                                    degree)
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +375,15 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
 
 def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
     """Span of w.h - (-1)^{ab} h.w over basis forms with a + b = r."""
-    sp_r = form_space(algebra, r)
-    red = RowReducer(sp_r.dim)
-    for a in range(r + 1):
+    red = RowReducer(form_space(algebra, r).dim)
+    for a in range((r + 2) // 2):  # [w,h] and [h,w] span the same lines
         b = r - a
-        if a > b:
-            break  # [w,h] and [h,w] span the same lines
-        sa, sb = form_space(algebra, a), form_space(algebra, b)
         sign = (-1) ** (a * b)
-        for ia in range(sa.dim):
-            wa = sa.basis_form(ia)
-            for ib in range(sb.dim):
-                hb = sb.basis_form(ib)
-                comm = product(wa, hb).vec - product(hb, wa).vec.scale(sign)
-                red.add(comm.T.sparse_rows()[0])
+        eye_a, eye_b = (QMat.eye(form_space(algebra, t).dim) for t in (a, b))
+        for ia in range(eye_a.shape[0]):
+            w = eye_a.col(ia)
+            red.add_columns(products(algebra, w, a, eye_b, b)
+                            - products(algebra, None, b, w, a).scale(sign))
     return red.subspace()
 
 

@@ -163,6 +163,11 @@ class RowReducer:
         self.rows[c] = row
         return True
 
+    def add_columns(self, mat: "QMat") -> None:
+        """Insert every column of mat (its numerators: the same span)."""
+        for col in mat.T.sparse_rows():
+            self.add(col)
+
     def add_dense(self, row: Iterable) -> bool:
         return self.add({i: Fraction(v) for i, v in enumerate(row) if v})
 
@@ -619,9 +624,11 @@ def qmat_inverse(mat: QMat) -> QMat:
                             for j in range(n)] for i in range(n)])
 
 
-def qmat_sum(mats: Sequence[QMat]) -> QMat:
-    acc = mats[0]
-    for m in mats[1:]:
+def qmat_sum(mats: Iterable[QMat]) -> QMat:
+    """Sum of one or more QMats, added one by one (a generator keeps one alive)."""
+    mats = iter(mats)
+    acc = next(mats)
+    for m in mats:
         acc = acc + m
     return acc
 
@@ -640,6 +647,5 @@ def qmat_hstack(height: int, blocks: Sequence[QMat]) -> QMat:
 def subspace_from_columns(mat: QMat) -> Subspace:
     """Column space of a QMat as a canonical Subspace."""
     red = RowReducer(mat.shape[0])
-    for col in mat.T.sparse_rows():
-        red.add(col)
+    red.add_columns(mat)
     return red.subspace()

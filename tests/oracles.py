@@ -303,3 +303,119 @@ def sympy_polyderivation_dim(alg, arity: int) -> int:
     if not rows:
         return nunk
     return nunk - sympy.Matrix(rows).rank()
+
+
+# ---------------------------------------------------------------------------
+# Per-basis loops over the product of forms.
+#
+# The package multiplies whole blocks of forms in one call
+# (``forms.products``).  These are the earlier loops that multiply one pair
+# of forms at a time and assemble results column by column; the parity tests
+# hold the block kernel and its callers to them, entry for entry.
+# ---------------------------------------------------------------------------
+
+
+def loop_product(a, b):
+    """a.b for two Forms: sum_p (R_p a) (x) (leading-index-p block of b)."""
+    from ncforms.forms import Form, form_space
+    from ncforms.linalg import QMat
+    A = a.space.algebra
+    target = form_space(A, a.degree + b.degree)
+    w = b.space.dim // A.dim
+    acc = QMat.zeros(target.dim, 1)
+    for p in range(A.dim):
+        col = a.space.right[p] @ a.vec
+        seg = QMat(b.vec.num[p * w:(p + 1) * w].reshape(1, w), b.vec.den)
+        block = col.kron(seg)  # (dim_a, w): row-major flatten = target index
+        acc = acc + QMat(block.num.reshape(target.dim, 1), block.den)
+    return Form(target, acc)
+
+
+def _loop_extension(algebra, lead, dimage, degree):
+    """Columns lead(e_i) . dimage(j1) ... dimage(jk), basis form by basis form."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import qmat_hstack
+    tgt = form_space(algebra, degree)
+    src_dim = lead.shape[1] * (len(dimage) - 1) ** degree
+    cols = []
+    for idx in range(src_dim):
+        i, rest = divmod(idx, (len(dimage) - 1) ** degree)
+        acc = form_space(algebra, 0).form(lead.column_fractions(i))
+        for j in _digits(rest, len(dimage) - 1, degree):
+            acc = loop_product(acc, dimage[j + 1])
+        cols.append(acc.vec)
+    return qmat_hstack(tgt.dim, cols)
+
+
+def loop_omega_functor(f, degree):
+    """Omega_k(f): e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
+    from ncforms.forms import Form, form_space
+    B = f.target
+    d0 = form_space(B, 0).d_matrix()
+    dfs = [Form(form_space(B, 1), d0 @ f.matrix.col(j))
+           for j in range(f.source.dim)]
+    return _loop_extension(B, f.matrix, dfs, degree)
+
+
+def loop_induced_endomorphism(algebra, ext, k):
+    """e_i dJ |-> e_i . ext(d e_{j1}) ... ext(d e_{jk})."""
+    from ncforms.forms import Form, form_space
+    from ncforms.linalg import QMat
+    sp1 = form_space(algebra, 1)
+    d0 = form_space(algebra, 0).d_matrix()
+    images = [Form(sp1, ext @ d0.col(j)) for j in range(algebra.dim)]
+    return _loop_extension(algebra, QMat.eye(algebra.dim), images, k)
+
+
+def loop_ideal_component(dist, r):
+    """Degree-r piece of the ideal of dist: b.w and w.b for every basis
+    one-form b and every basis vector w of the previous piece."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import RowReducer
+    if r == 1:
+        return dist.space
+    A = dist.algebra
+    prev = loop_ideal_component(dist, r - 1)
+    sp1, spp = form_space(A, 1), form_space(A, r - 1)
+    red = RowReducer(form_space(A, r).dim)
+    for vec in prev.basis:
+        w = spp.form(vec)
+        for i in range(sp1.dim):
+            b = sp1.basis_form(i)
+            red.add_dense(loop_product(b, w).coords())
+            red.add_dense(loop_product(w, b).coords())
+    return red.subspace()
+
+
+def loop_commutator_subspace(algebra, r):
+    """Span of w.h - (-1)^{ab} h.w over all basis pairs with a + b = r."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import RowReducer
+    red = RowReducer(form_space(algebra, r).dim)
+    for a in range(r + 1):
+        sa, sb = form_space(algebra, a), form_space(algebra, r - a)
+        sign = (-1) ** (a * (r - a))
+        for ia in range(sa.dim):
+            for ib in range(sb.dim):
+                w, h = sa.basis_form(ia), sb.basis_form(ib)
+                comm = loop_product(w, h) - loop_product(h, w).scale(sign)
+                red.add_dense(comm.coords())
+    return red.subspace()
+
+
+def loop_horizontal_forms(bundle, k):
+    """Degree-k span of w.h, w in the previous piece, h horizontal."""
+    from ncforms.connections import exact_span
+    from ncforms.forms import form_space
+    from ncforms.linalg import RowReducer
+    A = bundle.algebra
+    hor1 = exact_span(A, bundle.base).space
+    if k == 1:
+        return hor1
+    prev = loop_horizontal_forms(bundle, k - 1)
+    spp, sp1 = form_space(A, k - 1), form_space(A, 1)
+    red = RowReducer(form_space(A, k).dim)
+    for v in prev.basis:
+        for h in hor1.basis:
+            red.add_dense(loop_product(spp.form(v), sp1.form(h)).coords())
+    return red.subspace()

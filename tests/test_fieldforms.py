@@ -312,6 +312,28 @@ def test_decompose_rejects_non_derivation(algebras):
         decompose_derivation(D)
 
 
+def test_graded_leibniz_rejects_perturbations_in_positive_degree(algebras, bases):
+    # only mats[2] (resp. mats[1]) changes, so every failure comes from a
+    # pair of forms of positive total degree, where the (-1)^{ka} sign acts
+    rng = random.Random(83)
+    for name in ("dual", "truncpoly3", "m2"):
+        A = algebras[name]
+        fields = [identity_one_form(A)] + [
+            random_form(rng, bases[name][k], A, k) for k in (1, 2)]
+        for K in fields:
+            if K.is_zero():
+                continue
+            j = contraction(K, 3)
+            assert is_graded_derivation(j)
+            bumped = j.mats[2] + QMat.from_coo(j.mats[2].shape, [(0, 0, 1)])
+            assert not is_graded_derivation(
+                GradedDerivation(A, j.degree, {**j.mats, 2: bumped})), name
+            L = lie_operator(K, 2)
+            assert is_graded_derivation(L)
+            assert not is_graded_derivation(
+                GradedDerivation(A, L.degree, {**L.mats, 1: -L.mats[1]})), name
+
+
 # -- the operator identities ------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncforms
-from ncforms import algebra, connections, forms, hochschild, schouten
+from ncforms import algebra, connections, fieldforms, forms, hochschild, schouten
 from ncforms.algebra import matrix_algebra
 from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
@@ -469,7 +469,7 @@ def test_structural_indices_reject_out_of_range_digits():
 def test_no_private_codec_or_column_copies():
     banned = {"_cols_to_qmat", "_bar_flat", "_bar_tuple", "_flat",
               "_tuple_at", "_mat_rank", "rref", "nullspace_sparse",
-              "_matrix_kernel", "d_index"}
+              "_matrix_kernel", "d_index", "form_from_qmat", "project_base"}
     found = []
     for info in pkgutil.iter_modules(ncforms.__path__):
         mod = importlib.import_module(f"ncforms.{info.name}")
@@ -491,4 +491,18 @@ def test_linear_condition_builders_go_through_kron_rows():
     for fn in builders:
         src = inspect.getsource(fn)
         assert "kron_rows(" in src, fn.__qualname__
+        assert not [b for b in banned if b in src], fn.__qualname__
+
+
+def test_products_of_forms_go_through_the_block_kernel():
+    kernel_users = [forms.multiplicative_extension, forms.commutator_subspace,
+                    connections.ideal_component, connections.horizontal_forms,
+                    fieldforms.is_graded_derivation, fieldforms.contraction,
+                    fieldforms.FieldValuedForm.extension]
+    extended = [forms.omega_functor, connections.induced_endomorphism]
+    banned = ("product(", "basis_form(")
+    for fn in kernel_users + extended:
+        src = inspect.getsource(fn)
+        call = "products(" if fn in kernel_users else "multiplicative_extension("
+        assert call in src, fn.__qualname__
         assert not [b for b in banned if b in src], fn.__qualname__
