@@ -120,7 +120,7 @@ def ideal_component(dist: Distribution, r: int) -> Subspace:
     if r == 1:
         return dist.space
     prev = ideal_component(dist, r - 1)
-    P = QMat.from_columns(form_space(A, r - 1).dim, prev.basis)
+    P = prev.row_matrix().T
     one = QMat.eye(form_space(A, 1).dim)
     red = RowReducer(form_space(A, r).dim)
     for i in range(one.shape[1]):
@@ -286,8 +286,10 @@ def bimodule_endomorphism_space(algebra: Algebra) -> list[QMat]:
     # the unit acts as identity
     rows = itertools.chain.from_iterable(
         kron_rows([(M, n), (n, -M.T)])[1] for M in (*sp.left[1:], *sp.right[1:]))
-    return [QMat.from_rows([vec[i * n:(i + 1) * n] for i in range(n)])
-            for vec in nullspace(n * n, rows).basis]
+    ker = nullspace(n * n, rows)
+    # each matrix over its pivot entry: the canonical basis matrix, reduced
+    return [QMat.from_coo((n, n), ((c // n, c % n, v) for c, v in row.items()), row[p])
+            for p, row in zip(ker.pivots, ker.rows)]
 
 
 # polynomial helpers over Fraction, ascending coefficient lists
@@ -583,8 +585,8 @@ def horizontal_forms(bundle: Bundle, k: int) -> Subspace:
     if k == 1:
         return hor1
     prev = horizontal_forms(bundle, k - 1)
-    P = QMat.from_columns(form_space(A, k - 1).dim, prev.basis)
-    H = QMat.from_columns(form_space(A, 1).dim, hor1.basis)
+    P = prev.row_matrix().T
+    H = hor1.row_matrix().T
     red = RowReducer(form_space(A, k).dim)
     for c in range(P.shape[1]):
         red.add_columns(products(A, P.col(c), k - 1, H, 1))

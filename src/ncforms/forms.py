@@ -51,6 +51,7 @@ class FormSpace:
         self.dim = m * (m - 1) ** degree
         self._tail = (m - 1) ** degree
         self._dmat: Optional[QMat] = None
+        self._stacked: Optional[QMat] = None
         # right action of each basis element, built from the merge formula
         self.right = [self._right_action_matrix(b) for b in range(m)]
         # left action of e_i multiplies the leading coefficient only
@@ -119,6 +120,13 @@ class FormSpace:
                 for k, v in C[i0][word[0]]:
                     entries.append((self.index_of(k, word[1:]), idx, sign * v))
         return QMat.from_coo((self.dim, self.dim), entries, A.structure_den)
+
+    def stacked_right(self) -> QMat:
+        """R_0, ..., R_{m-1} stacked, (m * dim) x dim over one denominator
+        (memoized; the value is immutable)."""
+        if self._stacked is None:
+            self._stacked = qmat_hstack(self.dim, [R.T for R in self.right]).T
+        return self._stacked
 
     def left_action(self, a: Sequence[Fraction]) -> QMat:
         return qmat_sum([self.left[i].scale(v) for i, v in enumerate(a)])
@@ -225,18 +233,20 @@ def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int) -> QM
         P . Q = sum_p (R_p P) (x) (S_p Q),
 
     with R_p the right action of e_p on Omega_k and S_p Q the rows of Q with
-    leading index p: (omega)(e_p dJ) = (omega . e_p) dJ.  The Kronecker row
-    index a*(m-1)^l + t is the target word, and its column index i*s + j the
+    leading index p: (omega)(e_p dJ) = (omega . e_p) dJ.  The sum over p is
+    one integer matrix product, the stacked R_p P (one row per (a, i))
+    against Q (one column per (t, j)), whose entries are then moved to the
+    Kronecker row a*(m-1)^l + t, the target word, and column i*s + j, the
     pair, both big-endian.
     """
     left = form_space(algebra, k)
-    w = form_space(algebra, l)._tail
-    acc = QMat.zeros(left.dim * w, (left.dim if P is None else P.shape[1]) * Q.shape[1])
-    for p, R in enumerate(left.right):
-        SQ = QMat(Q.num[p * w:(p + 1) * w], Q.den)
-        if not SQ.is_zero():
-            acc = acc + (R if P is None else R @ P).kron(SQ)
-    return acc.reduced()
+    m, dim, w = algebra.dim, left.dim, form_space(algebra, l)._tail
+    RP = left.stacked_right() if P is None else left.stacked_right() @ P
+    r, s = RP.shape[1], Q.shape[1]
+    T = (QMat(RP.num.reshape(m, dim * r).T, RP.den)
+         @ QMat(Q.num.reshape(m, w * s), Q.den))
+    num = T.num.reshape(dim, r, w, s).transpose(0, 2, 1, 3).reshape(dim * w, r * s)
+    return QMat(num, T.den).reduced()
 
 
 def product(a: Form, b: Form) -> Form:
@@ -354,7 +364,7 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
         raise FormError(f"tensor power dimension {m ** n} exceeds cap {size_cap}")
     ker = nullspace(m ** n, multiplication_matrix(algebra, n).sparse_rows())
     k2 = nullspace(m * m, multiplication_matrix(algebra, 2).sparse_rows())
-    K2 = QMat.from_rows(k2.basis)
+    K2 = k2.row_matrix()
     red = RowReducer(m ** n)
     for i in range(n - 1):
         for row in kron_rows([(m ** i, K2, m ** (n - 2 - i))])[1]:

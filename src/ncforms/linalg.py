@@ -3,14 +3,13 @@
 Everything in this package reduces to linear algebra over the rationals.
 Two representations are used:
 
-* ``Fraction`` rows / :class:`Subspace` — the contract-level view.  A
-  subspace is stored as its reduced row echelon basis (pivots ascending,
-  pivot entries 1, pivot columns cleared), which is unique, so subspace
-  equality is tuple equality.
+* :class:`Subspace` — the contract-level view: its unique basis as
+  primitive integer rows, read as the reduced row echelon form over
+  ``Fraction`` (pivots ascending, pivot entries 1, pivot columns cleared).
 * :class:`QMat` — a dense matrix as an integer numpy array plus one positive
-  denominator.  Integer matrix products run at C speed; the array dtype is
-  promoted from int64 to Python objects before any operation whose result
-  could exceed 2**62, so results are always exact.
+  denominator.  Integer matrix products run at C speed; an operation whose
+  result could exceed 2**62 first reduces its operands, then if need be
+  promotes them from int64 to Python objects, so results are always exact.
 
 Four conventions are fixed here and nowhere else:
 
@@ -25,8 +24,9 @@ Four conventions are fixed here and nowhere else:
   :func:`qmat_hstack`.  :meth:`QMat.from_columns` is kept for genuine
   ``Fraction`` data.  All three return the reduced (num, den).
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
-  :class:`RowReducer`; :meth:`RowReducer.subspace` and :func:`nullspace`
-  hand out canonical subspaces without a second reduction.
+  :class:`RowReducer`, fraction-free: primitive integer rows in echelon
+  form, eliminated by cross-multiplying and back-substituted once on read.
+  ``Fraction`` values are built only when a basis or coset is read.
 * Linear conditions.  A system whose matrix is a sum of Kronecker products
   of action matrices (derivations, bimodule maps, cocycles,
   polyderivations, commutants, tensor relations, tensor spans) is written
@@ -42,8 +42,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-
-Scalar = Fraction
 
 _INT64_SAFE = 2 ** 62
 
@@ -111,56 +109,73 @@ def digits_at(idx: int, base: int, length: int, lo: int = 0) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class RowReducer:
-    """Incremental sparse RREF accumulator.
+def _integer_row(row: dict) -> tuple[int, dict[int, int]]:
+    """(den, den * row) without zeros, den the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    if den == 1:
+        return 1, {c: int(v) for c, v in row.items() if v}
+    return den, {c: v.numerator * (den // v.denominator)
+                 for c, v in row.items() if v}
 
-    Rows are dicts {column: value} with int or Fraction values.  The stored
-    rows always form a reduced echelon basis over Fraction (monic pivots,
-    pivot columns cleared in all other rows), so ``basis()`` is canonical.
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> int:
+    """Clear column c of row in place: row <- s * row - f * prow, with
+    f / s = row[c] / prow[c] in lowest terms (prow[c] > 0); returns s."""
+    g = math.gcd(row[c], prow[c])
+    f, s = row[c] // g, prow[c] // g
+    if s != 1:
+        for cc in row:
+            row[cc] *= s
+    for cc, vv in prow.items():
+        nv = row.get(cc, 0) - f * vv
+        if nv:
+            row[cc] = nv
+        else:
+            del row[cc]
+    return s
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """row divided by its content, signed so that row[lead] > 0."""
+    g = math.gcd(*row.values()) if row[lead] > 0 else -math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+class RowReducer:
+    """Incremental sparse fraction-free row echelon accumulator.
+
+    Rows are dicts {column: value} with int or Fraction values, scaled to
+    integers on entry.  A new row is reduced only until its leading column
+    is not a pivot, then stored primitive (content 1, positive pivot
+    entry).  The first read after a batch of adds clears every pivot column
+    from the other rows, once; divided by their pivot entries, those rows
+    are the canonical RREF.  Only ``basis``, ``subspace`` (through
+    :attr:`Subspace.basis`) and ``reduce_dense`` build ``Fraction`` values.
     """
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._reduced = True
 
-    def _reduce(self, row: dict) -> dict:
-        # Eliminate every pivot coordinate (not just leading ones), so the
-        # result is the canonical coset representative: supported on free
-        # columns only.  Stored rows touch only their own pivot plus free
-        # columns, so each subtraction below removes one pivot coordinate
-        # and introduces none.
-        row = {c: v for c, v in row.items() if v != 0}
-        while True:
-            hit = min((c for c in row if c in self.rows), default=None)
-            if hit is None:
-                return row
-            f = row[hit]
-            for cc, vv in self.rows[hit].items():
-                nv = row.get(cc, Fraction(0)) - f * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        # in echelon form: in the span iff clearing leading pivots ends at 0
+        rows = self._rows
+        while row:
+            c = min(row)
+            if c not in rows:
+                break
+            _eliminate(row, rows[c], c)
+        return row
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        row = self._reduce(row)
+        row = self._reduce(_integer_row(row)[1])
         if not row:
             return False
         c = min(row)
-        inv = Fraction(1) / row[c]          # 1 / int would be a float
-        row = {cc: vv * inv for cc, vv in row.items()}
-        # clear the new pivot column from existing rows
-        for pc, prow in self.rows.items():
-            f = prow.get(c)
-            if f:
-                for cc, vv in row.items():
-                    nv = prow.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
-        self.rows[c] = row
+        self._rows[c] = _primitive(row, c)
+        self._reduced = False
         return True
 
     def add_columns(self, mat: "QMat") -> None:
@@ -169,54 +184,82 @@ class RowReducer:
             self.add(col)
 
     def add_dense(self, row: Iterable) -> bool:
-        return self.add({i: Fraction(v) for i, v in enumerate(row) if v})
+        return self.add(dict(enumerate(row)))
 
     def contains(self, row: Iterable) -> bool:
-        return not self._reduce({i: Fraction(v) for i, v in enumerate(row) if v})
+        return not self._reduce(_integer_row(dict(enumerate(row)))[1])
 
     def reduce_dense(self, row: Iterable) -> list[Fraction]:
-        red = self._reduce({i: Fraction(v) for i, v in enumerate(row) if v})
+        """The canonical representative of row modulo the span (0 at pivots)."""
+        self.int_rows()
+        rows, (den, vec) = self._rows, _integer_row(dict(enumerate(row)))
+        # reduced rows hold no other pivot column, so the hits stay fixed
+        for c in [c for c in vec if c in rows]:
+            den *= _eliminate(vec, rows[c], c)
         out = [Fraction(0)] * self.ambient
-        for c, v in red.items():
-            out[c] = v
+        for c, v in vec.items():
+            out[c] = Fraction(v, den)
         return out
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> list[list[Fraction]]:
-        out = []
-        for c in sorted(self.rows):
-            dense = [Fraction(0)] * self.ambient
-            for cc, vv in self.rows[c].items():
-                dense[cc] = vv
-            out.append(dense)
-        return out
+        return len(self._rows)
 
     def pivots(self) -> list[int]:
-        return sorted(self.rows)
+        return sorted(self._rows)
+
+    def int_rows(self) -> list[dict[int, int]]:
+        """The canonical basis as primitive integer rows, by ascending pivot;
+        the first call after adds runs the back substitution."""
+        rows = self._rows
+        if not self._reduced:
+            for p in sorted(rows, reverse=True):   # later rows are reduced
+                hits = [c for c in rows[p] if c != p and c in rows]
+                if hits:
+                    row = dict(rows[p])            # Subspaces share rows
+                    for c in hits:
+                        _eliminate(row, rows[c], c)
+                    rows[p] = _primitive(row, p)
+            self._reduced = True
+        return [rows[p] for p in sorted(rows)]
+
+    def basis(self) -> list[list[Fraction]]:
+        """The canonical RREF basis over Fraction."""
+        return [list(vec) for vec in self.subspace().basis]
 
     def subspace(self) -> "Subspace":
         """The span of the rows added so far."""
-        return Subspace(self.ambient, self.basis(), self.pivots())
+        return Subspace(self.ambient, self.int_rows(), self.pivots())
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF basis) form.
+    """A linear subspace of Q^n in canonical form.
 
-    The constructor stores a basis that is already canonical; every
-    producer (:meth:`RowReducer.subspace`, :func:`nullspace`, the
-    classmethods below) hands it one.
+    ``rows`` is the canonical basis as primitive integer rows {col: int}
+    (content 1, positive pivot entry) by ascending pivot; ``basis``, built
+    on first read, is the same basis as the RREF over Fraction.  Both are
+    unique, so subspace equality is row equality.  The producers
+    (:meth:`RowReducer.subspace`, :func:`nullspace`) pass canonical rows.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "_basis")
 
-    def __init__(self, ambient: int, basis: Sequence[Sequence[Fraction]],
+    def __init__(self, ambient: int, rows: Sequence[dict[int, int]],
                  pivots: Sequence[int]):
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in basis)
+        self.rows = tuple(rows)
         self.pivots = tuple(pivots)
+        self._basis: Optional[tuple[tuple[Fraction, ...], ...]] = None
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._basis is None:
+            dense = [[Fraction(0)] * self.ambient for _ in self.rows]
+            for vec, p, row in zip(dense, self.pivots, self.rows):
+                for c, v in row.items():
+                    vec[c] = Fraction(v, row[p])
+            self._basis = tuple(map(tuple, dense))
+        return self._basis
 
     @classmethod
     def from_generators(cls, ambient: int, gens: Iterable[Sequence]) -> "Subspace":
@@ -235,56 +278,42 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def row_matrix(self) -> "QMat":
+        """The integer rows as a dim x ambient QMat: the same row space."""
+        return QMat.from_coo((self.dim, self.ambient), (
+            (i, c, v) for i, row in enumerate(self.rows) for c, v in row.items()))
 
     def contains(self, vec: Sequence) -> bool:
-        red = self._reducer()
-        return red.contains(vec)
+        return self._reducer().contains(vec)
 
     def _reducer(self) -> RowReducer:
         red = RowReducer(self.ambient)
-        red.rows = {p: {c: v for c, v in enumerate(row) if v}
-                    for p, row in zip(self.pivots, self.basis)}
+        red._rows = dict(zip(self.pivots, self.rows))
         return red
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         red = other._reducer()
-        return all(red.contains(row) for row in self.basis)
+        return not any(red._reduce(dict(row)) for row in self.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise LinAlgError("subspace sum: ambient dimensions differ")
         red = self._reducer()
-        for row in other.basis:
-            red.add_dense(row)
+        for row in other.rows:
+            red.add(row)
         return red.subspace()
 
     __add__ = add
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-free intersection: x in both row spaces."""
+        """The vectors in both: the annihilator of the sum of the two
+        annihilators (each the kernel of the other's rows as equations)."""
         if self.ambient != other.ambient:
             raise LinAlgError("subspace intersection: ambient dimensions differ")
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient)
-        # solve alpha^T * self.basis = beta^T * other.basis
-        k1, k2 = self.dim, other.dim
-        rows = []
-        for col in range(self.ambient):
-            row = {i: b[col] for i, b in enumerate(self.basis) if b[col]}
-            row.update((k1 + j, -b[col]) for j, b in enumerate(other.basis)
-                       if b[col])
-            rows.append(row)
-        ns = nullspace(k1 + k2, rows)
-        gens = []
-        for sol in ns.basis:
-            vec = [Fraction(0)] * self.ambient
-            for i in range(k1):
-                if sol[i]:
-                    for c in range(self.ambient):
-                        vec[c] += sol[i] * self.basis[i][c]
-            gens.append(vec)
-        return Subspace.from_generators(self.ambient, gens)
+        n = self.ambient
+        return nullspace(n, nullspace(n, self.rows).rows + nullspace(n, other.rows).rows)
 
     def quotient_dim(self, sub: "Subspace") -> int:
         if not sub.is_subspace_of(self):
@@ -293,10 +322,11 @@ class Subspace:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.pivots,
+                     tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -315,23 +345,25 @@ def nullspace(ncols: int, rows: Iterable[dict]) -> Subspace:
     Columns are eliminated last to first (column c is reduced as
     ncols-1-c), so each reduced row solves for its highest column p in
     terms of lower free columns.  The kernel vectors
-    e_f - sum_p row_p[f] e_p, one per free column f, then lead at f and
-    are zero at every other free column: they already are the canonical
-    basis, with pivots at the free columns.
+    e_f - sum_p (row_p[f] / row_p[p]) e_p, one per free column f, lead at f
+    and vanish at every other free column: made primitive, they are the
+    canonical rows.
     """
     last = ncols - 1
     red = RowReducer(ncols)
     for row in rows:
         red.add({last - c: v for c, v in row.items()})
-    kernel = {f: [Fraction(0)] * ncols for f in range(ncols)
-              if last - f not in red.rows}
-    for f, vec in kernel.items():
-        vec[f] = Fraction(1)
-    for q, prow in red.rows.items():
+    terms: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(ncols) if last - f not in red._rows}
+    for q, prow in zip(red.pivots(), red.int_rows()):
         for c, v in prow.items():
             if c != q:
-                kernel[last - c][last - q] = -v
-    return Subspace(ncols, list(kernel.values()), list(kernel))
+                terms[last - c].append((last - q, v, prow[q]))
+    kernel = []
+    for f, ts in terms.items():
+        lead = math.lcm(*(b for _, _, b in ts))
+        kernel.append(_primitive({f: lead, **{p: -v * (lead // b) for p, v, b in ts}}, f))
+    return Subspace(ncols, kernel, list(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +434,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fract
     red = RowReducer(ncols + 1)
     for r, v in zip(rows, rhs):
         red.add_dense([*r, v])
-    if ncols in red.rows:
+    if ncols in red.pivots():
         return None
     sol = [Fraction(0)] * ncols
-    for p, row in red.rows.items():
-        sol[p] = row.get(ncols, Fraction(0))
+    for p, row in zip(red.pivots(), red.int_rows()):
+        sol[p] = Fraction(row.get(ncols, 0), row[p])
     return sol
 
 
@@ -415,18 +447,22 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fract
 # ---------------------------------------------------------------------------
 
 
-def _as_object(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return a
-    return a.astype(object)
-
-
 def _max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    if a.dtype == object:
-        return max((abs(int(v)) for v in a.flat), default=0)
-    return int(np.max(np.abs(a)))
+    return int(abs(a).max()) if a.size else 0
+
+
+def _exact_pair(x: "QMat", y: "QMat", bound) -> tuple["QMat", "QMat"]:
+    """x and y for an integer operation with entries at most bound(x, y):
+    int64 while that is below 2**62, reducing both if need be; otherwise
+    both with object numerators."""
+    if x.num.dtype != object and y.num.dtype != object:
+        if bound(x, y) < _INT64_SAFE:
+            return x, y
+        x, y = x.reduced(), y.reduced()
+        if bound(x, y) < _INT64_SAFE:
+            return x, y
+    return (QMat(np.asarray(x.num, dtype=object), x.den),
+            QMat(np.asarray(y.num, dtype=object), y.den))
 
 
 class QMat:
@@ -455,10 +491,7 @@ class QMat:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMat":
         fr = [[Fraction(v) for v in r] for r in rows]
-        den = 1
-        for r in fr:
-            for v in r:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for r in fr for v in r))
         ints = [[int(v * den) for v in r] for r in fr]
         big = max((abs(v) for r in ints for v in r), default=0)
         dtype = object if big >= _INT64_SAFE else np.int64
@@ -530,8 +563,6 @@ class QMat:
                 for row in self.num]
 
     def is_zero(self) -> bool:
-        if self.num.dtype == object:
-            return all(int(v) == 0 for v in self.num.flat)
         return not self.num.any()
 
     def __eq__(self, other: object) -> bool:
@@ -547,16 +578,12 @@ class QMat:
     # -- arithmetic ----------------------------------------------------------
 
     def _aligned(self, other: "QMat") -> tuple[np.ndarray, np.ndarray, int]:
-        l = self.den * other.den // math.gcd(self.den, other.den)
-        fa, fb = l // self.den, l // other.den
-        a, b = self.num, other.num
-        if a.dtype != object and b.dtype != object:
-            bound = max(_max_abs(a) * fa, _max_abs(b) * fb)
-            if bound * 2 >= _INT64_SAFE:
-                a, b = _as_object(a), _as_object(b)
-        elif a.dtype == object or b.dtype == object:
-            a, b = _as_object(a), _as_object(b)
-        return a * fa, b * fb, l
+        def bound(x: QMat, y: QMat) -> int:
+            l = math.lcm(x.den, y.den)
+            return 2 * max(_max_abs(x.num) * (l // x.den), _max_abs(y.num) * (l // y.den))
+        x, y = _exact_pair(self, other, bound)
+        l = math.lcm(x.den, y.den)
+        return x.num * (l // x.den), y.num * (l // y.den), l
 
     def __add__(self, other: "QMat") -> "QMat":
         a, b, l = self._aligned(other)
@@ -571,30 +598,18 @@ class QMat:
 
     def scale(self, c) -> "QMat":
         c = Fraction(c)
-        num, den = self.num, self.den * c.denominator
-        if num.dtype != object:
-            if _max_abs(num) * abs(c.numerator) >= _INT64_SAFE:
-                num = _as_object(num)
-        return QMat(num * c.numerator, den)
+        x, y = _exact_pair(self, QMat(np.array([[c.numerator]])),
+                           lambda x, y: _max_abs(x.num) * _max_abs(y.num))
+        return QMat(x.num * y.num[0, 0], x.den * c.denominator)
 
     def __matmul__(self, other: "QMat") -> "QMat":
-        a, b = self.num, other.num
-        if a.dtype != object and b.dtype != object:
-            bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-            if bound >= _INT64_SAFE:
-                a, b = _as_object(a), _as_object(b)
-        elif a.dtype == object or b.dtype == object:
-            a, b = _as_object(a), _as_object(b)
-        return QMat(np.dot(a, b), self.den * other.den)
+        x, y = _exact_pair(self, other,
+                           lambda x, y: x.shape[1] * _max_abs(x.num) * _max_abs(y.num))
+        return QMat(np.dot(x.num, y.num), x.den * y.den)
 
     def kron(self, other: "QMat") -> "QMat":
-        a, b = self.num, other.num
-        if a.dtype != object and b.dtype != object:
-            if _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
-                a, b = _as_object(a), _as_object(b)
-        elif a.dtype == object or b.dtype == object:
-            a, b = _as_object(a), _as_object(b)
-        return QMat(np.kron(a, b), self.den * other.den)
+        x, y = _exact_pair(self, other, lambda x, y: _max_abs(x.num) * _max_abs(y.num))
+        return QMat(np.kron(x.num, y.num), x.den * y.den)
 
     @property
     def T(self) -> "QMat":
@@ -620,8 +635,7 @@ def qmat_inverse(mat: QMat) -> QMat:
         red.add({**row, n + i: 1})
     if red.pivots()[:n] != list(range(n)):
         raise LinAlgError("matrix is singular")
-    return QMat.from_rows([[mat.den * red.rows[i].get(n + j, 0)
-                            for j in range(n)] for i in range(n)])
+    return QMat.from_rows([[mat.den * v for v in row[n:]] for row in red.basis()])
 
 
 def qmat_sum(mats: Iterable[QMat]) -> QMat:

@@ -419,3 +419,120 @@ def loop_horizontal_forms(bundle, k):
         for h in hor1.basis:
             red.add_dense(loop_product(spp.form(v), sp1.form(h)).coords())
     return red.subspace()
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination over Fraction: the RowReducer that keeps a fully
+# reduced basis of Fraction dicts and divides at every pivot, with the
+# subspace operations and the kernel built on it.  ncforms.linalg eliminates
+# fraction-free on integer rows; these must agree with it exactly.
+# ---------------------------------------------------------------------------
+
+
+class FractionRowReducer:
+    """Incremental sparse RREF over Fraction: rows {column: value}."""
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = {}
+
+    def _reduce(self, row):
+        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        while True:
+            hit = min((c for c in row if c in self.rows), default=None)
+            if hit is None:
+                return row
+            f = row[hit]
+            for cc, vv in self.rows[hit].items():
+                nv = row.get(cc, Fraction(0)) - f * vv
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+
+    def add(self, row):
+        row = self._reduce(row)
+        if not row:
+            return False
+        c = min(row)
+        inv = 1 / row[c]
+        row = {cc: vv * inv for cc, vv in row.items()}
+        for prow in self.rows.values():
+            f = prow.get(c)
+            if f:
+                for cc, vv in row.items():
+                    nv = prow.get(cc, Fraction(0)) - f * vv
+                    if nv:
+                        prow[cc] = nv
+                    else:
+                        prow.pop(cc, None)
+        self.rows[c] = row
+        return True
+
+    def add_dense(self, row):
+        return self.add(dict(enumerate(row)))
+
+    def contains(self, row):
+        return not self._reduce(dict(enumerate(row)))
+
+    def reduce_dense(self, row):
+        out = [Fraction(0)] * self.ambient
+        for c, v in self._reduce(dict(enumerate(row))).items():
+            out[c] = v
+        return out
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def basis(self):
+        out = []
+        for c in sorted(self.rows):
+            dense = [Fraction(0)] * self.ambient
+            for cc, vv in self.rows[c].items():
+                dense[cc] = vv
+            out.append(dense)
+        return out
+
+
+def fraction_span(ambient, rows):
+    """(basis, pivots) of the span of dense rows."""
+    red = FractionRowReducer(ambient)
+    for r in rows:
+        red.add_dense(r)
+    return red.basis(), red.pivots()
+
+
+def fraction_nullspace(ncols, rows):
+    """(basis, pivots) of the canonical kernel of sparse rows {col: value}."""
+    last = ncols - 1
+    red = FractionRowReducer(ncols)
+    for row in rows:
+        red.add({last - c: v for c, v in row.items()})
+    kernel = {f: [Fraction(0)] * ncols for f in range(ncols)
+              if last - f not in red.rows}
+    for f, vec in kernel.items():
+        vec[f] = Fraction(1)
+    for q, prow in red.rows.items():
+        for c, v in prow.items():
+            if c != q:
+                kernel[last - c][last - q] = -v
+    return list(kernel.values()), list(kernel)
+
+
+def fraction_intersection(ambient, basis_a, basis_b):
+    """(basis, pivots) of the intersection of two row spaces: the x with
+    alpha^T A = x = beta^T B, from the kernel of [A^T | -B^T]."""
+    if not basis_a or not basis_b:
+        return [], []
+    k1 = len(basis_a)
+    eqs = [{**{i: a[c] for i, a in enumerate(basis_a) if a[c]},
+            **{k1 + j: -b[c] for j, b in enumerate(basis_b) if b[c]}}
+           for c in range(ambient)]
+    sols, _ = fraction_nullspace(k1 + len(basis_b), eqs)
+    return fraction_span(ambient, [
+        [sum((sol[i] * basis_a[i][c] for i in range(k1)), Fraction(0))
+         for c in range(ambient)] for sol in sols])

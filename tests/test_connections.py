@@ -1,5 +1,6 @@
 """Distributions, projections with curvature, bundles and connections."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from ncforms.forms import form_space
 from ncforms.linalg import QMat, Subspace
 from oracles import sympy_commutant_dim
 from test_algebra import catalog, upper_triangular2
+from test_forms import _algebras
 
 F = Fraction
 
@@ -101,6 +103,17 @@ def test_ideal_component_of_full_is_full(algebras):
 # -- the endomorphism space -------------------------------------------------
 
 
+def _assert_canonical_endomorphisms(n, ours):
+    """ours spans the identity and is the canonical (RREF) basis of its
+    span, in order, each matrix reduced."""
+    eye = QMat.eye(n)
+    flat = [[E.entry(i, j) for i in range(n) for j in range(n)] for E in ours]
+    span = Subspace.from_generators(n * n, flat)
+    assert span.contains([eye.entry(i, j) for i in range(n) for j in range(n)])
+    assert flat == [list(v) for v in span.basis]
+    assert all(math.gcd(E.den, *map(int, E.num.flat)) == 1 for E in ours)
+
+
 def test_endomorphism_space_dims_match_sympy(algebras):
     for name in ("dual", "truncpoly3", "kxk", "m2", "kc2", "upper2"):
         A = algebras[name]
@@ -109,13 +122,15 @@ def test_endomorphism_space_dims_match_sympy(algebras):
         mats = [M.to_fraction_rows() for M in sp.left[1:]] + \
                [M.to_fraction_rows() for M in sp.right[1:]]
         assert len(ours) == sympy_commutant_dim(mats, sp.dim)
-        eye = QMat.eye(sp.dim)
-        span = Subspace.from_generators(
-            sp.dim ** 2,
-            [[E.entry(i, j) for i in range(sp.dim) for j in range(sp.dim)]
-             for E in ours])
-        assert span.contains([eye.entry(i, j) for i in range(sp.dim)
-                              for j in range(sp.dim)])
+        _assert_canonical_endomorphisms(sp.dim, ours)
+
+
+def test_endomorphism_space_over_fractional_constants(algebras):
+    # m2 in the basis e2 = 2 E12, e3 = E21/3: kernel rows whose pivot
+    # entries are not 1
+    ours = bimodule_endomorphism_space(_algebras()["m2frac"])
+    assert len(ours) == len(bimodule_endomorphism_space(algebras["m2"]))
+    _assert_canonical_endomorphisms(form_space(algebras["m2"], 1).dim, ours)
 
 
 def test_endomorphisms_commute_with_actions(algebras):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncforms
-from ncforms import algebra, connections, fieldforms, forms, hochschild, schouten
+from ncforms import algebra, connections, fieldforms, forms, hochschild, linalg, schouten
 from ncforms.algebra import matrix_algebra
 from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
@@ -24,7 +25,10 @@ from ncforms.linalg import (
     qmat_inverse, qmat_sum, rank, solve_linear, subspace_from_columns,
 )
 from ncforms.schouten import MultiMap
-from oracles import bareiss_rank, sympy_nullspace_dim, sympy_rank, sympy_rref
+from oracles import (
+    FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
+    fraction_span, sympy_nullspace_dim, sympy_rank, sympy_rref,
+)
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_matrix = st.lists(
@@ -161,6 +165,139 @@ def test_row_reducer_clears_trailing_pivot_columns():
     assert a == b
 
 
+# entries small, rational, or >= 2**62 (no longer fits int64 products)
+mixed_st = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st,
+                     st.integers(-3, 3), st.integers(2 ** 62, 2 ** 66),
+                     st.integers(2 ** 62, 2 ** 66).map(lambda v: Fraction(-v, 3)))
+_READS = ("contains", "reduce_dense", "basis", "subspace")
+
+
+def _assert_canonical(sub):
+    """Primitive integer rows, positive pivots, divided out = the basis."""
+    assert len(sub.rows) == len(sub.basis) == len(sub.pivots)
+    for p, row, vec in zip(sub.pivots, sub.rows, sub.basis):
+        assert min(row) == p and row[p] > 0 and math.gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
+        assert [Fraction(row.get(c, 0), row[p]) for c in range(sub.ambient)] == list(vec)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_reducer_matches_fraction_reference(n, data):
+    """Interleaved adds and reads: equal answers from the fraction-free
+    reducer and the Fraction one, and the same canonical basis as sympy;
+    reading in the middle does not change what later calls return."""
+    ops = data.draw(st.lists(st.sampled_from(
+        ("add", "add_dense", "add_columns") + _READS), max_size=12))
+    red, ref, unread = RowReducer(n), FractionRowReducer(n), RowReducer(n)
+    added = []
+    for op in ops:
+        if op == "add_columns":
+            cols = data.draw(st.lists(st.lists(mixed_st, min_size=n, max_size=n),
+                                      min_size=1, max_size=3))
+            mat = QMat.from_columns(n, cols)
+            red.add_columns(mat)
+            unread.add_columns(mat)
+            for col in cols:
+                ref.add_dense(col)
+            added += cols
+            continue
+        row = data.draw(st.lists(mixed_st, min_size=n, max_size=n))
+        if op == "add":
+            sparse = {c: v for c, v in enumerate(row) if v}
+            assert red.add(sparse) == ref.add(sparse) == unread.add(sparse)
+            added.append(row)
+        elif op == "add_dense":
+            assert red.add_dense(row) == ref.add_dense(row) == unread.add_dense(row)
+            added.append(row)
+        elif op == "contains":
+            assert red.contains(row) == ref.contains(row)
+        elif op == "reduce_dense":
+            assert red.reduce_dense(row) == ref.reduce_dense(row)
+        elif op == "basis":
+            assert red.basis() == ref.basis()
+        else:
+            sub = red.subspace()
+            _assert_canonical(sub)
+            assert [list(v) for v in sub.basis] == ref.basis()
+            assert list(sub.pivots) == ref.pivots()
+        assert red.pivots() == ref.pivots() and red.dim == ref.dim
+    assert unread.basis() == red.basis() == ref.basis()
+    assert unread.subspace() == red.subspace()
+    if added:
+        want, piv = sympy_rref(added)
+        assert red.basis() == want and tuple(red.pivots()) == piv
+
+
+def test_row_reducer_reads_with_non_unit_pivots():
+    # primitive rows whose pivot entries are not 1, read before and after
+    # one more add: every read divides them out as the reference does
+    red, ref = RowReducer(4), FractionRowReducer(4)
+    for row in ([2, 1, 0, 0], [0, 3, 1, 0]):
+        assert red.add_dense(row) and ref.add_dense(row)
+    probe = [1, 1, 1, Fraction(1, 2)]
+    assert red.reduce_dense(probe) == ref.reduce_dense(probe)
+    assert red.basis() == ref.basis()
+    assert red.add_dense([0, 0, 5, 2]) and ref.add_dense([0, 0, 5, 2])
+    assert red.reduce_dense(probe) == ref.reduce_dense(probe)
+    assert red.basis() == ref.basis() == sympy_rref(
+        [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 2]])[0]
+    assert red.contains([2, 4, 1 + 5, 2]) and not red.contains(probe[:3] + [0])
+
+
+def _subspace_st(n):
+    return st.lists(st.lists(mixed_st, min_size=n, max_size=n), max_size=4)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subspace_operations_match_fraction_reference(n, data):
+    gens_a, gens_b = data.draw(_subspace_st(n)), data.draw(_subspace_st(n))
+    a, b = Subspace.from_generators(n, gens_a), Subspace.from_generators(n, gens_b)
+    basis_a, basis_b = fraction_span(n, gens_a)[0], fraction_span(n, gens_b)[0]
+    for sub, gens in ((a, gens_a), (b, gens_b), (a + b, gens_a + gens_b)):
+        _assert_canonical(sub)
+        assert ([list(v) for v in sub.basis], list(sub.pivots)) == fraction_span(n, gens)
+    inter = a.intersect(b)
+    _assert_canonical(inter)
+    assert ([list(v) for v in inter.basis], list(inter.pivots)) == \
+        fraction_intersection(n, basis_a, basis_b)
+    ref_b = FractionRowReducer(n)
+    for v in basis_b:
+        ref_b.add_dense(v)
+    assert a.is_subspace_of(b) == all(ref_b.contains(v) for v in basis_a)
+    assert inter.is_subspace_of(a) and inter.is_subspace_of(b)
+    # the kernel of the generators of a as equations
+    eqs = [{c: v for c, v in enumerate(g) if v} for g in gens_a]
+    ker = nullspace(n, eqs)
+    _assert_canonical(ker)
+    assert ([list(v) for v in ker.basis], list(ker.pivots)) == fraction_nullspace(n, eqs)
+    # equal subspaces hash alike, whatever the generators
+    again = Subspace.from_generators(n, [[3 * v for v in g] for g in reversed(gens_a)])
+    assert again == a and hash(again) == hash(a)
+
+
+def test_row_reducer_builds_no_fraction_before_a_read(monkeypatch):
+    rows = [[1, 2, Fraction(1, 3)], [2 ** 70, 0, 1], [Fraction(2, 7), 4, 2 ** 63]]
+    column = QMat.from_rows([[1], [Fraction(1, 2)], [0]])
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    red = RowReducer(3)
+    for r in rows:
+        red.add_dense(r)
+    red.add({0: Fraction(5, 2), 2: 1})
+    red.add_columns(column)
+    assert red.contains([1, 2, Fraction(1, 3)]) and red.dim == 3
+    assert red.pivots() == [0, 1, 2] and red.subspace().dim == 3
+    assert not made
+    assert red.basis() and made
+
+
 def test_qmat_inverse():
     m = QMat.from_rows([[1, 2], [3, Fraction(1, 2)]])
     inv = qmat_inverse(m)
@@ -276,6 +413,21 @@ def test_qmat_overflow_promotes_to_exact():
     assert s.entry(0, 0) == Fraction(big * big)
     t = a + a.scale(big)
     assert t.entry(0, 0) == Fraction(big + big * big)
+
+
+def test_qmat_reduces_before_promoting():
+    # over den 3 the numerators break the int64 bound of each operation;
+    # reduced they do not, and every result is integral
+    a = QMat(np.array([[3 * 2 ** 30, 3]], dtype=np.int64), 3)
+    b = QMat(np.array([[3 * 2 ** 30], [0]], dtype=np.int64), 3)
+    c = QMat(np.array([[3 * 2 ** 60]], dtype=np.int64), 3)
+    for got, want in ((a @ b, [[2 ** 60]]), (a.kron(b), [[2 ** 60, 2 ** 30], [0, 0]]),
+                      (c + c, [[2 ** 61]]), (a.scale(2 ** 31), [[2 ** 61, 2 ** 31]])):
+        assert got.num.dtype == np.int64 and got.den == 1
+        assert got.num.tolist() == want
+    # what still breaks the bound once reduced is promoted
+    big = QMat(np.array([[2 ** 40]], dtype=np.int64), 1)
+    assert (big @ big).num.dtype == object and (big @ big).entry(0, 0) == 2 ** 80
 
 
 def test_qmat_kron_matches_definition():
@@ -506,3 +658,17 @@ def test_products_of_forms_go_through_the_block_kernel():
         call = "products(" if fn in kernel_users else "multiplicative_extension("
         assert call in src, fn.__qualname__
         assert not [b for b in banned if b in src], fn.__qualname__
+
+
+def test_elimination_stays_on_integer_rows():
+    readers = {"basis", "subspace", "reduce_dense"}
+    helpers = [linalg._integer_row, linalg._eliminate, linalg._primitive]
+    members = [(name, getattr(m, "fget", m)) for name, m in vars(RowReducer).items()
+               if inspect.isfunction(getattr(m, "fget", m)) and name not in readers]
+    for name, fn in members + [(f.__name__, f) for f in helpers]:
+        assert "Fraction(" not in inspect.getsource(fn), name
+    assert ".kron(" not in inspect.getsource(forms.products)
+    for fn in (connections.ideal_component, forms.kernel_of_mu_n,
+               connections.bimodule_endomorphism_space):
+        src = inspect.getsource(fn)
+        assert not re.search(r"from_(columns|rows)\([^\n]*\.basis", src), fn.__qualname__
