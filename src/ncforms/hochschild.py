@@ -341,12 +341,6 @@ class TensorBimodule(Bimodule):
             raise HochschildError("middle tuple length mismatch")
         return (i * _bar_dim(m, self.middles) + flat_index(J, m - 1, 1)) * m + l
 
-    def tuple_of(self, idx: int) -> tuple[int, tuple[int, ...], int]:
-        m = self.algebra.dim
-        idx, l = divmod(idx, m)
-        i, flat = divmod(idx, _bar_dim(m, self.middles))
-        return i, digits_at(flat, m - 1, self.middles, 1), l
-
 
 def tensor_module(algebra: Algebra, n: int) -> TensorBimodule:
     return TensorBimodule(algebra, n)
@@ -358,17 +352,17 @@ def tensor_hom_from_values(tensor: TensorBimodule, module: Bimodule,
 
     The tensor bimodule is free on those generators: (i, J, l) maps to
     e_i . values(J) . e_l.  ``values`` has one column per middle tuple.
+    One block L_i R_l values per pair (i, l); block column J goes to column
+    (i * mid + J) * m + l.
     """
     m = tensor.algebra.dim
     mid = _bar_dim(m, tensor.middles)
     if values.shape != (module.dim, mid):
         raise HochschildError("generator value matrix shape mismatch")
-    cols = []
-    for idx in range(tensor.dim):
-        i, J, l = tensor.tuple_of(idx)
-        cols.append(module.left[i] @ module.right[l] @ values.col(
-            flat_index(J, m - 1, 1)))
-    return qmat_hstack(module.dim, cols)
+    blocks = qmat_hstack(module.dim, [L @ R @ values for L in module.left
+                                      for R in module.right])
+    num = blocks.num.reshape(module.dim, m, m, mid).transpose(0, 1, 3, 2)
+    return QMat(num.reshape(module.dim, tensor.dim), blocks.den)
 
 
 def tensor_hom_basis(tensor: TensorBimodule, module: Bimodule) -> list[QMat]:

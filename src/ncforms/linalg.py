@@ -110,7 +110,10 @@ def digits_at(idx: int, base: int, length: int, lo: int = 0) -> tuple[int, ...]:
 
 
 def _integer_row(row: dict) -> tuple[int, dict[int, int]]:
-    """(den, den * row) without zeros, den the lcm of the denominators."""
+    """(den, den * row) as a new dict without zeros, den the lcm of the
+    denominators; a row of nonzero ints is only copied."""
+    if set(map(type, row.values())) == {int} and 0 not in row.values():
+        return 1, dict(row)
     den = math.lcm(*(v.denominator for v in row.values()))
     if den == 1:
         return 1, {c: int(v) for c, v in row.items() if v}
@@ -545,6 +548,12 @@ class QMat:
             return self
         return QMat(self.num // g, self.den // g)
 
+    def canonical(self) -> "QMat":
+        """Reduced, and int64 unless an entry reaches 2**62 (as from_rows)."""
+        out = self.reduced()
+        fits = out.num.dtype == object and _max_abs(out.num) < _INT64_SAFE
+        return QMat(out.num.astype(np.int64), out.den) if fits else out
+
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(int(self.num[i, j]), self.den)
 
@@ -559,8 +568,10 @@ class QMat:
     def sparse_rows(self) -> list[dict[int, int]]:
         """The nonzero numerator entries of each row, {col: int}.  Rows
         scaled by den span the same space and have the same kernel."""
-        return [{int(j): int(row[j]) for j in np.flatnonzero(row)}
-                for row in self.num]
+        r, c = np.nonzero(self.num)
+        cols, vals = c.tolist(), self.num[r, c].tolist()
+        ends = np.cumsum(np.bincount(r, minlength=self.shape[0])).tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip([0, *ends], ends)]
 
     def is_zero(self) -> bool:
         return not self.num.any()

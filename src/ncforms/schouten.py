@@ -1,21 +1,26 @@
 """Skew multilinear calculus: wedge, insertion, graded bracket, Poisson.
 
 A multimap of arity k is a k-linear map on the algebra with values in the
-algebra or in scalars, stored as the matrix of its values on all basis
+algebra or in scalars, stored as the QMat of its values on all basis
 tuples (flat index big-endian).  Skewness is validated on construction by
 adjacent-argument swaps.
 
-Wedge and insertion are computed over shuffles; because the inputs are
-skew this equals the full permutation sums with their 1/k!l! and
-1/(k+1)!(p-1)! normalizations, and that equality is itself checked in the
-test suite.  The graded bracket of algebra-valued multimaps is
-i_K L - (-1)^{kl} i_L K with k, l the arities shifted down by one; the
-polyderivations (first-slot Leibniz maps) are closed under it, and a skew
-biderivation with vanishing self-bracket is a Poisson structure.
+Wedge and insertion are one contraction of the integer numerators each
+(a Kronecker product, multiplied out for two algebra values; the first
+slot against the inserted map) plus a signed sum of column permutations,
+one per shuffle: exact, in int64 below 2**62 and on Python ints above.
+Because the inputs are skew this equals the full permutation sums with
+their 1/k!l! and 1/(k+1)!(p-1)! normalizations, and that equality is itself
+checked in the test suite.  ``Fraction`` values appear only when values
+are read (``value``) and in JSON.  The graded bracket of algebra-valued
+multimaps is i_K L - (-1)^{kl} i_L K with k, l the arities shifted down by
+one; the polyderivations (first-slot Leibniz maps) are closed under it, and
+a skew biderivation with vanishing self-bracket is a Poisson structure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -24,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Algebra, is_derivation, leibniz_terms
-from .linalg import (QMat, digits_at, flat_index, format_scalar, kron_rows,
-                     nullspace, parse_scalar, qmat_sum)
+from .linalg import (QMat, _exact_pair, _max_abs, flat_index, format_scalar, kron_rows,
+                     nullspace, parse_scalar, qmat_hstack, qmat_sum)
 
 MAX_ARITY = 6
 
@@ -74,33 +79,19 @@ class MultiMap:
         return self.data.column_fractions(flat_index(I, self.algebra.dim))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
+        """The value on coefficient vectors: the numerator times their
+        Kronecker product."""
         if len(args) != self.arity:
             raise SchoutenError("argument count does not match arity")
-        m = self.algebra.dim
-        acc = [Fraction(0)] * self.target_dim
-        for flat in range(self.data.shape[1]):
-            I = digits_at(flat, m, self.arity)
-            coeff = Fraction(1)
-            for t, i in enumerate(I):
-                coeff *= Fraction(args[t][i])
-                if not coeff:
-                    break
-            if coeff:
-                col = self.data.column_fractions(flat)
-                for r in range(self.target_dim):
-                    acc[r] += coeff * col[r]
-        return acc
+        vec = functools.reduce(QMat.kron, map(QMat.column, args), QMat.eye(1))
+        return MultiMap(self.algebra, 0, self.data @ vec, scalar=self.scalar,
+                        check=False).value(())
 
     def value_with_first(self, w: Sequence[Fraction],
                          rest: Sequence[int]) -> list[Fraction]:
         """Value on (w, e_rest) with w a coefficient vector."""
-        acc = [Fraction(0)] * self.target_dim
-        for q, wq in enumerate(w):
-            if wq:
-                col = self.value((q,) + tuple(rest))
-                for r in range(self.target_dim):
-                    acc[r] += wq * col[r]
-        return acc
+        return MultiMap(self.algebra, self.arity - 1, _first_slot(self, QMat.column(w)),
+                        scalar=self.scalar, check=False).value(rest)
 
     def _check_compatible(self, other: "MultiMap") -> None:
         if (self.algebra is not other.algebra or self.arity != other.arity
@@ -156,6 +147,15 @@ def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
                     scalar=bool(obj.get("scalar", False)))
 
 
+def _first_slot(mm: MultiMap, w: QMat) -> QMat:
+    """The values of mm(w, .) on basis tuples, w an m x 1 column: the
+    numerator, reshaped to (o, m, m^(k-1)), contracted with w."""
+    o, m = mm.target_dim, mm.algebra.dim
+    num = mm.data.num.reshape(o, m, -1).transpose(0, 2, 1).reshape(-1, m)
+    out = QMat(num, mm.data.den) @ w
+    return QMat(out.num.reshape(o, -1), out.den).canonical()
+
+
 def _permuted_columns(m: int, k: int, perm: Sequence[int]) -> np.ndarray:
     """idx with idx[flat I] = flat (I[perm[0]], .., I[perm[k-1]]), so
     num[:, idx] holds the values on the permuted tuples."""
@@ -197,6 +197,23 @@ def _perm_sign(perm: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _shuffle_sum(T: np.ndarray, m: int, n: int, k: int, lead: bool) -> np.ndarray:
+    """sum_S sign(S) T[:, idx_S] over the k-subsets S of range(n), where
+    column I of T[:, idx_S] is T's column at the tuple (I_S, I_rest) if
+    lead, else at (I_rest, I_S)."""
+    out = np.zeros_like(T)
+    for S in itertools.combinations(range(n), k):
+        rest = tuple(t for t in range(n) if t not in S)
+        perm = S + rest if lead else rest + S
+        out += _shuffle_sign(S) * T[:, _permuted_columns(m, n, perm)]
+    return out
+
+
+def _multiplication(algebra: Algebra) -> QMat:
+    """The m x m^2 matrix whose column i*m + j is e_i e_j."""
+    return qmat_hstack(algebra.dim, algebra.left)
+
+
 def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     """Shuffle wedge; values multiply (scalars scale, algebra values use
     the product in the given order)."""
@@ -207,30 +224,19 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     k, l = phi.arity, psi.arity
     if k + l > MAX_ARITY:
         raise SchoutenError(f"wedge arity {k + l} exceeds cap {MAX_ARITY}")
-    scalar_out = phi.scalar and psi.scalar
-    dim_out = 1 if scalar_out else m
-    cols = []
-    for flat in range(m ** (k + l)):
-        I = digits_at(flat, m, k + l)
-        acc = [Fraction(0)] * dim_out
-        for S in itertools.combinations(range(k + l), k):
-            rest = [t for t in range(k + l) if t not in S]
-            sign = _shuffle_sign(S)
-            a = phi.value(tuple(I[t] for t in S))
-            b = psi.value(tuple(I[t] for t in rest))
-            if phi.scalar and psi.scalar:
-                term = [a[0] * b[0]]
-            elif phi.scalar:
-                term = [a[0] * v for v in b]
-            elif psi.scalar:
-                term = [v * b[0] for v in a]
-            else:
-                term = A.mult_vec(a, b)
-            for r in range(dim_out):
-                acc[r] += sign * term[r]
-        cols.append(acc)
-    return MultiMap(A, k + l, QMat.from_columns(dim_out, cols),
-                    scalar=scalar_out, check=False)
+    # kron(phi, psi) has column (a, b) = phi(e_a) (x) psi(e_b): a scalar
+    # side scales the other; two algebra values are multiplied out
+    multiply = not (phi.scalar or psi.scalar)
+    mult = _multiplication(A) if multiply else QMat.eye(1)
+    count = math.comb(k + l, k) * mult.shape[1] * _max_abs(mult.num)
+    x, y = _exact_pair(phi.data, psi.data,
+                       lambda x, y: count * _max_abs(x.num) * _max_abs(y.num))
+    T = np.kron(x.num, y.num)
+    if multiply:
+        T = np.dot(mult.num.astype(T.dtype), T)
+    data = QMat(_shuffle_sum(T, m, k + l, k, lead=True), x.den * y.den * mult.den)
+    return MultiMap(A, k + l, data.canonical(), scalar=phi.scalar and psi.scalar,
+                    check=False)
 
 
 def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
@@ -250,21 +256,14 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
     n = kappa - 1 + p
     if n > MAX_ARITY:
         raise SchoutenError(f"insertion arity {n} exceeds cap {MAX_ARITY}")
-    dim_out = phi.target_dim
-    cols = []
-    for flat in range(m ** n):
-        I = digits_at(flat, m, n)
-        acc = [Fraction(0)] * dim_out
-        for S in itertools.combinations(range(n), kappa):
-            rest = tuple(I[t] for t in range(n) if t not in S)
-            sign = _shuffle_sign(S)
-            w = K.value(tuple(I[t] for t in S))
-            term = phi.value_with_first(w, rest)
-            for r in range(dim_out):
-                acc[r] += sign * term[r]
-        cols.append(acc)
-    return MultiMap(A, n, QMat.from_columns(dim_out, cols),
-                    scalar=phi.scalar, check=False)
+    count = math.comb(n, kappa) * m
+    x, y = _exact_pair(phi.data, K.data,
+                       lambda x, y: count * _max_abs(x.num) * _max_abs(y.num))
+    # T has column (rest, S) = phi(K(e_S), e_rest)
+    T = np.tensordot(x.num.reshape(phi.target_dim, m, -1), y.num, axes=(1, 0))
+    data = QMat(_shuffle_sum(T.reshape(phi.target_dim, -1), m, n, kappa, lead=False),
+                x.den * y.den)
+    return MultiMap(A, n, data.canonical(), scalar=phi.scalar, check=False)
 
 
 def nr_bracket(K: MultiMap, L: MultiMap) -> MultiMap:
@@ -331,13 +330,9 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
 
 def commutator_bivector(algebra: Algebra) -> MultiMap:
     """mu(a, b) = ab - ba."""
-    m = algebra.dim
-    cols = []
-    for flat in range(m * m):
-        i, j = digits_at(flat, m, 2)
-        cols.append([algebra.structure[i][j][r] - algebra.structure[j][i][r]
-                     for r in range(m)])
-    return MultiMap(algebra, 2, QMat.from_columns(m, cols))
+    mult = _multiplication(algebra)
+    swapped = QMat(mult.num[:, _permuted_columns(algebra.dim, 2, (1, 0))], mult.den)
+    return MultiMap(algebra, 2, (mult - swapped).canonical())
 
 
 def poisson_check(mu: MultiMap) -> dict:
@@ -359,9 +354,7 @@ def poisson_check(mu: MultiMap) -> dict:
 
 def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
     """The linear map b |-> mu(a, b) as a matrix."""
-    m = mu.algebra.dim
-    cols = [mu.value_with_first(a, (j,)) for j in range(m)]
-    return QMat.from_columns(m, cols)
+    return _first_slot(mu, QMat.column(a))
 
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:
@@ -369,15 +362,14 @@ def poisson_bracket_hom_check(mu: MultiMap) -> dict:
     A = mu.algebra
     m = A.dim
     M = A.regular_bimodule()
-    mats = [derivation_matrix_of(mu, [Fraction(t == i) for t in range(m)])
-            for i in range(m)]
+    # mats[i] = mu(e_i, .); the image of mu(e_i, e_j) is the same slot
+    # contracted with data column i*m + j
+    eye = QMat.eye(m)
+    mats = [_first_slot(mu, eye.col(i)) for i in range(m)]
     derivation_valued = all(is_derivation(M, D) for D in mats)
-    lie_hom = True
-    for i in range(m):
-        for j in range(m):
-            image = derivation_matrix_of(mu, mu.value((i, j)))
-            if image != mats[i] @ mats[j] - mats[j] @ mats[i]:
-                lie_hom = False
+    lie_hom = all(_first_slot(mu, mu.data.col(i * m + j))
+                  == mats[i] @ mats[j] - mats[j] @ mats[i]
+                  for i in range(m) for j in range(m))
     return {"derivation_valued": derivation_valued,
             "lie_homomorphism": lie_hom,
             "all": derivation_valued and lie_hom}

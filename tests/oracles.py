@@ -536,3 +536,115 @@ def fraction_intersection(ambient, basis_a, basis_b):
     return fraction_span(ambient, [
         [sum((sol[i] * basis_a[i][c] for i in range(k1)), Fraction(0))
          for c in range(ambient)] for sol in sols])
+
+
+# ---------------------------------------------------------------------------
+# Per-basis-tuple loops of the multimap calculus and the free-bimodule homs.
+#
+# ``schouten`` computes wedge, insertion and evaluation as integer
+# contractions followed by signed column permutations, and
+# ``hochschild.tensor_hom_from_values`` with one matmul per pair of outer
+# indices.  These are the earlier loops that build every output column from
+# ``Fraction`` values, one basis tuple and one shuffle at a time.
+# ---------------------------------------------------------------------------
+
+
+def _shuffle_sign(S):
+    return -1 if (sum(S) - sum(range(len(S)))) % 2 else 1
+
+
+def loop_evaluate(mm, *args):
+    """mm(args) as the sum over basis tuples of the coefficient products."""
+    m = mm.algebra.dim
+    acc = [Fraction(0)] * mm.target_dim
+    for flat in range(mm.data.shape[1]):
+        I = _digits(flat, m, mm.arity)
+        coeff = Fraction(1)
+        for t, i in enumerate(I):
+            coeff *= Fraction(args[t][i])
+        col = mm.data.column_fractions(flat)
+        for r in range(mm.target_dim):
+            acc[r] += coeff * col[r]
+    return acc
+
+
+def loop_value_with_first(mm, w, rest):
+    """mm(w, e_rest) as sum_q w_q mm(e_q, e_rest)."""
+    acc = [Fraction(0)] * mm.target_dim
+    for q, wq in enumerate(w):
+        col = mm.value((q,) + tuple(rest))
+        for r in range(mm.target_dim):
+            acc[r] += wq * col[r]
+    return acc
+
+
+def loop_wedge(phi, psi):
+    """Shuffle wedge, one basis tuple and one shuffle at a time."""
+    import itertools
+
+    from ncforms.linalg import QMat
+    from ncforms.schouten import MultiMap
+    A = phi.algebra
+    m, k, l = A.dim, phi.arity, psi.arity
+    scalar_out = phi.scalar and psi.scalar
+    dim_out = 1 if scalar_out else m
+    cols = []
+    for flat in range(m ** (k + l)):
+        I = _digits(flat, m, k + l)
+        acc = [Fraction(0)] * dim_out
+        for S in itertools.combinations(range(k + l), k):
+            rest = [t for t in range(k + l) if t not in S]
+            a = phi.value(tuple(I[t] for t in S))
+            b = psi.value(tuple(I[t] for t in rest))
+            if scalar_out:
+                term = [a[0] * b[0]]
+            elif phi.scalar:
+                term = [a[0] * v for v in b]
+            elif psi.scalar:
+                term = [v * b[0] for v in a]
+            else:
+                term = A.mult_vec(a, b)
+            for r in range(dim_out):
+                acc[r] += _shuffle_sign(S) * term[r]
+        cols.append(acc)
+    return MultiMap(A, k + l, QMat.from_columns(dim_out, cols),
+                    scalar=scalar_out, check=False)
+
+
+def loop_insertion(K, phi):
+    """Insertion into the first slot, shuffled over the remaining slots."""
+    import itertools
+
+    from ncforms.linalg import QMat
+    from ncforms.schouten import MultiMap
+    A = K.algebra
+    m, kappa, p = A.dim, K.arity, phi.arity
+    if p == 0:
+        return MultiMap.zeros(A, kappa - 1, scalar=phi.scalar)
+    n = kappa - 1 + p
+    cols = []
+    for flat in range(m ** n):
+        I = _digits(flat, m, n)
+        acc = [Fraction(0)] * phi.target_dim
+        for S in itertools.combinations(range(n), kappa):
+            rest = tuple(I[t] for t in range(n) if t not in S)
+            w = K.value(tuple(I[t] for t in S))
+            term = loop_value_with_first(phi, w, rest)
+            for r in range(phi.target_dim):
+                acc[r] += _shuffle_sign(S) * term[r]
+        cols.append(acc)
+    return MultiMap(A, n, QMat.from_columns(phi.target_dim, cols),
+                    scalar=phi.scalar, check=False)
+
+
+def loop_tensor_hom_from_values(tensor, module, values):
+    """(i, J, l) |-> e_i . values(J) . e_l, one matmul per basis element."""
+    from ncforms.linalg import qmat_hstack
+    m = tensor.algebra.dim
+    mid = values.shape[1]
+    cols = []
+    for idx in range(tensor.dim):
+        rest, l = divmod(idx, m)
+        i, J = divmod(rest, mid)
+        cols.append(module.left[i] @ module.right[l] @ values.col(J))
+    return qmat_hstack(module.dim, cols)

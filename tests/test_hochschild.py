@@ -17,7 +17,7 @@ from ncforms.hochschild import (
     unit_frame_cochain, universal_cocycle, universal_comparison_hom,
 )
 from ncforms.linalg import QMat
-from oracles import emb_comparison_columns, sympy_hochschild_dim
+from oracles import emb_comparison_columns, loop_tensor_hom_from_values, sympy_hochschild_dim
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -346,6 +346,22 @@ def test_factorization_of_coboundaries_and_proof_witness(algebras):
             found = is_coboundary(A, n, M, hom)
             assert found is not None
             assert coboundary(found["cochain"]) == c
+
+
+@pytest.mark.parametrize("name", ["dual", "m2", "upper2", "m2frac", "t3big"])
+def test_tensor_hom_from_values_matches_per_column_loop(name):
+    A = _algebras()[name]
+    M = A.regular_bimodule()
+    rng = random.Random(name)
+    for n in (1, 2, 3):
+        T = tensor_module(A, n)
+        mid = T.dim // (A.dim * A.dim)
+        values = QMat.from_rows([[F(rng.randint(-3, 3), rng.choice([1, 2, 7]))
+                                  for _ in range(mid)] for _ in range(M.dim)])
+        got = tensor_hom_from_values(T, M, values)
+        want = loop_tensor_hom_from_values(T, M, values)
+        assert (got.num.tolist(), got.den, got.num.dtype) \
+            == (want.num.tolist(), want.den, want.num.dtype), n
 
 
 def test_nontrivial_class_has_no_factorization(algebras):

@@ -660,6 +660,19 @@ def test_products_of_forms_go_through_the_block_kernel():
         assert not [b for b in banned if b in src], fn.__qualname__
 
 
+def test_multimap_calculus_stays_on_integer_numerators():
+    # Fractions are built only where values are read (MultiMap.value) and in JSON
+    contractions = [schouten.wedge, schouten.insertion, schouten.MultiMap.evaluate,
+                    schouten.MultiMap.value_with_first, schouten.derivation_matrix_of,
+                    schouten.commutator_bivector]
+    banned = ("Fraction(", "column_fractions", "digits_at")
+    for fn in contractions:
+        src = inspect.getsource(fn)
+        assert not [b for b in banned if b in src], fn.__qualname__
+    src = inspect.getsource(hochschild.tensor_hom_from_values)
+    assert ".col(" not in src and "range(tensor.dim)" not in src
+
+
 def test_elimination_stays_on_integer_rows():
     readers = {"basis", "subspace", "reduce_dense"}
     helpers = [linalg._integer_row, linalg._eliminate, linalg._primitive]

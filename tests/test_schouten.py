@@ -1,13 +1,17 @@
 """Skew multimaps: wedge, insertion, graded bracket, polyderivations, Poisson."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncforms.algebra import derivation_space, inner_derivation, is_derivation
+from ncforms.algebra import (derivation_space, inner_derivation, is_derivation,
+                             matrix_algebra)
 from ncforms.fieldforms import field_from_derivation, lie_bracket_fields
 from ncforms.linalg import QMat
 from ncforms.schouten import (
@@ -17,7 +21,8 @@ from ncforms.schouten import (
     poisson_check, poisson_scan, polyderivation_space, schouten_closure_check,
     wedge,
 )
-from oracles import sympy_polyderivation_dim
+from oracles import (loop_evaluate, loop_insertion, loop_value_with_first, loop_wedge,
+                     sympy_polyderivation_dim)
 from test_algebra import DER_DIMS, catalog
 
 F = Fraction
@@ -707,3 +712,75 @@ def test_scan_results_include_commutator_direction(algebras):
     mu = commutator_bivector(A)
     found = poisson_scan(A, bound=1)
     assert any(f == mu or f == mu.scale(-1) for f in found)
+
+
+# ---------------------------------------------------------------------------
+# The integer contractions against the per-basis-tuple Fraction loops
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_algebras():
+    algs = {name: A for name, A in catalog().items()
+            if name in ("m2", "upper2", "truncpoly3")}
+    algs["matrix3"] = matrix_algebra(3)
+    return algs
+
+
+def _scaled_multimap(rng, algebra, arity, scalar, big):
+    """A random skew multimap over a denominator from 1, 2, 3, 7; with big,
+    its numerators reach past 2**62 and live on Python integers."""
+    c = F(rng.choice([1, -1, 2, 5]) * (2 ** 62 + 1 if big else 1),
+          rng.choice([1, 2, 3, 7]))
+    return random_multimap(rng, algebra, arity, scalar).scale(c)
+
+
+def _signature(mm):
+    return mm.arity, mm.scalar, mm.data.num.tolist(), mm.data.den, mm.data.num.dtype
+
+
+# (op, k, l) with output arity at most 3; arity 0 on either side included
+SHAPES = ([("insertion", k, p) for k in range(4) for p in range(4)
+           if k + p and k - 1 + p <= 3]
+          + [("wedge", k, l) for k in range(4) for l in range(4 - k)])
+
+
+@given(name=st.sampled_from(["m2", "upper2", "truncpoly3", "matrix3"]),
+       shape=st.sampled_from(SHAPES), s1=st.booleans(), s2=st.booleans(),
+       big=st.booleans(), seed=st.integers(0, 2 ** 32))
+@example(name="m2", shape=("insertion", 0, 2), s1=False, s2=True, big=False, seed=0)
+@example(name="upper2", shape=("insertion", 2, 0), s1=False, s2=False, big=True, seed=1)
+@example(name="truncpoly3", shape=("wedge", 0, 0), s1=True, s2=False, big=True, seed=2)
+@example(name="matrix3", shape=("wedge", 1, 1), s1=False, s2=False, big=True, seed=3)
+@settings(max_examples=30, deadline=None)
+def test_wedge_and_insertion_match_shuffle_loops(name, shape, s1, s2, big, seed):
+    A = _parity_algebras()[name]
+    op, k, l = shape
+    rng = random.Random(seed)
+    if op == "insertion":
+        K = _scaled_multimap(rng, A, k, False, big)
+        phi = _scaled_multimap(rng, A, l, s2, big and rng.random() < 0.5)
+        got, want = insertion(K, phi), loop_insertion(K, phi)
+    else:
+        phi = _scaled_multimap(rng, A, k, s1, big)
+        psi = _scaled_multimap(rng, A, l, s2, False)
+        got, want = wedge(phi, psi), loop_wedge(phi, psi)
+    assert _signature(got) == _signature(want)
+    if big and not got.is_zero():
+        assert got.data.num.dtype == object
+
+
+@given(name=st.sampled_from(["m2", "upper2", "truncpoly3", "matrix3"]),
+       arity=st.integers(0, 3), scalar=st.booleans(), big=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_evaluate_and_value_with_first_match_loops(name, arity, scalar, big, seed):
+    A = _parity_algebras()[name]
+    rng = random.Random(seed)
+    mm = _scaled_multimap(rng, A, arity, scalar, big)
+    args = [[F(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range(A.dim)]
+            for _ in range(arity)]
+    assert mm.evaluate(*args) == loop_evaluate(mm, *args)
+    if arity:
+        rest = [rng.randrange(A.dim) for _ in range(arity - 1)]
+        assert mm.value_with_first(args[0], rest) == loop_value_with_first(mm, args[0], rest)
