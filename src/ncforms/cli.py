@@ -9,6 +9,10 @@ given the same input, seed, and package version.
 Exit codes: 0 when every check passes, 1 when a mathematical check fails
 (the report carries a witness), 2 for input or parse errors and for inputs
 too large for the available memory (diagnostics go to stderr).
+
+Each subcommand is one body (algebra, N, seed, cap, **args) -> (checks,
+data) registered with ``_report``, the one pipeline that loads the input,
+maps errors to exit codes and renders the report.
 """
 
 from __future__ import annotations
@@ -123,12 +127,12 @@ def _load_algebra(algebra_path: Optional[str],
         raise InputError(f"algebra definition: {exc}")
     except OSError as exc:
         raise InputError(f"cannot read {algebra_path}: {exc.strerror}")
-    # read back by _Reports if the report runs out of memory
-    click.get_current_context().meta["ncforms.size"] = (A.dim, truncation)
     return A, source
 
 
-def _load_json_file(path: str, what: str) -> dict:
+def _load_object(algebra: Algebra, path: str, what: str, from_json: Callable):
+    """``from_json(algebra, obj)`` for the JSON object in ``path``; a file,
+    JSON or content defect exits 2 naming ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -138,23 +142,10 @@ def _load_json_file(path: str, what: str) -> dict:
         raise InputError(f"{what} {path}: invalid JSON ({exc})")
     if not isinstance(obj, dict):
         raise InputError(f"{what} {path}: expected a JSON object")
-    return obj
-
-
-def _load_field(algebra: Algebra, path: str) -> FieldValuedForm:
-    obj = _load_json_file(path, "field-valued form")
-    try:
-        return field_valued_form_from_json(algebra, obj)
-    except (FieldFormError, KeyError, ValueError, IndexError) as exc:
-        raise InputError(f"field-valued form {path}: {exc}")
-
-
-def _load_multimap(algebra: Algebra, path: str) -> MultiMap:
-    obj = _load_json_file(path, "multilinear map")
-    try:
-        return multimap_from_json(algebra, obj)
-    except (SchoutenError, KeyError, ValueError, IndexError) as exc:
-        raise InputError(f"multilinear map {path}: {exc}")
+    try:  # the library's errors are ValueErrors
+        return from_json(algebra, obj)
+    except (KeyError, ValueError, IndexError) as exc:
+        raise InputError(f"{what} {path}: {exc}")
 
 
 def _load_action(algebra: Algebra, action_path: Optional[str]) -> GroupAction:
@@ -238,11 +229,6 @@ def _finish(report: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(seed: int, name: str) -> random.Random:
-    # string seeds hash via SHA-512 inside random.Random: stable across runs
-    return random.Random(f"{seed}:{name}")
-
-
 def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
     return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
 
@@ -265,16 +251,16 @@ class _VerifyEnv:
     """Shared state for verify checks: algebra, bounds, cached searches."""
 
     def __init__(self, algebra: Algebra, truncation: int, seed: int,
-                 size_cap: int, action: GroupAction):
+                 action: GroupAction):
         self.algebra = algebra
         self.N = truncation
         self.seed = seed
-        self.size_cap = size_cap
         self.action = action
         self._cache: dict = {}
 
     def rng(self, name: str) -> random.Random:
-        return _rng_for(self.seed, name)
+        # string seeds hash via SHA-512 inside random.Random: stable across runs
+        return random.Random(f"{self.seed}:{name}")
 
     def derivations(self) -> Subspace:
         if "der" not in self._cache:
@@ -784,7 +770,82 @@ _VERIFY_CHECKS: list[tuple[str, Callable]] = [
 ]
 
 
-def _run_verify(env: _VerifyEnv) -> list[dict]:
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+@click.group()
+@click.version_option(__version__, prog_name="ncforms")
+def main() -> None:
+    """Exact differential calculus over finite-dimensional algebras."""
+
+
+def _report(name: str, *params: Callable) -> Callable:
+    """Register ``body(algebra, N, seed, cap, **args) -> (checks, data)`` as
+    the subcommand ``name``, its docstring as the help, with the click
+    ``params`` ahead of the shared algebra options.  The pipeline loads the
+    algebra, resolves the size cap, runs the body and renders the report; a
+    library error or running out of memory on the way exits 2 like any bad
+    input."""
+
+    def register(body: Callable) -> Callable:
+        def command(algebra_path, builtin_expr, truncation, seed, fmt,
+                    size_cap, **args):
+            A = None
+            try:
+                A, source = _load_algebra(algebra_path, builtin_expr,
+                                          truncation)
+                cap = _resolve_cap(size_cap)
+                checks, data = body(A, truncation, seed, cap, **args)
+                _finish(_make_report(name, A, source, seed, truncation, cap,
+                                     checks, data), fmt)
+            except _MATH_ERRORS as exc:
+                raise InputError(str(exc))
+            except MemoryError:
+                # the input is too large for this machine: name its size
+                msg = f"out of memory in {name}"
+                if A is not None:
+                    m, N = A.dim, truncation
+                    msg += (f" on a dimension-{m} algebra at -N {N} (Omega_{N} "
+                            f"has dimension {m * (m - 1) ** N}); try a smaller -N")
+                raise InputError(msg) from None
+
+        command = _algebra_options(command)
+        for param in reversed(params):
+            command = param(command)
+        main.command(name=name, help=body.__doc__)(command)
+        return body
+
+    return register
+
+
+def _verdicts(rep: dict[str, bool], prefix: str, subject: str) -> list[dict]:
+    """One check per {identity: holds} entry, by key: named ``prefix`` plus
+    the dashed key, blaming ``subject`` when it fails."""
+    return [_check(prefix + key.replace("_", "-"), ok,
+                   f"{subject} violates {key}")
+            for key, ok in sorted(rep.items())]
+
+
+@_report("info")
+def info(A, N, seed, cap):
+    """Dimensions of the algebra, its form spaces, and its derivations."""
+    return [], {
+        "basis": list(A.basis_names),
+        "omega_dims": [form_space(A, k).dim for k in range(N + 1)],
+        "derivation_dim": derivation_space(A.regular_bimodule()).dim,
+        "center_dim": A.center().dim,
+    }
+
+
+@_report("verify", click.option(
+    "--action", "action_path", default=None, metavar="FILE",
+    help="Group action file for the quotient-geometry checks (defaults to "
+         "the trivial action)."))
+def verify(A, N, seed, cap, action_path):
+    """Run the full invariant suite and report each identity."""
+    env = _VerifyEnv(A, N, seed, _load_action(A, action_path))
     checks = []
     for name, fn in _VERIFY_CHECKS:
         try:
@@ -792,151 +853,44 @@ def _run_verify(env: _VerifyEnv) -> list[dict]:
         except _MATH_ERRORS as exc:
             witness = f"raised: {exc}"
         checks.append(_check(name, witness is None, witness))
-    return checks
+    return checks, {}
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
+def _bracket(name: str, what: str, from_json: Callable, bracket: Callable,
+             doc: str) -> None:
+    """A subcommand reporting ``bracket`` of two serialized objects."""
+    files = [click.argument(arg, type=click.Path(exists=True, dir_okay=False))
+             for arg in ("left_file", "right_file")]
+
+    def body(A, N, seed, cap, left_file, right_file):
+        K, L = (_load_object(A, path, what, from_json)
+                for path in (left_file, right_file))
+        return [], {"left": K.to_json(), "right": L.to_json(),
+                    "bracket": bracket(K, L).to_json()}
+
+    body.__doc__ = doc
+    _report(name, *files)(body)
 
 
-class _Reports(click.Group):
-    """Running out of memory means the input is too large for this machine:
-    exit 2 with the size that was asked for, not a traceback."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except MemoryError:
-            msg = f"out of memory in {ctx.invoked_subcommand}"
-            if "ncforms.size" in ctx.meta:
-                m, N = ctx.meta["ncforms.size"]
-                msg += (f" on a dimension-{m} algebra at -N {N} (Omega_{N} has "
-                        f"dimension {m * (m - 1) ** N}); try a smaller -N")
-            raise InputError(msg) from None
+_bracket("fn-bracket", "field-valued form", field_valued_form_from_json,
+         fn_bracket, "Differential-compatible bracket of two serialized "
+                     "field-valued forms.")
+_bracket("alg-bracket", "field-valued form", field_valued_form_from_json,
+         algebraic_bracket, "Insertion-commutator bracket of two serialized "
+                            "field-valued forms.")
+_bracket("nr-bracket", "multilinear map", multimap_from_json, nr_bracket,
+         "Graded bracket of two serialized skew multilinear maps.")
 
 
-@click.group(cls=_Reports)
-@click.version_option(__version__, prog_name="ncforms")
-def main() -> None:
-    """Exact differential calculus over finite-dimensional algebras."""
-
-
-@main.command()
-@_algebra_options
-def info(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
-    """Dimensions of the algebra, its form spaces, and its derivations."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    data = {
-        "basis": list(A.basis_names),
-        "omega_dims": [form_space(A, k).dim for k in range(truncation + 1)],
-        "derivation_dim": derivation_space(A.regular_bimodule()).dim,
-        "center_dim": A.center().dim,
-    }
-    report = _make_report("info", A, source, seed, truncation, cap, [], data)
-    _finish(report, fmt)
-
-
-@main.command()
-@click.option("--action", "action_path", default=None, metavar="FILE",
-              help="Group action file for the quotient-geometry checks "
-                   "(defaults to the trivial action).")
-@_algebra_options
-def verify(algebra_path, builtin_expr, truncation, seed, fmt, size_cap,
-           action_path):
-    """Run the full invariant suite and report each identity."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    env = _VerifyEnv(A, truncation, seed, cap, _load_action(A, action_path))
-    checks = _run_verify(env)
-    report = _make_report("verify", A, source, seed, truncation, cap,
-                          checks, {})
-    _finish(report, fmt)
-
-
-@main.command(name="fn-bracket")
-@click.argument("left_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("right_file", type=click.Path(exists=True, dir_okay=False))
-@_algebra_options
-def fn_bracket_cmd(algebra_path, builtin_expr, truncation, seed, fmt, size_cap,
-                   left_file, right_file):
-    """Differential-compatible bracket of two serialized field-valued forms."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    K = _load_field(A, left_file)
-    L = _load_field(A, right_file)
-    try:
-        out = fn_bracket(K, L)
-    except FieldFormError as exc:
-        raise InputError(str(exc))
-    data = {"left": K.to_json(), "right": L.to_json(),
-            "bracket": out.to_json()}
-    report = _make_report("fn-bracket", A, source, seed, truncation, cap,
-                          [], data)
-    _finish(report, fmt)
-
-
-@main.command(name="alg-bracket")
-@click.argument("left_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("right_file", type=click.Path(exists=True, dir_okay=False))
-@_algebra_options
-def alg_bracket_cmd(algebra_path, builtin_expr, truncation, seed, fmt,
-                    size_cap, left_file, right_file):
-    """Insertion-commutator bracket of two serialized field-valued forms."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    K = _load_field(A, left_file)
-    L = _load_field(A, right_file)
-    try:
-        out = algebraic_bracket(K, L)
-    except FieldFormError as exc:
-        raise InputError(str(exc))
-    data = {"left": K.to_json(), "right": L.to_json(),
-            "bracket": out.to_json()}
-    report = _make_report("alg-bracket", A, source, seed, truncation, cap,
-                          [], data)
-    _finish(report, fmt)
-
-
-@main.command(name="nr-bracket")
-@click.argument("left_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("right_file", type=click.Path(exists=True, dir_okay=False))
-@_algebra_options
-def nr_bracket_cmd(algebra_path, builtin_expr, truncation, seed, fmt, size_cap,
-                   left_file, right_file):
-    """Graded bracket of two serialized skew multilinear maps."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    K = _load_multimap(A, left_file)
-    L = _load_multimap(A, right_file)
-    try:
-        out = nr_bracket(K, L)
-    except SchoutenError as exc:
-        raise InputError(str(exc))
-    data = {"left": K.to_json(), "right": L.to_json(),
-            "bracket": out.to_json()}
-    report = _make_report("nr-bracket", A, source, seed, truncation, cap,
-                          [], data)
-    _finish(report, fmt)
-
-
-@main.command(name="curvature")
-@_algebra_options
-def curvature_cmd(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
+@_report("curvature")
+def curvature_cmd(A, N, seed, cap):
     """Curvature and cocurvature of every projection the search finds."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    checks: list[dict] = []
-    entries = []
+    checks, entries = [], []
     projs = find_projections(A, seed=seed)
     for idx, p in enumerate(projs):
         R, Rbar = curvature(p)
-        rep = check_projection_calculus(p, N=truncation)
-        for key, ok in sorted(rep.items()):
-            checks.append(_check(
-                f"projection-{idx:02d}-{key.replace('_', '-')}", ok,
-                f"projection {idx} violates {key}"))
+        checks += _verdicts(check_projection_calculus(p, N=N),
+                            f"projection-{idx:02d}-", f"projection {idx}")
         entries.append({
             "index": idx,
             "endomorphism": [[format_scalar(v) for v in row]
@@ -944,152 +898,84 @@ def curvature_cmd(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
             "curvature": R.to_json(),
             "cocurvature": Rbar.to_json(),
         })
-    data = {"projections": entries, "count": len(projs)}
-    report = _make_report("curvature", A, source, seed, truncation, cap,
-                          checks, data)
-    _finish(report, fmt)
+    return checks, {"projections": entries, "count": len(projs)}
 
 
-@main.command()
-@_algebra_options
-def bianchi(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
+@_report("bianchi")
+def bianchi(A, N, seed, cap):
     """Differential identities for the curvature of every found projection."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    checks: list[dict] = []
     projs = find_projections(A, seed=seed)
-    for idx, p in enumerate(projs):
-        rep = bianchi_identities(p)
-        for key, ok in sorted(rep.items()):
-            checks.append(_check(
-                f"projection-{idx:02d}-{key.replace('_', '-')}", ok,
-                f"projection {idx} violates {key}"))
-    data = {"count": len(projs)}
-    report = _make_report("bianchi", A, source, seed, truncation, cap,
-                          checks, data)
-    _finish(report, fmt)
+    checks = [c for idx, p in enumerate(projs)
+              for c in _verdicts(bianchi_identities(p),
+                                 f"projection-{idx:02d}-", f"projection {idx}")]
+    return checks, {"count": len(projs)}
 
 
-@main.command(name="connection-check")
-@click.option("--action", "action_path", default=None, metavar="FILE",
-              help="Group action file cutting out the base subalgebra "
-                   "(defaults to the trivial action).")
-@_algebra_options
-def connection_check(algebra_path, builtin_expr, truncation, seed, fmt,
-                     size_cap, action_path):
+@_report("connection-check", click.option(
+    "--action", "action_path", default=None, metavar="FILE",
+    help="Group action file cutting out the base subalgebra (defaults to "
+         "the trivial action)."))
+def connection_check(A, N, seed, cap, action_path):
     """Find connections on the induced bundle and check their properties."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
     action = _load_action(A, action_path)
     bundle = Bundle(A, action.fixed_subspace(), action=action)
-    checks: list[dict] = []
-    entries = []
+    checks, entries = [], []
     conns = find_connections(bundle)
     for idx, chi in enumerate(conns):
         rep = is_connection(bundle, chi)
         rep.update(curvature_horizontality(bundle, chi))
-        for key, ok in sorted(rep.items()):
-            checks.append(_check(
-                f"connection-{idx:02d}-{key.replace('_', '-')}", ok,
-                f"connection {idx} violates {key}"))
+        checks += _verdicts(rep, f"connection-{idx:02d}-", f"connection {idx}")
         entries.append({
             "index": idx,
             "connection": chi.to_json(),
             "principal": is_principal(bundle, chi),
         })
-    data = {"connections": entries, "count": len(conns),
-            "base_dim": bundle.base.dim}
-    report = _make_report("connection-check", A, source, seed, truncation,
-                          cap, checks, data)
-    _finish(report, fmt)
+    return checks, {"connections": entries, "count": len(conns),
+                    "base_dim": bundle.base.dim}
 
 
-@main.command()
-@_algebra_options
-def hochschild(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
+@_report("hochschild")
+def hochschild(A, N, seed, cap):
     """Cohomology of the algebra in itself, computed along two routes."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    checks: list[dict] = []
-    reports = []
     mod = A.regular_bimodule()
-    for n in range(min(truncation, 3) + 1):
-        rep = cohomology_report(A, mod, n)
-        checks.append(_check(
-            f"routes-agree-n{n}", rep["agree"],
-            f"n = {n}: forms route gives {rep['dim_Hn_forms']}, complex "
-            f"route gives {rep['dim_Hn_complex']}"))
-        reports.append(rep)
-    data = {"reports": reports}
-    report = _make_report("hochschild", A, source, seed, truncation, cap,
-                          checks, data)
-    _finish(report, fmt)
+    reports = [cohomology_report(A, mod, n) for n in range(min(N, 3) + 1)]
+    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"],
+                     f"n = {rep['n']}: forms route gives "
+                     f"{rep['dim_Hn_forms']}, complex route gives "
+                     f"{rep['dim_Hn_complex']}") for rep in reports]
+    return checks, {"reports": reports}
 
 
-@main.command()
-@_algebra_options
-def derham(algebra_path, builtin_expr, truncation, seed, fmt, size_cap):
+@_report("derham")
+def derham(A, N, seed, cap):
     """Quotient homology dimensions of the truncated form complex."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    try:
-        data = de_rham_homology(A, truncation, size_cap=cap)
-    except FormError as exc:
-        raise InputError(str(exc))
-    report = _make_report("derham", A, source, seed, truncation, cap, [], data)
-    _finish(report, fmt)
+    return [], de_rham_homology(A, N, size_cap=cap)
 
 
-@main.command(name="poisson-check")
-@click.argument("mu_file", required=False,
-                type=click.Path(exists=True, dir_okay=False))
-@_algebra_options
-def poisson_check_cmd(algebra_path, builtin_expr, truncation, seed, fmt,
-                      size_cap, mu_file):
+@_report("poisson-check", click.argument(
+    "mu_file", required=False, type=click.Path(exists=True, dir_okay=False)))
+def poisson_check_cmd(A, N, seed, cap, mu_file):
     """Check a bivector for the bracket axioms (default: the commutator)."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
     if mu_file is not None:
-        mu = _load_multimap(A, mu_file)
+        mu = _load_object(A, mu_file, "multilinear map", multimap_from_json)
     else:
         mu = commutator_bivector(A)
-    try:
-        verdict = poisson_check(mu)
-    except SchoutenError as exc:
-        raise InputError(str(exc))
-    checks = [_check(key.replace("_", "-"), ok, f"bivector violates {key}")
-              for key, ok in sorted(verdict.items())]
+    verdict = poisson_check(mu)
     data = {"bivector": mu.to_json()}
     if verdict["poisson"]:
         data["bracket_maps"] = poisson_bracket_hom_check(mu)
-    report = _make_report("poisson-check", A, source, seed, truncation, cap,
-                          checks, data)
-    _finish(report, fmt)
+    return _verdicts(verdict, "", "bivector"), data
 
 
-@main.command(name="kernel-mu-n")
-@_algebra_options
-def kernel_mu_n_cmd(algebra_path, builtin_expr, truncation, seed, fmt,
-                    size_cap):
+@_report("kernel-mu-n")
+def kernel_mu_n_cmd(A, N, seed, cap):
     """Compare ker(multiplication) with the span of first-slot relations."""
-    A, source = _load_algebra(algebra_path, builtin_expr, truncation)
-    cap = _resolve_cap(size_cap)
-    checks: list[dict] = []
-    rows = []
-    for n in range(2, max(truncation, 2) + 1):
-        try:
-            rep = kernel_of_mu_n(A, n, size_cap=cap)
-        except FormError as exc:
-            raise InputError(str(exc))
-        checks.append(_check(
-            f"kernel-matches-span-n{n}", rep["equal"],
-            f"n = {n}: kernel dim {rep['dim_kernel']} vs span dim "
-            f"{rep['dim_span']}"))
-        rows.append(rep)
-    data = {"reports": rows}
-    report = _make_report("kernel-mu-n", A, source, seed, truncation, cap,
-                          checks, data)
-    _finish(report, fmt)
+    reports = [kernel_of_mu_n(A, n, size_cap=cap)
+               for n in range(2, max(N, 2) + 1)]
+    checks = [_check(f"kernel-matches-span-n{rep['arity']}", rep["equal"],
+                     f"n = {rep['arity']}: kernel dim {rep['dim_kernel']} "
+                     f"vs span dim {rep['dim_span']}") for rep in reports]
+    return checks, {"reports": reports}
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 from .algebra import Algebra, Bimodule
 from .forms import form_space
 from .linalg import (QMat, Subspace, digits_at, flat_index, kron_rows, nullspace,
-                     qmat_hstack, solve_linear)
+                     qmat_hstack, solve_linear, subspace_from_columns)
 
 
 class HochschildError(ValueError):
@@ -232,17 +232,13 @@ def universal_cocycle(algebra: Algebra, n: int) -> NormalizedCochain:
 
 
 def cochain_to_hom(c: NormalizedCochain) -> QMat:
-    """Left-linear extension: column (i, J) is e_i . c(J).
+    """Left-linear extension: column (i, J) is e_i . c(J), so the column
+    block of index i is L_i times the cochain matrix.
 
     The result commutes with the left actions by construction; it commutes
     with the right actions exactly when c is a cocycle.
     """
-    sp = form_space(c.module.algebra, c.arity)
-    cols = []
-    for idx in range(sp.dim):
-        i, J = sp.tuple_of(idx)
-        cols.append(c.module.left[i] @ c.value(J))
-    return qmat_hstack(c.module.dim, cols)
+    return qmat_hstack(c.module.dim, [L @ c.data for L in c.module.left])
 
 
 def hom_to_cochain(module: Bimodule, n: int, hom: QMat) -> NormalizedCochain:
@@ -396,15 +392,23 @@ def universal_comparison_hom(algebra: Algebra, n: int) -> QMat:
     return cochain_to_hom(comparison_cochain(algebra, n))
 
 
+def _factored_cochains(tensor: TensorBimodule, module: Bimodule) -> QMat:
+    """Column k is the cochain vector of Psi_k composed with the comparison
+    map, Psi_k the k-th basis hom out of the free bimodule.  A cochain reads
+    a hom on the generators (0; J) only, the leading nJ columns; those of
+    the comparison map are the comparison cochain (e_0 = 1 acts as the
+    identity), so only they are multiplied."""
+    lead = comparison_cochain(tensor.algebra, tensor.n).data
+    values = [psi @ lead for psi in tensor_hom_basis(tensor, module)]
+    # a cochain vector runs over J, then over the module coordinate
+    return qmat_hstack(lead.shape[1] * module.dim,
+                       [QMat(v.num.T.reshape(-1, 1), v.den) for v in values])
+
+
 def comparison_image(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
     """Homs out of degree-n forms that factor through the comparison map,
     in the same generator coordinates as form_hom_space."""
-    tensor = tensor_module(algebra, n)
-    comp = universal_comparison_hom(algebra, n)
-    gens = []
-    for psi in tensor_hom_basis(tensor, module):
-        gens.append(hom_to_cochain(module, n, psi @ comp).to_vector())
-    return Subspace.from_generators(cochain_dim(module, n), gens)
+    return subspace_from_columns(_factored_cochains(tensor_module(algebra, n), module))
 
 
 def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
@@ -423,17 +427,12 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     if witness is not None:
         raise HochschildError(f"not a bimodule homomorphism: {witness}")
     tensor = tensor_module(algebra, n)
-    comp = universal_comparison_hom(algebra, n)
-    basis = tensor_hom_basis(tensor, module)
+    cols = _factored_cochains(tensor, module)
     target = hom_to_cochain(module, n, hom).to_vector()
-    ncols = len(basis)
     if not target:
-        sol: Optional[list[Fraction]] = [Fraction(0)] * ncols
+        sol: Optional[list[Fraction]] = [Fraction(0)] * cols.shape[1]
     else:
-        cols = [hom_to_cochain(module, n, psi @ comp).to_vector()
-                for psi in basis]
-        rows = [[cols[k][e] for k in range(ncols)] for e in range(len(target))]
-        sol = solve_linear(rows, target)
+        sol = solve_linear(cols.to_fraction_rows(), target)
     if sol is None:
         return None
     m = algebra.dim
@@ -443,7 +442,7 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     values = QMat.from_columns(dM, [sol[j * dM:(j + 1) * dM]
                                     for j in range(mid)])
     psi_hom = tensor_hom_from_values(tensor, module, values)
-    if psi_hom @ comp != hom:
+    if psi_hom @ universal_comparison_hom(algebra, n) != hom:
         raise HochschildError("factorization check failed")  # pragma: no cover
     return {"hom": psi_hom,
             "cochain": NormalizedCochain(module, n - 1, values)}

@@ -543,6 +543,8 @@ class QMat:
         """Divide out gcd(all entries, den)."""
         if self.den == 1:
             return self
+        if not self.num.any():  # gcd(den, 0) = den, which may not fit int64
+            return QMat(np.zeros_like(self.num), 1)
         g = math.gcd(self.den, int(np.gcd.reduce(self.num, axis=None)))
         if g == 1:
             return self

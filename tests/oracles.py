@@ -544,7 +544,9 @@ def fraction_intersection(ambient, basis_a, basis_b):
 # ``schouten`` computes wedge, insertion and evaluation as integer
 # contractions followed by signed column permutations, and
 # ``hochschild.tensor_hom_from_values`` with one matmul per pair of outer
-# indices.  These are the earlier loops that build every output column from
+# indices, ``cochain_to_hom`` with one per algebra basis element and
+# ``comparison_image`` on the generator columns of the comparison map only.
+# These are the earlier loops that build every output column from
 # ``Fraction`` values, one basis tuple and one shuffle at a time.
 # ---------------------------------------------------------------------------
 
@@ -648,3 +650,27 @@ def loop_tensor_hom_from_values(tensor, module, values):
         i, J = divmod(rest, mid)
         cols.append(module.left[i] @ module.right[l] @ values.col(J))
     return qmat_hstack(module.dim, cols)
+
+
+def loop_cochain_to_hom(c):
+    """Column (i, J) is e_i . c(J), one matmul per basis form."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import qmat_hstack
+    sp = form_space(c.module.algebra, c.arity)
+    cols = []
+    for idx in range(sp.dim):
+        i, J = sp.tuple_of(idx)
+        cols.append(c.module.left[i] @ c.value(J))
+    return qmat_hstack(c.module.dim, cols)
+
+
+def loop_comparison_image(algebra, n, module):
+    """Each basis hom of the free bimodule times the whole comparison map,
+    read back as a cochain vector of ``Fraction`` entries."""
+    from ncforms.hochschild import (cochain_dim, comparison_cochain, hom_to_cochain,
+                                    tensor_hom_basis, tensor_module)
+    from ncforms.linalg import Subspace
+    comp = loop_cochain_to_hom(comparison_cochain(algebra, n))
+    gens = [hom_to_cochain(module, n, psi @ comp).to_vector()
+            for psi in tensor_hom_basis(tensor_module(algebra, n), module)]
+    return Subspace.from_generators(cochain_dim(module, n), gens)

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from ncforms.algebra import inner_derivation
-from ncforms.cli import _VERIFY_CHECKS, main
+from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import (field_from_derivation,
                                 field_valued_form_from_json,
@@ -319,6 +319,23 @@ def test_out_of_memory_exits_2_from_every_subcommand(monkeypatch, tmp_path):
         assert result.stderr == (
             f"Error: out of memory in {name} on a dimension-4 algebra at "
             f"-N 2 (Omega_2 has dimension 36); try a smaller -N\n")
+
+
+def test_library_error_exits_2_from_every_subcommand(monkeypatch, tmp_path):
+    # a library error raised while a report runs is bad input, not a crash
+    some = tmp_path / "input.json"
+    some.write_text("{}")
+    commands = sorted(main.commands.items())
+    for (name, cmd), error in zip(commands, _MATH_ERRORS * len(commands)):
+        def fail(*args, error=error, name=name):
+            raise error(f"{error.__name__} in {name}")
+        monkeypatch.setattr("ncforms.cli._resolve_cap", fail)
+        files = [str(some) for p in cmd.params
+                 if isinstance(p, click.Argument) and p.required]
+        result = run_cli(name, *files, "--builtin", "m2", "-N", "2")
+        assert result.exit_code == 2, (name, result.output)
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {error.__name__} in {name}\n"
 
 
 # ---------------------------------------------------------------------------

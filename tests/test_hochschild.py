@@ -17,7 +17,8 @@ from ncforms.hochschild import (
     unit_frame_cochain, universal_cocycle, universal_comparison_hom,
 )
 from ncforms.linalg import QMat
-from oracles import emb_comparison_columns, loop_tensor_hom_from_values, sympy_hochschild_dim
+from oracles import (emb_comparison_columns, loop_cochain_to_hom, loop_comparison_image,
+                     loop_tensor_hom_from_values, sympy_hochschild_dim)
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -362,6 +363,29 @@ def test_tensor_hom_from_values_matches_per_column_loop(name):
         want = loop_tensor_hom_from_values(T, M, values)
         assert (got.num.tolist(), got.den, got.num.dtype) \
             == (want.num.tolist(), want.den, want.num.dtype), n
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["m2frac", "t3big"])
+def test_cochain_to_hom_and_comparison_image_match_per_column_loops(name):
+    A = _algebras()[name]
+    m = A.dim
+    rng = random.Random(name)
+
+    def exact(q):
+        return q.num.tolist(), q.den, q.num.dtype
+
+    for M in (A.regular_bimodule(), tensor_module(A, 1)):
+        for n in (0, 1, 2):
+            c = NormalizedCochain(M, n, QMat.from_rows(
+                [[F(rng.randint(-3, 3), rng.choice([1, 2, 7]))
+                  for _ in range((m - 1) ** n)] for _ in range(M.dim)]))
+            assert exact(cochain_to_hom(c)) == exact(loop_cochain_to_hom(c)), n
+            if n == 0:
+                continue
+            comp = universal_comparison_hom(A, n)
+            assert exact(comp) == exact(loop_cochain_to_hom(comparison_cochain(A, n)))
+            got, want = comparison_image(A, n, M), loop_comparison_image(A, n, M)
+            assert (got.rows, got.pivots) == (want.rows, want.pivots), n
 
 
 def test_nontrivial_class_has_no_factorization(algebras):

@@ -1,9 +1,13 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every function, class and method it defines is named somewhere else."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ncforms"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ncforms"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +45,48 @@ def test_library_modules_import_nothing_unused():
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
              for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def undecorated_definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each top-level function or class, and each method of
+    a top-level class, that carries no decorator.  Decorated ones (click
+    commands, properties, classmethods) are reached through the decorator;
+    dunder methods through the protocol they implement."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, kinds):
+            nodes.append(node)
+        if isinstance(node, ast.ClassDef):
+            nodes += [m for m in node.body if isinstance(m, kinds)
+                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return [(n.name, n.lineno) for n in nodes if not n.decorator_list]
+
+
+def test_definition_scanner():
+    source = ("class C:\n"
+              "    def __init__(self): pass\n"
+              "    @property\n"
+              "    def p(self): pass\n"
+              "    def m(self): pass\n"
+              "@decorated\n"
+              "def f(): pass\n"
+              "def g():\n"
+              "    def inner(): pass\n")
+    assert undecorated_definitions(source) == [("C", 1), ("m", 5), ("g", 8)]
+
+
+def test_every_library_definition_is_named_elsewhere():
+    # what a collapse leaves unused goes: a definition whose name appears
+    # nowhere but on its own def line, across src, tests and perfbench, is dead
+    words = Counter(word for top in ("src", "tests", "perfbench")
+                    for path in (ROOT / top).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    dead = []
+    for module in sorted(SRC.glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for name, line in undecorated_definitions(source):
+            if words[name] == re.findall(r"\w+", lines[line - 1]).count(name):
+                dead.append(f"{module.name}:{line} {name}")
+    assert dead == []

@@ -447,6 +447,8 @@ def test_qmat_reduced_normalizes():
     r = a.reduced()
     assert r.den == 5 and r.entry(0, 0) == Fraction(1, 5)
     assert r == a
+    zero = QMat(np.zeros((2, 3), dtype=np.int64), 2 ** 124).reduced()
+    assert (zero.num.tolist(), zero.den, zero.num.dtype) == ([[0] * 3] * 2, 1, np.int64)
 
 
 def test_subspace_from_columns():
