@@ -18,8 +18,10 @@ import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import (QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack,
-                     qmat_inverse, qmat_sum)
+import numpy as np
+
+from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_rows, nullspace,
+                     qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
 
 
 class AlgebraError(ValueError):
@@ -69,15 +71,15 @@ class Algebra:
         if self.left[0] != eye or self.right[0] != eye:
             raise AlgebraError(
                 f"{self.name}: basis vector 0 is not a two-sided unit")
-        for i in range(m):
-            for j in range(m):
-                # associativity: left-multiplying by e_i e_j equals L_i L_j
-                lhs = qmat_sum([self.left[k].scale(self.structure[i][j][k])
-                                for k in range(m)])
-                if self.left[i] @ self.left[j] != lhs:
-                    raise AlgebraError(
-                        f"{self.name}: product not associative at "
-                        f"({self.basis_names[i]}, {self.basis_names[j]})")
+        # associativity: column j*m + l of mu^2 (L_i (x) I) is (e_i e_j) e_l,
+        # of L_i mu^2 it is e_i (e_j e_l)
+        mu = qmat_hstack(m, self.left)
+        for i, L in enumerate(self.left):
+            bad = (mu @ L.kron(eye) - L @ mu).num.any(axis=0)
+            if bad.any():
+                raise AlgebraError(
+                    f"{self.name}: product not associative at "
+                    f"({self.basis_names[i]}, {self.basis_names[int(bad.argmax()) // m]})")
 
     # -- products --------------------------------------------------------------
 
@@ -95,12 +97,6 @@ class Algebra:
                     if c:
                         out[k] += coeff * c
         return out
-
-    def left_mult_matrix(self, u: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.left[i].scale(ui) for i, ui in enumerate(u)])
-
-    def right_mult_matrix(self, u: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.right[i].scale(ui) for i, ui in enumerate(u)])
 
     # -- elements ---------------------------------------------------------------
 
@@ -266,23 +262,20 @@ class AlgebraHom:
             self.validate()
 
     def validate(self) -> None:
-        F = self.matrix
-        if F.shape != (self.target.dim, self.source.dim):
+        F, T = self.matrix, self.target
+        if F.shape != (T.dim, self.source.dim):
             raise AlgebraError(f"{self.name}: matrix shape mismatch")
-        unit_img = F.column_fractions(0)
-        if unit_img != list(self.target.unit().coeffs):
+        if F.col(0) != QMat.eye(T.dim).col(0):
             raise AlgebraError(f"{self.name}: does not preserve the unit")
+        # f(e_i e_j) = f(e_i) f(e_j) for every j: F L_i = L_{f(e_i)} F, with
+        # L_{f(e_i)} F = mu^2 (f(e_i) (x) F)
+        mu = qmat_hstack(T.dim, T.left)
         for i in range(self.source.dim):
-            fi = F.column_fractions(i)
-            for j in range(self.source.dim):
-                fj = F.column_fractions(j)
-                lhs = self.target.mult_vec(fi, fj)
-                prod = self.source.structure[i][j]
-                rhs = [sum((prod[k] * F.entry(t, k) for k in range(self.source.dim)),
-                           Fraction(0)) for t in range(self.target.dim)]
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"{self.name}: not multiplicative at basis pair ({i},{j})")
+            diff = F @ self.source.left[i] - mu @ F.col(i).kron(F)
+            if not diff.is_zero():
+                j = int(diff.num.any(axis=0).argmax())
+                raise AlgebraError(
+                    f"{self.name}: not multiplicative at basis pair ({i},{j})")
 
     def __call__(self, x: Element) -> Element:
         out = self.matrix @ QMat.column(x.coeffs)
@@ -300,7 +293,7 @@ class AlgebraHom:
         try:
             qmat_inverse(self.matrix)
             return True
-        except Exception:
+        except LinAlgError:
             return False
 
     def __repr__(self) -> str:
@@ -322,30 +315,20 @@ def rebase_unit_first(name: str, basis_names: Sequence[str],
     in order.  Basis names are preserved for the kept vectors.
     """
     m = len(basis_names)
-    unit = [Fraction(v) for v in unit_coeffs]
     red = RowReducer(m)
-    if not red.add_dense(unit):
+    if not red.add_dense(unit_coeffs):
         raise AlgebraError("unit vector is zero")
-    cols = [unit]
-    names = ["1"]
-    for t in range(m):
-        probe = [Fraction(i == t) for i in range(m)]
-        if red.add_dense(probe):
-            cols.append(probe)
-            names.append(basis_names[t])
-    if len(cols) != m:
+    keep = [t for t in range(m) if red.add({t: 1})]
+    if len(keep) != m - 1:
         raise AlgebraError("could not extend unit to a basis")
-    P = QMat.from_columns(m, cols)
-    Pinv = qmat_inverse(P)
+    P = qmat_hstack(m, [QMat.from_columns(m, [unit_coeffs]),
+                        QMat(np.eye(m, dtype=np.int64)[:, keep])])
+    # column i*m + j: the new coordinates of the product of new basis vectors
     raw = Algebra(name, basis_names, structure, check=False)
-    new_structure = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = raw.mult_vec(P.column_fractions(i), P.column_fractions(j))
-            row.append((Pinv @ QMat.column(prod)).column_fractions(0))
-        new_structure.append(row)
-    return Algebra(name, names, new_structure)
+    prods = solve_linear(P, qmat_hstack(m, raw.left) @ P.kron(P))
+    return Algebra(name, ["1"] + [basis_names[t] for t in keep],
+                   [[prods.column_fractions(i * m + j) for j in range(m)]
+                    for i in range(m)])
 
 
 def matrix_algebra(n: int) -> Algebra:
@@ -526,8 +509,8 @@ def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
 
 
 def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
-    dM, m = mod.dim, mod.algebra.dim
-    return [mat.entry(r, j) for j in range(m) for r in range(dM)]
+    """The dM x m matrix of D read column by column (D[r, j] at j*dM + r)."""
+    return [Fraction(v, mat.den) for v in mat.num.T.reshape(-1).tolist()]
 
 
 def derivation_defect(mod: Bimodule, mat: QMat) -> Optional[tuple[int, int]]:
@@ -559,18 +542,16 @@ def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
 def derivation_to_hom(sd: SemidirectProduct, dmat: QMat) -> AlgebraHom:
     """a |-> (a, D(a)); an algebra map into A (+) M iff D is a derivation."""
     A = sd.base
-    rows = QMat.eye(A.dim).to_fraction_rows() + dmat.to_fraction_rows()
-    return AlgebraHom(A, sd.algebra, QMat.from_rows(rows), name="graph")
+    graph = qmat_hstack(A.dim, [QMat.eye(A.dim), dmat.T]).T
+    return AlgebraHom(A, sd.algebra, graph, name="graph")
 
 
 def hom_to_derivation(sd: SemidirectProduct, hom: AlgebraHom) -> QMat:
     """Inverse of derivation_to_hom for maps of the form a |-> (a, D(a))."""
-    A = sd.base
-    rows = hom.matrix.to_fraction_rows()
-    top = rows[: A.dim]
-    if QMat.from_rows(top) != QMat.eye(A.dim):
+    A, F = sd.base, hom.matrix
+    if QMat(F.num[:A.dim], F.den) != QMat.eye(A.dim):
         raise AlgebraError("homomorphism is not a graph over the base algebra")
-    return QMat.from_rows(rows[A.dim:])
+    return QMat(F.num[A.dim:].copy(), F.den).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +611,8 @@ class TensorQuotient:
         Returns None when the map does not kill the relations (i.e. it is not
         middle-linear).
         """
-        for row in self.relations.basis:
-            img = mat @ QMat.column(row)
-            if not img.is_zero():
-                return None
+        if not (mat @ self.relations.row_matrix().T).is_zero():
+            return None
         return QMat(mat.num[:, self.free], mat.den).reduced()
 
 

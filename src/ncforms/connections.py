@@ -20,10 +20,11 @@ from .fieldforms import (
     FieldValuedForm, fn_bracket, identity_one_form, insertion_compose,
     zero_field_valued_form,
 )
-from .forms import Form, form_space, multiplicative_extension, products
+from .forms import (Form, form_space, multiplicative_extension, multiplication_matrix,
+                    omega_functor, products)
 from .linalg import (
-    QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_sum,
-    solve_linear, subspace_from_columns,
+    QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack, qmat_inverse,
+    qmat_sum, solve_linear, subspace_from_columns,
 )
 
 
@@ -66,45 +67,38 @@ class Distribution:
         return f"Distribution(dim={self.dim} in Omega_1({self.algebra.name}))"
 
 
-def is_distribution(algebra: Algebra, space: Subspace) -> bool:
+def _action_closure(algebra: Algebra, space: Subspace) -> Subspace:
+    """The smallest subspace of Omega_1 containing space and stable under
+    both actions: the whole block moved by every action at once, until
+    the span stops growing."""
     sp = form_space(algebra, 1)
-    if space.ambient != sp.dim:
+    while True:
+        block = space.row_matrix().T
+        grown = space + subspace_from_columns(
+            qmat_hstack(sp.dim, [M @ block for M in sp.left[1:] + sp.right[1:]]))
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
+def is_distribution(algebra: Algebra, space: Subspace) -> bool:
+    if space.ambient != form_space(algebra, 1).dim:
         raise GeometryError("subspace does not live in Omega_1")
-    for vec in space.basis:
-        col = QMat.column(vec)
-        for i in range(algebra.dim):
-            if not space.contains((sp.left[i] @ col).column_fractions(0)):
-                return False
-            if not space.contains((sp.right[i] @ col).column_fractions(0)):
-                return False
-    return True
+    return _action_closure(algebra, space).dim == space.dim
 
 
 def bimodule_span(algebra: Algebra, generators) -> Distribution:
     """Smallest distribution containing the generators (vectors or forms)."""
-    sp = form_space(algebra, 1)
-    red = RowReducer(sp.dim)
-    queue = []
-    for g in generators:
-        vec = g.coords() if isinstance(g, Form) else list(g)
-        if red.add_dense(vec):
-            queue.append(vec)
-    while queue:
-        vec = queue.pop()
-        col = QMat.column(vec) if vec else QMat.zeros(sp.dim, 1)
-        for mats in (sp.left, sp.right):
-            for M in mats:
-                out = (M @ col).column_fractions(0)
-                if red.add_dense(out):
-                    queue.append(out)
-    return Distribution(algebra, red.subspace(), check=False)
+    gens = Subspace.from_generators(form_space(algebra, 1).dim, (
+        g.coords() if isinstance(g, Form) else g for g in generators))
+    return Distribution(algebra, _action_closure(algebra, gens), check=False)
 
 
 def exact_span(algebra: Algebra, sub: Subspace) -> Distribution:
     """Bimodule span of d(sub) for a subspace of A."""
     d0 = form_space(algebra, 0).d_matrix()
-    gens = [(d0 @ QMat.column(b)).column_fractions(0) for b in sub.basis]
-    return bimodule_span(algebra, gens)
+    gens = subspace_from_columns(d0 @ sub.row_matrix().T)
+    return Distribution(algebra, _action_closure(algebra, gens), check=False)
 
 
 def globally_integrable(dist: Distribution, sub: Subspace) -> bool:
@@ -134,13 +128,9 @@ def involutive(dist: Distribution, N: int = 2) -> bool:
     """d(dist) contained in the degree-2 component of its ideal."""
     if N < 2:
         raise GeometryError("need truncation >= 2")
-    A = dist.algebra
-    d1 = form_space(A, 1).d_matrix()
-    ideal2 = ideal_component(dist, 2)
-    for vec in dist.space.basis:
-        if not ideal2.contains((d1 @ QMat.column(vec)).column_fractions(0)):
-            return False
-    return True
+    d1 = form_space(dist.algebra, 1).d_matrix()
+    return subspace_from_columns(d1 @ dist.space.row_matrix().T).is_subspace_of(
+        ideal_component(dist, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +179,8 @@ class Projection:
                 and self.algebra is other.algebra and self.ext == other.ext)
 
     def __hash__(self):
-        return hash((id(self.algebra),
-                     tuple(map(tuple, self.ext.to_fraction_rows()))))
+        ext = self.ext.reduced()   # equal matrices have equal reduced forms
+        return hash((id(self.algebra), ext.den, tuple(ext.num.flatten().tolist())))
 
     def __repr__(self) -> str:
         return f"Projection(rank={self.image().dim} on {self.algebra.name})"
@@ -346,6 +336,11 @@ def _poly_xgcd(a, b):
             [c / lead for c in t0])
 
 
+def _entries(*mats: QMat) -> QMat:
+    """The entries of the mats, each row by row, as one column."""
+    return qmat_hstack(1, [QMat(M.num.reshape(1, -1), M.den) for M in mats]).T
+
+
 def _poly_eval_matrix(p: Sequence[Fraction], E: QMat) -> QMat:
     n = E.shape[0]
     acc = QMat.zeros(n, n)
@@ -363,19 +358,13 @@ def minimal_polynomial(E: QMat) -> list[Fraction]:
     if n == 0:
         return [Fraction(0), Fraction(1)]   # x, conventionally
     red = RowReducer(n * n)
-    powers = []
-    P = QMat.eye(n)
-    while True:
-        flat = [P.entry(i, j) for i in range(n) for j in range(n)]
-        powers.append(flat)
-        if not red.add_dense(flat):
-            break
-        P = P @ E
-    k = len(powers) - 1      # P^k depends on lower powers
-    rows = [[powers[j][idx] for j in range(k)] for idx in range(n * n)]
-    sol = solve_linear(rows, powers[k])
-    coeffs = [-c for c in sol] + [Fraction(1)]
-    return _poly_trim(coeffs)
+    powers = [QMat.eye(n)]
+    while red.add(_entries(powers[-1]).T.sparse_rows()[0]):
+        powers.append(powers[-1] @ E)
+    # the last power depends on the lower ones
+    sol = solve_linear(qmat_hstack(n * n, [_entries(P) for P in powers[:-1]]),
+                       _entries(powers[-1]))
+    return _poly_trim([-c for c in sol.column_fractions(0)] + [Fraction(1)])
 
 
 def _rational_roots(p: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
@@ -542,10 +531,10 @@ class Bundle:
             raise GeometryError("base subspace does not live in A")
         if not self.base.contains(list(A.unit().coeffs)):
             raise GeometryError("base subalgebra must contain 1")
-        for x in self.base.basis:
-            for y in self.base.basis:
-                if not self.base.contains(A.mult_vec(list(x), list(y))):
-                    raise GeometryError("base is not closed under products")
+        B = self.base.row_matrix().T
+        if not subspace_from_columns(
+                multiplication_matrix(A, 2) @ B.kron(B)).is_subspace_of(self.base):
+            raise GeometryError("base is not closed under products")
         if self.action is not None:
             if self.action.fixed_subspace() != self.base:
                 raise GeometryError("base is not the fixed subalgebra")
@@ -555,25 +544,18 @@ class Bundle:
         A = self.algebra
         # basis of B with the unit first, completed by canonical generators
         red = RowReducer(A.dim)
-        unit = [Fraction(v) for v in A.unit().coeffs]
-        red.add_dense(unit)
-        basis = [unit]
-        for b in self.base.basis:
-            if red.add_dense(b):
-                basis.append([Fraction(v) for v in b])
-        nb = len(basis)
-        rows_mat = [[basis[t][i] for t in range(nb)] for i in range(A.dim)]
-        structure = []
-        for x in basis:
-            row = []
-            for y in basis:
-                prod = A.mult_vec(x, y)
-                row.append(tuple(solve_linear(rows_mat, prod)))
-            structure.append(tuple(row))
+        red.add({0: 1})
+        basis = self.base.basis_matrix()
+        keep = [i for i, row in enumerate(self.base.rows) if red.add(row)]
+        incl = qmat_hstack(A.dim, [QMat.eye(A.dim).col(0),
+                                   QMat(basis.num[:, keep], basis.den)])
+        nb = incl.shape[1]
+        # column x*nb + y: the coordinates of b_x b_y against the basis of B
+        prods = solve_linear(incl, multiplication_matrix(A, 2) @ incl.kron(incl))
+        structure = [[prods.column_fractions(x * nb + y) for y in range(nb)]
+                     for x in range(nb)]
         names = ["1"] + [f"b{i}" for i in range(1, nb)]
-        B = Algebra(f"{A.name}|base", names, tuple(structure))
-        incl = QMat.from_rows(rows_mat)
-        return B, incl
+        return Algebra(f"{A.name}|base", names, structure), incl
 
 
 def horizontal_forms(bundle: Bundle, k: int) -> Subspace:
@@ -623,36 +605,25 @@ def find_connections(bundle: Bundle) -> list[FieldValuedForm]:
             return [zero_field_valued_form(A, 1)]
         return []
     hor = horizontal_forms(bundle, 1)
-    ann = nullspace(n, [{c: v for c, v in enumerate(b) if v}
-                        for b in hor.basis])
-    rows, rhs = [], []
-    for h in hor.basis:
-        col = QMat.column(h)
-        images = [(E @ col).column_fractions(0) for E in endos]
-        for r in range(n):
-            rows.append([img[r] for img in images])
-            rhs.append(h[r])
-    for j in range(n):
-        for c in ann.basis:
-            rows.append([sum(c[r] * E.entry(r, j) for r in range(n))
-                         for E in endos])
-            rhs.append(Fraction(0))
-    sol = solve_linear(rows, rhs)
+    H = hor.row_matrix().T
+    ann = nullspace(n, hor.rows).row_matrix()
+    # E = sum_k c_k E_k with E H = H and ann E = 0, one row per entry
+    system = qmat_hstack(n * hor.dim + ann.shape[0] * n,
+                         [_entries(E @ H, ann @ E) for E in endos])
+    sol = solve_linear(system, _entries(H, QMat.zeros(ann.shape[0], n)))
     if sol is None:
         return []
-    particular = qmat_sum([E.scale(c) for E, c in zip(endos, sol)])
-    hom = nullspace(len(endos), [{c: v for c, v in enumerate(r) if v}
-                                 for r in rows])
-    exts = [particular]
-    for v in hom.basis:
-        shift = qmat_sum([E.scale(c) for E, c in zip(endos, v)])
-        exts.append(particular + shift)
+    shifts = nullspace(len(endos), system.sparse_rows()).basis_matrix()
+    coeffs = qmat_hstack(len(endos), [sol] + [sol + shifts.col(i)
+                                             for i in range(shifts.shape[1])])
+    exts = qmat_hstack(n * n, [_entries(E) for E in endos]) @ coeffs
+    d0 = form_space(A, 0).d_matrix()
     out, seen = [], []
-    for e in exts:
+    for j in range(exts.shape[1]):
+        e = QMat(exts.num[:, j].reshape(n, n), exts.den)
         if any(e == s for s in seen):
             continue
         seen.append(e)
-        d0 = form_space(A, 0).d_matrix()
         out.append(FieldValuedForm(A, 1, e @ d0, check=False))
     return out
 
@@ -669,8 +640,6 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
     action preserves the base, hence the horizontal forms), so the average
     over the finite group is an equivariant connection.
     """
-    from .forms import omega_functor
-    from .linalg import qmat_inverse
     if bundle.action is None:
         raise GeometryError("bundle has no structure group")
     if not is_connection(bundle, chi)["connection"]:
@@ -692,7 +661,6 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
 
 def is_principal(bundle: Bundle, chi: FieldValuedForm) -> bool:
     """Connection commuting with the induced action on one-forms."""
-    from .forms import omega_functor
     if bundle.action is None:
         raise GeometryError("bundle has no structure group")
     if not is_connection(bundle, chi)["connection"]:
@@ -708,15 +676,9 @@ def is_principal(bundle: Bundle, chi: FieldValuedForm) -> bool:
 def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
     """R = [chi,chi] kills horizontal one-forms and lands in horizontal twos;
     equivariant when the connection is principal."""
-    from .forms import omega_functor
-    A = bundle.algebra
-    R = connection_curvature(chi)
-    ext = R.extension()
-    hor1 = horizontal_forms(bundle, 1)
-    hor2 = horizontal_forms(bundle, 2)
-    kills = all((ext @ QMat.column(h)).is_zero() for h in hor1.basis)
-    lands = all(hor2.contains(ext.column_fractions(j))
-                for j in range(ext.shape[1]))
+    ext = connection_curvature(chi).extension()
+    kills = (ext @ horizontal_forms(bundle, 1).row_matrix().T).is_zero()
+    lands = subspace_from_columns(ext).is_subspace_of(horizontal_forms(bundle, 2))
     report = {"kills_horizontal": kills, "lands_horizontal": lands}
     if bundle.action is not None and is_principal(bundle, chi):
         eq = True
@@ -730,7 +692,6 @@ def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
 
 def action_extends_to_forms(action: GroupAction, N: int) -> bool:
     """Omega_k(g) intertwines d for every group element, k <= N."""
-    from .forms import omega_functor
     A = action.algebra
     for h in action.homs:
         for k in range(1, N + 1):
@@ -744,11 +705,10 @@ def bundle_tensor_dims(bundle: Bundle) -> dict:
     """dim Omega_1(A) - dim hor_1 = dim(A tensor_B A) - dim A."""
     A = bundle.algebra
     B, incl = bundle.base_algebra()
-    # A as a B-bimodule via the inclusion
-    left = [A.left_mult_matrix(incl.column_fractions(j))
-            for j in range(B.dim)]
-    right = [A.right_mult_matrix(incl.column_fractions(j))
-             for j in range(B.dim)]
+    # A as a B-bimodule via the inclusion: b.a = mu^2 (b (x) a), a.b likewise
+    mu, eye = multiplication_matrix(A, 2), QMat.eye(A.dim)
+    left = [mu @ incl.col(j).kron(eye) for j in range(B.dim)]
+    right = [mu @ eye.kron(incl.col(j)) for j in range(B.dim)]
     mod = Bimodule(B, A.dim, left, right, name="A|B")
     tq = tensor_over_A(mod, mod)
     hor1 = horizontal_forms(bundle, 1)

@@ -35,7 +35,7 @@ from .algebra import (
     Algebra, AlgebraError, AlgebraHom, base_field, dual_numbers, group_algebra,
     matrix_algebra, product_algebra, truncated_polynomial_algebra,
 )
-from .linalg import QMat, Subspace, format_scalar, nullspace, qmat_inverse
+from .linalg import LinAlgError, QMat, Subspace, format_scalar, nullspace, qmat_inverse
 
 
 class DslError(ValueError):
@@ -707,7 +707,7 @@ def parse_group_action(text: str, over: Algebra) -> GroupActionSpec:
         mat = QMat.from_columns(m, [cols[nm] for nm in over.basis_names])
         try:
             qmat_inverse(mat)
-        except Exception:
+        except LinAlgError:
             raise DslError(f"map for {g!r} is not invertible",
                            kw.line, kw.col) from None
         try:

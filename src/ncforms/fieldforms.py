@@ -16,8 +16,8 @@ from typing import Optional
 
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
-from .forms import Form, d_slots, form_space, products
-from .linalg import QMat, qmat_sum, solve_linear
+from .forms import Form, d_slots, form_space, omega_functor, products
+from .linalg import QMat, format_scalar, parse_scalar, qmat_sum, solve_linear
 
 
 class FieldFormError(ValueError):
@@ -98,7 +98,6 @@ class FieldValuedForm:
         return Form(tgt, self.extension() @ w.vec)
 
     def to_json(self) -> dict:
-        from .linalg import format_scalar
         return {"degree": self.degree,
                 "delta": [[format_scalar(v) for v in row]
                           for row in self.delta.to_fraction_rows()]}
@@ -108,7 +107,6 @@ class FieldValuedForm:
 
 
 def field_valued_form_from_json(algebra: Algebra, obj: dict) -> FieldValuedForm:
-    from .linalg import parse_scalar
     delta = QMat.from_rows([[parse_scalar(v) for v in row]
                             for row in obj["delta"]])
     return FieldValuedForm(algebra, int(obj["degree"]), delta)
@@ -249,6 +247,11 @@ class GradedDerivation:
 
     def is_zero(self) -> bool:
         return all(m is None or m.is_zero() for m in self.mats.values())
+
+    def truncated(self, top: int) -> "GradedDerivation":
+        """The operator on its stored input degrees <= top only."""
+        return GradedDerivation(self.algebra, self.degree,
+                                {j: m for j, m in self.mats.items() if j <= top})
 
     def __repr__(self) -> str:
         return (f"GradedDerivation(degree={self.degree}, "
@@ -416,9 +419,7 @@ def check_lie_contraction_identity(K: FieldValuedForm, L: FieldValuedForm,
     jlk = insertion_compose(L, K)
     sign = (-1) ** ((k * ell) % 2)
     rhs = rhs - lie_operator(jlk, trunc).scale(sign)
-    keep = {j: lhs.mats[j] for j in range(trunc + 1) if j in lhs.mats}
-    lhs = GradedDerivation(K.algebra, lhs.degree, keep)
-    return lhs.agrees_with(rhs)
+    return lhs.truncated(trunc).agrees_with(rhs)
 
 
 def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
@@ -430,7 +431,6 @@ def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
     identity (checked to ``trunc``); the other two are exact identities of
     field-valued forms.
     """
-    A = K1.algebra
     k1, k2 = K1.degree, K2.degree
     if L1.degree != k1 + 1 or L2.degree != k2 + 1:
         raise FieldFormError("expected subscripts (k_i, k_i + 1)")
@@ -449,9 +449,7 @@ def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
     jpart = algebraic_bracket(L1, L2) + fn_bracket(K1, L2) \
         - fn_bracket(K2, L1).scale(sgn)
     rhs = lie_operator(lpart, trunc) + contraction(jpart, trunc)
-    keep = {j: lhs.mats[j] for j in range(trunc + 1) if j in lhs.mats}
-    report["operator_commutator"] = GradedDerivation(
-        A, lhs.degree, keep).agrees_with(rhs)
+    report["operator_commutator"] = lhs.truncated(trunc).agrees_with(rhs)
 
     # (2) j_L [K1,K2] = [j_L K1, K2] + (-1)^{k1 l} [K1, j_L K2]
     #       - ((-1)^{k1 l} j([K1,L]) K2 - (-1)^{(k1+l) k2} j([K2,L]) K1)
@@ -492,7 +490,6 @@ def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
 
 def f_related(f: AlgebraHom, K: FieldValuedForm, Kp: FieldValuedForm) -> bool:
     """K' o Omega_1(f) = Omega_k(f) o K as matrices."""
-    from .forms import omega_functor
     if K.degree != Kp.degree:
         return False
     lhs = Kp.extension() @ omega_functor(f, 1)
@@ -503,24 +500,15 @@ def f_related(f: AlgebraHom, K: FieldValuedForm, Kp: FieldValuedForm) -> bool:
 def pushforward(f: AlgebraHom, K: FieldValuedForm) -> Optional[FieldValuedForm]:
     """The f-related form on the target, when one exists (f surjective).
 
-    Solves delta'(f(e_i)) = Omega_k(f)(delta(e_i)) for delta'; returns None
-    when the system is inconsistent (K does not descend).
+    Solves delta' F = Omega_k(f) delta for delta', F the matrix of f, as
+    F^T delta'^T = (Omega_k(f) delta)^T; returns None when the system is
+    inconsistent (K does not descend).
     """
-    from .forms import omega_functor
-    B = f.target
-    tgt_dim = form_space(B, K.degree).dim
-    T = omega_functor(f, K.degree) @ K.delta   # tgt_dim x m
-    Ft = f.matrix.T.to_fraction_rows()         # m x m'
-    rows_out = []
-    for r in range(tgt_dim):
-        rhs = [T.entry(r, i) for i in range(K.algebra.dim)]
-        sol = solve_linear(Ft, rhs)
-        if sol is None:
-            return None
-        rows_out.append(sol)
-    delta_p = QMat.from_rows(rows_out) if rows_out else QMat.zeros(0, B.dim)
+    delta_t = solve_linear(f.matrix.T, (omega_functor(f, K.degree) @ K.delta).T)
+    if delta_t is None:
+        return None
     try:
-        return FieldValuedForm(B, K.degree, delta_p)
+        return FieldValuedForm(f.target, K.degree, delta_t.T)
     except FieldFormError:
         return None
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
-from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, kron_rows,
-                     nullspace, qmat_hstack, qmat_sum)
+from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, format_scalar,
+                     kron_rows, nullspace, parse_scalar, qmat_hstack, qmat_sum,
+                     subspace_from_columns)
 
 
 class FormError(ValueError):
@@ -208,7 +209,6 @@ class Form:
         return self.vec.column_fractions(0)
 
     def to_json(self) -> dict:
-        from .linalg import format_scalar
         return {"degree": self.degree,
                 "coords": [format_scalar(v) for v in self.coords()]}
 
@@ -217,7 +217,6 @@ class Form:
 
 
 def form_from_json(algebra: Algebra, obj: dict) -> Form:
-    from .linalg import parse_scalar
     sp = form_space(algebra, int(obj["degree"]))
     return sp.form([parse_scalar(s) for s in obj["coords"]])
 
@@ -412,47 +411,18 @@ def de_rham_homology(algebra: Algebra, truncation: int,
         raise FormError("form space dimension exceeds cap")
     comm = [commutator_subspace(algebra, r) for r in range(N + 1)]
     quot_dims = [form_space(algebra, r).dim - comm[r].dim for r in range(N + 1)]
-    # induced differentials on the quotient: reduce mod commutators, keep the
-    # free coordinates
-    reducers = []
-    frees = []
-    for r in range(N + 1):
-        red = RowReducer(form_space(algebra, r).dim)
-        for row in comm[r].basis:
-            red.add_dense(row)
-        reducers.append(red)
-        pivset = set(red.pivots())
-        frees.append([t for t in range(form_space(algebra, r).dim)
-                      if t not in pivset])
-    ranks = []
-    kernels = []
-    for r in range(N):
-        sp = form_space(algebra, r)
-        dmat = sp.d_matrix()
-        red_im = RowReducer(form_space(algebra, r + 1).dim)
-        cols = []
-        for t in frees[r]:
-            img = dmat.col(t).column_fractions(0)
-            rep = reducers[r + 1].reduce_dense(img)
-            cols.append([rep[u] for u in frees[r + 1]])
-            red_im.add_dense(cols[-1])
-        ranks.append(red_im.dim)
-        kernels.append(quot_dims[r] - red_im.dim)
-    dims = []
-    for p in range(N):
-        image_in = ranks[p - 1] if p >= 1 else 0
-        dims.append(kernels[p] - image_in)
+    # d maps commutators into commutators, so the induced map out of degree
+    # r has rank dim(C_{r+1} + im d_r) - dim C_{r+1}
+    ranks = [(comm[r + 1] + subspace_from_columns(form_space(algebra, r).d_matrix())).dim
+             - comm[r + 1].dim for r in range(N)]
+    dims = [quot_dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(N)]
     # degree N: only a lower bound.  Without the degree-(N+1) commutator
     # space we can only see d(rep) = 0 on the nose, which undercounts the
     # kernel of the induced differential.
     dN = form_space(algebra, N).d_matrix()
-    red_top = RowReducer(form_space(algebra, N + 1).dim)
-    rank_top = 0
-    for t in frees[N]:
-        if red_top.add_dense(dN.col(t).column_fractions(0)):
-            rank_top += 1
-    kerN = len(frees[N]) - rank_top
-    lower_N = max(0, kerN - (ranks[N - 1] if N >= 1 else 0))
+    free = sorted(set(range(dN.shape[1])) - set(comm[N].pivots))
+    kerN = len(free) - subspace_from_columns(QMat(dN.num[:, free], dN.den)).dim
+    lower_N = max(0, kerN - ranks[N - 1])
     return {
         "truncation": N,
         "homology_dims": dims,                  # exact, degrees 0..N-1

@@ -78,8 +78,8 @@ class NormalizedCochain:
             dM, [vec[j * dM:(j + 1) * dM] for j in range(nJ)]))
 
     def to_vector(self) -> list[Fraction]:
-        nJ, dM = self.data.shape[1], self.module.dim
-        return [self.data.entry(r, j) for j in range(nJ) for r in range(dM)]
+        """The values one tuple after another: entry (r, J) at J*dim M + r."""
+        return [Fraction(v, self.data.den) for v in self.data.num.T.reshape(-1).tolist()]
 
     def value(self, J: Sequence[int]) -> QMat:
         """Value on the basis tuple J, as a column over the module basis."""
@@ -427,20 +427,14 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     if witness is not None:
         raise HochschildError(f"not a bimodule homomorphism: {witness}")
     tensor = tensor_module(algebra, n)
-    cols = _factored_cochains(tensor, module)
-    target = hom_to_cochain(module, n, hom).to_vector()
-    if not target:
-        sol: Optional[list[Fraction]] = [Fraction(0)] * cols.shape[1]
-    else:
-        sol = solve_linear(cols.to_fraction_rows(), target)
+    # the cochain vector of hom: its generator columns, one after another
+    target = hom_to_cochain(module, n, hom).data.T
+    sol = solve_linear(_factored_cochains(tensor, module),
+                       QMat(target.num.reshape(-1, 1), target.den))
     if sol is None:
         return None
-    m = algebra.dim
-    mid = _bar_dim(m, n - 1)
-    dM = module.dim
-    # unknowns were ordered middle-tuple major, module coordinate minor
-    values = QMat.from_columns(dM, [sol[j * dM:(j + 1) * dM]
-                                    for j in range(mid)])
+    # unknowns are ordered middle-tuple major, module coordinate minor
+    values = QMat(sol.num.reshape(-1, module.dim), sol.den).T
     psi_hom = tensor_hom_from_values(tensor, module, values)
     if psi_hom @ universal_comparison_hom(algebra, n) != hom:
         raise HochschildError("factorization check failed")  # pragma: no cover

@@ -11,7 +11,7 @@ Two representations are used:
   result could exceed 2**62 first reduces its operands, then if need be
   promotes them from int64 to Python objects, so results are always exact.
 
-Four conventions are fixed here and nowhere else:
+Five conventions are fixed here and nowhere else:
 
 * Tuple indexing.  Form bases, bar tuples, tensor bimodules and multimaps
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
@@ -32,6 +32,14 @@ Four conventions are fixed here and nowhere else:
   polyderivations, commutants, tensor relations, tensor spans) is written
   as its list of terms and turned into sparse integer rows by
   :func:`kron_rows`, which feed :func:`nullspace` or a :class:`RowReducer`.
+* Vector format.  Inside the package a block of vectors is a QMat of
+  columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
+  a system A X = B is one :func:`solve_linear` call for all columns of B.
+  ``Fraction`` lists appear only at the boundary: parsing and printing,
+  CLI witnesses, public readers (``Form.coords``, ``Subspace.basis``,
+  ``MultiMap.value``, ``NormalizedCochain.to_vector``) and inputs that
+  are ``Fraction`` by contract (structure constants, polynomial
+  coefficients).
 """
 
 from __future__ import annotations
@@ -288,6 +296,14 @@ class Subspace:
         return QMat.from_coo((self.dim, self.ambient), (
             (i, c, v) for i, row in enumerate(self.rows) for c, v in row.items()))
 
+    def basis_matrix(self) -> "QMat":
+        """The canonical basis as the columns of an ambient x dim QMat."""
+        den = math.lcm(*(row[p] for p, row in zip(self.pivots, self.rows)))
+        return QMat.from_coo((self.ambient, self.dim), (
+            (c, i, v * (den // row[p]))
+            for i, (p, row) in enumerate(zip(self.pivots, self.rows))
+            for c, v in row.items()), den)
+
     def contains(self, vec: Sequence) -> bool:
         return self._reducer().contains(vec)
 
@@ -431,18 +447,27 @@ def _term_rows(factors: list, scale: int) -> Iterator[dict[int, int]]:
     return level(0, {0: scale})
 
 
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One solution of A x = b, or None if inconsistent."""
-    ncols = len(rows[0])
-    red = RowReducer(ncols + 1)
-    for r, v in zip(rows, rhs):
-        red.add_dense([*r, v])
-    if ncols in red.pivots():
+def solve_linear(A: QMat, B: QMat) -> Optional[QMat]:
+    """The X with A X = B whose free unknowns are 0, or None when some
+    column of B is outside the column space of A.
+
+    One elimination of the rows [den_B a | den_A b]; each pivot row p < n
+    (n the width of A) reads off row p of X over its pivot entry.
+    """
+    if A.shape[0] != B.shape[0]:
+        raise LinAlgError("solve: A and B differ in height")
+    n, k = A.shape[1], B.shape[1]
+    red = RowReducer(n + k)
+    for a, b in zip(A.sparse_rows(), B.sparse_rows()):
+        red.add({**{c: B.den * v for c, v in a.items()},
+                 **{n + j: A.den * v for j, v in b.items()}})
+    pivots, rows = red.pivots(), red.int_rows()
+    if pivots and pivots[-1] >= n:
         return None
-    sol = [Fraction(0)] * ncols
-    for p, row in zip(red.pivots(), red.int_rows()):
-        sol[p] = Fraction(row.get(ncols, 0), row[p])
-    return sol
+    den = math.lcm(*(row[p] for p, row in zip(pivots, rows)))
+    return QMat.from_coo((n, k), ((p, c - n, v * (den // row[p]))
+                                  for p, row in zip(pivots, rows)
+                                  for c, v in row.items() if c >= n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +661,14 @@ class QMat:
 
 
 def qmat_inverse(mat: QMat) -> QMat:
-    """Inverse of a square QMat; raises LinAlgError if singular.
-
-    Reduces [num | I] to [I | num^-1]; the inverse is den * num^-1.
-    """
-    n = mat.shape[0]
-    if mat.shape[1] != n:
+    """Inverse of a square QMat, the solution of M X = I; raises
+    LinAlgError if singular."""
+    if mat.shape[0] != mat.shape[1]:
         raise LinAlgError("inverse of non-square matrix")
-    red = RowReducer(2 * n)
-    for i, row in enumerate(mat.sparse_rows()):
-        red.add({**row, n + i: 1})
-    if red.pivots()[:n] != list(range(n)):
+    inv = solve_linear(mat, QMat.eye(mat.shape[0]))
+    if inv is None:
         raise LinAlgError("matrix is singular")
-    return QMat.from_rows([[mat.den * v for v in row[n:]] for row in red.basis()])
+    return inv
 
 
 def qmat_sum(mats: Iterable[QMat]) -> QMat:

@@ -674,3 +674,67 @@ def loop_comparison_image(algebra, n, module):
     gens = [hom_to_cochain(module, n, psi @ comp).to_vector()
             for psi in tensor_hom_basis(tensor_module(algebra, n), module)]
     return Subspace.from_generators(cochain_dim(module, n), gens)
+
+
+# ---------------------------------------------------------------------------
+# Solves and homology over Fraction rows.
+#
+# ``linalg.solve_linear`` solves A X = B for a whole block of right-hand
+# sides in one integer elimination, and ``forms.de_rham_homology`` reads the
+# induced ranks from sums of subspaces.  These are the earlier versions: one
+# Fraction solve per right-hand side, and the induced differentials built
+# coordinate by coordinate on the free coordinates of each quotient.
+# ---------------------------------------------------------------------------
+
+
+def fraction_solve_linear(rows, rhs):
+    """One solution of A x = b (free unknowns 0), or None if inconsistent."""
+    ncols = len(rows[0])
+    red = FractionRowReducer(ncols + 1)
+    for r, v in zip(rows, rhs):
+        red.add_dense([*r, v])
+    if ncols in red.pivots():
+        return None
+    sol = [Fraction(0)] * ncols
+    for p in red.pivots():
+        sol[p] = red.rows[p].get(ncols, Fraction(0))
+    return sol
+
+
+def loop_de_rham_homology(algebra, truncation):
+    """The commutator quotient homology, with each induced differential
+    reduced modulo the next commutator space column by column."""
+    from ncforms.forms import commutator_subspace, form_space
+    N = truncation
+    comm = [commutator_subspace(algebra, r) for r in range(N + 1)]
+    quot_dims = [form_space(algebra, r).dim - comm[r].dim for r in range(N + 1)]
+    reducers, frees = [], []
+    for r in range(N + 1):
+        red = FractionRowReducer(form_space(algebra, r).dim)
+        for row in comm[r].basis:
+            red.add_dense(row)
+        reducers.append(red)
+        frees.append([t for t in range(form_space(algebra, r).dim)
+                      if t not in red.rows])
+    ranks, kernels = [], []
+    for r in range(N):
+        dmat = form_space(algebra, r).d_matrix()
+        red_im = FractionRowReducer(form_space(algebra, r + 1).dim)
+        for t in frees[r]:
+            rep = reducers[r + 1].reduce_dense(dmat.column_fractions(t))
+            red_im.add_dense([rep[u] for u in frees[r + 1]])
+        ranks.append(red_im.dim)
+        kernels.append(quot_dims[r] - red_im.dim)
+    dims = [kernels[p] - (ranks[p - 1] if p >= 1 else 0) for p in range(N)]
+    dN = form_space(algebra, N).d_matrix()
+    red_top = FractionRowReducer(form_space(algebra, N + 1).dim)
+    rank_top = sum(red_top.add_dense(dN.column_fractions(t)) for t in frees[N])
+    lower_N = max(0, len(frees[N]) - rank_top - ranks[N - 1])
+    return {
+        "truncation": N,
+        "homology_dims": dims,
+        "top_degree_lower_bound": lower_N,
+        "top_degree_incomplete": True,
+        "quotient_dims": quot_dims,
+        "commutator_dims": [c.dim for c in comm],
+    }

@@ -1,5 +1,6 @@
 """Structure-constant algebras, bimodules, homs, derivations, tensor-over-A."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,65 @@ def test_algebra_hom_iso_kc2_kxk():
     assert f.is_isomorphism()
     g = kc2.basis_element(1)
     assert f(g * g) == kxk.unit()
+
+
+@pytest.mark.parametrize("name", ["truncpoly3", "m2", "upper2", "kc2"])
+def test_associativity_check_names_the_first_failing_pair(name):
+    # one block identity per left factor reports the same first pair as
+    # comparing (e_i e_j) e_l with e_i (e_j e_l) triple by triple
+    base = catalog()[name]
+    m = base.dim
+    rng = random.Random(name)
+    for _ in range(12):
+        c = [[list(cs) for cs in row] for row in base.structure]
+        i, j, k = rng.randrange(1, m), rng.randrange(1, m), rng.randrange(m)
+        c[i][j][k] += rng.choice([-1, 1, Fraction(1, 2)])
+        raw = Algebra("bent", base.basis_names, c, check=False)
+        e = [raw.basis_element(t).coeffs for t in range(m)]
+        first = next(((a, b) for a in range(m) for b in range(m) for t in range(m)
+                      if raw.mult_vec(raw.mult_vec(e[a], e[b]), e[t])
+                      != raw.mult_vec(e[a], raw.mult_vec(e[b], e[t]))), None)
+        if first is None:
+            Algebra("bent", base.basis_names, c)
+            continue
+        names = [base.basis_names[t] for t in first]
+        with pytest.raises(AlgebraError, match=rf"not associative at \({names[0]}, {names[1]}\)"):
+            Algebra("bent", base.basis_names, c)
+
+
+def test_is_isomorphism_lets_unrelated_errors_through(monkeypatch):
+    kc2 = c2_group_algebra()
+    kxk = product_algebra(base_field(), base_field())
+    f = AlgebraHom(kc2, kxk, QMat.from_rows([[1, -1], [0, 2]]), name="split")
+    # a singular matrix is "not an isomorphism" ...
+    assert not AlgebraHom(kc2, kxk, QMat.from_rows([[1, 1], [0, 0]]),
+                          check=False).is_isomorphism()
+
+    def broken(mat):
+        raise RuntimeError("unrelated failure")
+
+    # ... but any other error is not swallowed
+    monkeypatch.setattr("ncforms.algebra.qmat_inverse", broken)
+    with pytest.raises(RuntimeError):
+        f.is_isomorphism()
+
+
+def test_hom_validation_names_the_first_failing_pair():
+    # F L_i = L_{f(e_i)} F, checked i by i, reports the same first basis pair
+    # as comparing f(e_i e_j) with f(e_i) f(e_j) pair by pair
+    tp3 = truncated_polynomial_algebra(3)
+    m2 = matrix_algebra(2)
+    for src, tgt, rows in ((tp3, dual_numbers(), [[1, 0, 1], [0, 1, 0]]),
+                           (tp3, tp3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                           (m2, m2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                                     [0, 0, 0, 1]])):
+        F = QMat.from_rows(rows)
+        f = AlgebraHom(src, tgt, F, check=False)
+        first = next((i, j) for i in range(src.dim) for j in range(src.dim)
+                     if f(src.basis_element(i) * src.basis_element(j))
+                     != f(src.basis_element(i)) * f(src.basis_element(j)))
+        with pytest.raises(AlgebraError, match=rf"basis pair \({first[0]},{first[1]}\)"):
+            f.validate()
 
 
 def test_semidirect_product_and_graph_homs():

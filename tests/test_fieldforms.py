@@ -337,6 +337,19 @@ def test_graded_leibniz_rejects_perturbations_in_positive_degree(algebras, bases
 # -- the operator identities ------------------------------------------------
 
 
+def test_truncated_keeps_low_input_degrees(algebras):
+    A = algebras["dual"]
+    d = d_operator(A, 3)
+    low = d.truncated(1)
+    assert low.input_degrees() == [0, 1] and low.degree == 1
+    assert all(low.mats[j] is d.mats[j] for j in (0, 1))
+    assert low.agrees_with(d) and d.truncated(5).input_degrees() == [0, 1, 2, 3]
+    # nothing at or below the bound: the empty operator, which is zero
+    empty = contraction(identity_one_form(A), 3).scale(0).truncated(-1)
+    assert empty.input_degrees() == [] and empty.is_zero()
+    assert not d.truncated(0).is_zero()
+
+
 def test_lie_contraction_identity(algebras, bases):
     rng = random.Random(79)
     for name, combos in (("dual", ((0, 1), (1, 1), (1, 2), (2, 2), (2, 3))),

@@ -13,6 +13,7 @@ from ncforms.algebra import (
     Algebra, AlgebraHom, base_field, dual_numbers, matrix_algebra, product_algebra,
     truncated_polynomial_algebra,
 )
+from ncforms.dsl import builtin_algebra
 from ncforms.forms import (
     FormError, GradedForm, commutator_subspace, de_rham_homology, form_from_json,
     form_space, kernel_of_mu_n, multiplication_matrix, omega_functor, product,
@@ -20,6 +21,7 @@ from ncforms.forms import (
 from ncforms.linalg import QMat, RowReducer
 from oracles import (
     emb_basis_form, emb_concat, emb_delta, emb_right_mult, emb_scale_add,
+    loop_de_rham_homology,
 )
 from test_algebra import c2_group_algebra, catalog, upper_triangular2
 
@@ -342,6 +344,17 @@ def test_de_rham_kxk():
     assert rep["quotient_dims"] == [2, 0, 1, 0]
     assert rep["homology_dims"] == [2, 0, 1]
     assert rep["top_degree_lower_bound"] == 0
+
+
+@pytest.mark.parametrize("name, N", [
+    *((b, 4) for b in ("k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2")),
+    ("truncpoly(4)", 4), ("matrix(3)", 1), ("m2frac", 4)])
+def test_de_rham_matches_free_coordinate_loop(name, N):
+    # ranks as dim(C_{r+1} + im d_r) - dim C_{r+1} give the same report as
+    # the induced differentials built on the free quotient coordinates
+    algs = _algebras()
+    alg = algs[name] if name in algs else builtin_algebra(name)
+    assert de_rham_homology(alg, N) == loop_de_rham_homology(alg, N)
 
 
 def test_d_descends_to_commutator_quotient():

@@ -47,6 +47,36 @@ def test_library_modules_import_nothing_unused():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def imports_in_functions(source: str) -> list[str]:
+    """'function:line' of each import statement inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{node.name}:{inner.lineno}" for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted(found)
+
+
+def test_function_import_scanner():
+    source = ("import os\n"
+              "def f():\n"
+              "    import sys\n"
+              "    def g():\n"
+              "        from os import path\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from . import x\n")
+    # g's import is inside f too
+    assert imports_in_functions(source) == ["f:3", "f:5", "g:5", "m:8"]
+
+
+def test_library_imports_at_module_top():
+    # no import cycle among the modules needs a deferred import
+    found = {p.name: imports_in_functions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {}
+
+
 def undecorated_definitions(source: str) -> list[tuple[str, int]]:
     """(name, line) of each top-level function or class, and each method of
     a top-level class, that carries no decorator.  Decorated ones (click

@@ -27,7 +27,7 @@ from ncforms.linalg import (
 from ncforms.schouten import MultiMap
 from oracles import (
     FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
-    fraction_span, sympy_nullspace_dim, sympy_rank, sympy_rref,
+    fraction_solve_linear, fraction_span, sympy_nullspace_dim, sympy_rank, sympy_rref,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -131,11 +131,27 @@ def test_quotient_dim():
         small.quotient_dim(big)
 
 
+def _solve(rows, rhs_cols):
+    """solve_linear on Fraction rows and right-hand-side columns."""
+    return solve_linear(QMat.from_rows(rows), QMat.from_columns(len(rows), rhs_cols))
+
+
 def test_solve_linear():
-    sol = solve_linear([[1, 2], [3, 4]], [5, 6])
-    assert sol == [Fraction(-4), Fraction(9, 2)]
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
-    assert solve_linear([[1, 1], [2, 2]], [3, 6]) is not None
+    sol = _solve([[1, 2], [3, 4]], [[5, 6]])
+    assert sol.shape == (2, 1)
+    assert sol.column_fractions(0) == [Fraction(-4), Fraction(9, 2)]
+    assert _solve([[1, 1], [1, 1]], [[0, 1]]) is None
+    assert _solve([[1, 1], [2, 2]], [[3, 6]]) is not None
+    # one inconsistent column makes the whole block unsolvable
+    assert _solve([[1, 1], [1, 1]], [[1, 1], [0, 1]]) is None
+    # a block of columns solves column by column; free unknowns are 0
+    block = _solve([[1, 1], [2, 2]], [[3, 6], [Fraction(1, 2), 1], [0, 0]])
+    assert block.shape == (2, 3)
+    assert [block.column_fractions(j) for j in range(3)] == [
+        [3, 0], [Fraction(1, 2), 0], [0, 0]]
+    assert _solve([[1, 2]], []).shape == (2, 0)
+    with pytest.raises(LinAlgError):
+        solve_linear(QMat.eye(2), QMat.eye(3))
 
 
 def test_row_reducer_incremental_matches_batch():
@@ -348,11 +364,35 @@ def test_solve_linear_matches_sympy(nrows, ncols, data):
         sol, params = _sympy_matrix(rows, ncols).gauss_jordan_solve(
             sympy.Matrix([sympy.Rational(v) for v in rhs]))
     except ValueError:       # sympy: the system is inconsistent
-        assert solve_linear(rows, rhs) is None
+        assert _solve(rows, [rhs]) is None
         return
     # the free parameters at 0: the same particular solution
     expect = [Fraction(str(v)) for v in sol.subs({t: 0 for t in params})]
-    assert solve_linear(rows, rhs) == expect
+    assert _solve(rows, [rhs]).column_fractions(0) == expect
+
+
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 3), st.data())
+@settings(max_examples=80)
+def test_solve_linear_matches_fraction_solves(nrows, ncols, k, data):
+    # one block solve equals one Fraction solve per right-hand side, in
+    # (num, den, dtype) of the canonical QMat of those solutions
+    big = st.sampled_from([Fraction(2 ** 62 + 1), Fraction(-(2 ** 63), 3)])
+    entries = st.one_of(sparse_st, big) if data.draw(st.booleans()) else sparse_st
+    rows = [data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    rhs = [data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+           for _ in range(k)]
+    got = solve_linear(QMat.from_rows(rows) if nrows else QMat.zeros(0, ncols),
+                       QMat.from_columns(nrows, rhs))
+    sols = [fraction_solve_linear(rows, b) if nrows else [Fraction(0)] * ncols
+            for b in rhs]
+    if any(s is None for s in sols):
+        assert got is None
+        return
+    expect = QMat.from_columns(ncols, sols)
+    assert got.shape == (ncols, k)
+    assert (got.num.tolist(), got.den, got.num.dtype) == (
+        expect.num.tolist(), expect.den, expect.num.dtype)
 
 
 @given(st.integers(1, 4), st.data())
@@ -687,3 +727,27 @@ def test_elimination_stays_on_integer_rows():
                connections.bimodule_endomorphism_space):
         src = inspect.getsource(fn)
         assert not re.search(r"from_(columns|rows)\([^\n]*\.basis", src), fn.__qualname__
+
+
+def test_library_vectors_stay_integer_blocks():
+    # the rewritten solves, spans and checks take QMat columns and Subspace
+    # rows; none unpacks a matrix into Fraction lists and packs it back
+    rewritten = [
+        linalg.solve_linear, linalg.qmat_inverse,
+        connections.minimal_polynomial, connections.Bundle.base_algebra,
+        connections.Bundle.validate, connections.find_connections,
+        connections.is_distribution, connections.bimodule_span,
+        connections.exact_span, connections.involutive,
+        connections.curvature_horizontality, connections.Projection.__hash__,
+        fieldforms.pushforward, hochschild.is_coboundary, forms.de_rham_homology,
+        algebra.AlgebraHom.validate, algebra.TensorQuotient.factor_map,
+        algebra.derivation_vector, algebra.derivation_to_hom,
+        algebra.hom_to_derivation,
+    ]
+    banned = ("to_fraction_rows(", ".entry(", "add_dense(", "QMat.column(")
+    for fn in rewritten:
+        src = inspect.getsource(fn)
+        assert not [b for b in banned if b in src], fn.__qualname__
+    # qmat_inverse is a block solve: no elimination of its own
+    assert "solve_linear(" in inspect.getsource(linalg.qmat_inverse)
+    assert "RowReducer(" not in inspect.getsource(linalg.qmat_inverse)
