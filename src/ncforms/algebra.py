@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_rows, nullspace,
-                     qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
+from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_apply, kron_rows,
+                     nullspace, qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
 
 
 class AlgebraError(ValueError):
@@ -471,26 +471,23 @@ class SemidirectProduct:
 # ---------------------------------------------------------------------------
 
 
-def leibniz_terms(mod: Bimodule) -> list[tuple[QMat, QMat | int]]:
+def leibniz_terms(mod: Bimodule) -> list[tuple]:
     """Kronecker terms of the Leibniz system of a linear D: A -> M.
 
-    On vec(D) (D[r, j] at index j*dM + r) the condition at (e_i, e_j) is
-    c_ij^T (x) I - e_j^T (x) L_i - e_i^T (x) R_j, with c_ij the column of
-    structure constants of e_i e_j; the terms stack it over (i, j), row
-    (i*m + j)*dM + r.
+    On vec(D) (D[r, j] at index j*dM + r), row (i*m + j)*dM + r of
+    C (x) I - sum_a (u_a (x) I (x) L_a + I (x) u_a (x) R_a) is coordinate r of
+    D(e_i e_j) - e_i.D(e_j) - D(e_i).e_j: C is the m^2 x m matrix of
+    structure constants and u_a the unit column of e_a (the head and tail
+    terms of the coboundary).  The last factor of every term acts on M.
     """
     A = mod.algebra
     m = A.dim
     C = QMat.from_coo((m * m, m), ((i * m + j, k, v) for i in range(m)
                                    for j in range(m) for k, v in A.constants[i][j]),
                       A.structure_den)
-    terms: list[tuple[QMat, QMat | int]] = [(C, mod.dim)]
-    for a in range(m):
-        terms.append((QMat.from_coo((m * m, m), ((a * m + j, j, -1) for j in range(m))),
-                      mod.left[a]))
-        terms.append((QMat.from_coo((m * m, m), ((i * m + a, i, -1) for i in range(m))),
-                      mod.right[a]))
-    return terms
+    units = [QMat.from_coo((m, 1), [(a, 0, -1)]) for a in range(m)]
+    return [(C, mod.dim), *((u, m, L) for u, L in zip(units, mod.left)),
+            *((m, u, R) for u, R in zip(units, mod.right))]
 
 
 def derivation_space(mod: Bimodule) -> Subspace:
@@ -515,17 +512,12 @@ def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
 
 def derivation_defect(mod: Bimodule, mat: QMat) -> Optional[tuple[int, int]]:
     """First basis pair (i, j) where D(e_i e_j) != e_i.D(e_j) + D(e_i).e_j,
-    or None when the dM x m matrix of D is a derivation."""
-    A = mod.algebra
-    for i in range(A.dim):
-        di = mat.col(i)
-        for j in range(A.dim):
-            dj = mat.col(j)
-            dij = qmat_sum([mat.col(k).scale(A.structure[i][j][k])
-                            for k in range(A.dim)])
-            if dij != mod.left[i] @ dj + mod.right[j] @ di:
-                return i, j
-    return None
+    or None when the dM x m matrix of D is a derivation: the first nonzero
+    row of the Leibniz terms applied to vec(D)."""
+    m, dM = mod.algebra.dim, mod.dim
+    vec = QMat(mat.num.T.reshape(m * dM, 1), mat.den)
+    bad = np.flatnonzero(kron_apply(leibniz_terms(mod), vec, m * m * dM).num)
+    return divmod(int(bad[0]) // dM, m) if bad.size else None
 
 
 def is_derivation(mod: Bimodule, mat: QMat) -> bool:

@@ -211,8 +211,9 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     d1 = form_space(A, 1).d_matrix()
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
-    omega_p = {k: induced_endomorphism(A, ext, k) for k in range(1, N + 1)}
-    omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in range(1, N + 1)}
+    degrees = range(1, max(N, 2) + 1)      # the curvature formulas read degree 2
+    omega_p = {k: induced_endomorphism(A, ext, k) for k in degrees}
+    omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in degrees}
 
     report = {}
     report["curvature_formula"] = (

@@ -19,13 +19,14 @@ from the normalized complex; the two dimensions must agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, Subspace, digits_at, flat_index, kron_rows, nullspace,
+from .linalg import (QMat, Subspace, flat_index, kron_apply, kron_rows, nullspace,
                      qmat_hstack, solve_linear, subspace_from_columns)
 
 
@@ -88,21 +89,12 @@ class NormalizedCochain:
         return self.data.col(flat_index(J, self.module.algebra.dim - 1, 1))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
-        """Multilinear extension; unit components of the arguments drop out."""
+        """Multilinear extension: data times the Kronecker product of the bar parts."""
         if len(args) != self.arity:
             raise HochschildError("argument count does not match arity")
         m = self.module.algebra.dim
-        acc = QMat.zeros(self.module.dim, 1)
-        for flat in range(self.data.shape[1]):
-            J = digits_at(flat, m - 1, self.arity, 1)
-            coeff = Fraction(1)
-            for t, j in enumerate(J):
-                coeff *= Fraction(args[t][j])
-                if not coeff:
-                    break
-            if coeff:
-                acc = acc + self.data.col(flat).scale(coeff)
-        return acc.column_fractions(0)
+        bars = (QMat.from_columns(m - 1, [a[1:]]) for a in args)
+        return (self.data @ functools.reduce(QMat.kron, bars, QMat.eye(1))).column_fractions(0)
 
     def _check_compatible(self, other: "NormalizedCochain") -> None:
         if (self.module.algebra is not other.module.algebra
@@ -153,36 +145,24 @@ def cochain_dim(module: Bimodule, n: int) -> int:
 
 def coboundary(c: NormalizedCochain) -> NormalizedCochain:
     """(dc)(a_1..a_{n+1}) = a_1 c(a_2..) + sum (-1)^t c(.., a_t a_{t+1}, ..)
-    + (-1)^{n+1} c(a_1..a_n) a_{n+1}; unit components of the merged products
-    drop out because the cochain is normalized."""
-    module = c.module
-    A = module.algebra
-    m, n, dM = A.dim, c.arity, module.dim
-    cols = []
-    for flat in range(_bar_dim(m, n + 1)):
-        K = digits_at(flat, m - 1, n + 1, 1)
-        acc = module.left[K[0]] @ c.value(K[1:])
-        for t in range(n):
-            sign = -1 if (t + 1) % 2 else 1
-            prod = A.structure[K[t]][K[t + 1]]
-            for p in range(1, m):
-                if prod[p]:
-                    merged = K[:t] + (p,) + K[t + 2:]
-                    acc = acc + c.value(merged).scale(sign * prod[p])
-        sign = -1 if (n + 1) % 2 else 1
-        cols.append(acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign))
-    return NormalizedCochain(module, n + 1, qmat_hstack(dM, cols))
+    + (-1)^{n+1} c(a_1..a_n) a_{n+1}: the terms of :func:`coboundary_terms`
+    applied to the cochain vector."""
+    module, n = c.module, c.arity
+    nJ, nK, dM = c.data.shape[1], _bar_dim(module.algebra.dim, n + 1), module.dim
+    vec = QMat(c.data.num.T.reshape(nJ * dM, 1), c.data.den)
+    out = kron_apply(coboundary_terms(module, n), vec, nK * dM)
+    return NormalizedCochain(module, n + 1, QMat(out.num.reshape(nK, dM).T.copy(), out.den))
 
 
-def coboundary_rows(module: Bimodule, n: int) -> tuple[int, Iterator[dict[int, int]]]:
-    """The degree-n coboundary matrix on cochain vectors, as :func:`kron_rows`
-    (den, rows): row (flat K) * dim M + r is den times the matrix row of
-    output coordinate r at K; columns as in NormalizedCochain.to_vector.
+def coboundary_terms(module: Bimodule, n: int) -> list[tuple]:
+    """The Kronecker terms of the degree-n coboundary on cochain vectors (entry
+    (r, J) at J * dim M + r): row (flat K) * dim M + r is coordinate r at K.
 
     With u_a the unit column of a in Abar and Cbar the (m-1)^2 x (m-1)
     structure constants of Abar x Abar -> Abar, the terms are the head
     u_a (x) I (x) L_a, the merges (-1)^(t+1) I (x) Cbar (x) I at slots
-    t, t+1, and the tail (-1)^(n+1) I (x) u_a (x) R_a.
+    t, t+1, and the tail (-1)^(n+1) I (x) u_a (x) R_a; unit components of
+    the merged products drop out because the cochain is normalized.
     """
     A = module.algebra
     m, dM, nJ = A.dim, module.dim, _bar_dim(A.dim, n)
@@ -195,12 +175,12 @@ def coboundary_rows(module: Bimodule, n: int) -> tuple[int, Iterator[dict[int, i
     terms += [((m - 1) ** t, -cbar if t % 2 == 0 else cbar, (m - 1) ** (n - 1 - t), dM)
               for t in range(n)]
     terms += [(nJ, u, R.scale(tail_sign)) for u, R in zip(units, module.right[1:])]
-    return kron_rows(terms)
+    return terms
 
 
 def cocycle_space(module: Bimodule, n: int) -> Subspace:
     """Kernel of the degree-n coboundary, in cochain-vector coordinates."""
-    _, rows = coboundary_rows(module, n)
+    _, rows = kron_rows(coboundary_terms(module, n))
     return nullspace(cochain_dim(module, n), rows)
 
 
@@ -260,14 +240,9 @@ def bimodule_hom_violation(src: Bimodule, tgt: Bimodule,
     for side, src_acts, tgt_acts in (("left", src.left, tgt.left),
                                      ("right", src.right, tgt.right)):
         for i in range(src.algebra.dim):
-            lhs = hom @ src_acts[i]
-            rhs = tgt_acts[i] @ hom
-            if lhs != rhs:
-                diff = lhs - rhs
-                for j in range(src.dim):
-                    if not diff.col(j).is_zero():
-                        return {"side": side, "algebra_index": i,
-                                "source_index": j}
+            bad = (hom @ src_acts[i] - tgt_acts[i] @ hom).num.any(axis=0)
+            if bad.any():
+                return {"side": side, "algebra_index": i, "source_index": int(bad.argmax())}
     return None
 
 
@@ -361,23 +336,13 @@ def tensor_hom_from_values(tensor: TensorBimodule, module: Bimodule,
     return QMat(num.reshape(module.dim, tensor.dim), blocks.den)
 
 
-def tensor_hom_basis(tensor: TensorBimodule, module: Bimodule) -> list[QMat]:
-    """Basis of all bimodule homomorphisms out of the free bimodule."""
-    m = tensor.algebra.dim
-    mid = _bar_dim(m, tensor.middles)
-    return [tensor_hom_from_values(tensor, module, QMat.from_coo(
-        (module.dim, mid), [(r, flat, 1)]))
-        for flat in range(mid) for r in range(module.dim)]
-
-
 def unit_frame_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
     """The (n-1)-cochain J |-> 1 (x) Jbar (x) 1 in the free bimodule."""
     tensor = tensor_module(algebra, n)
-    m = algebra.dim
-    mid = _bar_dim(m, n - 1)
+    m, mid = algebra.dim, _bar_dim(algebra.dim, n - 1)
+    # (0, J, 0) is at flat index J * m
     return NormalizedCochain(tensor, n - 1, QMat.from_coo(
-        (tensor.dim, mid), ((tensor.index_of(0, digits_at(flat, m - 1, n - 1, 1), 0),
-                             flat, 1) for flat in range(mid))))
+        (tensor.dim, mid), ((flat * m, flat, 1) for flat in range(mid))))
 
 
 def comparison_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
@@ -392,23 +357,29 @@ def universal_comparison_hom(algebra: Algebra, n: int) -> QMat:
     return cochain_to_hom(comparison_cochain(algebra, n))
 
 
-def _factored_cochains(tensor: TensorBimodule, module: Bimodule) -> QMat:
-    """Column k is the cochain vector of Psi_k composed with the comparison
-    map, Psi_k the k-th basis hom out of the free bimodule.  A cochain reads
-    a hom on the generators (0; J) only, the leading nJ columns; those of
-    the comparison map are the comparison cochain (e_0 = 1 acts as the
-    identity), so only they are multiplied."""
-    lead = comparison_cochain(tensor.algebra, tensor.n).data
-    values = [psi @ lead for psi in tensor_hom_basis(tensor, module)]
-    # a cochain vector runs over J, then over the module coordinate
-    return qmat_hstack(lead.shape[1] * module.dim,
-                       [QMat(v.num.T.reshape(-1, 1), v.den) for v in values])
+def _factored_cochains(algebra: Algebra, n: int, module: Bimodule) -> QMat:
+    """Column (J', r): the cochain vector of Psi after the comparison map, Psi
+    the hom out of the free bimodule sending (i, J', l) to e_i e_r e_l.  A
+    cochain reads only the generator columns, which for the comparison map
+    are the comparison cochain (e_0 = 1 acts as the identity); so the matrix
+    is sum_{i,l} lead_il^T (x) L_i R_l, lead_il the rows (i, ., l) of it."""
+    m, dM = algebra.dim, module.dim
+    lead = comparison_cochain(algebra, n).data
+    mid, nJ = _bar_dim(m, n - 1), lead.shape[1]
+    blocks = lead.num.reshape(m, mid, m, nJ).transpose(1, 3, 0, 2).reshape(mid * nJ, m * m)
+    # block (i, l) of the stacked left actions times the stacked right ones
+    LR = qmat_hstack(dM, [L.T for L in module.left]).T @ qmat_hstack(dM, module.right)
+    lr = LR.num.reshape(m, dM, m, dM).transpose(0, 2, 1, 3).reshape(m * m, dM * dM)
+    out = QMat(blocks, lead.den) @ QMat(lr, LR.den)
+    # rows (J', J), columns (s, r) -> rows (J, s), columns (J', r)
+    num = out.num.reshape(mid, nJ, dM, dM).transpose(1, 2, 0, 3)
+    return QMat(num.reshape(nJ * dM, mid * dM), out.den)
 
 
 def comparison_image(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
     """Homs out of degree-n forms that factor through the comparison map,
     in the same generator coordinates as form_hom_space."""
-    return subspace_from_columns(_factored_cochains(tensor_module(algebra, n), module))
+    return subspace_from_columns(_factored_cochains(algebra, n, module))
 
 
 def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
@@ -426,16 +397,15 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     witness = bimodule_hom_violation(src, module, hom)
     if witness is not None:
         raise HochschildError(f"not a bimodule homomorphism: {witness}")
-    tensor = tensor_module(algebra, n)
     # the cochain vector of hom: its generator columns, one after another
     target = hom_to_cochain(module, n, hom).data.T
-    sol = solve_linear(_factored_cochains(tensor, module),
+    sol = solve_linear(_factored_cochains(algebra, n, module),
                        QMat(target.num.reshape(-1, 1), target.den))
     if sol is None:
         return None
     # unknowns are ordered middle-tuple major, module coordinate minor
     values = QMat(sol.num.reshape(-1, module.dim), sol.den).T
-    psi_hom = tensor_hom_from_values(tensor, module, values)
+    psi_hom = tensor_hom_from_values(tensor_module(algebra, n), module, values)
     if psi_hom @ universal_comparison_hom(algebra, n) != hom:
         raise HochschildError("factorization check failed")  # pragma: no cover
     return {"hom": psi_hom,

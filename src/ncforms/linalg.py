@@ -32,6 +32,8 @@ Five conventions are fixed here and nowhere else:
   polyderivations, commutants, tensor relations, tensor spans) is written
   as its list of terms and turned into sparse integer rows by
   :func:`kron_rows`, which feed :func:`nullspace` or a :class:`RowReducer`.
+  The same list is evaluated on a block by :func:`kron_apply` (the
+  coboundary, the Leibniz defects), so each operator is stated once.
 * Vector format.  Inside the package a block of vectors is a QMat of
   columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
   a system A X = B is one :func:`solve_linear` call for all columns of B.
@@ -445,6 +447,32 @@ def _term_rows(factors: list, scale: int) -> Iterator[dict[int, int]]:
                 yield from level(k + 1, out)
 
     return level(0, {0: scale})
+
+
+def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat, height: int) -> QMat:
+    """(sum_t F_t1 (x) F_t2 (x) ...) X for a block X, the terms as in
+    :func:`kron_rows`, each height x X.shape[0] (else numpy's ValueError).
+
+    One tensordot per QMat factor on its axis of X's numerators, shrinking
+    factors first; no Kronecker product is formed.  The bound
+    sum_t prod (width * max|F|) * max|X|, over the common denominator, picks
+    int64 or object before any product.
+    """
+    mats = [[(k, f) for k, f in enumerate(t) if isinstance(f, QMat)] for t in terms]
+    dens = [math.prod(f.den for _, f in fs) for fs in mats]
+    den = math.lcm(*dens)
+    # floored at 1, so the bound also covers each operand's own entries
+    bound = max(1, _max_abs(X.num)) * max(1, sum((den // d) * math.prod(
+        max(1, f.shape[1] * _max_abs(f.num)) for _, f in fs) for fs, d in zip(mats, dens)))
+    dtype = object if bound >= _INT64_SAFE else np.int64
+    x, out = X.num.astype(dtype, copy=False), np.zeros((height, X.shape[1]), dtype=dtype)
+    for t, fs, d in zip(terms, mats, dens):
+        Y = x.reshape(*(f.shape[1] if isinstance(f, QMat) else f for f in t), X.shape[1])
+        for k, f in sorted(fs, key=lambda kf: kf[1].shape[0] / max(kf[1].shape[1], 1)):
+            F = f.num.astype(dtype, copy=False)
+            Y = np.moveaxis(np.tensordot(F, Y, axes=(1, k)), 0, k)
+        out += (den // d) * Y.reshape(height, X.shape[1])
+    return QMat(out, den * X.den).canonical()
 
 
 def solve_linear(A: QMat, B: QMat) -> Optional[QMat]:

@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Algebra, is_derivation, leibniz_terms
-from .linalg import (QMat, _exact_pair, _max_abs, flat_index, format_scalar, kron_rows,
-                     nullspace, parse_scalar, qmat_hstack, qmat_sum)
+from .algebra import Algebra, leibniz_terms
+from .linalg import (QMat, _exact_pair, _max_abs, flat_index, format_scalar, kron_apply,
+                     kron_rows, nullspace, parse_scalar, qmat_hstack, qmat_sum)
 
 MAX_ARITY = 6
 
@@ -281,15 +281,27 @@ def nr_bracket(K: MultiMap, L: MultiMap) -> MultiMap:
 # ---------------------------------------------------------------------------
 
 
+def _slot_leibniz_terms(algebra: Algebra, before: int, after: int) -> list[tuple]:
+    """The derivation terms on vec of a multimap at the slot with ``before``
+    slots ahead of it and ``after`` behind (unknown flat tuple * m + component)."""
+    m = algebra.dim
+    return [(m ** before, *t[:-1], m ** after, t[-1])
+            for t in leibniz_terms(algebra.regular_bimodule())]
+
+
+def _is_slot_derivation(K: MultiMap, before: int) -> bool:
+    """K is a derivation in its argument with ``before`` slots ahead."""
+    m, N = K.algebra.dim, K.data.shape[1]
+    terms = _slot_leibniz_terms(K.algebra, before, K.arity - 1 - before)
+    return kron_apply(terms, QMat(K.data.num.T.reshape(N * m, 1), K.data.den),
+                      N * m * m).is_zero()
+
+
 def first_slot_leibniz(K: MultiMap) -> bool:
     """a |-> K(a, rest) is a derivation for every basis rest-tuple."""
     if K.scalar or K.arity < 1:
         raise SchoutenError("Leibniz test needs an algebra-valued arity >= 1")
-    M = K.algebra.regular_bimodule()
-    # K(e_i, rest) is data column i * stride + flat_index(rest)
-    stride = K.algebra.dim ** (K.arity - 1)
-    return all(is_derivation(M, QMat(K.data.num[:, flat::stride], K.data.den))
-               for flat in range(stride))
+    return _is_slot_derivation(K, 0)
 
 
 def is_polyderivation(K: MultiMap) -> bool:
@@ -319,8 +331,7 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
         for g in (f, int(idx))))
     _, skew = kron_rows([(swaps, m)])
     # first-slot Leibniz: the derivation terms on K(., rest), rest in the middle
-    _, leibniz = kron_rows([(a, m ** (arity - 1), b)
-                            for a, b in leibniz_terms(algebra.regular_bimodule())])
+    _, leibniz = kron_rows(_slot_leibniz_terms(algebra, 0, arity - 1))
     out = []
     for vec in nullspace(N * m, itertools.chain(skew, leibniz)).basis:
         data = QMat.from_columns(m, [vec[c * m:(c + 1) * m] for c in range(N)])
@@ -339,14 +350,9 @@ def poisson_check(mu: MultiMap) -> dict:
     """Three independent verdicts on a bilinear candidate."""
     if mu.scalar or mu.arity != 2:
         raise SchoutenError("a Poisson candidate is algebra-valued arity 2")
-    A = mu.algebra
-    m = A.dim
     skew = is_skew(mu)
     first = first_slot_leibniz(mu)
-    # b |-> mu(e_i, b) is data columns i*m .. i*m + m - 1
-    M = A.regular_bimodule()
-    second = all(is_derivation(M, QMat(mu.data.num[:, i * m:(i + 1) * m],
-                                       mu.data.den)) for i in range(m))
+    second = _is_slot_derivation(mu, 1)
     jacobi = nr_bracket(mu, mu).is_zero()
     return {"skew": skew, "biderivation": first and second,
             "jacobi": jacobi, "poisson": skew and first and second and jacobi}
@@ -359,14 +365,12 @@ def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:
     """a |-> mu(a, .) lands in derivations and turns mu into commutators."""
-    A = mu.algebra
-    m = A.dim
-    M = A.regular_bimodule()
-    # mats[i] = mu(e_i, .); the image of mu(e_i, e_j) is the same slot
-    # contracted with data column i*m + j
+    m = mu.algebra.dim
+    # mats[i] = mu(e_i, .), a derivation iff the second slot is one; the
+    # image of mu(e_i, e_j) is the same slot contracted with column i*m + j
     eye = QMat.eye(m)
     mats = [_first_slot(mu, eye.col(i)) for i in range(m)]
-    derivation_valued = all(is_derivation(M, D) for D in mats)
+    derivation_valued = _is_slot_derivation(mu, 1)
     lie_hom = all(_first_slot(mu, mu.data.col(i * m + j))
                   == mats[i] @ mats[j] - mats[j] @ mats[i]
                   for i in range(m) for j in range(m))

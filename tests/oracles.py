@@ -664,16 +664,104 @@ def loop_cochain_to_hom(c):
     return qmat_hstack(c.module.dim, cols)
 
 
+def tensor_hom_basis(tensor, module):
+    """Basis of all bimodule homomorphisms out of the free bimodule: the
+    unit value at (r, J) on the generator (0; J; 0), J-major."""
+    from ncforms.hochschild import tensor_hom_from_values
+    from ncforms.linalg import QMat
+    mid = tensor.dim // (tensor.algebra.dim ** 2)
+    return [tensor_hom_from_values(tensor, module, QMat.from_coo(
+        (module.dim, mid), [(r, flat, 1)]))
+        for flat in range(mid) for r in range(module.dim)]
+
+
 def loop_comparison_image(algebra, n, module):
     """Each basis hom of the free bimodule times the whole comparison map,
     read back as a cochain vector of ``Fraction`` entries."""
     from ncforms.hochschild import (cochain_dim, comparison_cochain, hom_to_cochain,
-                                    tensor_hom_basis, tensor_module)
+                                    tensor_module)
     from ncforms.linalg import Subspace
     comp = loop_cochain_to_hom(comparison_cochain(algebra, n))
     gens = [hom_to_cochain(module, n, psi @ comp).to_vector()
             for psi in tensor_hom_basis(tensor_module(algebra, n), module)]
     return Subspace.from_generators(cochain_dim(module, n), gens)
+
+
+# ---------------------------------------------------------------------------
+# Per-basis loops of the coboundary and the Leibniz conditions.
+#
+# ``hochschild.coboundary``, ``algebra.derivation_defect`` and
+# ``schouten.first_slot_leibniz`` apply the Kronecker term lists that their
+# kernels are eliminated from (``linalg.kron_apply``), and
+# ``NormalizedCochain.evaluate`` is one product with the Kronecker product
+# of the arguments.  These are the earlier loops over basis tuples and
+# pairs, with ``Fraction``-scaled columns.
+# ---------------------------------------------------------------------------
+
+
+def loop_coboundary(c):
+    """(dc)(K) column by column: the head action, the merged products of
+    adjacent entries (unit components dropped) and the tail action."""
+    from ncforms.hochschild import NormalizedCochain
+    from ncforms.linalg import digits_at, qmat_hstack
+    module = c.module
+    A = module.algebra
+    m, n = A.dim, c.arity
+    cols = []
+    for flat in range((m - 1) ** (n + 1)):
+        K = digits_at(flat, m - 1, n + 1, 1)
+        acc = module.left[K[0]] @ c.value(K[1:])
+        for t in range(n):
+            sign = -1 if (t + 1) % 2 else 1
+            prod = A.structure[K[t]][K[t + 1]]
+            for p in range(1, m):
+                if prod[p]:
+                    merged = K[:t] + (p,) + K[t + 2:]
+                    acc = acc + c.value(merged).scale(sign * prod[p])
+        sign = -1 if (n + 1) % 2 else 1
+        cols.append(acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign))
+    return NormalizedCochain(module, n + 1, qmat_hstack(module.dim, cols))
+
+
+def loop_derivation_defect(mod, mat):
+    """The first pair (i, j), i-major, where D(e_i e_j) differs from
+    e_i.D(e_j) + D(e_i).e_j, or None."""
+    from ncforms.linalg import qmat_sum
+    A = mod.algebra
+    for i in range(A.dim):
+        di = mat.col(i)
+        for j in range(A.dim):
+            dj = mat.col(j)
+            dij = qmat_sum([mat.col(k).scale(A.structure[i][j][k])
+                            for k in range(A.dim)])
+            if dij != mod.left[i] @ dj + mod.right[j] @ di:
+                return i, j
+    return None
+
+
+def loop_first_slot_leibniz(K):
+    """a |-> K(a, rest) is a derivation, one rest-tuple at a time."""
+    from ncforms.linalg import QMat
+    M = K.algebra.regular_bimodule()
+    stride = K.algebra.dim ** (K.arity - 1)
+    return all(loop_derivation_defect(M, QMat(K.data.num[:, flat::stride], K.data.den))
+               is None for flat in range(stride))
+
+
+def loop_cochain_evaluate(c, *args):
+    """The sum over bar tuples J of c(J) times the product of the
+    arguments' J-coordinates."""
+    from ncforms.linalg import QMat, digits_at
+    m = c.module.algebra.dim
+    acc = QMat.zeros(c.module.dim, 1)
+    for flat in range(c.data.shape[1]):
+        J = digits_at(flat, m - 1, c.arity, 1)
+        coeff = Fraction(1)
+        for t, j in enumerate(J):
+            coeff *= Fraction(args[t][j])
+        if coeff:
+            acc = acc + c.data.col(flat).scale(coeff)
+    return acc.column_fractions(0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncforms.algebra import (
-    Algebra, AlgebraError, AlgebraHom, Bimodule, base_field, derivation_matrix,
-    derivation_space, derivation_to_hom, derivation_vector, dual_numbers,
+    Algebra, AlgebraError, AlgebraHom, Bimodule, base_field, derivation_defect,
+    derivation_matrix, derivation_space, derivation_to_hom, derivation_vector, dual_numbers,
     group_algebra, hom_to_derivation, inner_derivation, is_derivation,
     matrix_algebra, product_algebra, rebase_unit_first, semidirect_product,
     tensor_over_A, truncated_polynomial_algebra,
 )
+from ncforms.forms import form_space
 from ncforms.linalg import QMat
+from oracles import loop_derivation_defect
 
 
 def upper_triangular2():
@@ -387,3 +389,29 @@ def test_tensor_over_A_pure_tensors():
     lhs = t.pure_tensor([0, 1], [1, 0])
     rhs = t.pure_tensor([1, 0], [0, 1])
     assert lhs == rhs  # eps (x) 1 = 1 (x) eps
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["matrix3", "m2frac", "t3big"])
+def test_derivation_defect_matches_pair_loop(name):
+    """The first failing pair of the Leibniz terms is the pair-by-pair
+    loop's, into A and into one-forms (d: A -> Omega_1 is a derivation)."""
+    from test_forms import _algebras
+    A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
+    m = A.dim
+    rng = random.Random(name)
+    regular, omega1 = A.regular_bimodule(), form_space(A, 1).as_bimodule()
+    for mod, ders in ((regular, [derivation_matrix(regular, v)
+                                 for v in derivation_space(regular).basis]),
+                      (omega1, [form_space(A, 0).d_matrix()])):
+        dM = mod.dim
+        cands = list(ders)
+        # a bump off the unit column can fail only at pairs (i, j) with i, j >= 1
+        for D in ders[:3] + [QMat.zeros(dM, m)] if dM and m > 1 else []:
+            r, j = rng.randrange(dM), rng.randrange(1, m)
+            cands.append(D + QMat.from_coo((dM, m), [(r, j, rng.choice([1, -3]))],
+                                           rng.choice([1, 2, 7])))
+        cands.append(QMat.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 5]))
+                                      for _ in range(m)] for _ in range(dM)]))
+        for mat in cands:
+            assert derivation_defect(mod, mat) == loop_derivation_defect(mod, mat)
+        assert all(derivation_defect(mod, D) is None for D in ders)

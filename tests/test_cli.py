@@ -396,6 +396,16 @@ def test_bianchi_subcommand_passes_on_square_matrices():
     assert report["data"]["count"] >= 1
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_projection_reports_run_at_degree_one(name):
+    # the curvature formulas read the degree-2 induced maps whatever -N is
+    for command in ("curvature", "bianchi"):
+        result = run_cli(command, "--builtin", name, "-N", "1")
+        assert result.exit_code in (0, 1, 2), (command, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            (command, repr(result.exception))
+
+
 def test_connection_check_with_swap_action(tmp_path):
     act = tmp_path / "swap.act"
     act.write_text(SWAP_ACTION)

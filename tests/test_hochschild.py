@@ -6,19 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from ncforms.algebra import derivation_space, derivation_matrix, inner_derivation
+from ncforms.algebra import derivation_space, derivation_matrix, inner_derivation, matrix_algebra
 from ncforms.forms import form_space
 from ncforms.hochschild import (
     HochschildError, NormalizedCochain, bimodule_hom_violation, coboundary,
-    coboundary_rows, cochain_dim, cochain_to_hom, cocycle_space,
+    coboundary_terms, cochain_dim, cochain_to_hom, cocycle_space,
     cohomology_report, comparison_cochain, comparison_image, complex_dims,
     form_hom_matrices, form_hom_space, hom_to_cochain, is_bimodule_hom,
-    is_coboundary, tensor_hom_basis, tensor_hom_from_values, tensor_module,
+    is_coboundary, tensor_hom_from_values, tensor_module,
     unit_frame_cochain, universal_cocycle, universal_comparison_hom,
 )
-from ncforms.linalg import QMat
-from oracles import (emb_comparison_columns, loop_cochain_to_hom, loop_comparison_image,
-                     loop_tensor_hom_from_values, sympy_hochschild_dim)
+from ncforms.linalg import QMat, kron_rows
+from oracles import (emb_comparison_columns, loop_coboundary, loop_cochain_evaluate,
+                     loop_cochain_to_hom, loop_comparison_image, loop_tensor_hom_from_values,
+                     sympy_hochschild_dim, tensor_hom_basis)
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -162,10 +163,34 @@ def test_sparse_rows_match_column_coboundary(algebras):
         for n in range(4):
             c = random_cochain(rng, M, n)
             vec = c.to_vector()
-            den, rows = coboundary_rows(M, n)
+            den, rows = kron_rows(coboundary_terms(M, n))
             out = [sum((v * vec[col] for col, v in row.items()), F(0)) / den
                    for row in rows]
             assert out == coboundary(c).to_vector(), (M.name, n)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["matrix3", "m2frac", "t3big"])
+def test_coboundary_and_evaluate_match_tuple_loops(name):
+    A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
+    m = A.dim
+    rng = random.Random(name)
+
+    def reduced(c):
+        return c.data.num.tolist(), c.data.den
+
+    for M in (A.regular_bimodule(), tensor_module(A, 1)):
+        for n in range(3):
+            c = NormalizedCochain(M, n, QMat.from_rows(
+                [[F(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range((m - 1) ** n)]
+                 for _ in range(M.dim)]))
+            assert reduced(coboundary(c)) == reduced(loop_coboundary(c)), (M.name, n)
+            args = [[F(rng.randint(-3, 3), rng.choice([1, 3])) for _ in range(m)]
+                    for _ in range(n)]
+            assert c.evaluate(*args) == loop_cochain_evaluate(c, *args), (M.name, n)
+    # the comparison cochains: the coboundary on the free bimodule
+    for n in (1, 2):
+        u = unit_frame_cochain(A, n)
+        assert reduced(comparison_cochain(A, n)) == reduced(loop_coboundary(u)), n
 
 
 # -- cocycles as homomorphisms out of form spaces ----------------------------

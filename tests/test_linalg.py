@@ -21,7 +21,7 @@ from ncforms.forms import form_space
 from ncforms.hochschild import NormalizedCochain, TensorBimodule
 from ncforms.linalg import (
     LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
-    format_scalar, kron_rows, make_scalar, nullspace, parse_scalar, qmat_hstack,
+    format_scalar, kron_apply, kron_rows, make_scalar, nullspace, parse_scalar, qmat_hstack,
     qmat_inverse, qmat_sum, rank, solve_linear, subspace_from_columns,
 )
 from ncforms.schouten import MultiMap
@@ -641,6 +641,58 @@ def test_kron_rows_edge_cases():
         kron_rows([(a, b), (2, 2)])
 
 
+def _apply_factor_st(nrows, ncols):
+    """A kron_apply factor of the shape, zero sizes included: a QMat as in
+    :func:`_kron_factor_st`, an int for I_n when square, and a unit column
+    (the expanding factor of the coboundary) when ncols is 1."""
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st,
+                      st.integers(2 ** 62, 2 ** 70).map(Fraction))
+    out = st.lists(st.lists(entry, min_size=nrows, max_size=nrows), min_size=ncols,
+                   max_size=ncols).map(lambda cols: QMat.from_columns(nrows, cols))
+    if nrows == ncols:
+        out |= st.just(nrows)
+    if nrows and ncols == 1:
+        out |= st.integers(0, nrows - 1).map(
+            lambda a: QMat.from_coo((nrows, 1), [(a, 0, 1)]))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_kron_apply_matches_dense_kronecker_sum(data):
+    shapes = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                min_size=1, max_size=3))
+    terms = data.draw(st.lists(st.tuples(*(_apply_factor_st(*sh) for sh in shapes)),
+                               max_size=3))
+    height = math.prod(r for r, _ in shapes)
+    width = math.prod(c for _, c in shapes)
+    entry = st.one_of(fractions_st, st.integers(2 ** 62, 2 ** 70).map(Fraction))
+    X = QMat.from_columns(width, data.draw(st.lists(
+        st.lists(entry, min_size=width, max_size=width), max_size=3)))
+    dense = qmat_sum([QMat.zeros(height, X.shape[1])]
+                     + [functools.reduce(QMat.kron, map(_as_qmat, t)) @ X for t in terms])
+    assert _same_qmat(kron_apply(terms, X, height), dense.canonical())
+
+
+def test_kron_apply_edge_cases():
+    X = QMat.from_rows([[1, 2], [3, Fraction(1, 2)]])
+    assert _same_qmat(kron_apply([], X, 5), QMat.zeros(5, 2))
+    # the empty algebra of bar tuples: zero-size factors, zero-size output
+    empty = QMat.zeros(0, 0)
+    assert kron_apply([(empty, 2)], QMat.zeros(0, 1), 0).shape == (0, 1)
+    # a term of the wrong shape is refused
+    with pytest.raises(ValueError):
+        kron_apply([(2, 2)], X, 4)
+    with pytest.raises(ValueError):
+        kron_apply([(2,), (QMat.eye(3),)], X, 2)
+    with pytest.raises(ValueError):
+        kron_apply([(2,)], X, 3)
+    # entries of 2**61 summed over two terms leave int64
+    big = QMat(np.array([[2 ** 61]]), 1)
+    out = kron_apply([(big,), (big,)], QMat.eye(1), 1)
+    assert out.num.dtype == object and out.num[0, 0] == 2 ** 62
+
+
 def test_structural_indices_reject_out_of_range_digits():
     A = matrix_algebra(2)
     m = A.dim
@@ -679,7 +731,7 @@ def test_no_private_codec_or_column_copies():
 def test_linear_condition_builders_go_through_kron_rows():
     builders = [algebra.derivation_space, algebra.TensorQuotient.__init__,
                 schouten.polyderivation_space, hochschild.form_hom_space,
-                hochschild.coboundary_rows, connections.bimodule_endomorphism_space,
+                hochschild.cocycle_space, connections.bimodule_endomorphism_space,
                 forms.kernel_of_mu_n]
     banned = (".entry(", "to_fraction_rows(", "Fraction(0)", "bump")
     for fn in builders:
@@ -751,3 +803,24 @@ def test_library_vectors_stay_integer_blocks():
     # qmat_inverse is a block solve: no elimination of its own
     assert "solve_linear(" in inspect.getsource(linalg.qmat_inverse)
     assert "RowReducer(" not in inspect.getsource(linalg.qmat_inverse)
+
+
+def test_linear_operators_are_applied_from_their_term_lists():
+    # each operator is stated once, as a term list that is both eliminated
+    # (kron_rows) and applied (kron_apply); no per-basis loop evaluates it
+    appliers = [hochschild.coboundary, algebra.derivation_defect,
+                schouten.first_slot_leibniz, hochschild._factored_cochains,
+                hochschild.NormalizedCochain.evaluate]
+    banned = (".value(", ".col(", ".scale(", "qmat_sum", "Fraction(", "digits_at",
+              "tensor_hom_basis")
+    for fn in appliers:
+        src = inspect.getsource(fn)
+        assert not [b for b in banned if b in src], fn.__qualname__
+    for fn in (hochschild.coboundary, hochschild.cocycle_space):
+        assert "coboundary_terms(" in inspect.getsource(fn), fn.__qualname__
+    assert "leibniz_terms(" in inspect.getsource(algebra.derivation_defect)
+    for fn in (schouten.first_slot_leibniz, schouten.polyderivation_space):
+        src = inspect.getsource(fn)
+        assert "_is_slot_derivation(" in src or "_slot_leibniz_terms(" in src, fn.__qualname__
+    assert not hasattr(hochschild, "coboundary_rows")
+    assert not hasattr(hochschild, "tensor_hom_basis")

@@ -6,12 +6,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncforms.algebra import (derivation_space, inner_derivation, is_derivation,
-                             matrix_algebra)
+from ncforms.algebra import (derivation_matrix, derivation_space, inner_derivation,
+                             is_derivation, matrix_algebra)
 from ncforms.fieldforms import field_from_derivation, lie_bracket_fields
 from ncforms.linalg import QMat
 from ncforms.schouten import (
@@ -21,9 +22,11 @@ from ncforms.schouten import (
     poisson_check, poisson_scan, polyderivation_space, schouten_closure_check,
     wedge,
 )
-from oracles import (loop_evaluate, loop_insertion, loop_value_with_first, loop_wedge,
+from oracles import (loop_derivation_defect, loop_evaluate, loop_first_slot_leibniz,
+                     loop_insertion, loop_value_with_first, loop_wedge,
                      sympy_polyderivation_dim)
 from test_algebra import DER_DIMS, catalog
+from test_forms import _algebras
 
 F = Fraction
 
@@ -691,6 +694,40 @@ def test_commutator_hamiltonian_fields_are_inner_derivations(algebras):
     for i in range(A.dim):
         mat = derivation_matrix_of(mu, basis_vec(A.dim, i))
         assert mat == inner_derivation(M, basis_vec(A.dim, i))
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["matrix3", "m2frac", "t3big"])
+def test_slot_leibniz_checks_match_derivation_loops(name):
+    A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
+    m = A.dim
+    rng = random.Random(name)
+    M = A.regular_bimodule()
+    ders = [derivation_matrix(M, v) for v in derivation_space(M).basis]
+    D = ders[0] if ders else QMat.zeros(m, m)
+    c = [rng.randint(-2, 2) for _ in range(m)]
+    # column (i, j) = c_j D(e_i): a derivation in the first slot only; its
+    # transpose c_i D(e_j) in the second slot only
+    firsts = QMat.from_coo((m, m * m), [(r, i * m + j, c[j] * int(v))
+                                        for (r, i), v in np.ndenumerate(D.num)
+                                        for j in range(m)], D.den)
+    seconds = QMat.from_coo((m, m * m), [(r, i * m + j, c[i] * int(v))
+                                         for (r, j), v in np.ndenumerate(D.num)
+                                         for i in range(m)], D.den)
+    bump = QMat.from_coo((m, m * m), [(rng.randrange(m), rng.randrange(m * m), 1)], 3)
+    mu = commutator_bivector(A)
+    bivectors = [mu, MultiMap(A, 2, mu.data + bump, check=False),
+                 MultiMap(A, 2, firsts, check=False), MultiMap(A, 2, seconds, check=False),
+                 raw_multimap(rng, A, 2)]
+    for K in bivectors:
+        first = loop_first_slot_leibniz(K)
+        second = all(loop_derivation_defect(M, QMat(K.data.num[:, i * m:(i + 1) * m],
+                                                    K.data.den)) is None for i in range(m))
+        assert first_slot_leibniz(K) == first
+        assert poisson_check(K)["biderivation"] == (first and second)
+        assert poisson_bracket_hom_check(K)["derivation_valued"] == second
+    for K in [MultiMap(A, 1, d) for d in ders] + [raw_multimap(rng, A, 1),
+                                                  raw_multimap(rng, A, 3)]:
+        assert first_slot_leibniz(K) == loop_first_slot_leibniz(K)
 
 
 def test_poisson_scan(algebras):
