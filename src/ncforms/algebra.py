@@ -84,19 +84,9 @@ class Algebra:
     # -- products --------------------------------------------------------------
 
     def mult_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        m = self.dim
-        out = [Fraction(0)] * m
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                coeff = ui * vj
-                for k, c in enumerate(self.structure[i][j]):
-                    if c:
-                        out[k] += coeff * c
-        return out
+        """uv = [L_0 .. L_{m-1}] (u (x) v): column i*m + j of the left actions is e_i e_j."""
+        uv = QMat.column(u).kron(QMat.column(v))
+        return (qmat_hstack(self.dim, self.left) @ uv).column_fractions(0)
 
     # -- elements ---------------------------------------------------------------
 
@@ -501,23 +491,20 @@ def derivation_space(mod: Bimodule) -> Subspace:
 
 def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
     """Reshape a derivation-space vector into the dM x m matrix of D."""
-    dM, m = mod.dim, mod.algebra.dim
-    return QMat.from_columns(dM, [vec[j * dM:(j + 1) * dM] for j in range(m)])
+    return QMat.column(vec).unvec(mod.dim, mod.algebra.dim)
 
 
 def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
     """The dM x m matrix of D read column by column (D[r, j] at j*dM + r)."""
-    return [Fraction(v, mat.den) for v in mat.num.T.reshape(-1).tolist()]
+    return mat.vec().column_fractions(0)
 
 
 def derivation_defect(mod: Bimodule, mat: QMat) -> Optional[tuple[int, int]]:
     """First basis pair (i, j) where D(e_i e_j) != e_i.D(e_j) + D(e_i).e_j,
     or None when the dM x m matrix of D is a derivation: the first nonzero
     row of the Leibniz terms applied to vec(D)."""
-    m, dM = mod.algebra.dim, mod.dim
-    vec = QMat(mat.num.T.reshape(m * dM, 1), mat.den)
-    bad = np.flatnonzero(kron_apply(leibniz_terms(mod), vec, m * m * dM).num)
-    return divmod(int(bad[0]) // dM, m) if bad.size else None
+    bad = np.flatnonzero(kron_apply(leibniz_terms(mod), mat.vec()).num)
+    return divmod(int(bad[0]) // mod.dim, mod.algebra.dim) if bad.size else None
 
 
 def is_derivation(mod: Bimodule, mat: QMat) -> bool:

@@ -71,16 +71,14 @@ class NormalizedCochain:
     @classmethod
     def from_vector(cls, module: Bimodule, arity: int,
                     vec: Sequence[Fraction]) -> "NormalizedCochain":
-        m = module.algebra.dim
-        nJ, dM = _bar_dim(m, arity), module.dim
+        nJ, dM = _bar_dim(module.algebra.dim, arity), module.dim
         if len(vec) != nJ * dM:
             raise HochschildError("cochain vector length mismatch")
-        return cls(module, arity, QMat.from_columns(
-            dM, [vec[j * dM:(j + 1) * dM] for j in range(nJ)]))
+        return cls(module, arity, QMat.column(vec).unvec(dM, nJ))
 
     def to_vector(self) -> list[Fraction]:
         """The values one tuple after another: entry (r, J) at J*dim M + r."""
-        return [Fraction(v, self.data.den) for v in self.data.num.T.reshape(-1).tolist()]
+        return self.data.vec().column_fractions(0)
 
     def value(self, J: Sequence[int]) -> QMat:
         """Value on the basis tuple J, as a column over the module basis."""
@@ -148,10 +146,10 @@ def coboundary(c: NormalizedCochain) -> NormalizedCochain:
     + (-1)^{n+1} c(a_1..a_n) a_{n+1}: the terms of :func:`coboundary_terms`
     applied to the cochain vector."""
     module, n = c.module, c.arity
-    nJ, nK, dM = c.data.shape[1], _bar_dim(module.algebra.dim, n + 1), module.dim
-    vec = QMat(c.data.num.T.reshape(nJ * dM, 1), c.data.den)
-    out = kron_apply(coboundary_terms(module, n), vec, nK * dM)
-    return NormalizedCochain(module, n + 1, QMat(out.num.reshape(nK, dM).T.copy(), out.den))
+    nK, dM = _bar_dim(module.algebra.dim, n + 1), module.dim
+    # the height is given for the field, whose degree-0 term list is empty
+    out = kron_apply(coboundary_terms(module, n), c.data.vec(), nK * dM)
+    return NormalizedCochain(module, n + 1, out.unvec(dM, nK))
 
 
 def coboundary_terms(module: Bimodule, n: int) -> list[tuple]:
@@ -323,17 +321,23 @@ def tensor_hom_from_values(tensor: TensorBimodule, module: Bimodule,
 
     The tensor bimodule is free on those generators: (i, J, l) maps to
     e_i . values(J) . e_l.  ``values`` has one column per middle tuple.
-    One block L_i R_l values per pair (i, l); block column J goes to column
-    (i * mid + J) * m + l.
     """
-    m = tensor.algebra.dim
+    m, dM = tensor.algebra.dim, module.dim
     mid = _bar_dim(m, tensor.middles)
-    if values.shape != (module.dim, mid):
+    if values.shape != (dM, mid):
         raise HochschildError("generator value matrix shape mismatch")
-    blocks = qmat_hstack(module.dim, [L @ R @ values for L in module.left
-                                      for R in module.right])
-    num = blocks.num.reshape(module.dim, m, m, mid).transpose(0, 1, 3, 2)
-    return QMat(num.reshape(module.dim, tensor.dim), blocks.den)
+    out = _stacked_actions(module) @ values
+    num = out.num.reshape(m, m, dM, mid).transpose(2, 0, 3, 1)
+    return QMat(num.reshape(dM, tensor.dim), out.den).reduced()
+
+
+def _stacked_actions(module: Bimodule) -> QMat:
+    """The m^2 products L_i R_l, the action of e_i (x) e_l on the free
+    bimodule's generators, stacked: row (i * m + l) * dim M + s of them."""
+    m, dM = module.algebra.dim, module.dim
+    LR = qmat_hstack(dM, [L.T for L in module.left]).T @ qmat_hstack(dM, module.right)
+    num = LR.num.reshape(m, dM, m, dM).transpose(0, 2, 1, 3)
+    return QMat(num.reshape(m * m * dM, dM), LR.den)
 
 
 def unit_frame_cochain(algebra: Algebra, n: int) -> NormalizedCochain:
@@ -367,10 +371,8 @@ def _factored_cochains(algebra: Algebra, n: int, module: Bimodule) -> QMat:
     lead = comparison_cochain(algebra, n).data
     mid, nJ = _bar_dim(m, n - 1), lead.shape[1]
     blocks = lead.num.reshape(m, mid, m, nJ).transpose(1, 3, 0, 2).reshape(mid * nJ, m * m)
-    # block (i, l) of the stacked left actions times the stacked right ones
-    LR = qmat_hstack(dM, [L.T for L in module.left]).T @ qmat_hstack(dM, module.right)
-    lr = LR.num.reshape(m, dM, m, dM).transpose(0, 2, 1, 3).reshape(m * m, dM * dM)
-    out = QMat(blocks, lead.den) @ QMat(lr, LR.den)
+    LR = _stacked_actions(module)
+    out = QMat(blocks, lead.den) @ QMat(LR.num.reshape(m * m, dM * dM), LR.den)
     # rows (J', J), columns (s, r) -> rows (J, s), columns (J', r)
     num = out.num.reshape(mid, nJ, dM, dM).transpose(1, 2, 0, 3)
     return QMat(num.reshape(nJ * dM, mid * dM), out.den)
@@ -398,13 +400,12 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     if witness is not None:
         raise HochschildError(f"not a bimodule homomorphism: {witness}")
     # the cochain vector of hom: its generator columns, one after another
-    target = hom_to_cochain(module, n, hom).data.T
     sol = solve_linear(_factored_cochains(algebra, n, module),
-                       QMat(target.num.reshape(-1, 1), target.den))
+                       hom_to_cochain(module, n, hom).data.vec())
     if sol is None:
         return None
     # unknowns are ordered middle-tuple major, module coordinate minor
-    values = QMat(sol.num.reshape(-1, module.dim), sol.den).T
+    values = sol.unvec(module.dim, _bar_dim(algebra.dim, n - 1))
     psi_hom = tensor_hom_from_values(tensor_module(algebra, n), module, values)
     if psi_hom @ universal_comparison_hom(algebra, n) != hom:
         raise HochschildError("factorization check failed")  # pragma: no cover

@@ -37,6 +37,7 @@ Five conventions are fixed here and nowhere else:
 * Vector format.  Inside the package a block of vectors is a QMat of
   columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
   a system A X = B is one :func:`solve_linear` call for all columns of B.
+  A matrix unknown (a cochain, a derivation) is read as :meth:`QMat.vec`.
   ``Fraction`` lists appear only at the boundary: parsing and printing,
   CLI witnesses, public readers (``Form.coords``, ``Subspace.basis``,
   ``MultiMap.value``, ``NormalizedCochain.to_vector``) and inputs that
@@ -392,7 +393,7 @@ def nullspace(ncols: int, rows: Iterable[dict]) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def kron_rows(terms: Iterable[Sequence[QMat | int]]) -> tuple[int, Iterator[dict[int, int]]]:
+def kron_rows(terms: Sequence[Sequence[QMat | int]]) -> tuple[int, Iterator[dict[int, int]]]:
     """The rows of sum_t F_t1 (x) F_t2 (x) ..., as integers over one denominator.
 
     A term is a sequence of factors; a factor is a QMat or an int n, which
@@ -403,11 +404,10 @@ def kron_rows(terms: Iterable[Sequence[QMat | int]]) -> tuple[int, Iterator[dict
     Each row is built from the factors' sparse rows; no Kronecker product
     is formed as a matrix.
     """
-    terms = [[_kron_factor(f) for f in term] for term in terms]
-    shapes = {(math.prod(len(rows) for rows, _, _ in t),
-               math.prod(width for _, width, _ in t)) for t in terms}
+    shapes = {_kron_shape(t) for t in terms}
     if len(shapes) > 1:
         raise LinAlgError(f"kron_rows: terms of shapes {sorted(shapes)}")
+    terms = [[_kron_factor(f) for f in term] for term in terms]
     den = math.lcm(*(math.prod(d for _, _, d in t) for t in terms))
     parts = [_term_rows(t, den // math.prod(d for _, _, d in t)) for t in terms]
 
@@ -420,6 +420,12 @@ def kron_rows(terms: Iterable[Sequence[QMat | int]]) -> tuple[int, Iterator[dict
             yield {c: v for c, v in row.items() if v}
 
     return den, rows()
+
+
+def _kron_shape(term: Sequence[QMat | int]) -> tuple[int, int]:
+    """The shape of a term's Kronecker product (an int n is I_n)."""
+    return (math.prod(f.shape[0] if isinstance(f, QMat) else f for f in term),
+            math.prod(f.shape[1] if isinstance(f, QMat) else f for f in term))
 
 
 def _kron_factor(f: QMat | int) -> tuple[list[dict[int, int]], int, int]:
@@ -449,15 +455,20 @@ def _term_rows(factors: list, scale: int) -> Iterator[dict[int, int]]:
     return level(0, {0: scale})
 
 
-def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat, height: int) -> QMat:
+def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
+               height: Optional[int] = None) -> QMat:
     """(sum_t F_t1 (x) F_t2 (x) ...) X for a block X, the terms as in
-    :func:`kron_rows`, each height x X.shape[0] (else numpy's ValueError).
-
-    One tensordot per QMat factor on its axis of X's numerators, shrinking
-    factors first; no Kronecker product is formed.  The bound
-    sum_t prod (width * max|F|) * max|X|, over the common denominator, picks
-    int64 or object before any product.
-    """
+    :func:`kron_rows`; they fix the height, which only an empty list needs
+    given.  Terms of two shapes, or not X.shape[0] wide, raise LinAlgError.
+    One tensordot per QMat factor on X's numerators, shrinking factors first,
+    and no Kronecker product; the bound sum_t prod (width * max|F|) * max|X|,
+    over the common denominator, picks int64 or object before any product."""
+    shapes = {_kron_shape(t) for t in terms} | (set() if height is None
+                                                 else {(height, X.shape[0])})
+    if len(shapes) != 1 or next(iter(shapes))[1] != X.shape[0]:
+        raise LinAlgError(f"kron_apply: terms of shapes {sorted(shapes)} "
+                          f"on a block of height {X.shape[0]}")
+    (height, _), = shapes
     mats = [[(k, f) for k, f in enumerate(t) if isinstance(f, QMat)] for t in terms]
     dens = [math.prod(f.den for _, f in fs) for fs in mats]
     den = math.lcm(*dens)
@@ -676,6 +687,14 @@ class QMat:
     def kron(self, other: "QMat") -> "QMat":
         x, y = _exact_pair(self, other, lambda x, y: _max_abs(x.num) * _max_abs(y.num))
         return QMat(np.kron(x.num, y.num), x.den * y.den)
+
+    def vec(self) -> "QMat":
+        """The columns stacked into one column: entry (i, j) at j * nrows + i."""
+        return QMat(self.num.T.reshape(-1, 1), self.den)
+
+    def unvec(self, nrows: int, ncols: int) -> "QMat":
+        """The nrows x ncols matrix whose :meth:`vec` is this column."""
+        return QMat(self.num.reshape(ncols, nrows).T.copy(), self.den)
 
     @property
     def T(self) -> "QMat":

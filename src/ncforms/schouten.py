@@ -148,12 +148,9 @@ def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
 
 
 def _first_slot(mm: MultiMap, w: QMat) -> QMat:
-    """The values of mm(w, .) on basis tuples, w an m x 1 column: the
-    numerator, reshaped to (o, m, m^(k-1)), contracted with w."""
-    o, m = mm.target_dim, mm.algebra.dim
-    num = mm.data.num.reshape(o, m, -1).transpose(0, 2, 1).reshape(-1, m)
-    out = QMat(num, mm.data.den) @ w
-    return QMat(out.num.reshape(o, -1), out.den).canonical()
+    """The values of mm(w, .) on basis tuples, w an m x 1 column: the data
+    times w (x) I."""
+    return kron_apply([(w.T, mm.algebra.dim ** (mm.arity - 1))], mm.data.T).T
 
 
 def _permuted_columns(m: int, k: int, perm: Sequence[int]) -> np.ndarray:
@@ -291,10 +288,8 @@ def _slot_leibniz_terms(algebra: Algebra, before: int, after: int) -> list[tuple
 
 def _is_slot_derivation(K: MultiMap, before: int) -> bool:
     """K is a derivation in its argument with ``before`` slots ahead."""
-    m, N = K.algebra.dim, K.data.shape[1]
     terms = _slot_leibniz_terms(K.algebra, before, K.arity - 1 - before)
-    return kron_apply(terms, QMat(K.data.num.T.reshape(N * m, 1), K.data.den),
-                      N * m * m).is_zero()
+    return kron_apply(terms, K.data.vec()).is_zero()
 
 
 def first_slot_leibniz(K: MultiMap) -> bool:
@@ -334,8 +329,7 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
     _, leibniz = kron_rows(_slot_leibniz_terms(algebra, 0, arity - 1))
     out = []
     for vec in nullspace(N * m, itertools.chain(skew, leibniz)).basis:
-        data = QMat.from_columns(m, [vec[c * m:(c + 1) * m] for c in range(N)])
-        out.append(MultiMap(algebra, arity, data))
+        out.append(MultiMap(algebra, arity, QMat.column(vec).unvec(m, N)))
     return out
 
 

@@ -723,6 +723,19 @@ def loop_coboundary(c):
     return NormalizedCochain(module, n + 1, qmat_hstack(module.dim, cols))
 
 
+def loop_mult_vec(algebra, u, v):
+    """The product of two coefficient vectors, term by term over the
+    structure constants."""
+    from fractions import Fraction
+    m = algebra.dim
+    out = [Fraction(0)] * m
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for k, c in enumerate(algebra.structure[i][j]):
+                out[k] += Fraction(ui) * vj * c
+    return out
+
+
 def loop_derivation_defect(mod, mat):
     """The first pair (i, j), i-major, where D(e_i e_j) differs from
     e_i.D(e_j) + D(e_i).e_j, or None."""

@@ -16,7 +16,7 @@ from ncforms.algebra import (
 )
 from ncforms.forms import form_space
 from ncforms.linalg import QMat
-from oracles import loop_derivation_defect
+from oracles import loop_derivation_defect, loop_mult_vec
 
 
 def upper_triangular2():
@@ -389,6 +389,19 @@ def test_tensor_over_A_pure_tensors():
     lhs = t.pure_tensor([0, 1], [1, 0])
     rhs = t.pure_tensor([1, 0], [0, 1])
     assert lhs == rhs  # eps (x) 1 = 1 (x) eps
+
+
+@pytest.mark.parametrize("name", sorted(catalog()) + ["matrix3", "m2frac", "t3big"])
+def test_mult_vec_matches_structure_constant_loop(name):
+    from test_forms import _algebras
+    A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
+    rng = random.Random(name)
+    vecs = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range(A.dim)]
+            for _ in range(4)] + [[0] * A.dim, [Fraction(2 ** 70, 3)] * A.dim]
+    for u in vecs:
+        for v in vecs:
+            got = A.mult_vec(u, v)
+            assert got == loop_mult_vec(A, u, v) and all(type(x) is Fraction for x in got)
 
 
 @pytest.mark.parametrize("name", sorted(catalog()) + ["matrix3", "m2frac", "t3big"])

@@ -671,7 +671,18 @@ def test_kron_apply_matches_dense_kronecker_sum(data):
         st.lists(entry, min_size=width, max_size=width), max_size=3)))
     dense = qmat_sum([QMat.zeros(height, X.shape[1])]
                      + [functools.reduce(QMat.kron, map(_as_qmat, t)) @ X for t in terms])
-    assert _same_qmat(kron_apply(terms, X, height), dense.canonical())
+    # the terms fix the height; only the empty list needs it given
+    out = kron_apply(terms, X) if terms else kron_apply(terms, X, height)
+    assert _same_qmat(out, dense.canonical())
+
+
+def test_vec_stacks_columns():
+    M = QMat.from_rows([[1, 2, 3], [4, 5, Fraction(1, 2)]])
+    v = M.vec()
+    assert v.shape == (6, 1) and v.num[:, 0].tolist() == [2, 8, 4, 10, 6, 1]
+    assert _same_qmat(v.unvec(2, 3), M)
+    for shape in ((0, 3), (3, 0)):
+        assert QMat.zeros(*shape).vec().unvec(*shape).shape == shape
 
 
 def test_kron_apply_edge_cases():
@@ -680,13 +691,16 @@ def test_kron_apply_edge_cases():
     # the empty algebra of bar tuples: zero-size factors, zero-size output
     empty = QMat.zeros(0, 0)
     assert kron_apply([(empty, 2)], QMat.zeros(0, 1), 0).shape == (0, 1)
-    # a term of the wrong shape is refused
-    with pytest.raises(ValueError):
-        kron_apply([(2, 2)], X, 4)
-    with pytest.raises(ValueError):
-        kron_apply([(2,), (QMat.eye(3),)], X, 2)
-    with pytest.raises(ValueError):
+    # a term of the wrong shape is refused, as by kron_rows
+    with pytest.raises(LinAlgError):
+        kron_apply([(2, 2)], X)
+    with pytest.raises(LinAlgError):
+        kron_apply([(2,), (QMat.eye(3),)], X)
+    with pytest.raises(LinAlgError):
         kron_apply([(2,)], X, 3)
+    with pytest.raises(LinAlgError):
+        kron_apply([], X)
+    assert _same_qmat(kron_apply([(2,)], X, 2), X)
     # entries of 2**61 summed over two terms leave int64
     big = QMat(np.array([[2 ** 61]]), 1)
     out = kron_apply([(big,), (big,)], QMat.eye(1), 1)
@@ -733,11 +747,16 @@ def test_linear_condition_builders_go_through_kron_rows():
                 schouten.polyderivation_space, hochschild.form_hom_space,
                 hochschild.cocycle_space, connections.bimodule_endomorphism_space,
                 forms.kernel_of_mu_n]
+    # the term lists the builders eliminate, each the one place its operator
+    # is stated
+    term_lists = [hochschild.coboundary_terms, algebra.leibniz_terms,
+                  schouten._slot_leibniz_terms]
     banned = (".entry(", "to_fraction_rows(", "Fraction(0)", "bump")
-    for fn in builders:
+    for fn in builders + term_lists:
         src = inspect.getsource(fn)
-        assert "kron_rows(" in src, fn.__qualname__
         assert not [b for b in banned if b in src], fn.__qualname__
+    for fn in builders:
+        assert "kron_rows(" in inspect.getsource(fn), fn.__qualname__
 
 
 def test_products_of_forms_go_through_the_block_kernel():
@@ -763,8 +782,11 @@ def test_multimap_calculus_stays_on_integer_numerators():
     for fn in contractions:
         src = inspect.getsource(fn)
         assert not [b for b in banned if b in src], fn.__qualname__
-    src = inspect.getsource(hochschild.tensor_hom_from_values)
-    assert ".col(" not in src and "range(tensor.dim)" not in src
+    # the free-bimodule action L_i R_l is stacked in one place
+    for fn in (hochschild.tensor_hom_from_values, hochschild._factored_cochains):
+        src = inspect.getsource(fn)
+        assert "_stacked_actions(" in src, fn.__qualname__
+        assert not [b for b in (".col(", "range(tensor.dim)", "module.left") if b in src]
 
 
 def test_elimination_stays_on_integer_rows():
@@ -810,7 +832,8 @@ def test_linear_operators_are_applied_from_their_term_lists():
     # (kron_rows) and applied (kron_apply); no per-basis loop evaluates it
     appliers = [hochschild.coboundary, algebra.derivation_defect,
                 schouten.first_slot_leibniz, hochschild._factored_cochains,
-                hochschild.NormalizedCochain.evaluate]
+                hochschild.NormalizedCochain.evaluate, schouten._first_slot,
+                algebra.Algebra.mult_vec]
     banned = (".value(", ".col(", ".scale(", "qmat_sum", "Fraction(", "digits_at",
               "tensor_hom_basis")
     for fn in appliers:
