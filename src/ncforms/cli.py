@@ -42,13 +42,14 @@ from .dsl import (DslError, builtin_algebra, load_algebra_text,
 from .fieldforms import (FieldFormError, FieldValuedForm, algebraic_bracket,
                          contraction, field_from_derivation, field_space,
                          field_valued_form_from_json, field_valued_form_space,
-                         fn_bracket, lie_bracket_fields, lie_operator)
+                         fn_bracket, lie_bracket_fields, lie_operator,
+                         zero_field_valued_form)
 from .forms import (FormError, commutator_subspace, de_rham_homology,
                     form_space, kernel_of_mu_n, omega_functor, product)
 from .hochschild import (NormalizedCochain, coboundary, cochain_dim,
                          cochain_to_hom, cohomology_report, form_hom_space,
                          hom_to_cochain, tensor_module)
-from .linalg import QMat, Subspace, format_scalar, parse_scalar, rank
+from .linalg import QMat, Subspace, format_scalar, parse_scalar, qmat_to_json, rank
 from .schouten import (MultiMap, SchoutenError, alternation, commutator_bivector,
                        insertion, multimap_from_json, nr_bracket,
                        poisson_bracket_hom_check, poisson_check)
@@ -141,9 +142,9 @@ def _load_object(algebra: Algebra, path: str, what: str, from_json: Callable):
         raise InputError(f"{what} {path}: invalid JSON ({exc})")
     if not isinstance(obj, dict):
         raise InputError(f"{what} {path}: expected a JSON object")
-    try:  # the library's errors are ValueErrors
+    try:  # the library's errors are ValueErrors; int() of a non-number is a TypeError
         return from_json(algebra, obj)
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, TypeError) as exc:
         raise InputError(f"{what} {path}: {exc}")
 
 
@@ -274,13 +275,12 @@ class _VerifyEnv:
         return self._cache[key]
 
     def random_field(self, degree: int, rng: random.Random) -> FieldValuedForm:
-        delta = QMat.zeros(form_space(self.algebra, degree).dim,
-                           self.algebra.dim)
+        K = zero_field_valued_form(self.algebra, degree)
         for b in self.field_basis(degree):
             c = rng.randint(-2, 2)
             if c:
-                delta = delta + b.delta.scale(Fraction(c))
-        return FieldValuedForm(self.algebra, degree, delta, check=False)
+                K = K + b.scale(Fraction(c))
+        return K
 
     def random_derivation(self, rng: random.Random) -> QMat:
         """A random integer combination of the derivation basis, as a matrix."""
@@ -550,28 +550,28 @@ def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_operator_jacobi(env: _VerifyEnv, rng: random.Random):
-    head = 3
-
-    def rand_op():
-        k = rng.randint(0, 1)
-        K = env.random_field(k, rng)
-        L = env.random_field(k + 1, rng)
-        return lie_operator(K, head) + contraction(L, head), k
+    # the identities are read on input degrees 0 and 1, both of which must be
+    # stored; an operator of degree g is applied to inputs up to 1 + the sum
+    # of the other two degrees, so it is built up to there
+    def vanishes_low(op) -> bool:
+        return {0, 1} <= set(op.mats) and op.truncated(1).is_zero()
 
     for _ in range(3):
-        (d1, g1), (d2, g2), (d3, g3) = rand_op(), rand_op(), rand_op()
-        anti = d1.commutator(d2) + d2.commutator(d1).scale(
-            -1 if (g1 * g2) % 2 else 1)
-        if not anti.truncated(1).is_zero():
+        drawn = []
+        for _ in range(3):
+            g = rng.randint(0, 1)
+            drawn.append((g, env.random_field(g, rng), env.random_field(g + 1, rng)))
+        (g1, _, _), (g2, _, _), (g3, _, _) = drawn
+        top = 1 + g1 + g2 + g3
+        d1, d2, d3 = (lie_operator(K, top - g) + contraction(L, top - g) for g, K, L in drawn)
+        anti = d1.commutator(d2) + d2.commutator(d1).scale(-1 if (g1 * g2) % 2 else 1)
+        if not vanishes_low(anti):
             return (f"graded antisymmetry fails for operator degrees "
                     f"({g1}, {g2})")
-        s1 = d1.commutator(d2.commutator(d3)).scale(
-            -1 if (g1 * g3) % 2 else 1)
-        s2 = d2.commutator(d3.commutator(d1)).scale(
-            -1 if (g2 * g1) % 2 else 1)
-        s3 = d3.commutator(d1.commutator(d2)).scale(
-            -1 if (g3 * g2) % 2 else 1)
-        if not (s1 + s2 + s3).truncated(1).is_zero():
+        s1 = d1.commutator(d2.commutator(d3)).scale(-1 if (g1 * g3) % 2 else 1)
+        s2 = d2.commutator(d3.commutator(d1)).scale(-1 if (g2 * g1) % 2 else 1)
+        s3 = d3.commutator(d1.commutator(d2)).scale(-1 if (g3 * g2) % 2 else 1)
+        if not vanishes_low(s1 + s2 + s3):
             return (f"graded Jacobi fails for operator degrees "
                     f"({g1}, {g2}, {g3})")
     return None
@@ -883,8 +883,7 @@ def curvature_cmd(A, N, seed, cap):
                             f"projection-{idx:02d}-", f"projection {idx}")
         entries.append({
             "index": idx,
-            "endomorphism": [[format_scalar(v) for v in row]
-                             for row in p.ext.to_fraction_rows()],
+            "endomorphism": qmat_to_json(p.ext),
             "curvature": R.to_json(),
             "cocurvature": Rbar.to_json(),
         })

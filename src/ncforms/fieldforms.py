@@ -17,15 +17,17 @@ from typing import Optional
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
 from .forms import Form, d_slots, form_space, omega_functor, products
-from .linalg import QMat, format_scalar, parse_scalar, qmat_sum, solve_linear
+from .linalg import QMat, QVector, qmat_from_json, qmat_sum, qmat_to_json, solve_linear
 
 
 class FieldFormError(ValueError):
     pass
 
 
-class FieldValuedForm:
+class FieldValuedForm(QVector):
     """K: Omega_1 -> Omega_k stored by its generating derivation delta."""
+
+    _field, _error = "delta", FieldFormError
 
     def __init__(self, algebra: Algebra, degree: int, delta: QMat,
                  check: bool = True):
@@ -56,40 +58,11 @@ class FieldValuedForm:
                                  self.degree)
         return self._ext
 
-    # -- linear structure ---------------------------------------------------
+    def _space(self) -> tuple:
+        return (self.algebra, self.degree)
 
-    def _same(self, other: "FieldValuedForm") -> None:
-        if self.algebra is not other.algebra or self.degree != other.degree:
-            raise FieldFormError("degree or algebra mismatch")
-
-    def __add__(self, other: "FieldValuedForm") -> "FieldValuedForm":
-        self._same(other)
-        return FieldValuedForm(self.algebra, self.degree,
-                               self.delta + other.delta, check=False)
-
-    def __sub__(self, other: "FieldValuedForm") -> "FieldValuedForm":
-        self._same(other)
-        return FieldValuedForm(self.algebra, self.degree,
-                               self.delta - other.delta, check=False)
-
-    def __neg__(self) -> "FieldValuedForm":
-        return FieldValuedForm(self.algebra, self.degree, -self.delta, check=False)
-
-    def scale(self, c) -> "FieldValuedForm":
-        return FieldValuedForm(self.algebra, self.degree, self.delta.scale(c),
-                               check=False)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FieldValuedForm)
-                and self.algebra is other.algebra
-                and self.degree == other.degree
-                and self.delta == other.delta)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("FieldValuedForm is unhashable")
-
-    def is_zero(self) -> bool:
-        return self.delta.is_zero()
+    def _with(self, delta: QMat) -> "FieldValuedForm":
+        return FieldValuedForm(self.algebra, self.degree, delta, check=False)
 
     def apply(self, w: Form) -> Form:
         if w.degree != 1:
@@ -98,17 +71,14 @@ class FieldValuedForm:
         return Form(tgt, self.extension() @ w.vec)
 
     def to_json(self) -> dict:
-        return {"degree": self.degree,
-                "delta": [[format_scalar(v) for v in row]
-                          for row in self.delta.to_fraction_rows()]}
+        return {"degree": self.degree, "delta": qmat_to_json(self.delta)}
 
     def __repr__(self) -> str:
         return f"FieldValuedForm(degree={self.degree}, algebra={self.algebra.name})"
 
 
 def field_valued_form_from_json(algebra: Algebra, obj: dict) -> FieldValuedForm:
-    delta = QMat.from_rows([[parse_scalar(v) for v in row]
-                            for row in obj["delta"]])
+    delta = qmat_from_json(obj["delta"])
     return FieldValuedForm(algebra, int(obj["degree"]), delta)
 
 

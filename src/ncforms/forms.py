@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
-from .linalg import (QMat, RowReducer, Subspace, digits_at, flat_index, format_scalar,
-                     kron_rows, nullspace, parse_scalar, qmat_hstack, qmat_sum,
-                     subspace_from_columns)
+from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
+                     format_scalar, kron_rows, nullspace, parse_scalar, qmat_hstack,
+                     qmat_sum, subspace_from_columns)
 
 
 class FormError(ValueError):
@@ -156,44 +156,25 @@ class FormSpace:
         return f"FormSpace({self.algebra.name}, degree={self.degree}, dim={self.dim})"
 
 
-class Form:
+class Form(QVector):
     """A differential form: coordinate column over its FormSpace basis."""
 
     __slots__ = ("space", "vec")
+    _field, _error = "vec", FormError
 
     def __init__(self, space: FormSpace, vec: QMat):
         self.space = space
         self.vec = vec
 
+    def _space(self) -> tuple:
+        return (self.space,)
+
+    def _with(self, vec: QMat) -> "Form":
+        return Form(self.space, vec)
+
     @property
     def degree(self) -> int:
         return self.space.degree
-
-    def __add__(self, other: "Form") -> "Form":
-        if self.space is not other.space:
-            raise FormError("cannot add forms of different spaces")
-        return Form(self.space, self.vec + other.vec)
-
-    def __sub__(self, other: "Form") -> "Form":
-        if self.space is not other.space:
-            raise FormError("cannot subtract forms of different spaces")
-        return Form(self.space, self.vec - other.vec)
-
-    def __neg__(self) -> "Form":
-        return Form(self.space, -self.vec)
-
-    def scale(self, c) -> "Form":
-        return Form(self.space, self.vec.scale(c))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Form) and self.space is other.space
-                and self.vec == other.vec)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("Form is unhashable")
-
-    def is_zero(self) -> bool:
-        return self.vec.is_zero()
 
     def d(self) -> "Form":
         target = form_space(self.space.algebra, self.degree + 1)

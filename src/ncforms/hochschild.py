@@ -26,8 +26,8 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, Subspace, flat_index, kron_apply, kron_rows, nullspace,
-                     qmat_hstack, solve_linear, subspace_from_columns)
+from .linalg import (QMat, QVector, Subspace, flat_index, kron_apply, kron_rows,
+                     nullspace, qmat_hstack, solve_linear, subspace_from_columns)
 
 
 class HochschildError(ValueError):
@@ -48,8 +48,10 @@ def _bar_dim(m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class NormalizedCochain:
+class NormalizedCochain(QVector):
     """Multilinear map Abar^n -> M, as the matrix of values on basis tuples."""
+
+    _field, _error = "data", HochschildError
 
     def __init__(self, module: Bimodule, arity: int, data: QMat):
         if arity < 0:
@@ -94,38 +96,11 @@ class NormalizedCochain:
         bars = (QMat.from_columns(m - 1, [a[1:]]) for a in args)
         return (self.data @ functools.reduce(QMat.kron, bars, QMat.eye(1))).column_fractions(0)
 
-    def _check_compatible(self, other: "NormalizedCochain") -> None:
-        if (self.module.algebra is not other.module.algebra
-                or self.module.dim != other.module.dim
-                or self.arity != other.arity):
-            raise HochschildError("cochains live on different spaces")
+    def _space(self) -> tuple:
+        return (self.module.algebra, self.module.dim, self.arity)
 
-    def __add__(self, other: "NormalizedCochain") -> "NormalizedCochain":
-        self._check_compatible(other)
-        return NormalizedCochain(self.module, self.arity, self.data + other.data)
-
-    def __sub__(self, other: "NormalizedCochain") -> "NormalizedCochain":
-        self._check_compatible(other)
-        return NormalizedCochain(self.module, self.arity, self.data - other.data)
-
-    def __neg__(self) -> "NormalizedCochain":
-        return NormalizedCochain(self.module, self.arity, -self.data)
-
-    def scale(self, c) -> "NormalizedCochain":
-        return NormalizedCochain(self.module, self.arity, self.data.scale(c))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NormalizedCochain):
-            return NotImplemented
-        return (self.module.algebra is other.module.algebra
-                and self.module.dim == other.module.dim
-                and self.arity == other.arity and self.data == other.data)
-
-    def __hash__(self):  # pragma: no cover - cochains are not dict keys
-        raise TypeError("NormalizedCochain is not hashable")
-
-    def is_zero(self) -> bool:
-        return self.data.is_zero()
+    def _with(self, data: QMat) -> "NormalizedCochain":
+        return NormalizedCochain(self.module, self.arity, data)
 
     def __repr__(self) -> str:
         return (f"NormalizedCochain(arity={self.arity}, "

@@ -11,7 +11,7 @@ Two representations are used:
   result could exceed 2**62 first reduces its operands, then if need be
   promotes them from int64 to Python objects, so results are always exact.
 
-Five conventions are fixed here and nowhere else:
+Six conventions are fixed here and nowhere else:
 
 * Tuple indexing.  Form bases, bar tuples, tensor bimodules and multimaps
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
@@ -38,11 +38,16 @@ Five conventions are fixed here and nowhere else:
   columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
   a system A X = B is one :func:`solve_linear` call for all columns of B.
   A matrix unknown (a cochain, a derivation) is read as :meth:`QMat.vec`.
-  ``Fraction`` lists appear only at the boundary: parsing and printing,
+  ``Fraction`` lists appear only at the boundary: parsing and printing
+  (the JSON matrix codec :func:`qmat_to_json` / :func:`qmat_from_json`),
   CLI witnesses, public readers (``Form.coords``, ``Subspace.basis``,
   ``MultiMap.value``, ``NormalizedCochain.to_vector``) and inputs that
   are ``Fraction`` by contract (structure constants, polynomial
   coefficients).
+* Exact objects.  A form, a field-valued form, a multimap and a cochain
+  are each one QMat in a space: they take +, -, scale, ==, is_zero and
+  the same-space check from :class:`QVector`, and write and read their
+  matrices as JSON with the codec above.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ def make_scalar(p: int, q: int = 1) -> Fraction:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (ASCII decimal integers, optional sign)."""
+    if not isinstance(text, str):
+        raise LinAlgError(f"rational literal {text!r} is not a string")
     s = text.strip()
     if "/" in s:
         p_str, _, q_str = s.partition("/")
@@ -649,9 +656,6 @@ class QMat:
             return False
         return (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover - QMats are not dict keys
-        raise TypeError("QMat is unhashable")
-
     # -- arithmetic ----------------------------------------------------------
 
     def _aligned(self, other: "QMat") -> tuple[np.ndarray, np.ndarray, int]:
@@ -743,3 +747,60 @@ def subspace_from_columns(mat: QMat) -> Subspace:
     red = RowReducer(mat.shape[0])
     red.add_columns(mat)
     return red.subspace()
+
+
+# ---------------------------------------------------------------------------
+# Exact objects: one linear structure, one JSON matrix text
+# ---------------------------------------------------------------------------
+
+
+class QVector:
+    """An element of an exact space held as one QMat.  A subclass names the
+    attribute holding it (``_field``) and the error of a space mismatch
+    (``_error``), and defines ``_space()``, the key two elements must share
+    to combine, and ``_with(data)``, the element of its space holding data.
+    Each operation is the QMat one, with its (num, den, dtype).  Defining
+    ``__eq__`` leaves elements (and QMats) unhashable."""
+
+    __slots__ = ()
+    _field: str
+    _error: type = LinAlgError
+
+    def _qmat(self) -> QMat:
+        return getattr(self, self._field)
+
+    def _same(self, other: "QVector") -> None:
+        if not isinstance(other, type(self)) or self._space() != other._space():
+            raise self._error(f"{type(self).__name__}s of different spaces")
+
+    def __add__(self, other: "QVector") -> "QVector":
+        self._same(other)
+        return self._with(self._qmat() + other._qmat())
+
+    def __sub__(self, other: "QVector") -> "QVector":
+        self._same(other)
+        return self._with(self._qmat() - other._qmat())
+
+    def __neg__(self) -> "QVector":
+        return self._with(-self._qmat())
+
+    def scale(self, c) -> "QVector":
+        return self._with(self._qmat().scale(c))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self._qmat() == other._qmat()
+
+    def is_zero(self) -> bool:
+        return self._qmat().is_zero()
+
+
+def qmat_to_json(mat: QMat) -> list[list[str]]:
+    """The rows of mat as :func:`format_scalar` strings."""
+    return [[format_scalar(v) for v in row] for row in mat.to_fraction_rows()]
+
+
+def qmat_from_json(rows: Sequence[Sequence[str]]) -> QMat:
+    """Inverse of :func:`qmat_to_json`; a malformed literal raises LinAlgError."""
+    return QMat.from_rows([[parse_scalar(v) for v in row] for row in rows])

@@ -29,8 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Algebra, leibniz_terms
-from .linalg import (QMat, _exact_pair, _max_abs, flat_index, format_scalar, kron_apply,
-                     kron_rows, nullspace, parse_scalar, qmat_hstack, qmat_sum)
+from .linalg import (QMat, QVector, _exact_pair, _max_abs, flat_index, kron_apply,
+                     kron_rows, nullspace, qmat_from_json, qmat_hstack, qmat_sum,
+                     qmat_to_json)
 
 MAX_ARITY = 6
 
@@ -45,8 +46,10 @@ def _shuffle_sign(S: Sequence[int]) -> int:
     return -1 if total % 2 else 1
 
 
-class MultiMap:
+class MultiMap(QVector):
     """Skew k-linear map A^k -> A (or -> scalars), by values on basis tuples."""
+
+    _field, _error = "data", SchoutenError
 
     def __init__(self, algebra: Algebra, arity: int, data: QMat,
                  scalar: bool = False, check: bool = True):
@@ -93,46 +96,16 @@ class MultiMap:
         return MultiMap(self.algebra, self.arity - 1, _first_slot(self, QMat.column(w)),
                         scalar=self.scalar, check=False).value(rest)
 
-    def _check_compatible(self, other: "MultiMap") -> None:
-        if (self.algebra is not other.algebra or self.arity != other.arity
-                or self.scalar != other.scalar):
-            raise SchoutenError("multimaps live on different spaces")
+    def _space(self) -> tuple:
+        return (self.algebra, self.arity, self.scalar)
 
-    def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._check_compatible(other)
-        return MultiMap(self.algebra, self.arity, self.data + other.data,
-                        scalar=self.scalar, check=False)
-
-    def __sub__(self, other: "MultiMap") -> "MultiMap":
-        self._check_compatible(other)
-        return MultiMap(self.algebra, self.arity, self.data - other.data,
-                        scalar=self.scalar, check=False)
-
-    def __neg__(self) -> "MultiMap":
-        return MultiMap(self.algebra, self.arity, -self.data,
-                        scalar=self.scalar, check=False)
-
-    def scale(self, c) -> "MultiMap":
-        return MultiMap(self.algebra, self.arity, self.data.scale(c),
-                        scalar=self.scalar, check=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiMap):
-            return NotImplemented
-        return (self.algebra is other.algebra and self.arity == other.arity
-                and self.scalar == other.scalar and self.data == other.data)
-
-    def __hash__(self):  # pragma: no cover - multimaps are not dict keys
-        raise TypeError("MultiMap is not hashable")
-
-    def is_zero(self) -> bool:
-        return self.data.is_zero()
+    def _with(self, data: QMat) -> "MultiMap":
+        return MultiMap(self.algebra, self.arity, data, scalar=self.scalar,
+                        check=False)
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "scalar": self.scalar,
-                "coords": [[format_scalar(self.data.entry(r, c))
-                            for c in range(self.data.shape[1])]
-                           for r in range(self.target_dim)]}
+                "coords": qmat_to_json(self.data)}
 
     def __repr__(self) -> str:
         kind = "scalar" if self.scalar else "algebra"
@@ -141,8 +114,7 @@ class MultiMap:
 
 
 def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
-    data = QMat.from_rows([[parse_scalar(v) for v in row]
-                           for row in obj["coords"]])
+    data = qmat_from_json(obj["coords"])
     return MultiMap(algebra, int(obj["arity"]), data,
                     scalar=bool(obj.get("scalar", False)))
 

@@ -1,27 +1,33 @@
 """Command-line interface: reports, determinism, exit codes, schema."""
 
+import hashlib
+import importlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import click
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from ncforms import cli
 from ncforms.algebra import inner_derivation
 from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
 from ncforms.dsl import builtin_algebra
-from ncforms.fieldforms import (field_from_derivation,
+from ncforms.fieldforms import (contraction, field_from_derivation,
                                 field_valued_form_from_json,
-                                field_valued_form_space, fn_bracket)
+                                field_valued_form_space, fn_bracket, lie_operator)
 from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
 
 BUILTINS = ["k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2"]
+ROOT = Path(__file__).resolve().parent.parent
 
 SWAP_ACTION = """
 action swap {
@@ -136,6 +142,16 @@ def test_verify_passes_on_every_builtin(name):
                               "--seed", "5")
     assert result.exit_code == 0, result.stdout
     assert report["counts"]["failed"] == 0
+
+
+def test_operator_jacobi_fails_when_operators_stop_short(m2, monkeypatch):
+    # built one input degree short, a composite misses input degree 1: the
+    # check must fail rather than compare nothing
+    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
+    assert cli._chk_operator_jacobi(env, random.Random(1)) is None
+    monkeypatch.setattr(cli, "lie_operator", lambda K, top: lie_operator(K, top - 1))
+    monkeypatch.setattr(cli, "contraction", lambda L, top: contraction(L, top - 1))
+    assert "fails" in cli._chk_operator_jacobi(env, random.Random(1))
 
 
 def test_verify_check_names_sorted_and_frozen():
@@ -261,6 +277,23 @@ def test_non_derivation_field_input_exits_2(tmp_path):
     result = run_cli("fn-bracket", str(bad), str(bad), "--builtin", "dual")
     assert result.exit_code == 2
     assert "derivation" in result.stderr
+
+
+@pytest.mark.parametrize("obj", [
+    {"degree": 0, "delta": [[1, 0], [0, 0]]},
+    {"degree": 0, "delta": [[["1"]]]},
+    {"degree": 0, "delta": None},
+    {"degree": None, "delta": [["0", "0"], ["0", "0"]]},
+    {"arity": None, "coords": [["0"], ["0"]]},
+    {"arity": 1, "coords": [[0, 1], [0, 0]]},
+])
+def test_malformed_matrix_input_exits_2(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    command = "fn-bracket" if "delta" in obj else "nr-bracket"
+    result = run_cli(command, str(path), str(path), "--builtin", "dual")
+    assert result.exit_code == 2, repr(result.exception)
+    assert result.stderr.count("\n") == 1 and str(path) in result.stderr
 
 
 def test_alg_bracket_rejects_degree_zero_inputs(m2_fields):
@@ -396,14 +429,52 @@ def test_bianchi_subcommand_passes_on_square_matrices():
     assert report["data"]["count"] >= 1
 
 
+# every subcommand that needs no input file besides the algebra
+SWEPT_COMMANDS = ("info", "verify", "curvature", "bianchi", "connection-check",
+                  "hochschild", "derham", "poisson-check", "kernel-mu-n")
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_projection_reports_run_at_degree_one(name):
-    # the curvature formulas read the degree-2 induced maps whatever -N is
-    for command in ("curvature", "bianchi"):
-        result = run_cli(command, "--builtin", name, "-N", "1")
-        assert result.exit_code in (0, 1, 2), (command, result.output)
-        assert result.exception is None or isinstance(result.exception, SystemExit), \
-            (command, repr(result.exception))
+    # the exit-code contract on each report subcommand at -N 1-3: exit 0, exit
+    # 1 with a failed check, or exit 2 with one stderr line, never a
+    # traceback.  It began with curvature and bianchi at -N 1, whose formulas
+    # read the degree-2 induced maps whatever -N is.
+    for command in SWEPT_COMMANDS:
+        for N in ("1", "2", "3"):
+            result, report = run_json(command, "--builtin", name, "-N", N)
+            where = (command, N, result.stderr)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (where, repr(result.exception))
+            assert "Traceback" not in result.stderr, where
+            if result.exit_code == 2:
+                assert result.stdout == "" and result.stderr.count("\n") == 1, where
+            else:
+                failed = report["counts"]["failed"]
+                assert (result.exit_code, bool(failed)) in ((0, False), (1, True)), where
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    """perfbench/checks.py, where the benchmark pins its curvature digests."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("checks")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("--builtin", "m2", "-N", "2"), "CURVATURE_M2_N2_DATA"),
+    (("--builtin", "upper2"), "CURVATURE_UPPER2_DATA"),
+])
+def test_curvature_data_matches_the_benchmark_digest(bench_checks, args, digest):
+    # the projection order and every (num, den) written depend on the exact
+    # representation, so a change to it shows here, not only in the benchmark
+    result, report = run_json("curvature", *args)
+    assert result.exit_code == 0
+    text = json.dumps(report["data"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == getattr(bench_checks, digest)
 
 
 def test_connection_check_with_swap_action(tmp_path):

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical subspaces, kernels, the QMat engine."""
 
+import ast
 import functools
 import importlib
 import inspect
@@ -17,14 +18,17 @@ from hypothesis import strategies as st
 import ncforms
 from ncforms import algebra, connections, fieldforms, forms, hochschild, linalg, schouten
 from ncforms.algebra import matrix_algebra
-from ncforms.forms import form_space
-from ncforms.hochschild import NormalizedCochain, TensorBimodule
+from ncforms.dsl import builtin_algebra
+from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
+from ncforms.forms import Form, FormError, form_space
+from ncforms.hochschild import HochschildError, NormalizedCochain, TensorBimodule, tensor_module
 from ncforms.linalg import (
-    LinAlgError, QMat, RowReducer, Subspace, digits_at, flat_index,
-    format_scalar, kron_apply, kron_rows, make_scalar, nullspace, parse_scalar, qmat_hstack,
-    qmat_inverse, qmat_sum, rank, solve_linear, subspace_from_columns,
+    LinAlgError, QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
+    format_scalar, kron_apply, kron_rows, make_scalar, nullspace, parse_scalar, qmat_from_json,
+    qmat_hstack, qmat_inverse, qmat_sum, qmat_to_json, rank, solve_linear,
+    subspace_from_columns,
 )
-from ncforms.schouten import MultiMap
+from ncforms.schouten import MultiMap, SchoutenError
 from oracles import (
     FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
     fraction_solve_linear, fraction_span, sympy_nullspace_dim, sympy_rank, sympy_rref,
@@ -847,3 +851,108 @@ def test_linear_operators_are_applied_from_their_term_lists():
         assert "_is_slot_derivation(" in src or "_slot_leibniz_terms(" in src, fn.__qualname__
     assert not hasattr(hochschild, "coboundary_rows")
     assert not hasattr(hochschild, "tensor_hom_basis")
+
+
+EXACT_OBJECTS = (Form, FieldValuedForm, MultiMap, NormalizedCochain)
+
+
+def test_exact_objects_take_their_linear_structure_from_qvector():
+    own = {"__add__", "__sub__", "__neg__", "scale", "__eq__", "__hash__", "is_zero",
+           "_same", "_check_compatible"}
+    for cls in EXACT_OBJECTS:
+        assert issubclass(cls, QVector), cls.__name__
+        assert not own & set(vars(cls)), cls.__name__
+        assert "different spaces" not in inspect.getsource(cls), cls.__name__
+
+
+def _scalar_matrices(tree: ast.AST) -> list[ast.ListComp]:
+    """The list-of-lists comprehensions of format_scalar / parse_scalar calls."""
+    def scalar_call(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("format_scalar", "parse_scalar"))
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ListComp)
+            and isinstance(n.elt, ast.ListComp) and scalar_call(n.elt.elt)]
+
+
+def test_json_matrices_go_through_one_codec():
+    codec = {id(n) for fn in (qmat_to_json, qmat_from_json)
+             for n in _scalar_matrices(ast.parse(inspect.getsource(fn)))}
+    assert len(codec) == 2
+    found = []
+    for info in pkgutil.iter_modules(ncforms.__path__):
+        mod = importlib.import_module(f"ncforms.{info.name}")
+        tree = ast.parse(inspect.getsource(mod))
+        codec_defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                      and n.name in ("qmat_to_json", "qmat_from_json")]
+        inside = {id(n) for fn in codec_defs for n in _scalar_matrices(fn)}
+        found += [f"{info.name}:{n.lineno}" for n in _scalar_matrices(tree)
+                  if id(n) not in inside]
+    assert found == []
+
+
+def test_json_matrix_codec_round_trips_and_rejects_malformed_input():
+    q = QMat(np.array([[2 ** 70, -3], [0, 5]], dtype=object), 6)
+    rows = qmat_to_json(q)
+    assert rows == [[format_scalar(Fraction(2 ** 70, 6)), "-1/2"], ["0", "5/6"]]
+    back = qmat_from_json(rows)
+    assert back == q and back.num.dtype == object
+    assert qmat_from_json([["1", "1/2"]]).num.dtype == np.int64
+    for bad in ("ab", [[1]], [[["1"]]], [["1/0"]], [["x"]]):
+        with pytest.raises(LinAlgError):
+            qmat_from_json(bad)
+
+
+def _exact_object_makers():
+    """For each exact-object type, (make: QMat -> element, shape of its QMat)."""
+    A = matrix_algebra(2)
+    sp = form_space(A, 1)
+    mod = A.regular_bimodule()
+    return [
+        (lambda q: Form(sp, q), (sp.dim, 1)),
+        (lambda q: FieldValuedForm(A, 1, q, check=False), (sp.dim, A.dim)),
+        (lambda q: MultiMap(A, 2, q, check=False), (A.dim, A.dim ** 2)),
+        (lambda q: NormalizedCochain(mod, 1, q), (mod.dim, A.dim - 1)),
+    ]
+
+
+def test_exact_objects_combine_as_their_qmats():
+    # every operation returns the (num, den, dtype) of the QMat operation,
+    # also where int64 sums reach 2**62 and where entries are past it
+    rng = np.random.default_rng(7)
+    for make, shape in _exact_object_makers():
+        small = rng.integers(-9, 10, size=shape)
+        small[0, 0] = 2 ** 61
+        big = rng.integers(-9, 10, size=shape).astype(object)
+        big[-1, -1] = 2 ** 70
+        qs = [QMat(small, 6), QMat(big, 4), QMat(small * 2, 3)]
+        for x in qs:
+            X = make(x)
+            field = type(X)._field
+            assert _same_qmat(getattr(-X, field), -x)
+            assert _same_qmat(getattr(X.scale(Fraction(-3, 5)), field), x.scale(Fraction(-3, 5)))
+            assert (X - X).is_zero() and not X.is_zero()
+            for y in qs:
+                Y = make(y)
+                assert _same_qmat(getattr(X + Y, field), x + y)
+                assert _same_qmat(getattr(X - Y, field), x - y)
+                assert (X + Y == make(x + y)) and (X == Y) == (x == y)
+            with pytest.raises(TypeError):
+                hash(X)
+
+
+def test_exact_objects_of_two_spaces_raise_their_module_error():
+    A, B = matrix_algebra(2), builtin_algebra("m2")
+    pairs = [
+        (form_space(A, 1).zero(), form_space(A, 2).zero(), FormError),
+        (form_space(A, 1).zero(), form_space(B, 1).zero(), FormError),
+        (zero_field_valued_form(A, 0), zero_field_valued_form(A, 1), FieldFormError),
+        (MultiMap.zeros(A, 1), MultiMap.zeros(A, 1, scalar=True), SchoutenError),
+        (NormalizedCochain.zeros(A.regular_bimodule(), 1),
+         NormalizedCochain.zeros(tensor_module(A, 1), 1), HochschildError),
+        (form_space(A, 0).zero(), zero_field_valued_form(A, 0), FormError),
+    ]
+    for x, y, error in pairs:
+        for op in (lambda: x + y, lambda: x - y):
+            with pytest.raises(error, match="different spaces"):
+                op()
+        assert x != y and not x == y
