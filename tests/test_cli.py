@@ -154,6 +154,26 @@ def test_operator_jacobi_fails_when_operators_stop_short(m2, monkeypatch):
     assert "fails" in cli._chk_operator_jacobi(env, random.Random(1))
 
 
+def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatch):
+    # the seed draws the fields, not the degrees: the operators built, and
+    # with them the time and memory of the check, are the same for any seed
+    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
+    built = []
+
+    def recording(K, top):
+        built.append((K.degree, top))
+        return lie_operator(K, top)
+
+    monkeypatch.setattr(cli, "lie_operator", recording)
+    runs = []
+    for seed in range(4):
+        built.clear()
+        assert cli._chk_operator_jacobi(env, random.Random(seed)) is None
+        runs.append(list(built))
+    assert all(run == runs[0] for run in runs)
+    assert {(g, top) for g, top in runs[0]} == {(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (1, 3)}
+
+
 def test_verify_check_names_sorted_and_frozen():
     result, report = run_json("verify", "--builtin", "dual", "-N", "1")
     assert result.exit_code == 0
