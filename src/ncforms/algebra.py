@@ -56,6 +56,8 @@ class Algebra:
         self.right = [QMat.from_coo((m, m), ((k, i, v) for i in range(m)
                                              for k, v in C[i][j]), den)
                       for j in range(m)]
+        # mu^2 = [L_0 .. L_{m-1}]: column i*m + j is e_i e_j
+        self.mu2 = qmat_hstack(m, self.left)
         # degree -> FormSpace, filled by forms.form_space; owned by the
         # algebra so the spaces die with it
         self._form_spaces: dict = {}
@@ -73,9 +75,8 @@ class Algebra:
                 f"{self.name}: basis vector 0 is not a two-sided unit")
         # associativity: column j*m + l of mu^2 (L_i (x) I) is (e_i e_j) e_l,
         # of L_i mu^2 it is e_i (e_j e_l)
-        mu = qmat_hstack(m, self.left)
         for i, L in enumerate(self.left):
-            bad = (mu @ L.kron(eye) - L @ mu).num.any(axis=0)
+            bad = (self.mu2 @ L.kron(eye) - L @ self.mu2).num.any(axis=0)
             if bad.any():
                 raise AlgebraError(
                     f"{self.name}: product not associative at "
@@ -84,9 +85,9 @@ class Algebra:
     # -- products --------------------------------------------------------------
 
     def mult_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        """uv = [L_0 .. L_{m-1}] (u (x) v): column i*m + j of the left actions is e_i e_j."""
+        """uv = mu^2 (u (x) v)."""
         uv = QMat.column(u).kron(QMat.column(v))
-        return (qmat_hstack(self.dim, self.left) @ uv).column_fractions(0)
+        return (self.mu2 @ uv).column_fractions(0)
 
     # -- elements ---------------------------------------------------------------
 
@@ -259,9 +260,8 @@ class AlgebraHom:
             raise AlgebraError(f"{self.name}: does not preserve the unit")
         # f(e_i e_j) = f(e_i) f(e_j) for every j: F L_i = L_{f(e_i)} F, with
         # L_{f(e_i)} F = mu^2 (f(e_i) (x) F)
-        mu = qmat_hstack(T.dim, T.left)
         for i in range(self.source.dim):
-            diff = F @ self.source.left[i] - mu @ F.col(i).kron(F)
+            diff = F @ self.source.left[i] - T.mu2 @ F.col(i).kron(F)
             if not diff.is_zero():
                 j = int(diff.num.any(axis=0).argmax())
                 raise AlgebraError(
@@ -315,7 +315,7 @@ def rebase_unit_first(name: str, basis_names: Sequence[str],
                         QMat(np.eye(m, dtype=np.int64)[:, keep])])
     # column i*m + j: the new coordinates of the product of new basis vectors
     raw = Algebra(name, basis_names, structure, check=False)
-    prods = solve_linear(P, qmat_hstack(m, raw.left) @ P.kron(P))
+    prods = solve_linear(P, raw.mu2 @ P.kron(P))
     return Algebra(name, ["1"] + [basis_names[t] for t in keep],
                    [[prods.column_fractions(i * m + j) for j in range(m)]
                     for i in range(m)])
@@ -387,41 +387,6 @@ def product_algebra(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algeb
                              names, structure, unit)
 
 
-def group_algebra(elements: Sequence[str], table: dict, name: Optional[str] = None) -> Algebra:
-    """Group algebra QG from a multiplication table {(g,h): gh}.
-
-    ``elements`` lists the group elements; the identity is whichever element
-    e satisfies e*g = g for all g.  Raises if the table is not a group.
-    """
-    n = len(elements)
-    idx = {g: i for i, g in enumerate(elements)}
-    if len(idx) != n:
-        raise AlgebraError("duplicate group element names")
-    for g in elements:
-        for h in elements:
-            if (g, h) not in table:
-                raise AlgebraError(f"group table missing product {g}*{h}")
-            if table[(g, h)] not in idx:
-                raise AlgebraError(f"group table value {table[(g, h)]!r} not an element")
-    ident = [e for e in elements
-             if all(table[(e, g)] == g and table[(g, e)] == g for g in elements)]
-    if len(ident) != 1:
-        raise AlgebraError("group table has no (unique) identity")
-    # associativity + inverses
-    for g in elements:
-        for h in elements:
-            for k in elements:
-                if table[(table[(g, h)], k)] != table[(g, table[(h, k)])]:
-                    raise AlgebraError("group table is not associative")
-        if not any(table[(g, h)] == ident[0] for h in elements):
-            raise AlgebraError(f"group element {g} has no inverse")
-    order = [ident[0]] + [g for g in elements if g != ident[0]]
-    pos = {g: i for i, g in enumerate(order)}
-    structure = [[[Fraction(int(pos[table[(g, h)]] == k)) for k in range(n)]
-                  for h in order] for g in order]
-    return Algebra(name or "group_algebra", order, structure)
-
-
 def semidirect_product(mod: Bimodule, name: Optional[str] = None) -> "SemidirectProduct":
     """Square-zero extension A (+) M with (a,m)(a',m') = (aa', a.m' + m.a')."""
     A, dM = mod.algebra, mod.dim
@@ -454,6 +419,87 @@ class SemidirectProduct:
 
     def project_module(self, x: Element) -> list[Fraction]:
         return list(x.coeffs[self.base.dim:])
+
+
+# ---------------------------------------------------------------------------
+# Finite groups and their actions
+# ---------------------------------------------------------------------------
+
+
+def group_identity(elements: Sequence[str], table: dict) -> str:
+    """The identity of the finite group with multiplication table {(g,h): gh}.
+
+    Raises unless the table is complete and closed, with a unique identity,
+    associative and with an inverse for every element.
+    """
+    if len(set(elements)) != len(elements):
+        raise AlgebraError("duplicate group element names")
+    for g in elements:
+        for h in elements:
+            if (g, h) not in table:
+                raise AlgebraError(f"group table is missing {g}*{h}")
+            if table[g, h] not in elements:
+                raise AlgebraError(f"group table value {table[g, h]!r} not an element")
+    ident = [e for e in elements
+             if all(table[e, g] == g and table[g, e] == g for g in elements)]
+    if len(ident) != 1:
+        raise AlgebraError("group table has no unique identity")
+    for g in elements:
+        for h in elements:
+            for k in elements:
+                if table[table[g, h], k] != table[g, table[h, k]]:
+                    raise AlgebraError(
+                        f"group table is not associative at ({g}, {h}, {k})")
+        if not any(table[g, h] == ident[0] for h in elements):
+            raise AlgebraError(f"group element {g!r} has no inverse")
+    return ident[0]
+
+
+def group_algebra(elements: Sequence[str], table: dict, name: Optional[str] = None) -> Algebra:
+    """Group algebra QG from a multiplication table {(g,h): gh}, identity first."""
+    n = len(elements)
+    ident = group_identity(elements, table)
+    order = [ident] + [g for g in elements if g != ident]
+    pos = {g: i for i, g in enumerate(order)}
+    structure = [[[Fraction(int(pos[table[(g, h)]] == k)) for k in range(n)]
+                  for h in order] for g in order]
+    return Algebra(name or "group_algebra", order, structure)
+
+
+class GroupAction:
+    """A finite group acting on A by algebra automorphisms; ``homs`` maps
+    each group element's name to its automorphism."""
+
+    def __init__(self, algebra: Algebra, homs: Sequence[AlgebraHom],
+                 check: bool = True):
+        self.algebra = algebra
+        self.homs = {h.name: h for h in homs}
+        if len(self.homs) != len(homs):
+            raise AlgebraError("group elements need distinct names")
+        if check:
+            self.validate()
+
+    def validate(self) -> None:
+        mats = [h.matrix for h in self.homs.values()]
+        ident = QMat.eye(self.algebra.dim)
+        if not any(M == ident for M in mats):
+            raise AlgebraError("action lacks the identity")
+        for h in self.homs.values():
+            if h.source is not self.algebra or h.target is not self.algebra:
+                raise AlgebraError("action maps must be endomorphisms")
+            if not h.is_isomorphism():
+                raise AlgebraError("action map is not invertible")
+        for a in mats:
+            for b in mats:
+                ab = a @ b
+                if not any(ab == M for M in mats):
+                    raise AlgebraError("action is not closed under composition")
+
+    def fixed_subspace(self) -> Subspace:
+        """Elements fixed by every automorphism of the action (a subalgebra)."""
+        m = self.algebra.dim
+        return nullspace(m, (row for h in self.homs.values()
+                             for row in (h.matrix - QMat.eye(m)).sparse_rows()))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ import click
 import numpy as np
 
 from . import __version__
-from .algebra import (Algebra, AlgebraError, AlgebraHom, derivation_matrix,
-                      derivation_vector, derivation_space, inner_derivation,
-                      is_derivation)
-from .connections import (Bundle, GeometryError, GroupAction,
+from .algebra import (Algebra, AlgebraError, AlgebraHom, GroupAction,
+                      derivation_matrix, derivation_vector, derivation_space,
+                      inner_derivation, is_derivation)
+from .connections import (Bundle, GeometryError, action_functoriality_defect,
                           bianchi_identities, bundle_tensor_dims,
                           check_projection_calculus, curvature,
                           curvature_horizontality, find_connections,
@@ -45,7 +45,7 @@ from .fieldforms import (FieldFormError, FieldValuedForm, algebraic_bracket,
                          fn_bracket, lie_bracket_fields, lie_operator,
                          zero_field_valued_form)
 from .forms import (FormError, commutator_subspace, de_rham_homology,
-                    form_space, kernel_of_mu_n, omega_functor, product)
+                    form_space, kernel_of_mu_n, product)
 from .hochschild import (NormalizedCochain, coboundary, cochain_dim,
                          cochain_to_hom, cohomology_report, form_hom_space,
                          hom_to_cochain, tensor_module)
@@ -155,12 +155,11 @@ def _load_action(algebra: Algebra, action_path: Optional[str]) -> GroupAction:
         return GroupAction(algebra, [ident])
     try:
         text = Path(action_path).read_text(encoding="utf-8")
-        spec = parse_group_action(text, algebra)
+        return parse_group_action(text, algebra)
     except DslError as exc:
         raise InputError(f"group action: {exc}")
     except OSError as exc:
         raise InputError(f"cannot read {action_path}: {exc.strerror}")
-    return GroupAction(algebra, [spec.homs[g] for g in spec.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +614,10 @@ def _chk_projection_complement(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_action_functoriality(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for h in env.action.homs:
-        for k in range(1, env.N + 1):
-            dk = form_space(A, k - 1).d_matrix()
-            if omega_functor(h, k) @ dk != dk @ omega_functor(h, k - 1):
-                return (f"group element {h.name}: induced map does not "
-                        f"intertwine d into degree {k}")
+    bad = action_functoriality_defect(env.action, env.N)
+    if bad:
+        return (f"group element {bad[0]}: induced map does not "
+                f"intertwine d into degree {bad[1]}")
     return None
 
 

@@ -15,13 +15,12 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Algebra, AlgebraHom, Bimodule, tensor_over_A
+from .algebra import Algebra, Bimodule, GroupAction, tensor_over_A
 from .fieldforms import (
     FieldValuedForm, fn_bracket, identity_one_form, insertion_compose,
     zero_field_valued_form,
 )
-from .forms import (Form, form_space, multiplicative_extension, multiplication_matrix,
-                    omega_functor, products)
+from .forms import Form, form_space, multiplicative_extension, omega_functor, products
 from .linalg import (
     QMat, RowReducer, Subspace, kron_rows, nullspace, qmat_hstack, qmat_inverse,
     qmat_sum, solve_linear, subspace_from_columns,
@@ -420,14 +419,14 @@ def _spectral_idempotents(E: QMat) -> list[QMat]:
     return out
 
 
-def find_projections(algebra: Algebra, seed: int = 0, max_count: int = 12,
-                     lattice_cap: int = 3, spectral_draws: int = 40
-                     ) -> list[Projection]:
+def find_projections(algebra: Algebra, seed: int = 0) -> list[Projection]:
     """Idempotent bimodule endomorphisms of Omega_1, deterministically.
 
     Always includes 0 and Id; adds left multiplications by central
-    idempotents, a small-lattice scan when the endomorphism space is tiny,
-    and spectral idempotents of seeded random endomorphisms.
+    idempotents, then a scan of the coefficient lattice {-1, ..., 1} in
+    halves when the endomorphism space has dimension at most 3, else the
+    spectral idempotents of 40 seeded random endomorphisms.  The scan and
+    the draws stop at 12 projections.
     """
     sp = form_space(algebra, 1)
     n = sp.dim
@@ -455,17 +454,17 @@ def find_projections(algebra: Algebra, seed: int = 0, max_count: int = 12,
                 push(sp.left_action(vec))
 
     endos = bimodule_endomorphism_space(algebra)
-    if len(endos) <= lattice_cap:
+    if len(endos) <= 3:
         for combo in itertools.product(half, repeat=len(endos)):
             cand = qmat_sum([E.scale(c) for E, c in zip(endos, combo)]) \
                 if endos else QMat.zeros(n, n)
             push(cand)
-            if len(found) >= max_count:
+            if len(found) >= 12:
                 break
     else:
         rng = random.Random(seed)
-        for _ in range(spectral_draws):
-            if len(found) >= max_count:
+        for _ in range(40):
+            if len(found) >= 12:
                 break
             E = qmat_sum([B.scale(rng.randint(-2, 2)) for B in endos])
             for e in _spectral_idempotents(E):
@@ -481,38 +480,6 @@ def find_projections(algebra: Algebra, seed: int = 0, max_count: int = 12,
 # ---------------------------------------------------------------------------
 # Bundles, horizontal forms, connections
 # ---------------------------------------------------------------------------
-
-
-class GroupAction:
-    """A finite group acting on A by automorphisms."""
-
-    def __init__(self, algebra: Algebra, homs: Sequence[AlgebraHom],
-                 check: bool = True):
-        self.algebra = algebra
-        self.homs = list(homs)
-        if check:
-            self.validate()
-
-    def validate(self) -> None:
-        mats = [h.matrix for h in self.homs]
-        ident = QMat.eye(self.algebra.dim)
-        if not any(M == ident for M in mats):
-            raise GeometryError("action lacks the identity")
-        for h in self.homs:
-            if h.source is not self.algebra or h.target is not self.algebra:
-                raise GeometryError("action maps must be endomorphisms")
-            if not h.is_isomorphism():
-                raise GeometryError("action map is not invertible")
-        for a in mats:
-            for b in mats:
-                ab = a @ b
-                if not any(ab == M for M in mats):
-                    raise GeometryError("action is not closed under composition")
-
-    def fixed_subspace(self) -> Subspace:
-        m = self.algebra.dim
-        return nullspace(m, (row for h in self.homs
-                             for row in (h.matrix - QMat.eye(m)).sparse_rows()))
 
 
 class Bundle:
@@ -534,7 +501,7 @@ class Bundle:
             raise GeometryError("base subalgebra must contain 1")
         B = self.base.row_matrix().T
         if not subspace_from_columns(
-                multiplication_matrix(A, 2) @ B.kron(B)).is_subspace_of(self.base):
+                A.mu2 @ B.kron(B)).is_subspace_of(self.base):
             raise GeometryError("base is not closed under products")
         if self.action is not None:
             if self.action.fixed_subspace() != self.base:
@@ -552,7 +519,7 @@ class Bundle:
                                    QMat(basis.num[:, keep], basis.den)])
         nb = incl.shape[1]
         # column x*nb + y: the coordinates of b_x b_y against the basis of B
-        prods = solve_linear(incl, multiplication_matrix(A, 2) @ incl.kron(incl))
+        prods = solve_linear(incl, A.mu2 @ incl.kron(incl))
         structure = [[prods.column_fractions(x * nb + y) for y in range(nb)]
                      for x in range(nb)]
         names = ["1"] + [f"b{i}" for i in range(1, nb)]
@@ -649,7 +616,7 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
     ext = chi.extension()
     n = ext.shape[0]
     acc = QMat.zeros(n, n)
-    for h in bundle.action.homs:
+    for h in bundle.action.homs.values():
         om = omega_functor(h, 1)
         acc = acc + om @ ext @ qmat_inverse(om)
     avg = acc.scale(Fraction(1, len(bundle.action.homs)))
@@ -667,7 +634,7 @@ def is_principal(bundle: Bundle, chi: FieldValuedForm) -> bool:
     if not is_connection(bundle, chi)["connection"]:
         return False
     ext = chi.extension()
-    for h in bundle.action.homs:
+    for h in bundle.action.homs.values():
         om1 = omega_functor(h, 1)
         if ext @ om1 != om1 @ ext:
             return False
@@ -683,7 +650,7 @@ def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
     report = {"kills_horizontal": kills, "lands_horizontal": lands}
     if bundle.action is not None and is_principal(bundle, chi):
         eq = True
-        for h in bundle.action.homs:
+        for h in bundle.action.homs.values():
             if ext @ omega_functor(h, 1) != omega_functor(h, 2) @ ext:
                 eq = False
         report["equivariant"] = eq
@@ -691,15 +658,17 @@ def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
     return report
 
 
-def action_extends_to_forms(action: GroupAction, N: int) -> bool:
-    """Omega_k(g) intertwines d for every group element, k <= N."""
+def action_functoriality_defect(action: GroupAction, N: int
+                                ) -> Optional[tuple[str, int]]:
+    """First (group element, degree k <= N) where Omega_k(g) does not
+    intertwine d into degree k, or None when the action extends to forms."""
     A = action.algebra
-    for h in action.homs:
+    for name, h in action.homs.items():
         for k in range(1, N + 1):
             dk = form_space(A, k - 1).d_matrix()
             if omega_functor(h, k) @ dk != dk @ omega_functor(h, k - 1):
-                return False
-    return True
+                return name, k
+    return None
 
 
 def bundle_tensor_dims(bundle: Bundle) -> dict:
@@ -707,7 +676,7 @@ def bundle_tensor_dims(bundle: Bundle) -> dict:
     A = bundle.algebra
     B, incl = bundle.base_algebra()
     # A as a B-bimodule via the inclusion: b.a = mu^2 (b (x) a), a.b likewise
-    mu, eye = multiplication_matrix(A, 2), QMat.eye(A.dim)
+    mu, eye = A.mu2, QMat.eye(A.dim)
     left = [mu @ incl.col(j).kron(eye) for j in range(B.dim)]
     right = [mu @ eye.kron(incl.col(j)) for j in range(B.dim)]
     mod = Bimodule(B, A.dim, left, right, name="A|B")

@@ -16,26 +16,31 @@ Grammar (statements end with ``;``, comments run from ``#`` to end of line)::
                               #   kxk, m2, kc2, upper2
 
     action NAME {             # finite group acting by algebra automorphisms
-        elements e, s;
+        elements e, s;        # a group table, as in group_algebra
         e*e = e; e*s = s; s*e = s; s*s = e;
-        map e: 1 -> 1, p -> p;
+        map e: 1 -> 1, p -> p;        # one automorphism per element
         map s: 1 -> 1, p -> 1 - p;
     }
+
+A group table has one grammar, ``elements g, ...;`` then ``g*h = k;``
+lines, and one check of the group axioms (``algebra.group_identity``), in
+``group_algebra({...})`` and in an ``action`` block alike.
 
 Diagnostics carry line/column and, for unexpected tokens, the expected set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import (
-    Algebra, AlgebraError, AlgebraHom, base_field, dual_numbers, group_algebra,
-    matrix_algebra, product_algebra, truncated_polynomial_algebra,
+    Algebra, AlgebraError, AlgebraHom, GroupAction, base_field, dual_numbers,
+    group_algebra, group_identity, matrix_algebra, product_algebra,
+    truncated_polynomial_algebra,
 )
-from .linalg import LinAlgError, QMat, Subspace, format_scalar, nullspace, qmat_inverse
+from .linalg import LinAlgError, QMat, format_scalar, qmat_inverse
 
 
 class DslError(ValueError):
@@ -182,17 +187,6 @@ class BuiltinSpec:
 
 
 AlgebraSpec = Union[TableSpec, BuiltinSpec]
-
-
-@dataclass
-class GroupActionSpec:
-    name: str
-    algebra: Algebra
-    elements: tuple[str, ...]
-    unit: str
-    compose: dict                       # (g, h) -> gh
-    matrices: dict                      # g -> QMat
-    homs: dict = field(default_factory=dict)   # g -> AlgebraHom
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +365,10 @@ class _Parser:
                        expected=["integer", "builtin expression",
                                  "group table"])
 
-    def group_table(self) -> GroupTable:
-        head = self.expect("{")
+    # -- group tables and actions ----------------------------------------
+
+    def group_elements(self) -> tuple[str, ...]:
+        """`elements g, h, ...;`"""
         self.expect("NAME", "elements")
         elements: list[str] = []
         while True:
@@ -386,44 +382,39 @@ class _Parser:
             else:
                 break
         self.expect(";")
+        return tuple(elements)
+
+    def group_product(self, elements: Sequence[str], products: dict) -> None:
+        """`g*h = k;`, entered into ``products``."""
+        g = self.expect("NAME")
+        self.expect("*")
+        h = self.expect("NAME")
+        self.expect("=")
+        k = self.expect("NAME")
+        self.expect(";")
+        for tok in (g, h, k):
+            if tok.text not in elements:
+                raise DslError(f"unknown group element {tok.text!r}",
+                               tok.line, tok.col)
+        if (g.text, h.text) in products:
+            raise DslError(f"duplicate product {g.text}*{h.text}",
+                           g.line, g.col)
+        products[(g.text, h.text)] = k.text
+
+    def group_table(self) -> GroupTable:
+        head = self.expect("{")
+        elements = self.group_elements()
         products: dict = {}
         while self.peek().kind != "}":
-            g = self.expect("NAME")
-            self.expect("*")
-            h = self.expect("NAME")
-            self.expect("=")
-            k = self.expect("NAME")
-            self.expect(";")
-            for tok in (g, h, k):
-                if tok.text not in elements:
-                    raise DslError(f"unknown group element {tok.text!r}",
-                                   tok.line, tok.col)
-            if (g.text, h.text) in products:
-                raise DslError(f"duplicate product {g.text}*{h.text}",
-                               g.line, g.col)
-            products[(g.text, h.text)] = k.text
+            self.group_product(elements, products)
         self.expect("}")
-        return GroupTable(tuple(elements), products, head.line, head.col)
-
-    # -- group actions ------------------------------------------------------
+        return GroupTable(elements, products, head.line, head.col)
 
     def action_spec(self):
         head = self.expect("NAME", "action")
-        name = self.expect("NAME").text
+        self.expect("NAME")
         self.expect("{")
-        self.expect("NAME", "elements")
-        elements: list[str] = []
-        while True:
-            tok = self.expect("NAME")
-            if tok.text in elements:
-                raise DslError(f"duplicate group element {tok.text!r}",
-                               tok.line, tok.col)
-            elements.append(tok.text)
-            if self.peek().kind == ",":
-                self.advance()
-            else:
-                break
-        self.expect(";")
+        elements = self.group_elements()
         products: dict = {}
         maps: dict = {}
         while self.peek().kind != "}":
@@ -450,22 +441,9 @@ class _Parser:
                 self.expect(";")
                 maps[label.text] = (kw, assignments)
             else:
-                g = self.expect("NAME")
-                self.expect("*")
-                h = self.expect("NAME")
-                self.expect("=")
-                k = self.expect("NAME")
-                self.expect(";")
-                for tok in (g, h, k):
-                    if tok.text not in elements:
-                        raise DslError(f"unknown group element {tok.text!r}",
-                                       tok.line, tok.col)
-                if (g.text, h.text) in products:
-                    raise DslError(f"duplicate product {g.text}*{h.text}",
-                                   g.line, g.col)
-                products[(g.text, h.text)] = k.text
+                self.group_product(elements, products)
         self.expect("}")
-        return name, tuple(elements), products, maps, head
+        return elements, products, maps, head
 
 
 def parse(text: str) -> AlgebraSpec:
@@ -621,7 +599,7 @@ def _elaborate_builtin(spec: BuiltinSpec) -> Algebra:
             if not isinstance(table, GroupTable):
                 raise DslError("builtin 'group_algebra' needs a group table",
                                spec.line, spec.col)
-            return group_algebra(list(table.elements), table.products)
+            return group_algebra(table.elements, table.products)
     except AlgebraError as exc:
         raise DslError(str(exc), spec.line, spec.col) from exc
     raise DslError(f"unknown builtin {name!r}", spec.line, spec.col,
@@ -653,38 +631,20 @@ def builtin_algebra(expr: str) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def parse_group_action(text: str, over: Algebra) -> GroupActionSpec:
+def parse_group_action(text: str, over: Algebra) -> GroupAction:
+    """The action an ``action`` block defines on ``over``; every defect
+    raises DslError at its line and column."""
     p = _Parser(tokenize(text))
-    name, elements, products, maps, head = p.action_spec()
+    elements, products, maps, head = p.action_spec()
     p.expect("EOF")
-    # -- group axioms ------------------------------------------------------
-    for g in elements:
-        for h in elements:
-            if (g, h) not in products:
-                raise DslError(f"composition table is missing {g}*{h}",
-                               head.line, head.col)
-    units = [e for e in elements
-             if all(products[(e, g)] == g and products[(g, e)] == g
-                    for g in elements)]
-    if len(units) != 1:
-        raise DslError("composition table has no unique identity",
-                       head.line, head.col)
-    unit = units[0]
-    for g in elements:
-        for h in elements:
-            for k in elements:
-                if products[(products[(g, h)], k)] \
-                        != products[(g, products[(h, k)])]:
-                    raise DslError(
-                        f"composition table is not associative at "
-                        f"({g}, {h}, {k})", head.line, head.col)
-        if not any(products[(g, h)] == unit for h in elements):
-            raise DslError(f"group element {g!r} has no inverse",
-                           head.line, head.col)
-    # -- per-element matrices ------------------------------------------------
+    try:
+        unit = group_identity(elements, products)
+    except AlgebraError as exc:
+        raise DslError(str(exc), head.line, head.col) from exc
+    # -- per-element automorphisms -------------------------------------------
     m = over.dim
     index = {nm: i for i, nm in enumerate(over.basis_names)}
-    matrices: dict = {}
+    homs: dict = {}
     for g in elements:
         if g not in maps:
             raise DslError(f"no map declared for group element {g!r}",
@@ -711,34 +671,21 @@ def parse_group_action(text: str, over: Algebra) -> GroupActionSpec:
             raise DslError(f"map for {g!r} is not invertible",
                            kw.line, kw.col) from None
         try:
-            AlgebraHom(over, over, mat, name=g, check=True)
+            homs[g] = AlgebraHom(over, over, mat, name=g)
         except AlgebraError as exc:
             raise DslError(f"map for {g!r} is not an automorphism: {exc}",
                            kw.line, kw.col) from exc
-        matrices[g] = mat
     # -- the assignment is a group homomorphism ------------------------------
-    if matrices[unit] != QMat.eye(m):
+    if homs[unit].matrix != QMat.eye(m):
         raise DslError(f"identity element {unit!r} must act as the identity",
                        head.line, head.col)
     for g in elements:
         for h in elements:
-            if matrices[g] @ matrices[h] != matrices[products[(g, h)]]:
+            if homs[g].matrix @ homs[h].matrix != homs[products[g, h]].matrix:
                 raise DslError(
                     f"matrices disagree with the composition table at "
                     f"({g}, {h})", head.line, head.col)
-    spec = GroupActionSpec(name, over, elements, unit, dict(products),
-                           matrices)
-    spec.homs = {g: AlgebraHom(over, over, matrices[g], name=g, check=False)
-                 for g in elements}
-    return spec
-
-
-def fixed_subspace(action: GroupActionSpec) -> Subspace:
-    """Elements fixed by every automorphism of the action (a subalgebra)."""
-    m = action.algebra.dim
-    eye = QMat.eye(m)
-    return nullspace(m, (row for g in action.elements
-                         for row in (action.matrices[g] - eye).sparse_rows()))
+    return GroupAction(over, list(homs.values()), check=False)
 
 
 # ---------------------------------------------------------------------------

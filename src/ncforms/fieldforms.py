@@ -315,7 +315,7 @@ def insertion_compose(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm
     return FieldValuedForm(K.algebra, L.degree + K.degree - 1, out, check=False)
 
 
-def is_graded_derivation(D: GradedDerivation, max_total: Optional[int] = None) -> bool:
+def is_graded_derivation(D: GradedDerivation) -> bool:
     """Graded Leibniz D(wh) = D(w)h + (-1)^{k deg w} w D(h) on basis pairs.
 
     For each basis form w of degree a, one matrix identity over all h in
@@ -324,7 +324,7 @@ def is_graded_derivation(D: GradedDerivation, max_total: Optional[int] = None) -
     A = D.algebra
     k = D.degree
     degs = D.input_degrees()
-    top = max(degs) if max_total is None else min(max(degs), max_total)
+    top = max(degs)
     for a in degs:
         for b in degs:
             Da, Db, Dab = D.mats[a], D.mats[b], D.mats.get(a + b)
@@ -342,8 +342,7 @@ def is_graded_derivation(D: GradedDerivation, max_total: Optional[int] = None) -
     return True
 
 
-def decompose_derivation(D: GradedDerivation,
-                         check_input: bool = True) -> tuple[FieldValuedForm, FieldValuedForm]:
+def decompose_derivation(D: GradedDerivation) -> tuple[FieldValuedForm, FieldValuedForm]:
     """Split D = L_K + j_L; K from D|A, L from (D - L_K)|Omega_1."""
     A = D.algebra
     k = D.degree
@@ -351,7 +350,7 @@ def decompose_derivation(D: GradedDerivation,
         raise FieldFormError("decomposition needs operator degree >= 0")
     if 0 not in D.mats or 1 not in D.mats:
         raise FieldFormError("need the operator on degrees 0 and 1")
-    if check_input and not is_graded_derivation(D):
+    if not is_graded_derivation(D):
         raise FieldFormError("operator is not a graded derivation")
     delta_K = D.mats[0]
     K = FieldValuedForm(A, k, delta_K)  # validates Leibniz

@@ -325,10 +325,9 @@ def multiplication_matrix(algebra: Algebra, n: int) -> QMat:
     if n < 1:
         raise FormError("multiplication arity must be >= 1")
     m = algebra.dim
-    mu2 = qmat_hstack(m, algebra.left)
     mu = QMat.eye(m)
     for _ in range(n - 1):
-        mu = (mu2 @ mu.kron(QMat.eye(m))).reduced()
+        mu = (algebra.mu2 @ mu.kron(QMat.eye(m))).reduced()
     return mu
 
 
@@ -343,7 +342,7 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
     if m ** n > size_cap:
         raise FormError(f"tensor power dimension {m ** n} exceeds cap {size_cap}")
     ker = nullspace(m ** n, multiplication_matrix(algebra, n).sparse_rows())
-    k2 = nullspace(m * m, multiplication_matrix(algebra, 2).sparse_rows())
+    k2 = nullspace(m * m, algebra.mu2.sparse_rows())
     K2 = k2.row_matrix()
     red = RowReducer(m ** n)
     for i in range(n - 1):

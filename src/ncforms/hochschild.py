@@ -97,7 +97,10 @@ class NormalizedCochain(QVector):
         return (self.data @ functools.reduce(QMat.kron, bars, QMat.eye(1))).column_fractions(0)
 
     def _space(self) -> tuple:
-        return (self.module.algebra, self.module.dim, self.arity)
+        # the module's actions, not its dim: tuple equality passes at once
+        # for the same action matrices
+        mod = self.module
+        return (mod.algebra, tuple(mod.left), tuple(mod.right), self.arity)
 
     def _with(self, data: QMat) -> "NormalizedCochain":
         return NormalizedCochain(self.module, self.arity, data)

@@ -802,5 +802,8 @@ def qmat_to_json(mat: QMat) -> list[list[str]]:
 
 
 def qmat_from_json(rows: Sequence[Sequence[str]]) -> QMat:
-    """Inverse of :func:`qmat_to_json`; a malformed literal raises LinAlgError."""
+    """Inverse of :func:`qmat_to_json`; anything but a list of lists of
+    rational literals raises LinAlgError."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise LinAlgError("a matrix must be a list of rows, each a list")
     return QMat.from_rows([[parse_scalar(v) for v in row] for row in rows])

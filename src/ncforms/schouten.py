@@ -30,8 +30,7 @@ import numpy as np
 
 from .algebra import Algebra, leibniz_terms
 from .linalg import (QMat, QVector, _exact_pair, _max_abs, flat_index, kron_apply,
-                     kron_rows, nullspace, qmat_from_json, qmat_hstack, qmat_sum,
-                     qmat_to_json)
+                     kron_rows, nullspace, qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
 
@@ -178,11 +177,6 @@ def _shuffle_sum(T: np.ndarray, m: int, n: int, k: int, lead: bool) -> np.ndarra
     return out
 
 
-def _multiplication(algebra: Algebra) -> QMat:
-    """The m x m^2 matrix whose column i*m + j is e_i e_j."""
-    return qmat_hstack(algebra.dim, algebra.left)
-
-
 def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     """Shuffle wedge; values multiply (scalars scale, algebra values use
     the product in the given order)."""
@@ -196,7 +190,7 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     # kron(phi, psi) has column (a, b) = phi(e_a) (x) psi(e_b): a scalar
     # side scales the other; two algebra values are multiplied out
     multiply = not (phi.scalar or psi.scalar)
-    mult = _multiplication(A) if multiply else QMat.eye(1)
+    mult = A.mu2 if multiply else QMat.eye(1)
     count = math.comb(k + l, k) * mult.shape[1] * _max_abs(mult.num)
     x, y = _exact_pair(phi.data, psi.data,
                        lambda x, y: count * _max_abs(x.num) * _max_abs(y.num))
@@ -307,7 +301,7 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
 
 def commutator_bivector(algebra: Algebra) -> MultiMap:
     """mu(a, b) = ab - ba."""
-    mult = _multiplication(algebra)
+    mult = algebra.mu2
     swapped = QMat(mult.num[:, _permuted_columns(algebra.dim, 2, (1, 0))], mult.den)
     return MultiMap(algebra, 2, (mult - swapped).canonical())
 

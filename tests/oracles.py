@@ -839,3 +839,15 @@ def loop_de_rham_homology(algebra, truncation):
         "quotient_dims": quot_dims,
         "commutator_dims": [c.dim for c in comm],
     }
+
+
+def stacked_multiplication_matrix(algebra, n):
+    """mu^n with mu^2 stacked from the left actions on every call, then
+    mu^(l+1) = mu^2 (mu^l (x) id), each step reduced."""
+    from ncforms.linalg import QMat, qmat_hstack
+    m = algebra.dim
+    mu2 = qmat_hstack(m, algebra.left)
+    mu = QMat.eye(m)
+    for _ in range(n - 1):
+        mu = (mu2 @ mu.kron(QMat.eye(m))).reduced()
+    return mu

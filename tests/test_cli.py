@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from ncforms.fieldforms import (contraction, field_from_derivation,
 from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
+from test_dsl import MALFORMED_ACTIONS
 
 BUILTINS = ["k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -507,6 +509,19 @@ def test_connection_check_with_swap_action(tmp_path):
     assert report["data"]["count"] >= 1
     assert all(e["principal"] for e in report["data"]["connections"])
     assert report["counts"]["failed"] == 0
+
+
+@pytest.mark.parametrize("case, algebra, text, pattern", MALFORMED_ACTIONS,
+                         ids=[row[0] for row in MALFORMED_ACTIONS])
+def test_malformed_action_exits_2_with_its_position(tmp_path, case, algebra,
+                                                    text, pattern):
+    act = tmp_path / "bad.act"
+    act.write_text(text)
+    result = run_cli("connection-check", "--builtin", algebra, "--action", str(act))
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert re.search(r"line \d+, col \d+: ", result.stderr)
+    assert re.search(pattern, result.stderr)
 
 
 def test_hochschild_subcommand_dimensions():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ncforms.algebra import AlgebraHom, dual_numbers
+from ncforms.algebra import AlgebraError, AlgebraHom, dual_numbers
 from ncforms.connections import (
     Bundle, Distribution, GeometryError, GroupAction, Projection,
-    action_extends_to_forms, bianchi_identities, bimodule_endomorphism_space,
+    action_functoriality_defect, bianchi_identities, bimodule_endomorphism_space,
     bimodule_span, bundle_tensor_dims, check_projection_calculus,
     connection_curvature, curvature, curvature_horizontality, exact_span,
     find_connections, find_projections, globally_integrable,
@@ -261,21 +261,30 @@ def test_group_action_validation(algebras):
     act = swap_action(kxk)
     assert act.fixed_subspace() == Subspace.from_generators(2, [[1, 0]])
     # missing identity
-    with pytest.raises(GeometryError):
+    with pytest.raises(AlgebraError):
         GroupAction(kxk, [AlgebraHom(kxk, kxk,
                                      QMat.from_rows([[1, 1], [0, -1]]))])
     # not closed: a 3-cycle piece alone cannot occur on kxk, so fabricate a
     # non-closed set by dropping the identity from a two-element group
     m2 = algebras["m2"]
     homs = conj_action_m2(m2).homs
-    with pytest.raises(GeometryError):
-        GroupAction(m2, [homs[1]])
+    with pytest.raises(AlgebraError):
+        GroupAction(m2, [homs["conj"]])
 
 
 def test_action_extends_to_forms(algebras):
-    assert action_extends_to_forms(swap_action(algebras["kxk"]), 3)
-    assert action_extends_to_forms(conj_action_m2(algebras["m2"]), 2)
-    assert action_extends_to_forms(sign_action_kc2(algebras["kc2"]), 3)
+    assert action_functoriality_defect(swap_action(algebras["kxk"]), 3) is None
+    assert action_functoriality_defect(conj_action_m2(algebras["m2"]), 2) is None
+    assert action_functoriality_defect(sign_action_kc2(algebras["kc2"]), 3) is None
+
+
+def test_action_functoriality_defect_names_the_first_failure(algebras):
+    # 2 I is linear but moves the unit, so Omega_1(two) d != d Omega_0(two)
+    kxk = algebras["kxk"]
+    ident = AlgebraHom(kxk, kxk, QMat.eye(2), name="id")
+    two = AlgebraHom(kxk, kxk, QMat.eye(2).scale(2), name="two", check=False)
+    action = GroupAction(kxk, [ident, two], check=False)
+    assert action_functoriality_defect(action, 3) == ("two", 1)
 
 
 def test_bundle_validation(algebras):

@@ -1,14 +1,16 @@
 """Algebra definition text format: lexing, parsing, elaboration, actions."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ncforms.algebra import Algebra
+from ncforms.algebra import Algebra, GroupAction
 from ncforms.dsl import (
-    BuiltinSpec, DslError, GroupActionSpec, TableSpec, builtin_algebra,
-    builtin_catalog, elaborate, fixed_subspace, load_algebra_text, parse,
-    parse_group_action, print_algebra, tokenize,
+    BuiltinSpec, DslError, TableSpec, builtin_algebra, builtin_catalog,
+    elaborate, load_algebra_text, parse, parse_group_action, print_algebra,
+    tokenize,
 )
 from ncforms.linalg import QMat
 from test_algebra import catalog
@@ -298,12 +300,11 @@ action swap {
 def test_swap_action_on_product_algebra():
     kxk = catalog()["kxk"]
     act = parse_group_action(SWAP_ACTION, kxk)
-    assert isinstance(act, GroupActionSpec)
-    assert act.unit == "e" and act.elements == ("e", "s")
-    s = act.matrices["s"]
+    assert isinstance(act, GroupAction)
+    assert list(act.homs) == ["e", "s"]
+    s = act.homs["s"].matrix
     assert s @ s == QMat.eye(2)
-    assert act.homs["s"].matrix is s
-    assert fixed_subspace(act).dim == 1   # the diagonal scalars
+    assert act.fixed_subspace().dim == 1   # the diagonal scalars
 
 
 def test_identity_only_action_accepted_everywhere():
@@ -312,67 +313,74 @@ def test_identity_only_action_accepted_everywhere():
                           for nm in A.basis_names)
         act = parse_group_action(
             "action triv { elements e; e*e = e; map e: %s; }" % names, A)
-        assert act.matrices["e"] == QMat.eye(A.dim)
-        assert fixed_subspace(act).dim == A.dim
+        assert act.homs["e"].matrix == QMat.eye(A.dim)
+        assert act.fixed_subspace().dim == A.dim
 
 
-def test_action_rejects_non_multiplicative_matrix():
-    kxk = catalog()["kxk"]
-    bad = SWAP_ACTION.replace("1 - a.1", "2 a.1")
-    with pytest.raises(DslError, match="not an automorphism") as err:
-        parse_group_action(bad, kxk)
-    assert "multiplicative at basis pair" in str(err.value)
+_SIGN_HEAD = "action g { elements e, s;"
+_SIGN_MAPS = "map e: 1 -> 1, eps -> eps; map s: 1 -> 1, eps -> -eps; }"
 
-
-def test_action_rejects_non_homomorphic_assignment():
-    dual = catalog()["dual"]
-    text = """
+# every malformed action: (case, algebra, text, pattern of its DslError)
+MALFORMED_ACTIONS = [
+    ("missing-product", "dual",
+     f"{_SIGN_HEAD} e*e = e; e*s = s; s*e = s; {_SIGN_MAPS}", r"missing s\*s"),
+    ("no-inverse", "dual",
+     f"{_SIGN_HEAD} e*e = e; e*s = s; s*e = s; s*s = s; {_SIGN_MAPS}", "no inverse"),
+    ("not-associative", "dual",
+     "action g { elements e, a, b; "
+     "e*e = e; e*a = a; e*b = b; a*e = a; b*e = b; "
+     "a*a = e; a*b = e; b*a = e; b*b = e; "
+     "map e: 1 -> 1, eps -> eps; map a: 1 -> 1, eps -> -eps;"
+     " map b: 1 -> 1, eps -> -eps; }", "not associative"),
+    ("no-map", "dual",
+     "action g { elements e, s; e*e = e; e*s = s; s*e = s; s*s = e;"
+     " map e: 1 -> 1, eps -> eps; }", "no map declared for group element 's'"),
+    ("no-image", "dual",
+     "action g { elements e; e*e = e; map e: 1 -> 1; }",
+     "does not assign an image to 'eps'"),
+    ("not-invertible", "dual",
+     "action g { elements e; e*e = e; map e: 1 -> 1, eps -> 0; }", "not invertible"),
+    ("identity-moves", "dual",
+     "action g { elements e; e*e = e; map e: 1 -> 1, eps -> -eps; }",
+     "must act as the identity"),
+    ("not-multiplicative", "kxk", SWAP_ACTION.replace("1 - a.1", "2 a.1"),
+     "not an automorphism: .*multiplicative at basis pair"),
+    ("not-homomorphic", "dual", """
     action bad {
         elements e, s;
         e*e = e; e*s = s; s*e = s; s*s = e;
         map e: 1 -> 1, eps -> eps;
         map s: 1 -> 1, eps -> 2 eps;
     }
-    """
-    with pytest.raises(DslError, match=r"disagree .* \(s, s\)"):
-        parse_group_action(text, dual)
+    """, r"disagree .* \(s, s\)"),
+]
+
+
+def assert_rejected(*cases):
+    """Each named malformed action raises its DslError at a line and column."""
+    algebras = catalog()
+    rows = [row for row in MALFORMED_ACTIONS if row[0] in cases]
+    assert len(rows) == len(cases)
+    for case, name, text, pattern in rows:
+        with pytest.raises(DslError, match=pattern) as err:
+            parse_group_action(text, algebras[name])
+        assert err.value.line is not None and err.value.col is not None, case
+
+
+def test_action_rejects_non_multiplicative_matrix():
+    assert_rejected("not-multiplicative")
+
+
+def test_action_rejects_non_homomorphic_assignment():
+    assert_rejected("not-homomorphic")
 
 
 def test_action_rejects_non_group_tables():
-    dual = catalog()["dual"]
-    head = "action g { elements e, s;"
-    maps = "map e: 1 -> 1, eps -> eps; map s: 1 -> 1, eps -> -eps; }"
-    with pytest.raises(DslError, match="missing s\\*s"):
-        parse_group_action(f"{head} e*e = e; e*s = s; s*e = s; {maps}", dual)
-    with pytest.raises(DslError, match="no inverse"):
-        parse_group_action(
-            f"{head} e*e = e; e*s = s; s*e = s; s*s = s; {maps}", dual)
-    three = ("action g { elements e, a, b; "
-             "e*e = e; e*a = a; e*b = b; a*e = a; b*e = b; "
-             "a*a = e; a*b = e; b*a = e; b*b = e; "
-             "map e: 1 -> 1, eps -> eps; map a: 1 -> 1, eps -> -eps;"
-             " map b: 1 -> 1, eps -> -eps; }")
-    with pytest.raises(DslError, match="not associative"):
-        parse_group_action(three, dual)
+    assert_rejected("missing-product", "no-inverse", "not-associative")
 
 
 def test_action_rejects_bad_maps():
-    dual = catalog()["dual"]
-    with pytest.raises(DslError, match="no map declared for group element 's'"):
-        parse_group_action(
-            "action g { elements e, s; e*e = e; e*s = s; s*e = s; s*s = e;"
-            " map e: 1 -> 1, eps -> eps; }", dual)
-    with pytest.raises(DslError, match="does not assign an image to 'eps'"):
-        parse_group_action(
-            "action g { elements e; e*e = e; map e: 1 -> 1; }", dual)
-    with pytest.raises(DslError, match="not invertible"):
-        parse_group_action(
-            "action g { elements e; e*e = e; map e: 1 -> 1, eps -> 0; }",
-            dual)
-    with pytest.raises(DslError, match="must act as the identity"):
-        parse_group_action(
-            "action g { elements e; e*e = e; map e: 1 -> 1, eps -> -eps; }",
-            dual)
+    assert_rejected("no-map", "no-image", "not-invertible", "identity-moves")
 
 
 def test_fixed_subspace_of_sign_action():
@@ -380,6 +388,44 @@ def test_fixed_subspace_of_sign_action():
     act = parse_group_action(
         "action g { elements e, s; e*e = e; e*s = s; s*e = s; s*s = e;"
         " map e: 1 -> 1, eps -> eps; map s: 1 -> 1, eps -> -eps; }", dual)
-    fs = fixed_subspace(act)
+    fs = act.fixed_subspace()
     assert fs.dim == 1
     assert fs.contains([F(1), F(0)])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncforms"
+
+
+def _element_triple_loops(tree: ast.AST) -> list[str]:
+    """Functions holding three nested loops over one name, as a group
+    associativity check runs over (g, h, k)."""
+    def inner(loop):
+        return [b for b in loop.body if isinstance(b, ast.For)]
+
+    def triple(a):
+        return (isinstance(a, ast.For) and isinstance(a.iter, ast.Name)
+                and any(ast.dump(b.iter) == ast.dump(c.iter) == ast.dump(a.iter)
+                        for b in inner(a) for c in inner(b)))
+
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(triple(a) for a in ast.walk(fn))]
+
+
+def test_group_axioms_grammar_and_action_are_stated_once():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    loops = [f"{name}:{fn}" for name, tree in trees.items()
+             for fn in _element_triple_loops(tree)]
+    assert loops == ["algebra.py:group_identity"]
+    dsl_names = {node.name for node in trees["dsl.py"].body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not dsl_names & {"GroupActionSpec", "fixed_subspace"}
+    classes = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "GroupAction"]
+    assert classes == ["algebra.py"]
+    load = next(node for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_load_action")
+    returned = [node.value for node in ast.walk(load) if isinstance(node, ast.Return)]
+    assert any(isinstance(v, ast.Call) and getattr(v.func, "id", None)
+               == "parse_group_action" for v in returned)
+    assert "GroupAction" not in {getattr(v.func, "id", None) for v in returned[1:]}

@@ -21,7 +21,7 @@ from ncforms.forms import (
 from ncforms.linalg import QMat, RowReducer
 from oracles import (
     emb_basis_form, emb_concat, emb_delta, emb_right_mult, emb_scale_add,
-    loop_de_rham_homology,
+    loop_de_rham_homology, stacked_multiplication_matrix,
 )
 from test_algebra import c2_group_algebra, catalog, upper_triangular2
 
@@ -313,6 +313,16 @@ def test_multiplication_matrix_and_kernel():
             assert rep["dim_kernel"] == alg.dim ** n - alg.dim
     with pytest.raises(FormError):
         kernel_of_mu_n(matrix_algebra(2), 12)
+
+
+def test_stored_mu2_keeps_the_multiplication_matrices():
+    # mu^2 is stacked once per algebra; mu^2 and mu^3 keep num, den and dtype
+    for name, alg in _algebras().items():
+        for n, ours in ((2, alg.mu2), (2, multiplication_matrix(alg, 2)),
+                        (3, multiplication_matrix(alg, 3))):
+            want = stacked_multiplication_matrix(alg, n)
+            assert (ours.den, ours.num.dtype) == (want.den, want.num.dtype), (name, n)
+            assert np.array_equal(ours.num, want.num), (name, n)
 
 
 def test_commutator_subspace_degree0_commutative():

@@ -119,6 +119,18 @@ def test_shape_and_arity_errors(algebras):
         c + d0
 
 
+def test_cochains_into_different_modules_of_one_dim_do_not_mix(algebras):
+    # on kxk, A and Omega_1 share dim and left actions; their right actions differ
+    kxk = algebras["kxk"]
+    into_A = NormalizedCochain.zeros(kxk.regular_bimodule(), 1)
+    into_omega1 = NormalizedCochain.zeros(form_space(kxk, 1), 1)
+    assert into_A != into_omega1
+    with pytest.raises(HochschildError):
+        into_A + into_omega1
+    # a module rebuilt with the same actions is the same space
+    assert into_A + NormalizedCochain.zeros(kxk.regular_bimodule(), 1) == into_A
+
+
 def test_degree_zero_coboundary_is_commutator_defect(algebras):
     rng = random.Random(17)
     for name in ("dual", "m2", "upper2"):

@@ -897,7 +897,7 @@ def test_json_matrix_codec_round_trips_and_rejects_malformed_input():
     back = qmat_from_json(rows)
     assert back == q and back.num.dtype == object
     assert qmat_from_json([["1", "1/2"]]).num.dtype == np.int64
-    for bad in ("ab", [[1]], [[["1"]]], [["1/0"]], [["x"]]):
+    for bad in ("ab", "12", ["12"], [[1]], [[["1"]]], [["1/0"]], [["x"]]):
         with pytest.raises(LinAlgError):
             qmat_from_json(bad)
 
