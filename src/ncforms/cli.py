@@ -599,8 +599,8 @@ def _chk_fn_antisymmetry(env: _VerifyEnv, rng: random.Random):
 
 def _chk_projection_curvature_sum(env: _VerifyEnv, rng: random.Random):
     for idx, p in enumerate(env.projections()):
-        R, Rbar = curvature(p)
-        if R + Rbar != fn_bracket(p.chi, p.chi):
+        fn, R, Rbar = p.brackets()
+        if R + Rbar != fn:
             return f"projection {idx}: R + Rbar != [P,P]"
     return None
 

@@ -302,7 +302,7 @@ def fn_bracket(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm:
     if K.algebra is not L.algebra:
         raise FieldFormError("algebra mismatch")
     lk = lie_operator(K, L.degree)
-    ll = lie_operator(L, K.degree)
+    ll = lk if L is K else lie_operator(L, K.degree)
     sign = (-1) ** ((K.degree * L.degree) % 2)
     delta = lk.mats[L.degree] @ L.delta - (ll.mats[K.degree] @ K.delta).scale(sign)
     return FieldValuedForm(K.algebra, K.degree + L.degree, delta, check=False)

@@ -106,8 +106,8 @@ class NormalizedCochain(QVector):
         return NormalizedCochain(self.module, self.arity, data)
 
     def __repr__(self) -> str:
-        return (f"NormalizedCochain(arity={self.arity}, "
-                f"module={self.module.name!r})")
+        # a Bimodule and a FormSpace, both accepted as modules, each name themselves
+        return f"NormalizedCochain(arity={self.arity}, module={self.module!r})"
 
 
 def cochain_dim(module: Bimodule, n: int) -> int:

@@ -749,6 +749,17 @@ def subspace_from_columns(mat: QMat) -> Subspace:
     return red.subspace()
 
 
+def is_idempotent_kernel(space: Subspace, M: QMat) -> bool:
+    """Is M idempotent with kernel exactly space?  No elimination: an
+    idempotent's rank is its trace, so M M = M, M space = 0 and
+    dim space = n - tr M prove it; a non-idempotent M gives False."""
+    n = space.ambient
+    if M.shape != (n, n) or M @ M != M:
+        return False
+    return (space.dim == n - Fraction(int(np.trace(M.num)), M.den)
+            and (M @ space.row_matrix().T).is_zero())
+
+
 # ---------------------------------------------------------------------------
 # Exact objects: one linear structure, one JSON matrix text
 # ---------------------------------------------------------------------------

@@ -851,3 +851,96 @@ def stacked_multiplication_matrix(algebra, n):
     for _ in range(n - 1):
         mu = (mu2 @ mu.kron(QMat.eye(m))).reduced()
     return mu
+
+
+# ---------------------------------------------------------------------------
+# The projection calculus by kernel elimination.
+#
+# check_projection_calculus reads [P,P] from the projection, builds each
+# ideal component once from the one below and certifies "ideal = functor
+# kernel" by trace.  This is the route it replaced: every call brackets
+# afresh, rebuilds the ideal from I_1 with every basis one-form, compares it
+# with an eliminated kernel of Omega_k(P) and decides involutivity on a
+# rebuilt I_2.
+# ---------------------------------------------------------------------------
+
+
+def recursive_ideal_component(dist, r):
+    """I_r = Omega_1 I_{r-1} + I_{r-1} Omega_1, one products call per basis
+    one-form and per column of I_{r-1}, rebuilt down to I_1 on every call."""
+    from ncforms.forms import form_space, products
+    from ncforms.linalg import QMat, RowReducer
+    if r == 1:
+        return dist.space
+    A = dist.algebra
+    P = recursive_ideal_component(dist, r - 1).row_matrix().T
+    one = QMat.eye(form_space(A, 1).dim)
+    red = RowReducer(form_space(A, r).dim)
+    for i in range(one.shape[1]):
+        red.add_columns(products(A, one.col(i), 1, P, r - 1))
+    for c in range(P.shape[1]):
+        red.add_columns(products(A, P.col(c), r - 1, one, 1))
+    return red.subspace()
+
+
+def functor_kernel(algebra, ext, k):
+    """ker Omega_k(P) for the endomorphism ext of Omega_1, by elimination."""
+    from ncforms.connections import induced_endomorphism
+    from ncforms.forms import form_space
+    from ncforms.linalg import nullspace
+    omega = induced_endomorphism(algebra, ext, k)
+    return nullspace(form_space(algebra, k).dim, omega.sparse_rows())
+
+
+def rebuilt_involutive(dist):
+    """d(dist) inside a freshly rebuilt I_2."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import subspace_from_columns
+    d1 = form_space(dist.algebra, 1).d_matrix()
+    return subspace_from_columns(d1 @ dist.space.row_matrix().T).is_subspace_of(
+        recursive_ideal_component(dist, 2))
+
+
+def kernel_projection_calculus(p, N):
+    """The report of check_projection_calculus, every part recomputed."""
+    from ncforms.connections import Distribution, Projection, induced_endomorphism
+    from ncforms.fieldforms import FieldValuedForm, fn_bracket, identity_one_form
+    from ncforms.forms import form_space
+    from ncforms.linalg import QMat
+    A = p.algebra
+    d0, d1 = form_space(A, 0).d_matrix(), form_space(A, 1).d_matrix()
+
+    def curvature(chi):
+        ext = fn_bracket(chi, chi).extension()
+        return (FieldValuedForm(A, 2, ext @ chi.delta, check=False),
+                FieldValuedForm(A, 2, ext @ (d0 - chi.delta), check=False))
+
+    R, Rbar = curvature(p.chi)
+    fn = fn_bracket(p.chi, p.chi)
+    ext = p.ext
+    ext_bar = QMat.eye(ext.shape[0]) - ext
+    degrees = range(1, max(N, 2) + 1)
+    omega_p = {k: induced_endomorphism(A, ext, k) for k in degrees}
+    omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in degrees}
+    report = {}
+    report["curvature_formula"] = (
+        R.extension() == (omega_pb[2] @ d1 @ ext).scale(-2))
+    report["cocurvature_formula"] = (
+        Rbar.extension() == (omega_p[2] @ d1 @ ext_bar).scale(-2))
+    report["sum_is_bracket"] = (R + Rbar == fn)
+    pbar = Projection(identity_one_form(A) - p.chi)
+    report["cocurvature_is_complement_curvature"] = (curvature(pbar.chi)[0] == Rbar)
+    kerP = Distribution(A, functor_kernel(A, ext, 1), check=False)
+    imP = p.image()
+    report["kernel_ideal_is_functor_kernel"] = all(
+        recursive_ideal_component(kerP, k) == functor_kernel(A, ext, k)
+        for k in range(1, N + 1))
+    report["image_ideal_is_complement_kernel"] = all(
+        recursive_ideal_component(imP, k) == functor_kernel(A, ext_bar, k)
+        for k in range(1, N + 1))
+    report["curvature_zero_iff_image_involutive"] = (
+        R.is_zero() == rebuilt_involutive(imP))
+    report["cocurvature_zero_iff_kernel_involutive"] = (
+        Rbar.is_zero() == rebuilt_involutive(kerP))
+    report["all"] = all(report.values())
+    return report

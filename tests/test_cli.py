@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from ncforms import cli
+from ncforms import cli, connections
 from ncforms.algebra import inner_derivation
 from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
 from ncforms.dsl import builtin_algebra
@@ -497,6 +497,104 @@ def test_curvature_data_matches_the_benchmark_digest(bench_checks, args, digest)
     assert result.exit_code == 0
     text = json.dumps(report["data"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == getattr(bench_checks, digest)
+
+
+# sha256 of the whole JSON stdout of each projection report, taken before
+# the projection calculus read its brackets from a cache and certified its
+# ideals by trace
+PROJECTION_REPORT_DIGESTS = {
+    ("curvature", "k", 2):
+        "ddfd6d2517ab0f36aba8055c4b407894bb6779e37cf526e81a0487069cee8ac1",
+    ("curvature", "dual", 2):
+        "fb3607db4e3b39185203578d69d5030eab05ada9fbfaef58abd707092e2a746d",
+    ("curvature", "truncpoly3", 2):
+        "f928be025884a76dca583a2fd3e1ceea36b298680d81a1c741e44be9a6715541",
+    ("curvature", "kxk", 2):
+        "d9f35ae7e1c196ae3d5d047aed6aaf44529bdaed4f2ca8c08ac4ccad906f30c3",
+    ("curvature", "m2", 2):
+        "a2cdfc1e4e49dae32f09b419a29422d33b0cbe43ed285dac21eec2a2b5db5042",
+    ("curvature", "kc2", 2):
+        "ccc4d0b312a2a9078b5a078928e719b7ea30cc146a9b0bc433450059442d0ee0",
+    ("curvature", "upper2", 2):
+        "041c5d44888b5c557a2192c4da4bb1118c7f66fb832b3158918078c4371b734b",
+    ("curvature", "k", 3):
+        "9a2d04a4c4f2031441e3df0f37ad99f168f7f888eb0bfc9620a5ddacabdf5028",
+    ("curvature", "dual", 3):
+        "7766befafaebdf6d5a5d2e2e0c840ddfdb5ab6cbd0a2ac984a24c2571308e662",
+    ("curvature", "truncpoly3", 3):
+        "86fe20cb86299347c998dd0df7ffe562dac232762d89236f2029508b87547c76",
+    ("curvature", "kxk", 3):
+        "42bd26d788ccf508406917c3ab41fbb05a9802f488697da93bf32cd5eb620d23",
+    ("curvature", "m2", 3):
+        "86dfed970014e521d1670218e32e5fc15cf2185df69804d526a2bfe6121655cf",
+    ("curvature", "kc2", 3):
+        "aab0e5507d1576dcb475eeff301f382fbb00bb95b1db610ba497d67fedcd5acc",
+    ("curvature", "upper2", 3):
+        "708c5f2d0122d676f8cc3931c34105d101ad8b5523bca7a6ef81522d1800005b",
+    ("bianchi", "k", 2):
+        "f34eb412511c5f58af86d9690c928b103c76d33f0631401f4d5b1bfad643a3fa",
+    ("bianchi", "dual", 2):
+        "fc2931c3016933293271b8170e345e32a1d48e7f12cc84bcfcbed81d72006011",
+    ("bianchi", "truncpoly3", 2):
+        "c7bf837e453bfede9ec57d3e5d26c882d13b51d727c0089a273332dca4d18687",
+    ("bianchi", "kxk", 2):
+        "78568034ad28ec00c1f6147b7ace93b5ca7299efd34be6ba71f7b8b4f29caec5",
+    ("bianchi", "m2", 2):
+        "3d0946451148ed0134995b754b464cece3cd106821fee51e2c7e4911a21d9817",
+    ("bianchi", "kc2", 2):
+        "069dec69f205f14c5e6d5ca4cf6047be9aeac1220cb7a9908f59f3753efe23fa",
+    ("bianchi", "upper2", 2):
+        "7b61ce34110b6beb17bbc61c9805762416c0283bf2f2d82e1a103f4be86c3c29",
+    ("bianchi", "k", 3):
+        "10f659d83178596f1cd4b7645f040566b3fa3012f2761f84620c36fc4e2c9157",
+    ("bianchi", "dual", 3):
+        "d7755deebbdf6d4bbf8cc8a6e961419ea243772c713794b08fc79ba1025eef43",
+    ("bianchi", "truncpoly3", 3):
+        "d18eeb2ece2e1925078d19a3d86793e90f1bf5757f22ade822e0cca4d8092e46",
+    ("bianchi", "kxk", 3):
+        "11982cf277a27e15a1c2f302ffecf6026f39c5c620db7d5dbd318c97deefaf82",
+    ("bianchi", "m2", 3):
+        "d28375c04bcb3bedeb15a8caa8dc6c1f7dcb4baf1de123f65a0b8c828d8e1f95",
+    ("bianchi", "kc2", 3):
+        "519437240494ed3445d8cb90cc5264066a1cc668ae380b0828348b88daab887c",
+    ("bianchi", "upper2", 3):
+        "eda86065c760a717f20624620158c3c0baf42435ce0f9a31884ede2e81d58437",
+}
+
+
+@pytest.mark.parametrize("command, name, N", PROJECTION_REPORT_DIGESTS)
+def test_projection_reports_match_their_digests(command, name, N):
+    result = run_cli(command, "--builtin", name, "-N", str(N), "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == PROJECTION_REPORT_DIGESTS[command, name, N]
+
+
+@pytest.mark.parametrize("args", [
+    ("curvature", "--builtin", "m2", "-N", "2"),
+    ("bianchi", "--builtin", "m2"),
+    ("verify", "--builtin", "upper2", "-N", "2"),
+])
+def test_each_projection_is_bracketed_once_per_report(monkeypatch, args):
+    found, squared = [], []
+    find, bracket = cli.find_projections, connections.fn_bracket
+
+    def finding(*a, **kw):
+        projs = find(*a, **kw)
+        found.extend(projs)
+        return projs
+
+    def counting(K, L):
+        if K is L:
+            squared.append(K)      # kept alive, so identity stays meaningful
+        return bracket(K, L)
+
+    monkeypatch.setattr(cli, "find_projections", finding)
+    monkeypatch.setattr(cli, "fn_bracket", counting)
+    monkeypatch.setattr(connections, "fn_bracket", counting)
+    assert run_cli(*args).exit_code == 0
+    assert found
+    assert [sum(K is p.chi for K in squared) for p in found] == [1] * len(found)
 
 
 def test_connection_check_with_swap_action(tmp_path):

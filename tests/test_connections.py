@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncforms import connections
 from ncforms.algebra import AlgebraError, AlgebraHom, dual_numbers
 from ncforms.connections import (
     Bundle, Distribution, GeometryError, GroupAction, Projection,
@@ -18,8 +19,8 @@ from ncforms.connections import (
 )
 from ncforms.fieldforms import identity_one_form, zero_field_valued_form
 from ncforms.forms import form_space
-from ncforms.linalg import QMat, Subspace
-from oracles import sympy_commutant_dim
+from ncforms.linalg import QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace
+from oracles import functor_kernel, kernel_projection_calculus, sympy_commutant_dim
 from test_algebra import catalog, upper_triangular2
 from test_forms import _algebras
 
@@ -167,6 +168,7 @@ def test_projection_image_kernel_split(projections, algebras):
         n = form_space(algebras[name], 1).dim
         for p in plist:
             im, ker = p.image(), p.kernel()
+            assert ker.space == nullspace(n, p.ext.sparse_rows())
             assert im.space.dim + ker.space.dim == n
             assert im.space.intersect(ker.space).dim == 0
             # both sides really are distributions
@@ -230,6 +232,83 @@ def test_nontrivial_projection_curvature_decomposition(projections, algebras):
                 R, Rbar = curvature(p)
                 assert R + Rbar == fn_bracket(p.chi, p.chi)
     assert seen_nontrivial >= 4
+
+
+# -- "ideal = functor kernel" by trace --------------------------------------
+
+
+@pytest.mark.parametrize("name", [*catalog(), "m2frac", "t3big"])
+def test_projection_calculus_matches_kernel_elimination(name):
+    A = _algebras()[name]
+    for idx, p in enumerate(find_projections(A)):
+        for N in (1, 2, 3):
+            assert check_projection_calculus(p, N=N) == kernel_projection_calculus(p, N), (
+                name, idx, N)
+
+
+def test_induced_maps_are_idempotent_with_rank_their_trace(algebras):
+    # the premise of the certificate: Omega_k(P)^2 = Omega_k(P), and
+    # dim Omega_k - tr Omega_k(P) is the dimension of the eliminated kernel
+    for name, A in algebras.items():
+        for idx, p in enumerate(find_projections(A)):
+            for k in (1, 2, 3):
+                M = induced_endomorphism(A, p.ext, k)
+                assert M @ M == M, (name, idx, k)
+                trace = Fraction(int(M.num.trace()), M.den)
+                assert form_space(A, k).dim - trace == functor_kernel(A, p.ext, k).dim, (
+                    name, idx, k)
+
+
+def test_idempotent_kernel_certificate_rejects(algebras):
+    A = algebras["m2"]
+    p = next(p for p in find_projections(A) if 0 < p.image().dim < 12)
+    M = induced_endomorphism(A, p.ext, 2)
+    ideal = ideal_component(p.kernel(), 2)
+    assert is_idempotent_kernel(ideal, M)
+    dropped = Subspace(ideal.ambient, ideal.rows[:-1], ideal.pivots[:-1])
+    assert not is_idempotent_kernel(dropped, M)
+    assert not is_idempotent_kernel(Subspace.full(ideal.ambient), M)
+    assert not is_idempotent_kernel(ideal, M.scale(2))   # the same kernel
+    # a Jordan block: kills e_2 and has trace 2 = 3 - dim ker, not idempotent
+    jordan = QMat.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+    e2 = Subspace.from_generators(3, [[0, 0, 1]])
+    assert not is_idempotent_kernel(e2, jordan)
+    idem = QMat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert is_idempotent_kernel(e2, idem)
+    # the right dimension and an idempotent M, but M does not kill e_0
+    assert not is_idempotent_kernel(Subspace.from_generators(3, [[1, 0, 0]]), idem)
+
+
+def test_projection_calculus_reports_a_wrong_induced_map(algebras, monkeypatch):
+    # Omega_k(P) replaced by the identity at one degree k <= N: its kernel
+    # is 0, not the ideal, at every degree checked, not only the first
+    A = algebras["m2"]
+    p = next(p for p in find_projections(A) if 0 < p.image().dim < 12)
+    induced = connections.induced_endomorphism
+    for bad in (1, 2, 3):
+        monkeypatch.setattr(connections, "induced_endomorphism", lambda A, ext, k: (
+            QMat.eye(form_space(A, k).dim) if k == bad else induced(A, ext, k)))
+        rep = check_projection_calculus(p, N=3)
+        assert not rep["kernel_ideal_is_functor_kernel"], bad
+        assert not rep["image_ideal_is_complement_kernel"], bad
+        assert not rep["all"], bad
+
+
+def test_each_ideal_component_is_built_once(algebras, monkeypatch):
+    A = algebras["m2"]
+    projs = find_projections(A)
+    built, subspace = [], RowReducer.subspace
+
+    def counting(self):
+        built.append(self.ambient)
+        return subspace(self)
+
+    monkeypatch.setattr(RowReducer, "subspace", counting)
+    for idx, p in enumerate(projs):
+        built.clear()
+        check_projection_calculus(p, N=3)
+        # I_2 and I_3 of ker P and of im P, one elimination each
+        assert [built.count(form_space(A, k).dim) for k in (2, 3)] == [2, 2], idx
 
 
 # -- group actions and bundles ----------------------------------------------

@@ -131,6 +131,16 @@ def test_cochains_into_different_modules_of_one_dim_do_not_mix(algebras):
     assert into_A + NormalizedCochain.zeros(kxk.regular_bimodule(), 1) == into_A
 
 
+def test_cochain_repr_names_a_bimodule_and_a_form_space(algebras):
+    kxk = algebras["kxk"]
+    into_A = NormalizedCochain.zeros(kxk.regular_bimodule(), 1)
+    into_omega1 = NormalizedCochain.zeros(form_space(kxk, 1), 2)
+    assert repr(into_A) == ("NormalizedCochain(arity=1, "
+                            "module=Bimodule('kxk', dim=2 over kxk))")
+    assert repr(into_omega1) == ("NormalizedCochain(arity=2, "
+                                 "module=FormSpace(kxk, degree=1, dim=2))")
+
+
 def test_degree_zero_coboundary_is_commutator_defect(algebras):
     rng = random.Random(17)
     for name in ("dual", "m2", "upper2"):

@@ -777,6 +777,18 @@ def test_products_of_forms_go_through_the_block_kernel():
         assert not [b for b in banned if b in src], fn.__qualname__
 
 
+def test_projection_calculus_eliminates_no_kernel():
+    # "ideal = functor kernel" is certified by trace (is_idempotent_kernel),
+    # and involutivity reads the ideal chain kept on the distribution
+    for fn in (connections.check_projection_calculus, connections.involutive,
+               connections.ideal_component, connections.Projection.kernel):
+        assert "nullspace(" not in inspect.getsource(fn), fn.__qualname__
+    src = inspect.getsource(connections.check_projection_calculus)
+    assert "is_idempotent_kernel(" in src
+    assert "fn_bracket(" not in src and "brackets()" in src
+    assert "fn_bracket(" in inspect.getsource(connections.Projection.brackets)
+
+
 def test_multimap_calculus_stays_on_integer_numerators():
     # Fractions are built only where values are read (MultiMap.value) and in JSON
     contractions = [schouten.wedge, schouten.insertion, schouten.MultiMap.evaluate,
