@@ -222,9 +222,7 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     Omega_k(P) is idempotent, Omega being a functor, so its rank is its
     trace: I_k = ker Omega_k(P) is certified by :func:`is_idempotent_kernel`
     (Omega_k(P) I_k = 0 and dim I_k = dim Omega_k - tr Omega_k(P)), with no
-    kernel elimination.  With I_2 = ker Omega_2(P) certified, ker P is
-    involutive iff Omega_2(P) d Pbar = -Rbar/2 vanishes, and im P iff
-    Omega_2(Pbar) d P = -R/2 does.
+    kernel elimination.  :func:`involutive` reads I_2 from the same chain.
     """
     A = p.algebra
     fn, R, Rbar = p.brackets()
@@ -236,10 +234,6 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in degrees}
     curv, cocurv = omega_pb[2] @ d1 @ ext, omega_p[2] @ d1 @ ext_bar
     kerP, imP = p.kernel(), p.image()
-    ker_ok = [is_idempotent_kernel(ideal_component(kerP, k), omega_p[k])
-              for k in range(1, N + 1)]
-    im_ok = [is_idempotent_kernel(ideal_component(imP, k), omega_pb[k])
-             for k in range(1, N + 1)]
 
     report = {}
     report["curvature_formula"] = R.extension() == curv.scale(-2)
@@ -247,13 +241,15 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     report["sum_is_bracket"] = (R + Rbar == fn)
     report["cocurvature_is_complement_curvature"] = (
         curvature(p.complement())[0] == Rbar)
-    report["kernel_ideal_is_functor_kernel"] = all(ker_ok)
-    report["image_ideal_is_complement_kernel"] = all(im_ok)
-    # without a certified I_2 (N = 1), the chain's I_2 decides
-    report["curvature_zero_iff_image_involutive"] = R.is_zero() == (
-        curv.is_zero() if N >= 2 and im_ok[1] else involutive(imP))
-    report["cocurvature_zero_iff_kernel_involutive"] = Rbar.is_zero() == (
-        cocurv.is_zero() if N >= 2 and ker_ok[1] else involutive(kerP))
+    report["kernel_ideal_is_functor_kernel"] = all(
+        is_idempotent_kernel(ideal_component(kerP, k), omega_p[k])
+        for k in range(1, N + 1))
+    report["image_ideal_is_complement_kernel"] = all(
+        is_idempotent_kernel(ideal_component(imP, k), omega_pb[k])
+        for k in range(1, N + 1))
+    report["curvature_zero_iff_image_involutive"] = R.is_zero() == involutive(imP)
+    report["cocurvature_zero_iff_kernel_involutive"] = (
+        Rbar.is_zero() == involutive(kerP))
     report["all"] = all(report.values())
     return report
 

@@ -2,8 +2,10 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncforms import connections
@@ -277,6 +279,15 @@ def test_idempotent_kernel_certificate_rejects(algebras):
     assert is_idempotent_kernel(e2, idem)
     # the right dimension and an idempotent M, but M does not kill e_0
     assert not is_idempotent_kernel(Subspace.from_generators(3, [[1, 0, 0]]), idem)
+    # 0 and 1, decided without a product
+    assert is_idempotent_kernel(Subspace.full(3), QMat.zeros(3, 3))
+    assert not is_idempotent_kernel(e2, QMat.zeros(3, 3))
+    assert is_idempotent_kernel(Subspace.zero(3), QMat.eye(3))
+    assert not is_idempotent_kernel(e2, QMat.eye(3))
+    # an unreduced idempotent whose int64 diagonal sum would wrap: 4 * 2**61
+    big = np.diag([2**61] * 4 + [0]).astype(np.int64)
+    e4 = Subspace.from_generators(5, [[0, 0, 0, 0, 1]])
+    assert is_idempotent_kernel(e4, QMat(big, 2**61))
 
 
 def test_projection_calculus_reports_a_wrong_induced_map(algebras, monkeypatch):
@@ -300,14 +311,17 @@ def test_each_ideal_component_is_built_once(algebras, monkeypatch):
     built, subspace = [], RowReducer.subspace
 
     def counting(self):
-        built.append(self.ambient)
+        # only the eliminations of the ideal chain
+        if sys._getframe(1).f_code is connections.ideal_component.__code__:
+            built.append(self.ambient)
         return subspace(self)
 
     monkeypatch.setattr(RowReducer, "subspace", counting)
     for idx, p in enumerate(projs):
         built.clear()
         check_projection_calculus(p, N=3)
-        # I_2 and I_3 of ker P and of im P, one elimination each
+        # I_2 and I_3 of ker P and of im P, one elimination each; involutive
+        # reads I_2 from the chain
         assert [built.count(form_space(A, k).dim) for k in (2, 3)] == [2, 2], idx
 
 
