@@ -217,13 +217,11 @@ def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     """Curvature formulas, ideal = functor kernel, involutivity criteria.
 
-    [P,P], R and Rbar come from :meth:`Projection.brackets`; the ideal
-    components of ker P and im P are each built once (:func:`ideal_component`).
-    Omega_k(P) is idempotent, Omega being a functor, so its rank is its
-    trace: I_k = ker Omega_k(P) is certified by :func:`is_idempotent_kernel`
-    (Omega_k(P) I_k = 0 and dim I_k = dim Omega_k - tr Omega_k(P)), with no
-    kernel elimination.  :func:`involutive` reads I_2 from the same chain.
-    """
+    [P,P], R and Rbar come from :meth:`Projection.brackets`, and the ideal
+    chains of ker P and im P are built once (:func:`ideal_component`; so
+    :func:`involutive` reads its I_2).  Omega_k(P) is idempotent, Omega being
+    a functor, so its rank is its trace: :func:`is_idempotent_kernel`
+    certifies I_k = ker Omega_k(P) with no kernel elimination."""
     A = p.algebra
     fn, R, Rbar = p.brackets()
     d1 = form_space(A, 1).d_matrix()

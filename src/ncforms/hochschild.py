@@ -106,7 +106,6 @@ class NormalizedCochain(QVector):
         return NormalizedCochain(self.module, self.arity, data)
 
     def __repr__(self) -> str:
-        # a Bimodule and a FormSpace, both accepted as modules, each name themselves
         return f"NormalizedCochain(arity={self.arity}, module={self.module!r})"
 
 

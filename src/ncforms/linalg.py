@@ -751,9 +751,8 @@ def subspace_from_columns(mat: QMat) -> Subspace:
 
 def is_idempotent_kernel(space: Subspace, M: QMat) -> bool:
     """Is M idempotent with kernel exactly space?  No elimination: an
-    idempotent's rank is its trace, so M M = M, M space = 0 and
-    dim space = n - tr M prove it; a non-idempotent M gives False.
-    The idempotents 0 and 1 are decided without a product."""
+    idempotent's rank is its trace, so M M = M, M space = 0 and dim space =
+    n - tr M prove it (0 and 1 need no product); otherwise False."""
     n = space.ambient
     if M.shape != (n, n):
         return False
@@ -763,9 +762,8 @@ def is_idempotent_kernel(space: Subspace, M: QMat) -> bool:
         return space.dim == 0
     if M @ M != M:
         return False
-    trace = sum(int(v) for v in M.num.diagonal())   # Python ints: no wrap
-    return (space.dim == n - Fraction(trace, M.den)
-            and (M @ space.row_matrix().T).is_zero())
+    trace = Fraction(sum(int(v) for v in M.num.diagonal()), M.den)  # no int64 wrap
+    return space.dim == n - trace and (M @ space.row_matrix().T).is_zero()
 
 
 # ---------------------------------------------------------------------------
