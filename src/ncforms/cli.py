@@ -542,7 +542,7 @@ def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
         for _ in range(4):
             K = env.random_field(degree, rng)
             block = contraction(K, 1).mats[1]
-            if block is None or block @ d0 != K.delta:
+            if block @ d0 != K.delta:
                 return (f"degree {degree}: insertion operator does not "
                         f"recover the generating derivation")
     return None

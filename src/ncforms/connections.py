@@ -208,8 +208,9 @@ def curvature(p: Projection) -> tuple[FieldValuedForm, FieldValuedForm]:
     return p.brackets()[1:]
 
 
-def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> QMat:
-    """The algebra endomorphism of Omega_k applying ext to every d-slot."""
+def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> list[QMat]:
+    """The algebra endomorphisms of Omega_0..Omega_k applying ext to every
+    d-slot."""
     d0 = form_space(algebra, 0).d_matrix()
     return multiplicative_extension(algebra, None, ext @ d0, k)
 
@@ -219,17 +220,19 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
 
     [P,P], R and Rbar come from :meth:`Projection.brackets`, and the ideal
     chains of ker P and im P are built once (:func:`ideal_component`; so
-    :func:`involutive` reads its I_2).  Omega_k(P) is idempotent, Omega being
-    a functor, so its rank is its trace: :func:`is_idempotent_kernel`
-    certifies I_k = ker Omega_k(P) with no kernel elimination."""
+    :func:`involutive` reads its I_2), as are Omega_k(P) and Omega_k(Pbar)
+    for all k, one :func:`induced_endomorphism` pass each.  Omega_k(P) is
+    idempotent, Omega being a functor, so its rank is its trace:
+    :func:`is_idempotent_kernel` certifies I_k = ker Omega_k(P) with no
+    kernel elimination."""
     A = p.algebra
     fn, R, Rbar = p.brackets()
     d1 = form_space(A, 1).d_matrix()
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
-    degrees = range(1, max(N, 2) + 1)      # the curvature formulas read degree 2
-    omega_p = {k: induced_endomorphism(A, ext, k) for k in degrees}
-    omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in degrees}
+    top = max(N, 2)                        # the curvature formulas read degree 2
+    omega_p = induced_endomorphism(A, ext, top)
+    omega_pb = induced_endomorphism(A, ext_bar, top)
     curv, cocurv = omega_pb[2] @ d1 @ ext, omega_p[2] @ d1 @ ext_bar
     kerP, imP = p.kernel(), p.image()
 
@@ -530,20 +533,16 @@ class Bundle:
 
 
 def horizontal_forms(bundle: Bundle, k: int) -> Subspace:
-    """Degree-k span of products of horizontal one-forms (d of the base)."""
+    """Degree-k span of products of horizontal one-forms (d of the base):
+    H_n = span products(H_{n-1}, n-1, H_1, 1), one block per degree."""
     A = bundle.algebra
     if k == 0:
         return Subspace.full(A.dim)
-    hor1 = exact_span(A, bundle.base).space
-    if k == 1:
-        return hor1
-    prev = horizontal_forms(bundle, k - 1)
-    P = prev.row_matrix().T
-    H = hor1.row_matrix().T
-    red = RowReducer(form_space(A, k).dim)
-    for c in range(P.shape[1]):
-        red.add_columns(products(A, P.col(c), k - 1, H, 1))
-    return red.subspace()
+    hor = exact_span(A, bundle.base).space
+    H1 = hor.row_matrix().T
+    for n in range(2, k + 1):
+        hor = subspace_from_columns(products(A, hor.row_matrix().T, n - 1, H1, 1))
+    return hor
 
 
 def is_connection(bundle: Bundle, chi: FieldValuedForm) -> dict:
@@ -620,7 +619,7 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
     n = ext.shape[0]
     acc = QMat.zeros(n, n)
     for h in bundle.action.homs.values():
-        om = omega_functor(h, 1)
+        om = omega_functor(h, 1)[1]
         acc = acc + om @ ext @ qmat_inverse(om)
     avg = acc.scale(Fraction(1, len(bundle.action.homs)))
     d0 = form_space(A, 0).d_matrix()
@@ -638,7 +637,7 @@ def is_principal(bundle: Bundle, chi: FieldValuedForm) -> bool:
         return False
     ext = chi.extension()
     for h in bundle.action.homs.values():
-        om1 = omega_functor(h, 1)
+        om1 = omega_functor(h, 1)[1]
         if ext @ om1 != om1 @ ext:
             return False
     return True
@@ -654,7 +653,8 @@ def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
     if bundle.action is not None and is_principal(bundle, chi):
         eq = True
         for h in bundle.action.homs.values():
-            if ext @ omega_functor(h, 1) != omega_functor(h, 2) @ ext:
+            om = omega_functor(h, 2)
+            if ext @ om[1] != om[2] @ ext:
                 eq = False
         report["equivariant"] = eq
     report["all"] = all(v for v in report.values())
@@ -667,9 +667,10 @@ def action_functoriality_defect(action: GroupAction, N: int
     intertwine d into degree k, or None when the action extends to forms."""
     A = action.algebra
     for name, h in action.homs.items():
+        om = omega_functor(h, N)
         for k in range(1, N + 1):
             dk = form_space(A, k - 1).d_matrix()
-            if omega_functor(h, k) @ dk != dk @ omega_functor(h, k - 1):
+            if om[k] @ dk != dk @ om[k - 1]:
                 return name, k
     return None
 

@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
 from .forms import Form, d_slots, form_space, omega_functor, products
-from .linalg import QMat, QVector, qmat_from_json, qmat_sum, qmat_to_json, solve_linear
+from .linalg import QMat, QVector, qmat_from_json, qmat_to_json, solve_linear
 
 
 class FieldFormError(ValueError):
@@ -121,13 +121,13 @@ def field_space(algebra: Algebra) -> list[FieldValuedForm]:
 class GradedDerivation:
     """Degree-k operator on forms: one matrix per stored input degree.
 
-    ``mats[j]`` is the matrix Omega_j -> Omega_{j+k}; the value None encodes
-    the zero map whose nominal target degree is negative.  Operators are
-    compared and combined on common stored degrees only.
+    ``mats[j]`` is the matrix Omega_j -> Omega_{j+k}, of shape
+    (dim Omega_{j+k}, dim Omega_j).  A form space below degree 0 has
+    dimension 0, so the zero map into a negative degree is a matrix with 0
+    rows.  Operators are compared and combined on common stored degrees only.
     """
 
-    def __init__(self, algebra: Algebra, degree: int,
-                 mats: dict[int, Optional[QMat]]):
+    def __init__(self, algebra: Algebra, degree: int, mats: dict[int, QMat]):
         self.algebra = algebra
         self.degree = degree
         self.mats = dict(mats)
@@ -135,70 +135,43 @@ class GradedDerivation:
     def input_degrees(self) -> list[int]:
         return sorted(self.mats)
 
-    def mat(self, j: int) -> Optional[QMat]:
+    def mat(self, j: int) -> QMat:
         if j not in self.mats:
             raise FieldFormError(f"operator not stored on input degree {j}")
         return self.mats[j]
 
     def apply(self, w: Form) -> Form:
-        m = self.mat(w.degree)
-        if m is None:
-            raise FieldFormError("operator maps this degree below zero")
         tgt = form_space(self.algebra, w.degree + self.degree)
-        return Form(tgt, m @ w.vec)
-
-    def _zeros(self, j: int) -> QMat:
-        return QMat.zeros(form_space(self.algebra, j + self.degree).dim,
-                          form_space(self.algebra, j).dim)
+        return Form(tgt, self.mat(w.degree) @ w.vec)
 
     def __add__(self, other: "GradedDerivation") -> "GradedDerivation":
         if self.degree != other.degree:
             raise FieldFormError("cannot add operators of different degrees")
-        out: dict[int, Optional[QMat]] = {}
-        for j in set(self.mats) & set(other.mats):
-            a, b = self.mats[j], other.mats[j]
-            if a is None and b is None:
-                out[j] = None
-            else:
-                a = a if a is not None else self._zeros(j)
-                b = b if b is not None else other._zeros(j)
-                out[j] = a + b
-        return GradedDerivation(self.algebra, self.degree, out)
+        return GradedDerivation(self.algebra, self.degree, {
+            j: self.mats[j] + other.mats[j] for j in set(self.mats) & set(other.mats)})
 
     def __sub__(self, other: "GradedDerivation") -> "GradedDerivation":
         return self + other.scale(-1)
 
     def scale(self, c) -> "GradedDerivation":
-        return GradedDerivation(self.algebra, self.degree, {
-            j: (m.scale(c) if m is not None else None)
-            for j, m in self.mats.items()})
+        return GradedDerivation(self.algebra, self.degree,
+                                {j: m.scale(c) for j, m in self.mats.items()})
 
     def compose(self, other: "GradedDerivation") -> "GradedDerivation":
-        """self o other, on every input degree where both are stored."""
-        out: dict[int, Optional[QMat]] = {}
+        """self o other, on every input degree where both are stored; where
+        other maps below degree 0 the composite is zero."""
+        out: dict[int, QMat] = {}
         for j, fm in other.mats.items():
             jj = j + other.degree
-            if fm is None:
-                # other is zero into a negative degree; composite is zero
-                if j + other.degree + self.degree < 0:
-                    out[j] = None
-                else:
-                    out[j] = QMat.zeros(
-                        form_space(self.algebra,
-                                   j + other.degree + self.degree).dim,
-                        form_space(self.algebra, j).dim)
-                continue
-            if jj not in self.mats:
-                continue
-            em = self.mats[jj]
-            out[j] = None if em is None else em @ fm
+            if jj < 0:
+                out[j] = QMat.zeros(_dim(self.algebra, jj + self.degree), fm.shape[1])
+            elif jj in self.mats:
+                out[j] = self.mats[jj] @ fm
         return GradedDerivation(self.algebra, self.degree + other.degree, out)
 
     def commutator(self, other: "GradedDerivation") -> "GradedDerivation":
         sign = (-1) ** ((self.degree * other.degree) % 2)
-        a = self.compose(other)
-        b = other.compose(self).scale(sign)
-        return a - b
+        return self.compose(other) - other.compose(self).scale(sign)
 
     def agrees_with(self, other: "GradedDerivation") -> bool:
         """Equality on common stored degrees (requires at least one)."""
@@ -207,16 +180,10 @@ class GradedDerivation:
         common = set(self.mats) & set(other.mats)
         if not common:
             raise FieldFormError("operators share no stored degree")
-        for j in common:
-            a, b = self.mats[j], other.mats[j]
-            if (a is None) != (b is None):
-                return False
-            if a is not None and a != b:
-                return False
-        return True
+        return all(self.mats[j] == other.mats[j] for j in common)
 
     def is_zero(self) -> bool:
-        return all(m is None or m.is_zero() for m in self.mats.values())
+        return all(m.is_zero() for m in self.mats.values())
 
     def truncated(self, top: int) -> "GradedDerivation":
         """The operator on its stored input degrees <= top only."""
@@ -228,6 +195,11 @@ class GradedDerivation:
                 f"inputs={self.input_degrees()})")
 
 
+def _dim(algebra: Algebra, degree: int) -> int:
+    """dim Omega_degree, 0 below degree 0."""
+    return form_space(algebra, degree).dim if degree >= 0 else 0
+
+
 def d_operator(algebra: Algebra, max_input: int) -> GradedDerivation:
     return GradedDerivation(algebra, 1, {
         j: form_space(algebra, j).d_matrix() for j in range(max_input + 1)})
@@ -236,46 +208,33 @@ def d_operator(algebra: Algebra, max_input: int) -> GradedDerivation:
 def contraction(K: FieldValuedForm, max_input: int) -> GradedDerivation:
     """j_K: the algebraic derivation replacing one d-slot by K.
 
-    On a basis form e_{i0} de_{j1}...de_{jn} the s-th term rewrites slot s:
+    For K of subscript k, j_K has degree k - 1 and kills Omega_0 (a matrix
+    with 0 rows when k = 0).  Appending a d-slot as the least significant
+    digit gives the recurrence
 
-        (prefix . lead-coefficient-of-delta) (x) delta-tail (x) suffix,
+        j_K|Omega_n = j_K|Omega_{n-1} (x) I_{m-1} + (-1)^{(n-1)(k-1)} S_n,
 
-    that is products(I, s-1, delta[:, 1:], k) (x) I: every prefix in
-    Omega_{s-1} times the image K(d e_j) of the slot, then the suffix
-    unchanged; the sign is (-1)^{(s-1)(k-1)} for K of subscript k.  Input
-    degree 0 is killed.
+    S_n = products(I, n-1, delta[:, 1:], k) rewriting the last slot: every
+    prefix in Omega_{n-1} times the image K(d e_j) of that slot.  So
+    j_K|Omega_1 = S_1, and each degree costs one Kronecker product.
     """
     A = K.algebra
-    m = A.dim
-    kappa = K.degree
-    opdeg = kappa - 1
-    slots = []
-    for s in range(1, max_input + 1):
-        slot = products(A, None, s - 1, d_slots(K.delta), kappa)
-        slots.append(-slot if ((s - 1) * opdeg) % 2 else slot)
-    mats: dict[int, Optional[QMat]] = {0: None if opdeg < 0 else QMat.zeros(
-        form_space(A, opdeg).dim, form_space(A, 0).dim)}
+    m, k = A.dim, K.degree
+    mats = {0: QMat.zeros(_dim(A, k - 1), m)}
     for n in range(1, max_input + 1):
-        mats[n] = qmat_sum(slots[s - 1].kron(QMat.eye((m - 1) ** (n - s)))
-                           for s in range(1, n + 1))
-    return GradedDerivation(A, opdeg, mats)
+        S = products(A, None, n - 1, d_slots(K.delta), k)
+        S = -S if ((n - 1) * (k - 1)) % 2 else S
+        mats[n] = S if n == 1 else mats[n - 1].kron(QMat.eye(m - 1)) + S
+    return GradedDerivation(A, k - 1, mats)
 
 
 def lie_operator(K: FieldValuedForm, max_input: int) -> GradedDerivation:
-    """L_K = [j_K, d] = j_K o d - (-1)^(k-1) d o j_K for K of subscript k."""
-    A = K.algebra
+    """L_K = [j_K, d] = j_K o d - (-1)^(k-1) d o j_K for K of subscript k,
+    with j_K cut at max_input on the d o j_K side."""
     jk = contraction(K, max_input + 1)
+    d = d_operator(K.algebra, max_input + max(K.degree - 1, 0))
     sign = (-1) ** ((K.degree - 1) % 2)
-    mats: dict[int, Optional[QMat]] = {}
-    for j in range(max_input + 1):
-        first = jk.mats[j + 1] @ form_space(A, j).d_matrix()
-        second = jk.mats[j]
-        if second is None:
-            mats[j] = first
-        else:
-            dmat = form_space(A, j + K.degree - 1).d_matrix()
-            mats[j] = first - (dmat @ second).scale(sign)
-    return GradedDerivation(A, K.degree, mats)
+    return jk.compose(d) - d.compose(jk.truncated(max_input)).scale(sign)
 
 
 def lie_bracket_fields(X: FieldValuedForm, Y: FieldValuedForm) -> FieldValuedForm:
@@ -318,27 +277,23 @@ def insertion_compose(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm
 def is_graded_derivation(D: GradedDerivation) -> bool:
     """Graded Leibniz D(wh) = D(w)h + (-1)^{k deg w} w D(h) on basis pairs.
 
-    For each basis form w of degree a, one matrix identity over all h in
-    Omega_b: D_{a+b} mu(w, I) = mu(D_a w, I) + (-1)^{ka} mu(w, D_b).
+    One block identity per degree pair (a, b), over all basis pairs:
+    D_{a+b} mu(I, I) = mu(D_a, I) + (-1)^{ka} mu(I, D_b).  Pairs with a
+    factor mapped below degree 0 are not checked.
     """
     A = D.algebra
     k = D.degree
-    degs = D.input_degrees()
-    top = max(degs)
+    degs = [j for j in D.input_degrees() if j + k >= 0]
     for a in degs:
         for b in degs:
-            Da, Db, Dab = D.mats[a], D.mats[b], D.mats.get(a + b)
-            if a + b > top or Da is None or Db is None or Dab is None:
+            if a + b not in D.mats:
                 continue
-            eye_a, eye_b = (QMat.eye(form_space(A, t).dim) for t in (a, b))
-            sgn = (-1) ** ((k * a) % 2)
-            for ia in range(eye_a.shape[0]):
-                w = eye_a.col(ia)
-                lhs = Dab @ products(A, w, a, eye_b, b)
-                rhs = (products(A, Da.col(ia), a + k, eye_b, b)
-                       + products(A, w, a, Db, b + k).scale(sgn))
-                if lhs != rhs:
-                    return False
+            eye_b = QMat.eye(form_space(A, b).dim)
+            lhs = D.mats[a + b] @ products(A, None, a, eye_b, b)
+            rhs = (products(A, D.mats[a], a + k, eye_b, b)
+                   + products(A, None, a, D.mats[b], b + k).scale((-1) ** ((k * a) % 2)))
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -352,8 +307,7 @@ def decompose_derivation(D: GradedDerivation) -> tuple[FieldValuedForm, FieldVal
         raise FieldFormError("need the operator on degrees 0 and 1")
     if not is_graded_derivation(D):
         raise FieldFormError("operator is not a graded derivation")
-    delta_K = D.mats[0]
-    K = FieldValuedForm(A, k, delta_K)  # validates Leibniz
+    K = FieldValuedForm(A, k, D.mats[0])  # validates Leibniz
     lk = lie_operator(K, 1)
     resid = D.mats[1] - lk.mats[1]
     delta_L = resid @ form_space(A, 0).d_matrix()
@@ -382,13 +336,10 @@ def check_lie_contraction_identity(K: FieldValuedForm, L: FieldValuedForm,
     ell = L.degree - 1
     lk = lie_operator(K, trunc + max(ell, 0))
     jl = contraction(L, trunc + max(k, 0))
-    lhs = lk.commutator(jl)
-    fnkl = fn_bracket(K, L)
-    rhs = contraction(fnkl, trunc)
-    jlk = insertion_compose(L, K)
     sign = (-1) ** ((k * ell) % 2)
-    rhs = rhs - lie_operator(jlk, trunc).scale(sign)
-    return lhs.truncated(trunc).agrees_with(rhs)
+    rhs = (contraction(fn_bracket(K, L), trunc)
+           - lie_operator(insertion_compose(L, K), trunc).scale(sign))
+    return lk.commutator(jl).truncated(trunc).agrees_with(rhs)
 
 
 def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
@@ -421,32 +372,24 @@ def check_bracket_expansion_identities(K1: FieldValuedForm, K2: FieldValuedForm,
     report["operator_commutator"] = lhs.truncated(trunc).agrees_with(rhs)
 
     # (2) j_L [K1,K2] = [j_L K1, K2] + (-1)^{k1 l} [K1, j_L K2]
-    #       - ((-1)^{k1 l} j([K1,L]) K2 - (-1)^{(k1+l) k2} j([K2,L]) K1)
-    for name, L in (("insertion_into_fn", L1),):
-        ell = L.degree - 1
-        lhs2 = insertion_compose(L, fn_bracket(K1, K2))
-        t1 = fn_bracket(insertion_compose(L, K1), K2)
-        t2 = fn_bracket(K1, insertion_compose(L, K2)).scale(
-            (-1) ** ((k1 * ell) % 2))
-        t3 = insertion_compose(fn_bracket(K1, L), K2).scale(
-            (-1) ** ((k1 * ell) % 2))
-        t4 = insertion_compose(fn_bracket(K2, L), K1).scale(
-            (-1) ** (((k1 + ell) * k2) % 2))
-        report[name] = (lhs2 == t1 + t2 - (t3 - t4))
+    #       - ((-1)^{k1 l} j([K1,L]) K2 - (-1)^{(k1+l) k2} j([K2,L]) K1),  L = L1
+    L, ell = L1, L1.degree - 1
+    lhs2 = insertion_compose(L, fn_bracket(K1, K2))
+    t1 = fn_bracket(insertion_compose(L, K1), K2)
+    t2 = fn_bracket(K1, insertion_compose(L, K2)).scale((-1) ** ((k1 * ell) % 2))
+    t3 = insertion_compose(fn_bracket(K1, L), K2).scale((-1) ** ((k1 * ell) % 2))
+    t4 = insertion_compose(fn_bracket(K2, L), K1).scale((-1) ** (((k1 + ell) * k2) % 2))
+    report["insertion_into_fn"] = (lhs2 == t1 + t2 - (t3 - t4))
 
     # (3) [K, [L1,L2]^D] = [[K,L1], L2]^D + (-1)^{k k1} [L1, [K,L2]]^D
-    #       - ((-1)^{k k1} [j(L1) K, L2] - (-1)^{(k+k1) k2} [j(L2) K, L1])
-    for name, K in (("fn_into_algebraic", K1),):
-        k = K.degree
-        lhs3 = fn_bracket(K, algebraic_bracket(L1, L2))
-        u1 = algebraic_bracket(fn_bracket(K, L1), L2)
-        u2 = algebraic_bracket(L1, fn_bracket(K, L2)).scale(
-            (-1) ** ((k * k1) % 2))
-        u3 = fn_bracket(insertion_compose(L1, K), L2).scale(
-            (-1) ** ((k * k1) % 2))
-        u4 = fn_bracket(insertion_compose(L2, K), L1).scale(
-            (-1) ** (((k + k1) * k2) % 2))
-        report[name] = (lhs3 == u1 + u2 - (u3 - u4))
+    #       - ((-1)^{k k1} [j(L1) K, L2] - (-1)^{(k+k1) k2} [j(L2) K, L1]),  K = K1
+    K, k = K1, k1
+    lhs3 = fn_bracket(K, algebraic_bracket(L1, L2))
+    u1 = algebraic_bracket(fn_bracket(K, L1), L2)
+    u2 = algebraic_bracket(L1, fn_bracket(K, L2)).scale((-1) ** ((k * k1) % 2))
+    u3 = fn_bracket(insertion_compose(L1, K), L2).scale((-1) ** ((k * k1) % 2))
+    u4 = fn_bracket(insertion_compose(L2, K), L1).scale((-1) ** (((k + k1) * k2) % 2))
+    report["fn_into_algebraic"] = (lhs3 == u1 + u2 - (u3 - u4))
 
     report["all"] = all(v for v in report.values())
     return report
@@ -461,9 +404,8 @@ def f_related(f: AlgebraHom, K: FieldValuedForm, Kp: FieldValuedForm) -> bool:
     """K' o Omega_1(f) = Omega_k(f) o K as matrices."""
     if K.degree != Kp.degree:
         return False
-    lhs = Kp.extension() @ omega_functor(f, 1)
-    rhs = omega_functor(f, K.degree) @ K.extension()
-    return lhs == rhs
+    om = omega_functor(f, max(K.degree, 1))
+    return Kp.extension() @ om[1] == om[K.degree] @ K.extension()
 
 
 def pushforward(f: AlgebraHom, K: FieldValuedForm) -> Optional[FieldValuedForm]:
@@ -473,7 +415,7 @@ def pushforward(f: AlgebraHom, K: FieldValuedForm) -> Optional[FieldValuedForm]:
     F^T delta'^T = (Omega_k(f) delta)^T; returns None when the system is
     inconsistent (K does not descend).
     """
-    delta_t = solve_linear(f.matrix.T, (omega_functor(f, K.degree) @ K.delta).T)
+    delta_t = solve_linear(f.matrix.T, (omega_functor(f, K.degree)[-1] @ K.delta).T)
     if delta_t is None:
         return None
     try:

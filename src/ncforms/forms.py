@@ -292,8 +292,9 @@ def d_slots(images: QMat) -> QMat:
 
 
 def multiplicative_extension(algebra: Algebra, lead: Optional[QMat], dimages: QMat,
-                             degree: int) -> QMat:
-    """The map e_i dJ |-> lead(e_i) . dimages_{j1} ... dimages_{jk} into Omega_k.
+                             degree: int) -> list[QMat]:
+    """The maps M_k: e_i dJ |-> lead(e_i) . dimages_{j1} ... dimages_{jk} into
+    Omega_k, for k = 0..degree, from one pass.
 
     lead sends A into Omega_0(algebra) (None: the identity of A) and
     column j of dimages is the image of d e_j, a one-form over algebra
@@ -301,14 +302,17 @@ def multiplicative_extension(algebra: Algebra, lead: Optional[QMat], dimages: QM
     M_k = products(M_{k-1}, k-1, dimages[:, 1:], 1): the big-endian column
     order of the block is the basis order of Omega_k.
     """
+    maps = [QMat.eye(algebra.dim) if lead is None else lead.reduced()]
     M = lead
     for n in range(degree):
         M = products(algebra, M, n, d_slots(dimages), 1)
-    return QMat.eye(algebra.dim) if M is None else M.reduced()
+        maps.append(M)
+    return maps
 
 
-def omega_functor(f: AlgebraHom, degree: int) -> QMat:
-    """Matrix of Omega_k(f): e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
+def omega_functor(f: AlgebraHom, degree: int) -> list[QMat]:
+    """Matrices of Omega_k(f), k = 0..degree:
+    e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
     B = f.target
     return multiplicative_extension(B, f.matrix, form_space(B, 0).d_matrix() @ f.matrix,
                                     degree)

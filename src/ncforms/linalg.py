@@ -482,7 +482,7 @@ def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
     # floored at 1, so the bound also covers each operand's own entries
     bound = max(1, _max_abs(X.num)) * max(1, sum((den // d) * math.prod(
         max(1, f.shape[1] * _max_abs(f.num)) for _, f in fs) for fs, d in zip(mats, dens)))
-    dtype = object if bound >= _INT64_SAFE else np.int64
+    dtype = _int_dtype(bound)
     x, out = X.num.astype(dtype, copy=False), np.zeros((height, X.shape[1]), dtype=dtype)
     for t, fs, d in zip(terms, mats, dens):
         Y = x.reshape(*(f.shape[1] if isinstance(f, QMat) else f for f in t), X.shape[1])
@@ -523,6 +523,11 @@ def solve_linear(A: QMat, B: QMat) -> Optional[QMat]:
 
 def _max_abs(a: np.ndarray) -> int:
     return int(abs(a).max()) if a.size else 0
+
+
+def _int_dtype(big: int):
+    """int64 for integers below 2**62 in absolute value, else Python objects."""
+    return object if big >= _INT64_SAFE else np.int64
 
 
 def _exact_pair(x: "QMat", y: "QMat", bound) -> tuple["QMat", "QMat"]:
@@ -568,8 +573,7 @@ class QMat:
         den = math.lcm(*(v.denominator for r in fr for v in r))
         ints = [[int(v * den) for v in r] for r in fr]
         big = max((abs(v) for r in ints for v in r), default=0)
-        dtype = object if big >= _INT64_SAFE else np.int64
-        arr = np.array(ints, dtype=dtype)
+        arr = np.array(ints, dtype=_int_dtype(big))
         if arr.ndim == 1:  # empty rows edge case
             arr = arr.reshape(len(ints), 0)
         return cls(arr, den)
@@ -586,7 +590,7 @@ class QMat:
         g = math.gcd(den, *acc.values())
         vals = [v // g for v in acc.values()]
         big = max(map(abs, vals), default=0)
-        num = np.zeros(shape, dtype=object if big >= _INT64_SAFE else np.int64)
+        num = np.zeros(shape, dtype=_int_dtype(big))
         for rc, v in zip(acc, vals):
             num[rc] = v
         return cls(num, den // g)
@@ -679,7 +683,8 @@ class QMat:
 
     def scale(self, c) -> "QMat":
         c = Fraction(c)
-        x, y = _exact_pair(self, QMat(np.array([[c.numerator]])),
+        n = c.numerator
+        x, y = _exact_pair(self, QMat(np.array([[n]], dtype=_int_dtype(abs(n)))),
                            lambda x, y: _max_abs(x.num) * _max_abs(y.num))
         return QMat(x.num * y.num[0, 0], x.den * c.denominator)
 
@@ -737,8 +742,7 @@ def qmat_hstack(height: int, blocks: Sequence[QMat]) -> QMat:
         return QMat.zeros(height, 0)
     den = math.lcm(*(b.den for b in blocks))
     big = max(_max_abs(b.num) * (den // b.den) for b in blocks)
-    dtype = object if big >= _INT64_SAFE else np.int64
-    return QMat(np.hstack([b.num.astype(dtype) * (den // b.den) for b in blocks]),
+    return QMat(np.hstack([b.num.astype(_int_dtype(big)) * (den // b.den) for b in blocks]),
                 den).reduced()
 
 

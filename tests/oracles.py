@@ -422,6 +422,116 @@ def loop_horizontal_forms(bundle, k):
 
 
 # ---------------------------------------------------------------------------
+# Graded operators with the zero map into a negative degree stored as None.
+#
+# ``fieldforms.GradedDerivation`` stores that map as a matrix with 0 rows,
+# builds j_K by a slot recurrence and L_K through ``compose``.  These are the
+# operators it replaced: j_K as one Kronecker product per slot and degree,
+# L_K assembled by hand, and an operator algebra with a None branch in every
+# method.
+# ---------------------------------------------------------------------------
+
+
+class NoneGradedDerivation:
+    """Degree-k operator: mats[j] is Omega_j -> Omega_{j+k}, None when
+    j + k < 0."""
+
+    def __init__(self, algebra, degree, mats):
+        self.algebra = algebra
+        self.degree = degree
+        self.mats = dict(mats)
+
+    def _zeros(self, j):
+        from ncforms.forms import form_space
+        from ncforms.linalg import QMat
+        return QMat.zeros(form_space(self.algebra, j + self.degree).dim,
+                          form_space(self.algebra, j).dim)
+
+    def __add__(self, other):
+        out = {}
+        for j in set(self.mats) & set(other.mats):
+            a, b = self.mats[j], other.mats[j]
+            if a is None and b is None:
+                out[j] = None
+            else:
+                a = a if a is not None else self._zeros(j)
+                b = b if b is not None else other._zeros(j)
+                out[j] = a + b
+        return NoneGradedDerivation(self.algebra, self.degree, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return NoneGradedDerivation(self.algebra, self.degree, {
+            j: (m.scale(c) if m is not None else None) for j, m in self.mats.items()})
+
+    def compose(self, other):
+        from ncforms.forms import form_space
+        from ncforms.linalg import QMat
+        out = {}
+        for j, fm in other.mats.items():
+            jj = j + other.degree
+            if fm is None:
+                if jj + self.degree < 0:
+                    out[j] = None
+                else:
+                    out[j] = QMat.zeros(form_space(self.algebra, jj + self.degree).dim,
+                                        form_space(self.algebra, j).dim)
+                continue
+            if jj not in self.mats:
+                continue
+            em = self.mats[jj]
+            out[j] = None if em is None else em @ fm
+        return NoneGradedDerivation(self.algebra, self.degree + other.degree, out)
+
+    def commutator(self, other):
+        sign = (-1) ** ((self.degree * other.degree) % 2)
+        return self.compose(other) - other.compose(self).scale(sign)
+
+    def is_zero(self):
+        return all(m is None or m.is_zero() for m in self.mats.values())
+
+
+def slotwise_contraction(K, max_input):
+    """j_K on Omega_n as the sum over slots s of
+    (-1)^{(s-1)(k-1)} products(I, s-1, delta[:, 1:], k) (x) I_{(m-1)^(n-s)}."""
+    from ncforms.forms import d_slots, form_space, products
+    from ncforms.linalg import QMat, qmat_sum
+    A = K.algebra
+    m, kappa = A.dim, K.degree
+    opdeg = kappa - 1
+    slots = []
+    for s in range(1, max_input + 1):
+        slot = products(A, None, s - 1, d_slots(K.delta), kappa)
+        slots.append(-slot if ((s - 1) * opdeg) % 2 else slot)
+    mats = {0: None if opdeg < 0 else QMat.zeros(form_space(A, opdeg).dim,
+                                                 form_space(A, 0).dim)}
+    for n in range(1, max_input + 1):
+        mats[n] = qmat_sum(slots[s - 1].kron(QMat.eye((m - 1) ** (n - s)))
+                           for s in range(1, n + 1))
+    return NoneGradedDerivation(A, opdeg, mats)
+
+
+def handmade_lie_operator(K, max_input):
+    """L_K = j_K o d - (-1)^(k-1) d o j_K, one matrix product at a time."""
+    from ncforms.forms import form_space
+    A = K.algebra
+    jk = slotwise_contraction(K, max_input + 1)
+    sign = (-1) ** ((K.degree - 1) % 2)
+    mats = {}
+    for j in range(max_input + 1):
+        first = jk.mats[j + 1] @ form_space(A, j).d_matrix()
+        second = jk.mats[j]
+        if second is None:
+            mats[j] = first
+        else:
+            dmat = form_space(A, j + K.degree - 1).d_matrix()
+            mats[j] = first - (dmat @ second).scale(sign)
+    return NoneGradedDerivation(A, K.degree, mats)
+
+
+# ---------------------------------------------------------------------------
 # Reference elimination over Fraction: the RowReducer that keeps a fully
 # reduced basis of Fraction dicts and divides at every pivot, with the
 # subspace operations and the kernel built on it.  ncforms.linalg eliminates
@@ -888,7 +998,7 @@ def functor_kernel(algebra, ext, k):
     from ncforms.connections import induced_endomorphism
     from ncforms.forms import form_space
     from ncforms.linalg import nullspace
-    omega = induced_endomorphism(algebra, ext, k)
+    omega = induced_endomorphism(algebra, ext, k)[k]
     return nullspace(form_space(algebra, k).dim, omega.sparse_rows())
 
 
@@ -919,9 +1029,8 @@ def kernel_projection_calculus(p, N):
     fn = fn_bracket(p.chi, p.chi)
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
-    degrees = range(1, max(N, 2) + 1)
-    omega_p = {k: induced_endomorphism(A, ext, k) for k in degrees}
-    omega_pb = {k: induced_endomorphism(A, ext_bar, k) for k in degrees}
+    omega_p = induced_endomorphism(A, ext, max(N, 2))
+    omega_pb = induced_endomorphism(A, ext_bar, max(N, 2))
     report = {}
     report["curvature_formula"] = (
         R.extension() == (omega_pb[2] @ d1 @ ext).scale(-2))

@@ -199,12 +199,13 @@ def test_curvature_of_trivial_projections(algebras):
 def test_induced_endomorphism_basics(algebras):
     A = algebras["kxk"]
     n1 = form_space(A, 1).dim
+    ident, zero = induced_endomorphism(A, QMat.eye(n1), 3), induced_endomorphism(
+        A, QMat.zeros(n1, n1), 3)
     for k in (1, 2, 3):
-        nk = form_space(A, k).dim
-        assert induced_endomorphism(A, QMat.eye(n1), k) == QMat.eye(nk)
-        zero = induced_endomorphism(A, QMat.zeros(n1, n1), k)
-        assert zero.is_zero()
-    assert induced_endomorphism(A, QMat.zeros(n1, n1), 0) == QMat.eye(A.dim)
+        assert ident[k] == QMat.eye(form_space(A, k).dim)
+        assert zero[k].is_zero()
+    assert zero[0] == QMat.eye(A.dim)
+    assert induced_endomorphism(A, QMat.zeros(n1, n1), 0) == [QMat.eye(A.dim)]
 
 
 def test_projection_calculus(projections):
@@ -253,8 +254,7 @@ def test_induced_maps_are_idempotent_with_rank_their_trace(algebras):
     # dim Omega_k - tr Omega_k(P) is the dimension of the eliminated kernel
     for name, A in algebras.items():
         for idx, p in enumerate(find_projections(A)):
-            for k in (1, 2, 3):
-                M = induced_endomorphism(A, p.ext, k)
+            for k, M in enumerate(induced_endomorphism(A, p.ext, 3)):
                 assert M @ M == M, (name, idx, k)
                 trace = Fraction(int(M.num.trace()), M.den)
                 assert form_space(A, k).dim - trace == functor_kernel(A, p.ext, k).dim, (
@@ -264,7 +264,7 @@ def test_induced_maps_are_idempotent_with_rank_their_trace(algebras):
 def test_idempotent_kernel_certificate_rejects(algebras):
     A = algebras["m2"]
     p = next(p for p in find_projections(A) if 0 < p.image().dim < 12)
-    M = induced_endomorphism(A, p.ext, 2)
+    M = induced_endomorphism(A, p.ext, 2)[2]
     ideal = ideal_component(p.kernel(), 2)
     assert is_idempotent_kernel(ideal, M)
     dropped = Subspace(ideal.ambient, ideal.rows[:-1], ideal.pivots[:-1])
@@ -297,8 +297,9 @@ def test_projection_calculus_reports_a_wrong_induced_map(algebras, monkeypatch):
     p = next(p for p in find_projections(A) if 0 < p.image().dim < 12)
     induced = connections.induced_endomorphism
     for bad in (1, 2, 3):
-        monkeypatch.setattr(connections, "induced_endomorphism", lambda A, ext, k: (
-            QMat.eye(form_space(A, k).dim) if k == bad else induced(A, ext, k)))
+        monkeypatch.setattr(connections, "induced_endomorphism", lambda A, ext, top: [
+            QMat.eye(form_space(A, k).dim) if k == bad else M
+            for k, M in enumerate(induced(A, ext, top))])
         rep = check_projection_calculus(p, N=3)
         assert not rep["kernel_ideal_is_functor_kernel"], bad
         assert not rep["image_ideal_is_complement_kernel"], bad

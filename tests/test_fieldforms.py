@@ -20,6 +20,7 @@ from ncforms.fieldforms import (
 )
 from ncforms.forms import form_space
 from ncforms.linalg import QMat
+from oracles import NoneGradedDerivation, handmade_lie_operator, slotwise_contraction
 from test_algebra import DER_DIMS, catalog, upper_triangular2
 
 F = Fraction
@@ -116,8 +117,8 @@ def test_contraction_example_dual():
     sp1 = form_space(A, 1)
     expect = sp1.basis_form(sp1.index_of(1, (1,))).scale(2)   # 2 eps d eps
     assert out == expect
-    # degree-0 forms are killed
-    assert jX.mats[0] is None
+    # degree-0 forms are killed: the map into degree -1 has 0 rows
+    assert jX.mats[0].shape == (0, A.dim)
 
 
 def test_lie_operator_on_functions_is_composition_with_d(algebras, bases):
@@ -153,6 +154,49 @@ def test_contraction_and_lie_are_graded_derivations(algebras, bases):
             K = random_form(rng, bases[name][k], A, k)
             assert is_graded_derivation(contraction(K, 3))
             assert is_graded_derivation(lie_operator(K, 2))
+
+
+def _same_operator(ours, ref):
+    """Equal to the None-encoded reference in (shape, num, den, dtype) on
+    every degree; None is a matrix with 0 rows."""
+    assert isinstance(ref, NoneGradedDerivation)
+    assert ours.degree == ref.degree and ours.input_degrees() == sorted(ref.mats)
+    for j, r in ref.mats.items():
+        m = ours.mats[j]
+        assert isinstance(m, QMat), j
+        if r is None:
+            assert m.shape == (0, form_space(ours.algebra, j).dim), j
+            continue
+        a, b = m.reduced(), r.reduced()
+        assert (a.shape, a.den, a.num.dtype) == (b.shape, b.den, b.num.dtype), j
+        assert (a.num == b.num).all(), j
+
+
+@pytest.mark.parametrize("name", [*catalog(), "matrix3"])
+def test_operators_match_the_none_encoded_reference(name):
+    # j_K by the slot recurrence and L_K through compose, against the sum
+    # over slots and the handmade commutator; matrix(3) (dim Omega_2 = 576)
+    # on fields of subscript <= 1 and L_K on inputs <= 1
+    A = matrix_algebra(3) if name == "matrix3" else catalog()[name]
+    subscripts, top = ((0, 1), 1) if name == "matrix3" else ((0, 1, 2), 2)
+    rng = random.Random(101)
+    fields = [identity_one_form(A)]
+    for k in subscripts:
+        mod = form_space(A, k).as_bimodule()
+        vec = [Fraction(rng.randint(-2, 2)) for _ in range(mod.dim)]
+        if mod.dim:
+            fields.append(FieldValuedForm(A, k, inner_derivation(mod, vec)))
+    if name == "dual":    # an outer field: X(eps) = eps
+        fields.append(field_from_derivation(A, QMat.from_rows([[0, 0], [0, 1]])))
+    assert {K.degree for K in fields} >= {0, 1}
+    for K in fields:
+        jk, ref_jk = contraction(K, top + 1), slotwise_contraction(K, top + 1)
+        _same_operator(jk, ref_jk)
+        lk, ref_lk = lie_operator(K, top), handmade_lie_operator(K, top)
+        _same_operator(lk, ref_lk)
+        # compose: j_K after j_K maps Omega_0 below zero when K is a field
+        _same_operator(lk.commutator(jk), ref_lk.commutator(ref_jk))
+        _same_operator(jk.commutator(jk), ref_jk.commutator(ref_jk))
 
 
 # -- brackets ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncforms
-from ncforms import algebra, connections, fieldforms, forms, hochschild, linalg, schouten
+from ncforms import algebra, cli, connections, fieldforms, forms, hochschild, linalg, schouten
 from ncforms.algebra import matrix_algebra
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
@@ -459,6 +459,21 @@ def test_qmat_overflow_promotes_to_exact():
     assert t.entry(0, 0) == Fraction(big + big * big)
 
 
+def test_qmat_scale_by_scalars_near_the_int64_bound():
+    # numerators from 2**63 on would make a uint64 numpy scalar, and a zero
+    # operand once let int64 x uint64 promote to float64
+    one = QMat.from_rows([[2 ** 53 + 1]])
+    for c in (2 ** 62 - 1, 2 ** 62 + 1, 2 ** 63 + 2, 2 ** 64 + 1):
+        for scalar in (c, -c, Fraction(c, 7)):
+            zero = QMat.zeros(1, 2).scale(scalar)
+            assert zero.num.dtype != np.float64
+            assert zero.to_fraction_rows() == [[0, 0]]
+            s = zero + QMat.from_rows([[2 ** 53 + 1, 3]])
+            assert s.to_fraction_rows() == [[Fraction(2 ** 53 + 1), Fraction(3)]]
+            assert (QMat.zeros(1, 1).scale(2 * scalar) + one) != QMat.from_rows([[2 ** 53]])
+            assert one.scale(scalar).entry(0, 0) == (2 ** 53 + 1) * Fraction(scalar)
+
+
 def test_qmat_reduces_before_promoting():
     # over den 3 the numerators break the int64 bound of each operation;
     # reduced they do not, and every result is integral
@@ -775,6 +790,17 @@ def test_products_of_forms_go_through_the_block_kernel():
         call = "products(" if fn in kernel_users else "multiplicative_extension("
         assert call in src, fn.__qualname__
         assert not [b for b in banned if b in src], fn.__qualname__
+
+
+def test_graded_operators_have_one_encoding():
+    # the zero map into a negative degree is a matrix with 0 rows, never
+    # None; j_K is built by the slot recurrence and L_K through compose
+    for fn in (fieldforms.GradedDerivation, fieldforms.contraction,
+               fieldforms.lie_operator, fieldforms.is_graded_derivation,
+               cli._chk_contraction_injective):
+        assert "is None" not in inspect.getsource(fn), fn.__qualname__
+    assert "qmat_sum(" not in inspect.getsource(fieldforms.contraction)
+    assert "compose(" in inspect.getsource(fieldforms.lie_operator)
 
 
 def test_projection_calculus_eliminates_no_kernel():

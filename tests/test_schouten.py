@@ -789,6 +789,7 @@ SHAPES = ([("insertion", k, p) for k in range(4) for p in range(4)
 @example(name="upper2", shape=("insertion", 2, 0), s1=False, s2=False, big=True, seed=1)
 @example(name="truncpoly3", shape=("wedge", 0, 0), s1=True, s2=False, big=True, seed=2)
 @example(name="matrix3", shape=("wedge", 1, 1), s1=False, s2=False, big=True, seed=3)
+@example(name="m2", shape=("wedge", 0, 0), s1=True, s2=False, big=True, seed=425862)
 @settings(max_examples=30, deadline=None)
 def test_wedge_and_insertion_match_shuffle_loops(name, shape, s1, s2, big, seed):
     A = _parity_algebras()[name]
