@@ -489,9 +489,6 @@ class NoneGradedDerivation:
         sign = (-1) ** ((self.degree * other.degree) % 2)
         return self.compose(other) - other.compose(self).scale(sign)
 
-    def is_zero(self):
-        return all(m is None or m.is_zero() for m in self.mats.values())
-
 
 def slotwise_contraction(K, max_input):
     """j_K on Omega_n as the sum over slots s of

@@ -199,8 +199,8 @@ def test_curvature_of_trivial_projections(algebras):
 def test_induced_endomorphism_basics(algebras):
     A = algebras["kxk"]
     n1 = form_space(A, 1).dim
-    ident, zero = induced_endomorphism(A, QMat.eye(n1), 3), induced_endomorphism(
-        A, QMat.zeros(n1, n1), 3)
+    ident = induced_endomorphism(A, QMat.eye(n1), 3)
+    zero = induced_endomorphism(A, QMat.zeros(n1, n1), 3)
     for k in (1, 2, 3):
         assert ident[k] == QMat.eye(form_space(A, k).dim)
         assert zero[k].is_zero()

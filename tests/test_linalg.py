@@ -472,6 +472,9 @@ def test_qmat_scale_by_scalars_near_the_int64_bound():
             assert s.to_fraction_rows() == [[Fraction(2 ** 53 + 1), Fraction(3)]]
             assert (QMat.zeros(1, 1).scale(2 * scalar) + one) != QMat.from_rows([[2 ** 53]])
             assert one.scale(scalar).entry(0, 0) == (2 ** 53 + 1) * Fraction(scalar)
+    # every array linalg builds from Python ints names its dtype
+    calls = re.findall(r"np\.array\([^\n]*", inspect.getsource(linalg))
+    assert calls and all("dtype=" in c for c in calls)
 
 
 def test_qmat_reduces_before_promoting():
