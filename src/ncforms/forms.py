@@ -19,6 +19,7 @@ ideals, commutators, graded Leibniz, contraction and extension call it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import Algebra, AlgebraHom, Bimodule
@@ -43,7 +44,9 @@ def form_space(algebra: Algebra, degree: int) -> "FormSpace":
 
 
 class FormSpace:
-    """All degree-k forms over one algebra; immutable once constructed."""
+    """All degree-k forms over one algebra.  The dimension and the indexing
+    are set on construction; the actions and d are built on first read, each
+    once, and are immutable once built."""
 
     def __init__(self, algebra: Algebra, degree: int):
         self.algebra = algebra
@@ -53,14 +56,19 @@ class FormSpace:
         self._tail = (m - 1) ** degree
         self._dmat: Optional[QMat] = None
         self._stacked: Optional[QMat] = None
-        # right action of each basis element, built from the merge formula
-        self.right = [self._right_action_matrix(b) for b in range(m)]
-        # left action of e_i multiplies the leading coefficient only
-        if degree == 0:
-            self.left = list(algebra.left)
-        else:
-            tail_eye = QMat.eye(self._tail)
-            self.left = [L.kron(tail_eye) for L in algebra.left]
+
+    @cached_property
+    def right(self) -> list[QMat]:
+        """The right action of each basis element, from the merge formula."""
+        return [self._right_action_matrix(b) for b in range(self.algebra.dim)]
+
+    @cached_property
+    def left(self) -> list[QMat]:
+        """The left action of each e_i: it multiplies the leading coefficient."""
+        if self.degree == 0:
+            return list(self.algebra.left)
+        tail_eye = QMat.eye(self._tail)
+        return [L.kron(tail_eye) for L in self.algebra.left]
 
     # -- indexing ------------------------------------------------------------
 
@@ -202,7 +210,8 @@ def form_from_json(algebra: Algebra, obj: dict) -> Form:
     return sp.form([parse_scalar(s) for s in obj["coords"]])
 
 
-def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int) -> QMat:
+def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int,
+             pairs: int = 1) -> QMat:
     """All products of a block of k-forms with a block of l-forms.
 
     P (dim Omega_k x r) and Q (dim Omega_l x s) hold forms as columns; P None
@@ -218,13 +227,19 @@ def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int) -> QM
     against Q (one column per (t, j)), whose entries are then moved to the
     Kronecker row a*(m-1)^l + t, the target word, and column i*s + j, the
     pair, both big-endian.
+
+    With pairs = q > 1, the columns of P are (h, i) and those of Q are (h, j)
+    for h < q, and column i*(s/q) + j of the result is sum_h P_(h,i) . Q_(h,j):
+    the same product, summed over h as well as p.
     """
     left = form_space(algebra, k)
     m, dim, w = algebra.dim, left.dim, form_space(algebra, l)._tail
     RP = left.stacked_right() if P is None else left.stacked_right() @ P
-    r, s = RP.shape[1], Q.shape[1]
-    T = (QMat(RP.num.reshape(m, dim * r).T, RP.den)
-         @ QMat(Q.num.reshape(m, w * s), Q.den))
+    r, s = RP.shape[1] // pairs, Q.shape[1] // pairs
+    T = (QMat(RP.num.reshape(m, dim, pairs, r).transpose(1, 3, 0, 2)
+              .reshape(dim * r, m * pairs), RP.den)
+         @ QMat(Q.num.reshape(m, w, pairs, s).transpose(0, 2, 1, 3)
+                .reshape(m * pairs, w * s), Q.den))
     num = T.num.reshape(dim, r, w, s).transpose(0, 2, 1, 3).reshape(dim * w, r * s)
     return QMat(num, T.den).reduced()
 

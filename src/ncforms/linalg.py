@@ -7,9 +7,11 @@ Two representations are used:
   primitive integer rows, read as the reduced row echelon form over
   ``Fraction`` (pivots ascending, pivot entries 1, pivot columns cleared).
 * :class:`QMat` — a dense matrix as an integer numpy array plus one positive
-  denominator.  Integer matrix products run at C speed; an operation whose
-  result could exceed 2**62 first reduces its operands, then if need be
-  promotes them from int64 to Python objects, so results are always exact.
+  denominator.  The numerators are int64 or object (Python ints), nothing
+  else, and read-only, so max |num| is scanned once per QMat.  Integer
+  matrix products run at C speed; an operation whose result could exceed
+  2**62 first reduces its operands, then if need be promotes them from int64
+  to Python objects, so results are always exact.
 
 Six conventions are fixed here and nowhere else:
 
@@ -480,8 +482,8 @@ def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
     dens = [math.prod(f.den for _, f in fs) for fs in mats]
     den = math.lcm(*dens)
     # floored at 1, so the bound also covers each operand's own entries
-    bound = max(1, _max_abs(X.num)) * max(1, sum((den // d) * math.prod(
-        max(1, f.shape[1] * _max_abs(f.num)) for _, f in fs) for fs, d in zip(mats, dens)))
+    bound = max(1, X.max_abs) * max(1, sum((den // d) * math.prod(
+        max(1, f.shape[1] * f.max_abs) for _, f in fs) for fs, d in zip(mats, dens)))
     dtype = _int_dtype(bound)
     x, out = X.num.astype(dtype, copy=False), np.zeros((height, X.shape[1]), dtype=dtype)
     for t, fs, d in zip(terms, mats, dens):
@@ -521,10 +523,6 @@ def solve_linear(A: QMat, B: QMat) -> Optional[QMat]:
 # ---------------------------------------------------------------------------
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return int(abs(a).max()) if a.size else 0
-
-
 def _int_dtype(big: int):
     """int64 for integers below 2**62 in absolute value, else Python objects."""
     return object if big >= _INT64_SAFE else np.int64
@@ -547,15 +545,24 @@ def _exact_pair(x: "QMat", y: "QMat", bound) -> tuple["QMat", "QMat"]:
 class QMat:
     """Exact rational matrix: integer array `num` / positive int `den`."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_max")
 
     def __init__(self, num: np.ndarray, den: int = 1):
+        if num.dtype != np.int64 and num.dtype != object:
+            raise LinAlgError(f"QMat numerators must be int64 or object, not {num.dtype}")
         if den == 0:
             raise LinAlgError("QMat denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        self.num = num
-        self.den = den
+        num.flags.writeable = False
+        self.num, self.den, self._max = num, den, None
+
+    @property
+    def max_abs(self) -> int:
+        """max |num| (0 when empty), scanned once: num is read-only."""
+        if self._max is None:
+            self._max = int(abs(self.num).max()) if self.num.size else 0
+        return self._max
 
     # -- constructors ------------------------------------------------------
 
@@ -628,7 +635,7 @@ class QMat:
     def canonical(self) -> "QMat":
         """Reduced, and int64 unless an entry reaches 2**62 (as from_rows)."""
         out = self.reduced()
-        fits = out.num.dtype == object and _max_abs(out.num) < _INT64_SAFE
+        fits = out.num.dtype == object and out.max_abs < _INT64_SAFE
         return QMat(out.num.astype(np.int64), out.den) if fits else out
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -665,7 +672,7 @@ class QMat:
     def _aligned(self, other: "QMat") -> tuple[np.ndarray, np.ndarray, int]:
         def bound(x: QMat, y: QMat) -> int:
             l = math.lcm(x.den, y.den)
-            return 2 * max(_max_abs(x.num) * (l // x.den), _max_abs(y.num) * (l // y.den))
+            return 2 * max(x.max_abs * (l // x.den), y.max_abs * (l // y.den))
         x, y = _exact_pair(self, other, bound)
         l = math.lcm(x.den, y.den)
         return x.num * (l // x.den), y.num * (l // y.den), l
@@ -685,16 +692,16 @@ class QMat:
         c = Fraction(c)
         n = c.numerator
         x, y = _exact_pair(self, QMat(np.array([[n]], dtype=_int_dtype(abs(n)))),
-                           lambda x, y: _max_abs(x.num) * _max_abs(y.num))
+                           lambda x, y: x.max_abs * y.max_abs)
         return QMat(x.num * y.num[0, 0], x.den * c.denominator)
 
     def __matmul__(self, other: "QMat") -> "QMat":
         x, y = _exact_pair(self, other,
-                           lambda x, y: x.shape[1] * _max_abs(x.num) * _max_abs(y.num))
+                           lambda x, y: x.shape[1] * x.max_abs * y.max_abs)
         return QMat(np.dot(x.num, y.num), x.den * y.den)
 
     def kron(self, other: "QMat") -> "QMat":
-        x, y = _exact_pair(self, other, lambda x, y: _max_abs(x.num) * _max_abs(y.num))
+        x, y = _exact_pair(self, other, lambda x, y: x.max_abs * y.max_abs)
         return QMat(np.kron(x.num, y.num), x.den * y.den)
 
     def vec(self) -> "QMat":
@@ -741,7 +748,7 @@ def qmat_hstack(height: int, blocks: Sequence[QMat]) -> QMat:
     if not blocks:
         return QMat.zeros(height, 0)
     den = math.lcm(*(b.den for b in blocks))
-    big = max(_max_abs(b.num) * (den // b.den) for b in blocks)
+    big = max(b.max_abs * (den // b.den) for b in blocks)
     return QMat(np.hstack([b.num.astype(_int_dtype(big)) * (den // b.den) for b in blocks]),
                 den).reduced()
 

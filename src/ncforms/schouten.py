@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Algebra, leibniz_terms
-from .linalg import (QMat, QVector, _exact_pair, _max_abs, flat_index, kron_apply,
+from .linalg import (QMat, QVector, _exact_pair, flat_index, kron_apply,
                      kron_rows, nullspace, qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
@@ -191,9 +191,9 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     # side scales the other; two algebra values are multiplied out
     multiply = not (phi.scalar or psi.scalar)
     mult = A.mu2 if multiply else QMat.eye(1)
-    count = math.comb(k + l, k) * mult.shape[1] * _max_abs(mult.num)
+    count = math.comb(k + l, k) * mult.shape[1] * mult.max_abs
     x, y = _exact_pair(phi.data, psi.data,
-                       lambda x, y: count * _max_abs(x.num) * _max_abs(y.num))
+                       lambda x, y: count * x.max_abs * y.max_abs)
     T = np.kron(x.num, y.num)
     if multiply:
         T = np.dot(mult.num.astype(T.dtype), T)
@@ -221,7 +221,7 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
         raise SchoutenError(f"insertion arity {n} exceeds cap {MAX_ARITY}")
     count = math.comb(n, kappa) * m
     x, y = _exact_pair(phi.data, K.data,
-                       lambda x, y: count * _max_abs(x.num) * _max_abs(y.num))
+                       lambda x, y: count * x.max_abs * y.max_abs)
     # T has column (rest, S) = phi(K(e_S), e_rest)
     T = np.tensordot(x.num.reshape(phi.target_dim, m, -1), y.num, axes=(1, 0))
     data = QMat(_shuffle_sum(T.reshape(phi.target_dim, -1), m, n, kappa, lead=False),

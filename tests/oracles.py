@@ -529,6 +529,119 @@ def handmade_lie_operator(K, max_input):
 
 
 # ---------------------------------------------------------------------------
+# Graded operators as one matrix per stored input degree.
+#
+# ``fieldforms.GradedDerivation`` applies d (a row shift), j_K (the slot
+# recurrence on the block) and L_K = [j_K, d] to blocks of forms, and builds a
+# matrix only when one is read.  This is the route it replaced: every operator
+# built as matrices up to an input degree, j_K by one Kronecker product with
+# I_{m-1} per degree, L_K and commutators by composing matrices, and the
+# brackets read off those matrices.
+# ---------------------------------------------------------------------------
+
+
+def _mdim(algebra, degree):
+    from ncforms.forms import form_space
+    return form_space(algebra, degree).dim if degree >= 0 else 0
+
+
+class MatrixGradedDerivation:
+    """Degree-k operator: mats[j] is Omega_j -> Omega_{j+k}, with 0 rows
+    below degree 0; combined on common stored degrees only."""
+
+    def __init__(self, algebra, degree, mats):
+        self.algebra = algebra
+        self.degree = degree
+        self.mats = dict(mats)
+
+    def __add__(self, other):
+        assert self.degree == other.degree
+        return MatrixGradedDerivation(self.algebra, self.degree, {
+            j: self.mats[j] + other.mats[j] for j in set(self.mats) & set(other.mats)})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return MatrixGradedDerivation(self.algebra, self.degree,
+                                      {j: m.scale(c) for j, m in self.mats.items()})
+
+    def compose(self, other):
+        """self o other where both are stored; zero where other maps below 0."""
+        from ncforms.linalg import QMat
+        out = {}
+        for j, fm in other.mats.items():
+            jj = j + other.degree
+            if jj < 0:
+                out[j] = QMat.zeros(_mdim(self.algebra, jj + self.degree), fm.shape[1])
+            elif jj in self.mats:
+                out[j] = self.mats[jj] @ fm
+        return MatrixGradedDerivation(self.algebra, self.degree + other.degree, out)
+
+    def commutator(self, other):
+        sign = (-1) ** ((self.degree * other.degree) % 2)
+        return self.compose(other) - other.compose(self).scale(sign)
+
+    def truncated(self, top):
+        return MatrixGradedDerivation(self.algebra, self.degree,
+                                      {j: m for j, m in self.mats.items() if j <= top})
+
+    def agrees_with(self, other):
+        common = set(self.mats) & set(other.mats)
+        assert common and self.degree == other.degree
+        return all(self.mats[j] == other.mats[j] for j in common)
+
+    def is_zero(self):
+        return all(m.is_zero() for m in self.mats.values())
+
+
+def matrix_d_operator(algebra, max_input):
+    from ncforms.forms import form_space
+    return MatrixGradedDerivation(algebra, 1, {
+        j: form_space(algebra, j).d_matrix() for j in range(max_input + 1)})
+
+
+def kron_contraction(K, max_input):
+    """j_K|Omega_n = j_K|Omega_{n-1} (x) I_{m-1} + (-1)^{(n-1)(k-1)} S_n with
+    S_n = products(I, n-1, delta[:, 1:], k)."""
+    from ncforms.forms import d_slots, products
+    from ncforms.linalg import QMat
+    A = K.algebra
+    m, k = A.dim, K.degree
+    mats = {0: QMat.zeros(_mdim(A, k - 1), m)}
+    for n in range(1, max_input + 1):
+        S = products(A, None, n - 1, d_slots(K.delta), k)
+        S = -S if ((n - 1) * (k - 1)) % 2 else S
+        mats[n] = S if n == 1 else mats[n - 1].kron(QMat.eye(m - 1)) + S
+    return MatrixGradedDerivation(A, k - 1, mats)
+
+
+def compose_lie_operator(K, max_input):
+    """L_K = j_K o d - (-1)^(k-1) d o j_K, with j_K cut at max_input on the
+    d o j_K side."""
+    jk = kron_contraction(K, max_input + 1)
+    d = matrix_d_operator(K.algebra, max_input + max(K.degree - 1, 0))
+    sign = (-1) ** ((K.degree - 1) % 2)
+    return jk.compose(d) - d.compose(jk.truncated(max_input)).scale(sign)
+
+
+def matrix_algebraic_bracket(K, L):
+    sign = (-1) ** (((K.degree - 1) * (L.degree - 1)) % 2)
+    return (kron_contraction(K, L.degree).mats[L.degree] @ L.delta
+            - (kron_contraction(L, K.degree).mats[K.degree] @ K.delta).scale(sign))
+
+
+def matrix_fn_bracket(K, L):
+    sign = (-1) ** ((K.degree * L.degree) % 2)
+    return (compose_lie_operator(K, L.degree).mats[L.degree] @ L.delta
+            - (compose_lie_operator(L, K.degree).mats[K.degree] @ K.delta).scale(sign))
+
+
+def matrix_insertion_compose(K, L):
+    return kron_contraction(K, L.degree).mats[L.degree] @ L.delta
+
+
+# ---------------------------------------------------------------------------
 # Reference elimination over Fraction: the RowReducer that keeps a fully
 # reduced basis of Fraction dicts and divides at every pivot, with the
 # subspace operations and the kernel built on it.  ncforms.linalg eliminates

@@ -20,7 +20,7 @@ from ncforms import cli, connections
 from ncforms.algebra import inner_derivation
 from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
 from ncforms.dsl import builtin_algebra
-from ncforms.fieldforms import (contraction, field_from_derivation,
+from ncforms.fieldforms import (GradedDerivation, contraction, field_from_derivation,
                                 field_valued_form_from_json,
                                 field_valued_form_space, fn_bracket, lie_operator)
 from ncforms.linalg import QMat
@@ -146,34 +146,55 @@ def test_verify_passes_on_every_builtin(name):
     assert report["counts"]["failed"] == 0
 
 
-def test_operator_jacobi_fails_when_operators_stop_short(m2, monkeypatch):
-    # built one input degree short, a composite misses input degree 1: the
-    # check must fail rather than compare nothing
-    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
-    assert cli._chk_operator_jacobi(env, random.Random(1)) is None
-    monkeypatch.setattr(cli, "lie_operator", lambda K, top: lie_operator(K, top - 1))
-    monkeypatch.setattr(cli, "contraction", lambda L, top: contraction(L, top - 1))
-    assert "fails" in cli._chk_operator_jacobi(env, random.Random(1))
-
-
 def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatch):
-    # the seed draws the fields, not the degrees: the operators built, and
-    # with them the time and memory of the check, are the same for any seed
+    # the seed draws the fields, not the degrees: the operators built and the
+    # blocks they are applied to, and with them the time and memory of the
+    # check, are the same for any seed
     env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
     built = []
 
-    def recording(K, top):
-        built.append((K.degree, top))
-        return lie_operator(K, top)
+    def recording(name, fn):
+        def build(K, *args):
+            built.append((name, K.degree))
+            return fn(K, *args)
+        return build
 
-    monkeypatch.setattr(cli, "lie_operator", recording)
+    apply = GradedDerivation.apply
+    monkeypatch.setattr(cli, "lie_operator", recording("L", lie_operator))
+    monkeypatch.setattr(cli, "contraction", recording("j", contraction))
+    monkeypatch.setattr(GradedDerivation, "apply", lambda self, n, X: (
+        built.append((self.degree, n, X.shape)), apply(self, n, X))[1])
     runs = []
     for seed in range(4):
         built.clear()
         assert cli._chk_operator_jacobi(env, random.Random(seed)) is None
         runs.append(list(built))
     assert all(run == runs[0] for run in runs)
-    assert {(g, top) for g, top in runs[0]} == {(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (1, 3)}
+    assert {b for b in runs[0] if isinstance(b[0], str)} == {
+        ("L", 0), ("L", 1), ("j", 1), ("j", 2)}
+
+
+def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkeypatch):
+    # the (1,1,1) triple reads Omega_1 blocks up to Omega_4 (dim 324); the
+    # operators are applied to those blocks and never built as matrices
+    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
+    cli._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
+    monkeypatch.setattr(GradedDerivation, "mat", None)
+    largest_qmat.reset()
+    assert cli._chk_operator_jacobi(env, random.Random(0)) is None
+    assert largest_qmat.size < 324 * 324, largest_qmat.shape
+
+
+@pytest.mark.parametrize("expr,N,dims", [
+    ("m2", 8, [4 * 3 ** k for k in range(9)]),
+    ("matrix(3)", 3, [9, 72, 576, 4608])])
+def test_info_reads_dimensions_without_building_actions(expr, N, dims):
+    # dims of spaces whose dense actions alone would not fit in memory
+    # (2m squares of side 26,244, or 18 of side 4,608)
+    result = run_subprocess("info", "--builtin", expr, "-N", str(N),
+                            "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["data"]["omega_dims"] == dims
 
 
 def test_verify_check_names_sorted_and_frozen():

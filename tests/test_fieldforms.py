@@ -20,8 +20,11 @@ from ncforms.fieldforms import (
 )
 from ncforms.forms import form_space
 from ncforms.linalg import QMat
-from oracles import NoneGradedDerivation, handmade_lie_operator, slotwise_contraction
+from oracles import (NoneGradedDerivation, compose_lie_operator, handmade_lie_operator,
+                     kron_contraction, matrix_algebraic_bracket, matrix_d_operator,
+                     matrix_fn_bracket, matrix_insertion_compose, slotwise_contraction)
 from test_algebra import DER_DIMS, catalog, upper_triangular2
+from test_forms import _algebras
 
 F = Fraction
 
@@ -103,7 +106,7 @@ def test_lie_of_identity_is_d(algebras):
         A = algebras[name]
         L = lie_operator(identity_one_form(A), top)
         d = d_operator(A, top)
-        assert L.agrees_with(d)
+        assert L.inputs == d.inputs and all(L.mat(n) == d.mat(n) for n in d.inputs)
 
 
 def test_contraction_example_dual():
@@ -113,10 +116,10 @@ def test_contraction_example_dual():
     jX = contraction(X, 2)
     sp2 = form_space(A, 2)
     w = sp2.basis_form(sp2.index_of(0, (1, 1)))    # (d eps)(d eps)
-    out = GradedDerivation.apply(jX, w)
+    out = jX.apply(2, w.vec)
     sp1 = form_space(A, 1)
     expect = sp1.basis_form(sp1.index_of(1, (1,))).scale(2)   # 2 eps d eps
-    assert out == expect
+    assert out == expect.vec
     # degree-0 forms are killed: the map into degree -1 has 0 rows
     assert jX.mats[0].shape == (0, A.dim)
 
@@ -143,7 +146,9 @@ def test_lie_operators_commute_with_d(algebras, bases):
             K = random_form(rng, bases[name][k], A, k)
             L = lie_operator(K, top + 1)
             d = d_operator(A, top + max(k, 1))
-            assert L.commutator(d).is_zero()
+            comm = L.commutator(d)
+            assert comm.inputs == list(range(top + 2))
+            assert all(M.is_zero() for M in comm.mats.values())
 
 
 def test_contraction_and_lie_are_graded_derivations(algebras, bases):
@@ -158,9 +163,9 @@ def test_contraction_and_lie_are_graded_derivations(algebras, bases):
 
 def _same_operator(ours, ref):
     """Equal to the None-encoded reference in (shape, num, den, dtype) on
-    every degree; None is a matrix with 0 rows."""
+    every degree the reference stores; None is a matrix with 0 rows."""
     assert isinstance(ref, NoneGradedDerivation)
-    assert ours.degree == ref.degree and ours.input_degrees() == sorted(ref.mats)
+    assert ours.degree == ref.degree and set(ref.mats) <= set(ours.inputs)
     for j, r in ref.mats.items():
         m = ours.mats[j]
         assert isinstance(m, QMat), j
@@ -199,7 +204,90 @@ def test_operators_match_the_none_encoded_reference(name):
         _same_operator(jk.commutator(jk), ref_jk.commutator(ref_jk))
 
 
+def _inner_fields(A, rng, subscripts):
+    """identity_one_form and one inner field per subscript, with den != 1."""
+    fields = [identity_one_form(A)]
+    for k in subscripts:
+        mod = form_space(A, k).as_bimodule()
+        vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(mod.dim)]
+        if mod.dim:
+            fields.append(FieldValuedForm(A, k, inner_derivation(mod, vec)))
+    return fields
+
+
+@pytest.mark.parametrize("name", [*catalog(), "m2frac", "t3big"])
+def test_block_route_matches_the_matrix_route(name):
+    # d, j_K and L_K applied to random blocks of n-forms (n <= 3, den != 1),
+    # and the three brackets, against the matrices the operators were built
+    # as before: j_K by one Kronecker product per degree, L_K by composing
+    A = _algebras()[name]
+    rng = random.Random(f"blocks:{name}")
+    fields = _inner_fields(A, rng, (0, 1, 2))
+    d = matrix_d_operator(A, 3)
+    for K in fields:
+        jk, lk = kron_contraction(K, 3), compose_lie_operator(K, 3)
+        for n in range(4):
+            X = QMat.from_rows([[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 6)))
+                                 for _ in range(3)] for _ in range(form_space(A, n).dim)])
+            assert contraction(K).apply(n, X) == jk.mats[n] @ X, (K.degree, n)
+            assert lie_operator(K).apply(n, X) == lk.mats[n] @ X, (K.degree, n)
+            assert d_operator(A).apply(n, X) == d.mats[n] @ X, n
+        for L in fields:
+            assert fn_bracket(K, L).delta == matrix_fn_bracket(K, L)
+            if K.degree + L.degree >= 1:
+                assert insertion_compose(K, L).delta == matrix_insertion_compose(K, L)
+            if K.degree >= 1 and L.degree >= 1:
+                assert algebraic_bracket(K, L).delta == matrix_algebraic_bracket(K, L)
+
+
+def test_no_bracket_or_identity_builds_operator_matrices(algebras, monkeypatch):
+    # the brackets and the operator identities apply the operators to the
+    # blocks they read; only mat(n) builds a matrix
+    A = algebras["m2"]
+    fields = _inner_fields(A, random.Random(5), (0, 1, 2))
+    K0, K1, K2 = fields[1:]
+
+    def refuse(self, n):
+        raise AssertionError(f"built the matrix of {self!r} on degree {n}")
+
+    monkeypatch.setattr(GradedDerivation, "mat", refuse)
+    for K in fields:
+        for L in fields:
+            fn_bracket(K, L)
+            if K.degree + L.degree:
+                insertion_compose(K, L)
+            if K.degree and L.degree:
+                algebraic_bracket(K, L)
+    assert check_lie_contraction_identity(K1, K2, trunc=1)
+    assert check_bracket_expansion_identities(K0, K1, K1, K2, trunc=1)["all"]
+    with pytest.raises(AssertionError):
+        contraction(K1).mats
+
+
+def test_graded_leibniz_checks_the_pairs_through_degree_zero(algebras):
+    # a degree -1 operator maps Omega_0 below zero, so mu(D_0, I) is a zero
+    # block, and D_1 must still be left and right A-linear on Omega_1
+    A = algebras["m2"]
+    zero_on_A = QMat.zeros(0, A.dim)
+    rng = random.Random(3)
+    noise = QMat.from_rows([[rng.randint(-2, 2) for _ in range(12)] for _ in range(4)])
+    assert not is_graded_derivation(GradedDerivation(A, -1, {0: zero_on_A, 1: noise}))
+    X = _inner_fields(A, rng, (0,))[1]
+    j = contraction(X).mat(1)
+    assert is_graded_derivation(GradedDerivation(A, -1, {0: zero_on_A, 1: j}))
+    assert not is_graded_derivation(
+        GradedDerivation(A, -1, {0: zero_on_A, 1: j + QMat.from_coo(j.shape, [(0, 0, 1)])}))
+
+
 # -- brackets ---------------------------------------------------------------
+
+
+def _agree_on_blocks(D, E, top):
+    """D and E take every n-form to the same image, n <= top."""
+    assert D.degree == E.degree
+    for n in range(top + 1):
+        eye = QMat.eye(form_space(D.algebra, n).dim)
+        assert D.apply(n, eye) == E.apply(n, eye), n
 
 
 def test_algebraic_bracket_antisymmetry_and_identity(algebras, bases):
@@ -225,12 +313,8 @@ def test_algebraic_bracket_matches_insertion_commutator(algebras, bases):
         for ka, kb in pairs:
             K = random_form(rng, bases[name][ka], A, ka)
             L = random_form(rng, bases[name][kb], A, kb)
-            jk = contraction(K, trunc + kb)
-            jl = contraction(L, trunc + ka)
-            lhs = jk.commutator(jl)
-            rhs = contraction(algebraic_bracket(K, L), trunc)
-            keep = {j: lhs.mats[j] for j in range(trunc + 1) if j in lhs.mats}
-            assert GradedDerivation(A, lhs.degree, keep).agrees_with(rhs)
+            lhs = contraction(K).commutator(contraction(L))
+            _agree_on_blocks(lhs, contraction(algebraic_bracket(K, L)), trunc)
 
 
 def test_fn_bracket_antisymmetry(algebras, bases):
@@ -254,12 +338,8 @@ def test_fn_bracket_matches_lie_commutator(algebras, bases):
         for ka, kb in pairs:
             K = random_form(rng, bases[name][ka], A, ka)
             L = random_form(rng, bases[name][kb], A, kb)
-            lk = lie_operator(K, trunc + kb)
-            ll = lie_operator(L, trunc + ka)
-            lhs = lk.commutator(ll)
-            rhs = lie_operator(fn_bracket(K, L), trunc)
-            keep = {j: lhs.mats[j] for j in range(trunc + 1) if j in lhs.mats}
-            assert GradedDerivation(A, lhs.degree, keep).agrees_with(rhs)
+            lhs = lie_operator(K).commutator(lie_operator(L))
+            _agree_on_blocks(lhs, lie_operator(fn_bracket(K, L)), trunc)
 
 
 def test_identity_one_form_is_fn_central(algebras, bases):
@@ -381,17 +461,21 @@ def test_graded_leibniz_rejects_perturbations_in_positive_degree(algebras, bases
 # -- the operator identities ------------------------------------------------
 
 
-def test_truncated_keeps_low_input_degrees(algebras):
+def test_operator_inputs_bound_the_matrices_read(algebras):
+    # the matrices read are those of the input degrees; blocks of any degree
+    # are applied, and a sum or commutator reads the degrees both operands do
     A = algebras["dual"]
-    d = d_operator(A, 3)
-    low = d.truncated(1)
-    assert low.input_degrees() == [0, 1] and low.degree == 1
-    assert all(low.mats[j] is d.mats[j] for j in (0, 1))
-    assert low.agrees_with(d) and d.truncated(5).input_degrees() == [0, 1, 2, 3]
-    # nothing at or below the bound: the empty operator, which is zero
-    empty = contraction(identity_one_form(A), 3).scale(0).truncated(-1)
-    assert empty.input_degrees() == [] and empty.is_zero()
-    assert not d.truncated(0).is_zero()
+    d, j = d_operator(A, 3), contraction(identity_one_form(A), 1)
+    assert d.inputs == [0, 1, 2, 3] and set(d.mats) == {0, 1, 2, 3}
+    with pytest.raises(FieldFormError):
+        d.mat(4)
+    eye4 = QMat.eye(form_space(A, 4).dim)
+    assert d.apply(4, eye4) == form_space(A, 4).d_matrix()
+    assert j.apply(4, eye4) == eye4.scale(4)
+    assert (d + d).inputs == d.inputs and d.commutator(j).inputs == [0, 1]
+    # below degree 0 every image is a block with 0 rows
+    assert j.apply(-1, QMat.zeros(0, 3)).shape == (0, 3)
+    assert d.apply(-1, QMat.zeros(0, 3)) == QMat.zeros(A.dim, 3)
 
 
 def test_lie_contraction_identity(algebras, bases):
@@ -538,6 +622,6 @@ def test_operator_algebra_basics(algebras):
     with pytest.raises(FieldFormError):
         d + GradedDerivation(A, 0, {0: QMat.eye(2)})
     two_d = d + d
-    assert two_d.agrees_with(d.scale(2))
+    assert all(two_d.mat(n) == d.mat(n).scale(2) for n in d.inputs)
     with pytest.raises(FieldFormError):
         GradedDerivation(A, 0, {5: QMat.eye(2)}).mat(1)

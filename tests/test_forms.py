@@ -15,7 +15,7 @@ from ncforms.algebra import (
 )
 from ncforms.dsl import builtin_algebra
 from ncforms.forms import (
-    FormError, GradedForm, commutator_subspace, de_rham_homology, form_from_json,
+    FormError, FormSpace, GradedForm, commutator_subspace, de_rham_homology, form_from_json,
     form_space, kernel_of_mu_n, multiplication_matrix, omega_functor, product,
 )
 from ncforms.linalg import QMat, RowReducer
@@ -211,6 +211,29 @@ def test_form_space_build_makes_no_fraction_rows(monkeypatch):
     sp.basis_form(7)
     multiplication_matrix(alg, 3)
     assert not calls
+
+
+def test_form_space_dimension_builds_no_action(monkeypatch):
+    # dim, indexing, d's target and info's omega_dims cost no matrix; the
+    # right factor of a product needs only its tail
+    alg = matrix_algebra(2)
+
+    def refuse(*args):
+        raise AssertionError("built an action")
+
+    monkeypatch.setattr(FormSpace, "_right_action_matrix", refuse)
+    monkeypatch.setattr(QMat, "kron", refuse)
+    assert [form_space(alg, k).dim for k in range(8)] == [4 * 3 ** k for k in range(8)]
+    sp = form_space(alg, 7)
+    assert sp.tuple_of(sp.index_of(2, (1, 3, 2, 1, 1, 3, 2))) == (2, (1, 3, 2, 1, 1, 3, 2))
+    form_space(alg, 2).d_matrix()
+    with pytest.raises(AssertionError):
+        form_space(alg, 1).right
+    monkeypatch.undo()
+    w = form_space(alg, 1).basis_form(1)
+    product(w, form_space(alg, 3).basis_form(5))
+    built = {k for k in range(8) if {"right", "left"} & set(vars(form_space(alg, k)))}
+    assert built == {1} and form_space(alg, 3)._stacked is None
 
 
 def test_product_unital_and_examples():

@@ -477,6 +477,67 @@ def test_qmat_scale_by_scalars_near_the_int64_bound():
     assert calls and all("dtype=" in c for c in calls)
 
 
+# scalars and entries around the int64 bounds 2**62, 2**63 and 2**64, also
+# over a denominator != 1
+_near_bound = st.sampled_from([2 ** 62, 2 ** 63, 2 ** 64]).flatmap(
+    lambda b: st.integers(b - 2, b + 2)) | st.integers(1, 5)
+bound_scalar_st = st.one_of(
+    st.just(0), _near_bound, _near_bound.map(lambda v: -v),
+    st.tuples(_near_bound, st.integers(2, 9)).map(lambda t: Fraction(-t[0], t[1])))
+
+
+def qmat_st(rows, cols):
+    """Zero, small-fraction and near-bound QMats, some scaled unreduced."""
+    entries = st.one_of(st.just(Fraction(0)), fractions_st, bound_scalar_st)
+    mats = st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(QMat.from_rows)
+    return st.one_of(st.just(QMat.zeros(rows, cols)), mats,
+                     st.tuples(mats, bound_scalar_st).map(lambda t: t[0].scale(t[1])))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_qmat_arithmetic_matches_fractions(r, c, k, data):
+    a, b, e = data.draw(qmat_st(r, c)), data.draw(qmat_st(r, c)), data.draw(qmat_st(c, k))
+    s = data.draw(bound_scalar_st)
+    A, B, E = (M.to_fraction_rows() for M in (a, b, e))
+    want = {
+        "+": [[x + y for x, y in zip(u, v)] for u, v in zip(A, B)],
+        "-": [[x - y for x, y in zip(u, v)] for u, v in zip(A, B)],
+        "@": [[sum(A[i][t] * E[t][j] for t in range(c)) for j in range(k)]
+              for i in range(r)],
+        "kron": [[A[i][j] * E[p][q] for j in range(c) for q in range(k)]
+                 for i in range(r) for p in range(c)],
+        "scale": [[s * x for x in u] for u in A],
+    }
+    got = {"+": a + b, "-": a - b, "@": a @ e, "kron": a.kron(e), "scale": a.scale(s)}
+    operands = {"+": (a, b), "-": (a, b), "@": (a, e), "kron": (a, e), "scale": (a,)}
+    for op, M in got.items():
+        assert M.to_fraction_rows() == want[op], op
+        # the numerators are int64 or Python ints, never uint64 or float64,
+        # object exactly where int64 cannot hold them, and read-only
+        assert M.num.dtype in (np.int64, object), (op, M.num.dtype)
+        if max(abs(v) * M.den for row in want[op] for v in row) >= 2 ** 63:
+            assert M.num.dtype == object, op
+        small = max([abs(v) for row in want[op] for v in row] + [
+            abs(v) for X in operands[op] for v in X.num.ravel().tolist()] + [
+            abs(s.numerator if op == "scale" else 0), abs(M.den)]) < 2 ** 20
+        if small and all(X.num.dtype == np.int64 for X in operands[op]):
+            assert M.num.dtype == np.int64, op
+        assert not M.num.flags.writeable and M.max_abs == int(abs(M.num).max())
+
+
+def test_qmat_rejects_other_numerator_dtypes():
+    for arr in (np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint64),
+                np.zeros((2, 2), dtype=np.int32)):
+        with pytest.raises(LinAlgError):
+            QMat(arr)
+    m = QMat.eye(2)
+    with pytest.raises(ValueError):
+        m.num[0, 0] = 5
+    assert m.max_abs == 1 and QMat.zeros(0, 3).max_abs == 0
+
+
 def test_qmat_reduces_before_promoting():
     # over den 3 the numerators break the int64 bound of each operation;
     # reduced they do not, and every result is integral
@@ -797,13 +858,15 @@ def test_products_of_forms_go_through_the_block_kernel():
 
 def test_graded_operators_have_one_encoding():
     # the zero map into a negative degree is a matrix with 0 rows, never
-    # None; j_K is built by the slot recurrence and L_K through compose
+    # None; j_K is applied by the slot recurrence on the block, with no
+    # Kronecker product, and L_K is the commutator [j_K, d]
     for fn in (fieldforms.GradedDerivation, fieldforms.contraction,
                fieldforms.lie_operator, fieldforms.is_graded_derivation,
                cli._chk_contraction_injective):
         assert "is None" not in inspect.getsource(fn), fn.__qualname__
-    assert "qmat_sum(" not in inspect.getsource(fieldforms.contraction)
-    assert "compose(" in inspect.getsource(fieldforms.lie_operator)
+    src = inspect.getsource(fieldforms.contraction)
+    assert "qmat_sum(" not in src and "kron(" not in src
+    assert "commutator(" in inspect.getsource(fieldforms.lie_operator)
 
 
 def test_projection_calculus_eliminates_no_kernel():
