@@ -160,10 +160,14 @@ def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatc
         return build
 
     apply = GradedDerivation.apply
+
+    def applying(self, n, X):
+        built.append((self.degree, n, X.shape))
+        return apply(self, n, X)
+
     monkeypatch.setattr(cli, "lie_operator", recording("L", lie_operator))
     monkeypatch.setattr(cli, "contraction", recording("j", contraction))
-    monkeypatch.setattr(GradedDerivation, "apply", lambda self, n, X: (
-        built.append((self.degree, n, X.shape)), apply(self, n, X))[1])
+    monkeypatch.setattr(GradedDerivation, "apply", applying)
     runs = []
     for seed in range(4):
         built.clear()
@@ -179,7 +183,11 @@ def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkey
     # operators are applied to those blocks and never built as matrices
     env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
     cli._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
-    monkeypatch.setattr(GradedDerivation, "mat", None)
+
+    def refuse(self, n):
+        raise AssertionError(f"built the matrix of an operator on degree {n}")
+
+    monkeypatch.setattr(GradedDerivation, "mat", refuse)
     largest_qmat.reset()
     assert cli._chk_operator_jacobi(env, random.Random(0)) is None
     assert largest_qmat.size < 324 * 324, largest_qmat.shape
