@@ -65,6 +65,15 @@ def test_products_match_pairwise_loop(name, k, l, r, s, identity, seed):
         for j in range(s):
             want = loop_product(Form(spk, P.col(i)), Form(spl, Q.col(j)))
             assert out.col(i * s + j) == want.vec, (i, j)
+    # pairs=2: column (h, i) of P times column (h, j) of Q, summed over h
+    r2, s2 = P.shape[1] // 2, s // 2
+    if P.shape[1] % 2 == 0 and s % 2 == 0:
+        paired = products(A, P, k, Q, l, pairs=2)
+        assert paired.shape == (out.shape[0], r2 * s2)
+        for i in range(r2):
+            for j in range(s2):
+                assert paired.col(i * s2 + j) == (
+                    out.col(i * s + j) + out.col((r2 + i) * s + s2 + j)), (i, j)
 
 
 def _homs(algebras):
