@@ -551,16 +551,17 @@ def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
 
 def _chk_operator_jacobi(env: _VerifyEnv, rng: random.Random):
     # Omega(A) is generated by A and dA, and a graded commutator of graded
-    # derivations is one, so both identities are read on the identity blocks
-    # of Omega_0 and Omega_1, each word D_a D_b D_c X evaluated once.  Both are
-    # unchanged by a cyclic shift (antisymmetry by a swap), so one degree
-    # triple per cyclic class covers every case, whatever the seed
+    # derivations is one, so both identities are read on the blocks A (the
+    # identity of Omega_0) and dA, each word D_a D_b D_c X evaluated once.
+    # Both are unchanged by a cyclic shift (antisymmetry by a swap), so one
+    # degree triple per cyclic class covers every case, whatever the seed
+    d0 = form_space(env.algebra, 0).d_matrix()
     for degs in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
         ops = [lie_operator(env.random_field(g, rng)) + contraction(env.random_field(g + 1, rng))
                for g in degs]
         sign = [[(-1) ** ((a * b) % 2) for b in degs] for a in degs]
-        for n in (0, 1):
-            images = {(): QMat.eye(form_space(env.algebra, n).dim)}
+        for n, X in ((0, QMat.eye(env.algebra.dim)), (1, d0)):
+            images = {(): X}
 
             def word(*w):
                 if w not in images:

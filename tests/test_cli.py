@@ -179,8 +179,8 @@ def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatc
 
 
 def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkeypatch):
-    # the (1,1,1) triple reads Omega_1 blocks up to Omega_4 (dim 324); the
-    # operators are applied to those blocks and never built as matrices
+    # the (1,1,1) triple takes the dA block (in Omega_1) up to Omega_4 (dim
+    # 324); the operators are applied to blocks and never built as matrices
     env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
     cli._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
 
