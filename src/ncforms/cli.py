@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import (Algebra, AlgebraError, AlgebraHom, GroupAction,
-                      derivation_matrix, derivation_vector, derivation_space,
-                      inner_derivation, is_derivation)
+                      derivation_vector, derivation_space, inner_derivation,
+                      leibniz_terms)
 from .connections import (Bundle, GeometryError, action_functoriality_defect,
                           bianchi_identities, bundle_tensor_dims,
                           check_projection_calculus, curvature,
@@ -42,15 +42,14 @@ from .dsl import (DslError, builtin_algebra, load_algebra_text,
 from .fieldforms import (FieldFormError, FieldValuedForm, algebraic_bracket,
                          contraction, field_from_derivation, field_space,
                          field_valued_form_from_json, field_valued_form_space,
-                         fn_bracket, lie_bracket_fields, lie_operator,
-                         zero_field_valued_form)
+                         fn_bracket, lie_bracket_fields, zero_field_valued_form)
 from .forms import (FormError, commutator_subspace, de_rham_homology,
                     form_space, kernel_of_mu_n, product)
 from .hochschild import (NormalizedCochain, coboundary, cochain_dim,
                          cochain_to_hom, cohomology_report, form_hom_space,
                          hom_to_cochain, tensor_module)
-from .linalg import (QMat, Subspace, format_scalar, parse_scalar, qmat_sum, qmat_to_json,
-                     rank)
+from .linalg import (QMat, Subspace, format_scalar, kron_apply, parse_scalar, qmat_hstack,
+                     qmat_to_json, rank, subspace_from_columns)
 from .schouten import (MultiMap, SchoutenError, alternation, commutator_bivector,
                        insertion, multimap_from_json, nr_bracket,
                        poisson_bracket_hom_check, poisson_check)
@@ -284,12 +283,9 @@ class _VerifyEnv:
 
     def random_derivation(self, rng: random.Random) -> QMat:
         """A random integer combination of the derivation basis, as a matrix."""
-        combo = [Fraction(0)] * (self.algebra.dim ** 2)
-        for b in self.derivations().basis:
-            c = rng.randint(-2, 2)
-            if c:
-                combo = [x + c * y for x, y in zip(combo, b)]
-        return derivation_matrix(self.algebra.regular_bimodule(), combo)
+        der = self.derivations()
+        coeffs = QMat.from_columns(der.dim, [[rng.randint(-2, 2) for _ in range(der.dim)]])
+        return (der.basis_matrix() @ coeffs).unvec(self.algebra.dim, self.algebra.dim)
 
     def random_multimap(self, arity: int, rng: random.Random) -> MultiMap:
         m = self.algebra.dim
@@ -375,22 +371,27 @@ def _chk_algebra_table(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_derivation_leibniz(env: _VerifyEnv, rng: random.Random):
+    # the basis, then a random combination and a commutator map per draw,
+    # as the columns of one block for the Leibniz terms
     A = env.algebra
     mod = A.regular_bimodule()
     der = env.derivations()
-    for vec in der.basis:
-        if not is_derivation(mod, derivation_matrix(mod, list(vec))):
-            return f"solution-space basis vector {_fmt_vec(vec)} fails Leibniz"
-    for _ in range(8):
-        rand = env.random_derivation(rng)
-        if not is_derivation(mod, rand):
-            return (f"random combination {_fmt_vec(derivation_vector(mod, rand))} "
-                    f"fails Leibniz")
-        mvec = _rand_vec(rng, A.dim)
-        inner = inner_derivation(mod, mvec)
-        if not is_derivation(mod, inner):
+    draws = [(env.random_derivation(rng), _rand_vec(rng, A.dim)) for _ in range(8)]
+    inners = [inner_derivation(mod, mvec).vec() for _, mvec in draws]
+    block = qmat_hstack(der.ambient, [der.basis_matrix()] + [
+        col for (rand, _), inner in zip(draws, inners) for col in (rand.vec(), inner)])
+    bad = np.flatnonzero(kron_apply(leibniz_terms(mod), block).num.any(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        if j < der.dim:
+            return f"solution-space basis vector {_fmt_vec(der.basis[j])} fails Leibniz"
+        rand, mvec = draws[(j - der.dim) // 2]
+        if (j - der.dim) % 2:
             return f"commutator map of {_fmt_vec(mvec)} fails Leibniz"
-        if not der.contains(derivation_vector(mod, inner)):
+        return (f"random combination {_fmt_vec(derivation_vector(mod, rand))} "
+                f"fails Leibniz")
+    for (_, mvec), inner in zip(draws, inners):
+        if not der.contains(inner.column_fractions(0)):
             return (f"commutator map of {_fmt_vec(mvec)} is not in the "
                     f"solution space")
     return None
@@ -446,7 +447,7 @@ def _chk_form_dims(env: _VerifyEnv, rng: random.Random):
 def _chk_d_squared_zero(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     for k in range(env.N):
-        dd = form_space(A, k + 1).d_matrix() @ form_space(A, k).d_matrix()
+        dd = form_space(A, k + 1).apply_d(form_space(A, k).d_matrix())
         nonzero = np.argwhere(dd.num)
         if len(nonzero):
             r, c = nonzero[0]
@@ -511,12 +512,11 @@ def _chk_commutator_chain(env: _VerifyEnv, rng: random.Random):
     for r in range(env.N):
         cur = commutator_subspace(A, r)
         nxt = commutator_subspace(A, r + 1)
-        dmat = form_space(A, r).d_matrix()
-        for v in cur.basis:
-            image = dmat @ QMat.column(v)
-            if not nxt.contains(image.column_fractions(0)):
-                return (f"d of the commutator vector {_fmt_vec(v)} in degree "
-                        f"{r} leaves the degree-{r + 1} commutator subspace")
+        image = form_space(A, r).apply_d(cur.basis_matrix())
+        if not subspace_from_columns(image).is_subspace_of(nxt):
+            j = next(j for j in range(cur.dim) if not nxt.contains(image.column_fractions(j)))
+            return (f"d of the commutator vector {_fmt_vec(cur.basis[j])} in degree "
+                    f"{r} leaves the degree-{r + 1} commutator subspace")
     return None
 
 
@@ -550,34 +550,15 @@ def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_operator_jacobi(env: _VerifyEnv, rng: random.Random):
-    # Omega(A) is generated by A and dA, and a graded commutator of graded
-    # derivations is one, so both identities are read on the blocks A (the
-    # identity of Omega_0) and dA, each word D_a D_b D_c X evaluated once.
-    # Both are unchanged by a cyclic shift (antisymmetry by a swap), so one
-    # degree triple per cyclic class covers every case, whatever the seed
-    d0 = form_space(env.algebra, 0).d_matrix()
+    # fn_bracket is a graded Lie bracket: [K,[L,M]] = [[K,L],M] + (-1)^{kl} [L,[K,M]].
+    # The degree triples are fixed, so the work is the same for every seed
     for degs in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        ops = [lie_operator(env.random_field(g, rng)) + contraction(env.random_field(g + 1, rng))
-               for g in degs]
-        sign = [[(-1) ** ((a * b) % 2) for b in degs] for a in degs]
-        for n, X in ((0, QMat.eye(env.algebra.dim)), (1, d0)):
-            images = {(): X}
-
-            def word(*w):
-                if w not in images:
-                    images[w] = ops[w[0]].apply(n + sum(degs[i] for i in w[1:]), word(*w[1:]))
-                return images[w]
-
-            def br(b, c, pre=(), post=()):     # D_pre [D_b, D_c] D_post X
-                return word(*pre, b, c, *post) - word(*pre, c, b, *post).scale(sign[b][c])
-            if not (br(0, 1) + br(1, 0).scale(sign[0][1])).is_zero():
-                return (f"graded antisymmetry fails for operator degrees "
-                        f"({degs[0]}, {degs[1]})")
-            # [D_a, [D_b, D_c]] = D_a [D_b, D_c] - (-1)^{|a|(|b|+|c|)} [D_b, D_c] D_a
-            if not qmat_sum((br(b, c, pre=(a,)) - br(b, c, post=(a,)).scale(
-                    sign[a][b] * sign[a][c])).scale(sign[a][c])
-                    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))).is_zero():
-                return f"graded Jacobi fails for operator degrees {degs}"
+        K, L, M = (env.random_field(g, rng) for g in degs)
+        lhs = fn_bracket(K, fn_bracket(L, M))
+        rhs = (fn_bracket(fn_bracket(K, L), M)
+               + fn_bracket(L, fn_bracket(K, M)).scale((-1) ** (degs[0] * degs[1])))
+        if lhs != rhs:
+            return f"graded Jacobi of the bracket fails for field degrees {degs}"
     return None
 
 
@@ -647,6 +628,12 @@ def _chk_coboundary_squared(env: _VerifyEnv, rng: random.Random):
     return None
 
 
+def _routes_witness(rep: dict) -> str:
+    """The two dimensions of one ``cohomology_report`` that disagree."""
+    return (f"n = {rep['n']}: forms route gives {rep['dim_Hn_forms']}, "
+            f"complex route gives {rep['dim_Hn_complex']}")
+
+
 def _chk_cohomology_routes(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     modules = [("A", A.regular_bimodule()), ("AxA", tensor_module(A, 1))]
@@ -654,9 +641,7 @@ def _chk_cohomology_routes(env: _VerifyEnv, rng: random.Random):
         for n in range(min(env.N, 3) + 1):
             rep = cohomology_report(A, mod, n)
             if not rep["agree"]:
-                return (f"module {label}, n = {n}: forms route gives "
-                        f"{rep['dim_Hn_forms']}, complex route gives "
-                        f"{rep['dim_Hn_complex']}")
+                return f"module {label}, {_routes_witness(rep)}"
     return None
 
 
@@ -929,10 +914,8 @@ def hochschild(A, N, seed, cap):
     """Cohomology of the algebra in itself, computed along two routes."""
     mod = A.regular_bimodule()
     reports = [cohomology_report(A, mod, n) for n in range(min(N, 3) + 1)]
-    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"],
-                     f"n = {rep['n']}: forms route gives "
-                     f"{rep['dim_Hn_forms']}, complex route gives "
-                     f"{rep['dim_Hn_complex']}") for rep in reports]
+    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], _routes_witness(rep))
+              for rep in reports]
     return checks, {"reports": reports}
 
 

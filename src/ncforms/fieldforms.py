@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
                       derivation_space)
 from .forms import Form, d_slots, form_space, omega_functor, products
@@ -190,14 +188,9 @@ def _dim(algebra: Algebra, degree: int) -> int:
 
 
 def d_operator(algebra: Algebra, max_input: int = 1) -> GradedDerivation:
-    """d, a row shift: d(e_i dJ) = (0; i, J) sits (m-1)^n rows above e_i dJ,
-    and the forms with i = 0 go to zero."""
-    def shift(n: int, X: QMat) -> QMat:
-        moved = X.num[form_space(algebra, n)._tail:]
-        num = np.zeros((_dim(algebra, n + 1), X.shape[1]), dtype=X.num.dtype)
-        num[:moved.shape[0]] = moved
-        return QMat(num, X.den)
-    return GradedDerivation.by_rule(algebra, 1, range(max_input + 1), shift)
+    """d, applied to blocks by :meth:`FormSpace.apply_d` (a row shift)."""
+    return GradedDerivation.by_rule(algebra, 1, range(max_input + 1),
+                                    lambda n, X: form_space(algebra, n).apply_d(X))
 
 
 def contraction(K: FieldValuedForm, max_input: int = 1) -> GradedDerivation:

@@ -6,9 +6,10 @@ d(1) = 0, so unit indices never appear in d-slots).  The flat index is
 i * (m-1)^k plus the index of (j_1..j_k) under the tuple codec of
 ``linalg`` (base m-1, digits from 1), so i is the most significant digit.
 
-This makes the differential an index shift, the left action a Kronecker
+This makes the differential an index shift (:meth:`FormSpace.apply_d`, which
+also builds d's matrix from the identity), the left action a Kronecker
 product, and the product of forms a sum of outer products — everything stays
-in integer matrix arithmetic.  The right actions and d are emitted as integer
+in integer matrix arithmetic.  The right actions are emitted as integer
 (row, col, value) triples straight from the algebra's integer structure
 constants and built by ``QMat.from_coo``; no dense ``Fraction`` matrix is made.
 The product's merge formula a.b = sum_p (R_p a) (x) S_p b lives only in
@@ -21,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .algebra import Algebra, AlgebraHom, Bimodule
 from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
@@ -82,16 +85,22 @@ class FormSpace:
 
     # -- differential ----------------------------------------------------------
 
-    def d_matrix(self) -> QMat:
-        """d: degree k -> k+1 as a matrix (memoized; the value is immutable).
+    def apply_d(self, X: QMat) -> QMat:
+        """d on a block of k-forms (one per column), a row shift.
 
         d(e_i dJ) = d(e_i) dJ is the basis form (0; i, J), whose flat index
         is idx - (m-1)^k; forms with i = 0 go to zero.
         """
+        moved = X.num[self._tail:]
+        num = np.zeros((self.dim * (self.algebra.dim - 1), X.shape[1]), dtype=X.num.dtype)
+        num[:moved.shape[0]] = moved
+        return QMat(num, X.den)
+
+    def d_matrix(self) -> QMat:
+        """d: degree k -> k+1 as a matrix, the shift of the identity
+        (memoized; the value is immutable)."""
         if self._dmat is None:
-            target = form_space(self.algebra, self.degree + 1)
-            self._dmat = QMat.from_coo((target.dim, self.dim), (
-                (idx - self._tail, idx, 1) for idx in range(self._tail, self.dim)))
+            self._dmat = self.apply_d(QMat.eye(self.dim))
         return self._dmat
 
     # -- actions ---------------------------------------------------------------
@@ -186,7 +195,7 @@ class Form(QVector):
 
     def d(self) -> "Form":
         target = form_space(self.space.algebra, self.degree + 1)
-        return Form(target, self.space.d_matrix() @ self.vec)
+        return Form(target, self.space.apply_d(self.vec))
 
     def left_mult(self, a: Sequence[Fraction]) -> "Form":
         return Form(self.space, self.space.left_action(a) @ self.vec)

@@ -595,6 +595,16 @@ class MatrixGradedDerivation:
         return all(m.is_zero() for m in self.mats.values())
 
 
+def coo_d_matrix(space):
+    """d: Omega_k -> Omega_{k+1} from its entries (idx - (m-1)^k, idx, 1) for
+    the basis forms e_i dJ with i > 0, as QMat.from_coo builds them."""
+    from ncforms.forms import form_space
+    from ncforms.linalg import QMat
+    target = form_space(space.algebra, space.degree + 1)
+    return QMat.from_coo((target.dim, space.dim), (
+        (idx - space._tail, idx, 1) for idx in range(space._tail, space.dim)))
+
+
 def matrix_d_operator(algebra, max_input):
     from ncforms.forms import form_space
     return MatrixGradedDerivation(algebra, 1, {

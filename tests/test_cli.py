@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from ncforms import cli, connections
 from ncforms.algebra import inner_derivation
 from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
 from ncforms.dsl import builtin_algebra
-from ncforms.fieldforms import (GradedDerivation, contraction, field_from_derivation,
+from ncforms.fieldforms import (FieldValuedForm, GradedDerivation, field_from_derivation,
                                 field_valued_form_from_json,
                                 field_valued_form_space, fn_bracket, lie_operator)
 from ncforms.linalg import QMat
@@ -147,40 +148,33 @@ def test_verify_passes_on_every_builtin(name):
 
 
 def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatch):
-    # the seed draws the fields, not the degrees: the operators built and the
-    # blocks they are applied to, and with them the time and memory of the
-    # check, are the same for any seed
+    # the seed draws the fields, not the degrees: the operators applied and
+    # the blocks they are applied to, and with them the time and memory of
+    # the check, are the same for any seed
     env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
-    built = []
-
-    def recording(name, fn):
-        def build(K, *args):
-            built.append((name, K.degree))
-            return fn(K, *args)
-        return build
-
+    applied = []
     apply = GradedDerivation.apply
 
     def applying(self, n, X):
-        built.append((self.degree, n, X.shape))
+        applied.append((self.degree, n, X.shape))
         return apply(self, n, X)
 
-    monkeypatch.setattr(cli, "lie_operator", recording("L", lie_operator))
-    monkeypatch.setattr(cli, "contraction", recording("j", contraction))
     monkeypatch.setattr(GradedDerivation, "apply", applying)
     runs = []
     for seed in range(4):
-        built.clear()
+        applied.clear()
         assert cli._chk_operator_jacobi(env, random.Random(seed)) is None
-        runs.append(list(built))
+        runs.append(list(applied))
     assert all(run == runs[0] for run in runs)
-    assert {b for b in runs[0] if isinstance(b[0], str)} == {
-        ("L", 0), ("L", 1), ("j", 1), ("j", 2)}
+    # the (1,1,1) triple reaches fields of degree 3, whose deltas are in Omega_3
+    assert max(n + degree for degree, n, _ in runs[0]) == 3
 
 
 def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkeypatch):
-    # the (1,1,1) triple takes the dA block (in Omega_1) up to Omega_4 (dim
-    # 324); the operators are applied to blocks and never built as matrices
+    # the brackets apply the Lie operators to the fields' deltas and never
+    # build an operator's matrix: the largest block is Omega_2's stacked
+    # right action (144 x 36) times 12 forms, far below an operator's
+    # 324 x 324 matrix on Omega_4
     env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
     cli._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
 
@@ -190,7 +184,31 @@ def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkey
     monkeypatch.setattr(GradedDerivation, "mat", refuse)
     largest_qmat.reset()
     assert cli._chk_operator_jacobi(env, random.Random(0)) is None
-    assert largest_qmat.size < 324 * 324, largest_qmat.shape
+    assert largest_qmat.size <= 144 * 12, largest_qmat.shape
+
+
+def _sign_flipped_bracket(K, L):
+    sign = (-1) ** ((K.degree * L.degree) % 2)
+    delta = (lie_operator(K).apply(L.degree, L.delta)
+             + lie_operator(L).apply(K.degree, K.delta).scale(sign))
+    return FieldValuedForm(K.algebra, K.degree + L.degree, delta, check=False)
+
+
+def _one_term_bracket(K, L):
+    delta = lie_operator(K).apply(L.degree, L.delta)
+    return FieldValuedForm(K.algebra, K.degree + L.degree, delta, check=False)
+
+
+@pytest.mark.parametrize("mutant", [_sign_flipped_bracket, _one_term_bracket])
+@pytest.mark.parametrize("name", ["dual", "m2", "upper2"])
+def test_operator_jacobi_fails_for_a_bracket_that_is_not_graded_lie(name, mutant,
+                                                                    monkeypatch):
+    A = builtin_algebra(name)
+    env = cli._VerifyEnv(A, 2, 0, cli._load_action(A, None))
+    assert cli._chk_operator_jacobi(env, random.Random(1)) is None
+    monkeypatch.setattr(cli, "fn_bracket", mutant)
+    witness = cli._chk_operator_jacobi(env, random.Random(1))
+    assert witness is not None and witness.startswith("graded Jacobi of the bracket fails")
 
 
 @pytest.mark.parametrize("expr,N,dims", [
@@ -203,6 +221,18 @@ def test_info_reads_dimensions_without_building_actions(expr, N, dims):
                             "--format", "json")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["data"]["omega_dims"] == dims
+
+
+def test_verify_matrix3_runs_in_one_gigabyte():
+    # the address-space limit is set in the child only
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    result = subprocess.run([sys.executable, "-m", "ncforms.cli", "verify", "--builtin",
+                             "matrix(3)", "-N", "1", "--format", "json"],
+                            capture_output=True, timeout=120, preexec_fn=limit)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["counts"] == {"checks": 29, "passed": 29, "failed": 0}
 
 
 def test_verify_check_names_sorted_and_frozen():

@@ -20,7 +20,7 @@ from ncforms.forms import (
 )
 from ncforms.linalg import QMat, RowReducer
 from oracles import (
-    emb_basis_form, emb_concat, emb_delta, emb_right_mult, emb_scale_add,
+    coo_d_matrix, emb_basis_form, emb_concat, emb_delta, emb_right_mult, emb_scale_add,
     loop_de_rham_homology, stacked_multiplication_matrix,
 )
 from test_algebra import c2_group_algebra, catalog, upper_triangular2
@@ -180,6 +180,22 @@ def test_structural_operators_are_reduced():
         for M in mats:
             R = M.reduced()
             assert M.den == R.den and np.array_equal(M.num, R.num), name
+
+
+def test_d_is_the_row_shift_of_the_coo_matrix():
+    # d_matrix, the shift of the identity, keeps the (num, den, dtype) of the
+    # COO construction, and apply_d on a block equals that matrix times it
+    rng = random.Random(3)
+    for name, alg in _algebras().items():
+        for k in range(4):
+            sp = form_space(alg, k)
+            D, ref = sp.d_matrix(), coo_d_matrix(sp)
+            assert (D.shape, D.den, D.num.dtype) == (ref.shape, ref.den, ref.num.dtype)
+            assert np.array_equal(D.num, ref.num), (name, k)
+            X = QMat.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)), 2 ** 63]
+                                for _ in range(sp.dim)])
+            assert sp.apply_d(X) == ref @ X, (name, k)
+            assert sp.apply_d(X).num.dtype == X.num.dtype
 
 
 def test_big_common_denominator_gives_exact_object_actions():
