@@ -147,6 +147,28 @@ def test_verify_passes_on_every_builtin(name):
     assert report["counts"]["failed"] == 0
 
 
+# sha256 of the whole JSON stdout of verify -N 2 --seed 5, taken while the
+# identity suite still lived in the cli module
+VERIFY_REPORT_DIGESTS = {
+    "k": "03c601e63960424cf550ba6640822869e986c3e5f76cd2cdbf46f0f5a0dcf918",
+    "dual": "15a40bc252f08c79645e466d9677f2a6c8eac9eaf75fff0ec194842049288561",
+    "truncpoly3": "4c76886d859fecd813fcd8245f86139e7b723ef4f5b9f36c08123eee353e6663",
+    "kxk": "16efbeda59cf91ff0cfbdf198f3402ab0805e4e5a032de33ff4fee38a3e68e78",
+    "m2": "e869cbcca7138e65142140e079409b354536936fb755f77fbbb6e08f518101b2",
+    "kc2": "cb7b4159ed9fa36ea3e8f3ca24b75a3ab3a2225a345ffc0bb9fcbc25a6ee8941",
+    "upper2": "6afd2f434b7b081a83118043f0a26d6de8d21df53d6ae41d018648a0cb04de78",
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_verify_report_matches_its_digest(name):
+    result = run_cli("verify", "--builtin", name, "-N", "2", "--seed", "5",
+                     "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == VERIFY_REPORT_DIGESTS[name]
+
+
 def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatch):
     # the seed draws the fields, not the degrees: the operators applied and
     # the blocks they are applied to, and with them the time and memory of
