@@ -14,6 +14,7 @@ Subpackages:
   bundles and connections.
 * :mod:`ncforms.hochschild` — normalized cochain cohomology, two routes.
 * :mod:`ncforms.schouten` — multivector calculus and Poisson structures.
+* :mod:`ncforms.identities` — the seeded identity suite that ``verify`` runs.
 * :mod:`ncforms.cli` — the ``ncforms`` command line tool.
 """
 

@@ -12,53 +12,36 @@ too large for the available memory (diagnostics go to stderr).
 
 Each subcommand is one body (algebra, N, seed, cap, **args) -> (checks,
 data) registered with ``_report``, the one pipeline that loads the input,
-maps errors to exit codes and renders the report.
+maps errors to exit codes and renders the report.  The bodies call the
+library; ``verify`` reports the identity suite of :mod:`ncforms.identities`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
 import click
-import numpy as np
 
 from . import __version__
-from .algebra import (Algebra, AlgebraError, AlgebraHom, GroupAction,
-                      derivation_vector, derivation_space, inner_derivation,
-                      leibniz_terms)
-from .connections import (Bundle, GeometryError, action_functoriality_defect,
-                          bianchi_identities, bundle_tensor_dims,
-                          check_projection_calculus, curvature,
-                          curvature_horizontality, find_connections,
+from .algebra import Algebra, AlgebraHom, GroupAction, derivation_space
+from .connections import (Bundle, bianchi_identities, check_projection_calculus,
+                          curvature, curvature_horizontality, find_connections,
                           find_projections, is_connection, is_principal)
-from .dsl import (DslError, builtin_algebra, load_algebra_text,
-                  parse_group_action, print_algebra)
-from .fieldforms import (FieldFormError, FieldValuedForm, algebraic_bracket,
-                         contraction, field_from_derivation, field_space,
-                         field_valued_form_from_json, field_valued_form_space,
-                         fn_bracket, lie_bracket_fields, zero_field_valued_form)
-from .forms import (FormError, commutator_subspace, de_rham_homology,
-                    form_space, kernel_of_mu_n, product)
-from .hochschild import (NormalizedCochain, coboundary, cochain_dim,
-                         cochain_to_hom, cohomology_report, form_hom_space,
-                         hom_to_cochain, tensor_module)
-from .linalg import (QMat, Subspace, format_scalar, kron_apply, parse_scalar, qmat_hstack,
-                     qmat_to_json, rank, subspace_from_columns)
-from .schouten import (MultiMap, SchoutenError, alternation, commutator_bivector,
-                       insertion, multimap_from_json, nr_bracket,
+from .dsl import DslError, builtin_algebra, load_algebra_text, parse_group_action
+from .fieldforms import algebraic_bracket, field_valued_form_from_json, fn_bracket
+from .forms import de_rham_homology, form_space, kernel_of_mu_n
+from .hochschild import cohomology_report
+from .identities import MATH_ERRORS, check_identities, routes_witness
+from .linalg import QMat, qmat_to_json
+from .schouten import (commutator_bivector, multimap_from_json, nr_bracket,
                        poisson_bracket_hom_check, poisson_check)
 
 DEFAULT_SIZE_CAP = 100000
 SIZE_CAP_ENV = "NCFORMS_SIZE_CAP"
-
-_MATH_ERRORS = (AlgebraError, GeometryError, FieldFormError, FormError,
-                SchoutenError)
 
 
 class InputError(click.ClickException):
@@ -224,529 +207,6 @@ def _finish(report: dict, fmt: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Randomization helpers (coefficients from {-2..2}, seeded per check)
-# ---------------------------------------------------------------------------
-
-
-def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-
-
-def _rand_matrix(rng: random.Random, rows: int, cols: int) -> QMat:
-    return QMat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(cols)]
-                           for _ in range(rows)])
-
-
-def _fmt_vec(vec) -> str:
-    return "[" + ", ".join(format_scalar(Fraction(v)) for v in vec) + "]"
-
-
-# ---------------------------------------------------------------------------
-# The verification suite
-# ---------------------------------------------------------------------------
-
-
-class _VerifyEnv:
-    """Shared state for verify checks: algebra, bounds, cached searches."""
-
-    def __init__(self, algebra: Algebra, truncation: int, seed: int,
-                 action: GroupAction):
-        self.algebra = algebra
-        self.N = truncation
-        self.seed = seed
-        self.action = action
-        self._cache: dict = {}
-
-    def rng(self, name: str) -> random.Random:
-        # string seeds hash via SHA-512 inside random.Random: stable across runs
-        return random.Random(f"{self.seed}:{name}")
-
-    def derivations(self) -> Subspace:
-        if "der" not in self._cache:
-            self._cache["der"] = derivation_space(
-                self.algebra.regular_bimodule())
-        return self._cache["der"]
-
-    def field_basis(self, degree: int) -> list[FieldValuedForm]:
-        key = ("fields", degree)
-        if key not in self._cache:
-            self._cache[key] = field_valued_form_space(self.algebra, degree)
-        return self._cache[key]
-
-    def random_field(self, degree: int, rng: random.Random) -> FieldValuedForm:
-        K = zero_field_valued_form(self.algebra, degree)
-        for b in self.field_basis(degree):
-            c = rng.randint(-2, 2)
-            if c:
-                K = K + b.scale(Fraction(c))
-        return K
-
-    def random_derivation(self, rng: random.Random) -> QMat:
-        """A random integer combination of the derivation basis, as a matrix."""
-        der = self.derivations()
-        coeffs = QMat.from_columns(der.dim, [[rng.randint(-2, 2) for _ in range(der.dim)]])
-        return (der.basis_matrix() @ coeffs).unvec(self.algebra.dim, self.algebra.dim)
-
-    def random_multimap(self, arity: int, rng: random.Random) -> MultiMap:
-        m = self.algebra.dim
-        raw = _rand_matrix(rng, m, m ** arity)
-        return alternation(MultiMap(self.algebra, arity, raw, check=False))
-
-    def projections(self) -> list:
-        if "projs" not in self._cache:
-            self._cache["projs"] = find_projections(self.algebra,
-                                                    seed=self.seed)
-        return self._cache["projs"]
-
-    def bundle(self) -> Bundle:
-        if "bundle" not in self._cache:
-            self._cache["bundle"] = Bundle(self.algebra,
-                                           self.action.fixed_subspace(),
-                                           action=self.action)
-        return self._cache["bundle"]
-
-
-def _random_subspace(rng: random.Random, n: int) -> Subspace:
-    gens = [_rand_vec(rng, n) for _ in range(rng.randint(0, n))]
-    return Subspace.from_generators(n, gens)
-
-
-def _chk_scalar_roundtrip(env: _VerifyEnv, rng: random.Random):
-    for _ in range(25):
-        a = Fraction(rng.randint(-2, 2), rng.randint(1, 9))
-        b = Fraction(rng.randint(-2, 2), rng.randint(1, 9))
-        text = format_scalar(a)
-        if parse_scalar(text) != a:
-            return f"parse(format({a})) = {parse_scalar(text)} != {a}"
-        if (a + b) - b != a:
-            return f"({a} + {b}) - {b} != {a}"
-    return None
-
-
-def _chk_rank_transpose(env: _VerifyEnv, rng: random.Random):
-    for _ in range(10):
-        mat = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        rr, cr = rank(mat.to_fraction_rows()), rank(mat.T.to_fraction_rows())
-        if rr != cr:
-            rows = [_fmt_vec(r) for r in mat.to_fraction_rows()]
-            return (f"row rank {rr} != column rank {cr} "
-                    f"for rows [{', '.join(rows)}]")
-    return None
-
-
-def _chk_subspace_lattice(env: _VerifyEnv, rng: random.Random):
-    n = 4
-    for _ in range(8):
-        U = _random_subspace(rng, n)
-        V = _random_subspace(rng, n)
-        W = _random_subspace(rng, n)
-        dims = f"dims ({U.dim}, {V.dim}, {W.dim})"
-        if U.add(V) != V.add(U):
-            return f"sum not commutative on subspaces of {dims}"
-        if U.add(V).add(W) != U.add(V.add(W)):
-            return f"sum not associative on subspaces of {dims}"
-        if U.intersect(V) != V.intersect(U):
-            return f"intersection not commutative on subspaces of {dims}"
-        if U.intersect(V).intersect(W) != U.intersect(V.intersect(W)):
-            return f"intersection not associative on subspaces of {dims}"
-    return None
-
-
-def _chk_algebra_table(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    try:
-        A.validate()
-    except AlgebraError as exc:
-        return str(exc)
-    for i in range(A.dim):
-        ei = [Fraction(int(t == i)) for t in range(A.dim)]
-        for j in range(A.dim):
-            ej = [Fraction(int(t == j)) for t in range(A.dim)]
-            prod = A.mult_vec(ei, ej)
-            if tuple(prod) != tuple(A.structure[i][j]):
-                return (f"{A.basis_names[i]}*{A.basis_names[j]} evaluates to "
-                        f"{_fmt_vec(prod)}, table says "
-                        f"{_fmt_vec(A.structure[i][j])}")
-    return None
-
-
-def _chk_derivation_leibniz(env: _VerifyEnv, rng: random.Random):
-    # the basis, then a random combination and a commutator map per draw,
-    # as the columns of one block for the Leibniz terms
-    A = env.algebra
-    mod = A.regular_bimodule()
-    der = env.derivations()
-    draws = [(env.random_derivation(rng), _rand_vec(rng, A.dim)) for _ in range(8)]
-    inners = [inner_derivation(mod, mvec).vec() for _, mvec in draws]
-    block = qmat_hstack(der.ambient, [der.basis_matrix()] + [
-        col for (rand, _), inner in zip(draws, inners) for col in (rand.vec(), inner)])
-    bad = np.flatnonzero(kron_apply(leibniz_terms(mod), block).num.any(axis=0))
-    if bad.size:
-        j = int(bad[0])
-        if j < der.dim:
-            return f"solution-space basis vector {_fmt_vec(der.basis[j])} fails Leibniz"
-        rand, mvec = draws[(j - der.dim) // 2]
-        if (j - der.dim) % 2:
-            return f"commutator map of {_fmt_vec(mvec)} fails Leibniz"
-        return (f"random combination {_fmt_vec(derivation_vector(mod, rand))} "
-                f"fails Leibniz")
-    for (_, mvec), inner in zip(draws, inners):
-        if not der.contains(inner.column_fractions(0)):
-            return (f"commutator map of {_fmt_vec(mvec)} is not in the "
-                    f"solution space")
-    return None
-
-
-def _chk_derivation_form_hom_dim(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    d_der = env.derivations().dim
-    d_hom = form_hom_space(A, 1, A.regular_bimodule()).dim
-    if d_der != d_hom:
-        return (f"derivation space has dim {d_der} but bimodule homs from "
-                f"one-forms have dim {d_hom}")
-    return None
-
-
-def _chk_dsl_roundtrip(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    try:
-        B = load_algebra_text(print_algebra(A))
-    except DslError as exc:
-        return f"printed definition does not parse back: {exc}"
-    if list(B.basis_names) != list(A.basis_names):
-        return (f"basis names changed from {list(A.basis_names)} to "
-                f"{list(B.basis_names)}")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if B.structure[i][j] != A.structure[i][j]:
-                return (f"product {A.basis_names[i]}*{A.basis_names[j]} "
-                        f"changed from {_fmt_vec(A.structure[i][j])} to "
-                        f"{_fmt_vec(B.structure[i][j])}")
-    return None
-
-
-def _chk_dsl_revalidate(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    try:
-        Algebra(A.name, A.basis_names, A.structure, check=True)
-    except AlgebraError as exc:
-        return str(exc)
-    return None
-
-
-def _chk_form_dims(env: _VerifyEnv, rng: random.Random):
-    A, m = env.algebra, env.algebra.dim
-    for k in range(env.N + 1):
-        want = m * (m - 1) ** k
-        got = form_space(A, k).dim
-        if got != want:
-            return f"degree {k}: dim is {got}, expected {m}*{m - 1}^{k} = {want}"
-    return None
-
-
-def _chk_d_squared_zero(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for k in range(env.N):
-        dd = form_space(A, k + 1).apply_d(form_space(A, k).d_matrix())
-        nonzero = np.argwhere(dd.num)
-        if len(nonzero):
-            r, c = nonzero[0]
-            return (f"(d o d) on degree {k} has entry "
-                    f"{format_scalar(dd.entry(r, c))} at ({r}, {c})")
-    return None
-
-
-def _chk_graded_leibniz(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for _ in range(10):
-        k = rng.randint(0, max(0, env.N - 1))
-        l = rng.randint(0, max(0, env.N - 1 - k))
-        sk, sl = form_space(A, k), form_space(A, l)
-        a = sk.form(_rand_vec(rng, sk.dim))
-        b = sl.form(_rand_vec(rng, sl.dim))
-        sign = -1 if k % 2 else 1
-        lhs = product(a, b).d()
-        rhs = product(a.d(), b) + product(a, b.d()).scale(sign)
-        if lhs != rhs:
-            return (f"d(a.b) != da.b + (-1)^{k} a.db for degrees ({k}, {l}), "
-                    f"a = {_fmt_vec(a.coords())}, b = {_fmt_vec(b.coords())}")
-    return None
-
-
-def _chk_bimodule_associativity(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for k in range(min(env.N, 2) + 1):
-        sp = form_space(A, k)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if sp.left[i] @ sp.right[j] != sp.right[j] @ sp.left[i]:
-                    return (f"left and right actions do not commute on "
-                            f"degree {k} at basis pair "
-                            f"({A.basis_names[i]}, {A.basis_names[j]})")
-    for _ in range(6):
-        k = rng.randint(0, max(0, env.N - 1))
-        l = rng.randint(0, max(0, env.N - k))
-        sk, sl = form_space(A, k), form_space(A, l)
-        a = sk.form(_rand_vec(rng, sk.dim))
-        b = sl.form(_rand_vec(rng, sl.dim))
-        x = _rand_vec(rng, A.dim)
-        if product(a.left_mult(x), b) != product(a, b).left_mult(x):
-            return (f"(x.a).b != x.(a.b) for degrees ({k}, {l}), "
-                    f"x = {_fmt_vec(x)}")
-        if product(a, b.right_mult(x)) != product(a, b).right_mult(x):
-            return (f"a.(b.x) != (a.b).x for degrees ({k}, {l}), "
-                    f"x = {_fmt_vec(x)}")
-        if product(a.right_mult(x), b) != product(a, b.left_mult(x)):
-            return (f"(a.x).b != a.(x.b) for degrees ({k}, {l}), "
-                    f"x = {_fmt_vec(x)}")
-        j = rng.randint(0, max(0, env.N - k - l))
-        sj = form_space(A, j)
-        c = sj.form(_rand_vec(rng, sj.dim))
-        if product(product(a, b), c) != product(a, product(b, c)):
-            return (f"(a.b).c != a.(b.c) for degrees ({k}, {l}, {j})")
-    return None
-
-
-def _chk_commutator_chain(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for r in range(env.N):
-        cur = commutator_subspace(A, r)
-        nxt = commutator_subspace(A, r + 1)
-        image = form_space(A, r).apply_d(cur.basis_matrix())
-        if not subspace_from_columns(image).is_subspace_of(nxt):
-            j = next(j for j in range(cur.dim) if not nxt.contains(image.column_fractions(j)))
-            return (f"d of the commutator vector {_fmt_vec(cur.basis[j])} in degree "
-                    f"{r} leaves the degree-{r + 1} commutator subspace")
-    return None
-
-
-def _chk_field_form_leibniz(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    unit = QMat.column([Fraction(v) for v in A.unit().coeffs])
-    for degree in range(min(env.N, 2) + 1):
-        for _ in range(4):
-            K = env.random_field(degree, rng)
-            try:
-                FieldValuedForm(A, degree, K.delta, check=True)
-            except FieldFormError as exc:
-                return f"degree {degree}: {exc}"
-            if not (K.delta @ unit).is_zero():
-                return (f"degree {degree}: the value on the unit is "
-                        f"{_fmt_vec((K.delta @ unit).column_fractions(0))}")
-    return None
-
-
-def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    d0 = form_space(A, 0).d_matrix()
-    for degree in range(min(env.N, 2) + 1):
-        for _ in range(4):
-            K = env.random_field(degree, rng)
-            block = contraction(K).mat(1)
-            if block @ d0 != K.delta:
-                return (f"degree {degree}: insertion operator does not "
-                        f"recover the generating derivation")
-    return None
-
-
-def _chk_operator_jacobi(env: _VerifyEnv, rng: random.Random):
-    # fn_bracket is a graded Lie bracket: [K,[L,M]] = [[K,L],M] + (-1)^{kl} [L,[K,M]].
-    # The degree triples are fixed, so the work is the same for every seed
-    for degs in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)):
-        K, L, M = (env.random_field(g, rng) for g in degs)
-        lhs = fn_bracket(K, fn_bracket(L, M))
-        rhs = (fn_bracket(fn_bracket(K, L), M)
-               + fn_bracket(L, fn_bracket(K, M)).scale((-1) ** (degs[0] * degs[1])))
-        if lhs != rhs:
-            return f"graded Jacobi of the bracket fails for field degrees {degs}"
-    return None
-
-
-def _chk_field_space_dim(env: _VerifyEnv, rng: random.Random):
-    d_fields = len(field_space(env.algebra))
-    d_der = env.derivations().dim
-    if d_fields != d_der:
-        return (f"degree-0 field space has dim {d_fields} but the derivation "
-                f"space has dim {d_der}")
-    return None
-
-
-def _chk_fn_antisymmetry(env: _VerifyEnv, rng: random.Random):
-    for _ in range(6):
-        k = rng.randint(0, min(env.N, 2))
-        l = rng.randint(0, max(0, min(env.N, 3) - k))
-        K = env.random_field(k, rng)
-        L = env.random_field(l, rng)
-        sign = -1 if (k * l) % 2 else 1
-        if not (fn_bracket(K, L) + fn_bracket(L, K).scale(sign)).is_zero():
-            return f"[K,L] != -(-1)^(kl) [L,K] at degrees ({k}, {l})"
-    return None
-
-
-def _chk_projection_curvature_sum(env: _VerifyEnv, rng: random.Random):
-    for idx, p in enumerate(env.projections()):
-        fn, R, Rbar = p.brackets()
-        if R + Rbar != fn:
-            return f"projection {idx}: R + Rbar != [P,P]"
-    return None
-
-
-def _chk_projection_complement(env: _VerifyEnv, rng: random.Random):
-    for idx, p in enumerate(env.projections()):
-        if curvature(p)[1] != curvature(p.complement())[0]:
-            return (f"projection {idx}: cocurvature differs from the "
-                    f"complement's curvature")
-    return None
-
-
-def _chk_action_functoriality(env: _VerifyEnv, rng: random.Random):
-    bad = action_functoriality_defect(env.action, env.N)
-    if bad:
-        return (f"group element {bad[0]}: induced map does not "
-                f"intertwine d into degree {bad[1]}")
-    return None
-
-
-def _chk_bundle_tensor_dims(env: _VerifyEnv, rng: random.Random):
-    dims = bundle_tensor_dims(env.bundle())
-    if not dims["equal"]:
-        return (f"one-forms minus horizontal is "
-                f"{dims['omega1_minus_horizontal']} but the tensor-square "
-                f"defect is {dims['tensor_minus_algebra']}")
-    return None
-
-
-def _chk_coboundary_squared(env: _VerifyEnv, rng: random.Random):
-    mod = env.algebra.regular_bimodule()
-    for n in range(min(env.N, 3) + 1):
-        for _ in range(3):
-            c = NormalizedCochain.from_vector(
-                mod, n, _rand_vec(rng, cochain_dim(mod, n)))
-            dd = coboundary(coboundary(c))
-            if not dd.is_zero():
-                return f"coboundary squared is nonzero on a random {n}-cochain"
-    return None
-
-
-def _routes_witness(rep: dict) -> str:
-    """The two dimensions of one ``cohomology_report`` that disagree."""
-    return (f"n = {rep['n']}: forms route gives {rep['dim_Hn_forms']}, "
-            f"complex route gives {rep['dim_Hn_complex']}")
-
-
-def _chk_cohomology_routes(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    modules = [("A", A.regular_bimodule()), ("AxA", tensor_module(A, 1))]
-    for label, mod in modules:
-        for n in range(min(env.N, 3) + 1):
-            rep = cohomology_report(A, mod, n)
-            if not rep["agree"]:
-                return f"module {label}, {_routes_witness(rep)}"
-    return None
-
-
-def _chk_cochain_hom_roundtrip(env: _VerifyEnv, rng: random.Random):
-    mod = env.algebra.regular_bimodule()
-    for n in range(min(env.N, 3) + 1):
-        for _ in range(3):
-            c = NormalizedCochain.from_vector(
-                mod, n, _rand_vec(rng, cochain_dim(mod, n)))
-            hom = cochain_to_hom(c)
-            back = hom_to_cochain(mod, n, hom)
-            if back != c:
-                return f"cochain -> hom -> cochain changes a random {n}-cochain"
-            if cochain_to_hom(back) != hom:
-                return f"hom -> cochain -> hom changes a degree-{n} hom"
-    return None
-
-
-def _chk_alternation_idempotent(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for arity in (1, 2):
-        for _ in range(4):
-            mm = env.random_multimap(arity, rng)
-            if alternation(mm) != mm:
-                return (f"alternation is not idempotent on a random "
-                        f"arity-{arity} map")
-            try:
-                MultiMap(A, arity, mm.data, check=True)
-            except SchoutenError as exc:
-                return f"alternation output fails the skew check: {exc}"
-    return None
-
-
-def _chk_insertion_arity(env: _VerifyEnv, rng: random.Random):
-    for _ in range(4):
-        kappa = rng.randint(1, 2)
-        p = rng.randint(1, 2)
-        K = env.random_multimap(kappa, rng)
-        phi = env.random_multimap(p, rng)
-        got = insertion(K, phi).arity
-        if got != kappa - 1 + p:
-            return (f"insertion of arity {kappa} into arity {p} has arity "
-                    f"{got}, expected {kappa - 1 + p}")
-    return None
-
-
-def _chk_schouten_jacobi(env: _VerifyEnv, rng: random.Random):
-    for _ in range(3):
-        ar = [rng.randint(1, 2) for _ in range(3)]
-        K, L, M = (env.random_multimap(a, rng) for a in ar)
-        k, l, m = (a - 1 for a in ar)
-        s1 = nr_bracket(K, nr_bracket(L, M)).scale(-1 if (k * m) % 2 else 1)
-        s2 = nr_bracket(L, nr_bracket(M, K)).scale(-1 if (l * k) % 2 else 1)
-        s3 = nr_bracket(M, nr_bracket(K, L)).scale(-1 if (m * l) % 2 else 1)
-        if not (s1 + s2 + s3).is_zero():
-            return f"graded Jacobi fails for arities {tuple(ar)}"
-    return None
-
-
-def _chk_bracket_compatibility(env: _VerifyEnv, rng: random.Random):
-    A = env.algebra
-    for _ in range(6):
-        m1, m2 = env.random_derivation(rng), env.random_derivation(rng)
-        K1, K2 = MultiMap(A, 1, m1), MultiMap(A, 1, m2)
-        X1, X2 = field_from_derivation(A, m1), field_from_derivation(A, m2)
-        if nr_bracket(K1, K2).data != lie_bracket_fields(X2, X1).delta:
-            return ("arity-1 algebraic bracket disagrees with the "
-                    "derivation commutator (argument-swapped)")
-    return None
-
-
-_VERIFY_CHECKS: list[tuple[str, Callable]] = [
-    ("scalar-roundtrip", _chk_scalar_roundtrip),
-    ("rank-transpose", _chk_rank_transpose),
-    ("subspace-lattice", _chk_subspace_lattice),
-    ("algebra-table", _chk_algebra_table),
-    ("derivation-leibniz", _chk_derivation_leibniz),
-    ("derivation-form-hom-dim", _chk_derivation_form_hom_dim),
-    ("dsl-roundtrip", _chk_dsl_roundtrip),
-    ("dsl-revalidate", _chk_dsl_revalidate),
-    ("form-dims", _chk_form_dims),
-    ("d-squared-zero", _chk_d_squared_zero),
-    ("graded-leibniz", _chk_graded_leibniz),
-    ("bimodule-associativity", _chk_bimodule_associativity),
-    ("commutator-chain", _chk_commutator_chain),
-    ("field-form-leibniz", _chk_field_form_leibniz),
-    ("contraction-injective", _chk_contraction_injective),
-    ("operator-jacobi", _chk_operator_jacobi),
-    ("field-space-dim", _chk_field_space_dim),
-    ("fn-antisymmetry", _chk_fn_antisymmetry),
-    ("projection-curvature-sum", _chk_projection_curvature_sum),
-    ("projection-complement", _chk_projection_complement),
-    ("action-functoriality", _chk_action_functoriality),
-    ("bundle-tensor-dims", _chk_bundle_tensor_dims),
-    ("coboundary-squared", _chk_coboundary_squared),
-    ("cohomology-routes", _chk_cohomology_routes),
-    ("cochain-hom-roundtrip", _chk_cochain_hom_roundtrip),
-    ("alternation-canonical", _chk_alternation_idempotent),
-    ("insertion-arity", _chk_insertion_arity),
-    ("schouten-jacobi", _chk_schouten_jacobi),
-    ("bracket-compatibility", _chk_bracket_compatibility),
-]
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -776,7 +236,7 @@ def _report(name: str, *params: Callable) -> Callable:
                 checks, data = body(A, truncation, seed, cap, **args)
                 _finish(_make_report(name, A, source, seed, truncation, cap,
                                      checks, data), fmt)
-            except _MATH_ERRORS as exc:
+            except MATH_ERRORS as exc:
                 raise InputError(str(exc))
             except MemoryError:
                 # the input is too large for this machine: name its size
@@ -821,15 +281,8 @@ def info(A, N, seed, cap):
          "the trivial action)."))
 def verify(A, N, seed, cap, action_path):
     """Run the full invariant suite and report each identity."""
-    env = _VerifyEnv(A, N, seed, _load_action(A, action_path))
-    checks = []
-    for name, fn in _VERIFY_CHECKS:
-        try:
-            witness = fn(env, env.rng(name))
-        except _MATH_ERRORS as exc:
-            witness = f"raised: {exc}"
-        checks.append(_check(name, witness is None, witness))
-    return checks, {}
+    results = check_identities(A, N, seed, _load_action(A, action_path))
+    return [_check(name, witness is None, witness) for name, witness in results], {}
 
 
 def _bracket(name: str, what: str, from_json: Callable, bracket: Callable,
@@ -914,7 +367,7 @@ def hochschild(A, N, seed, cap):
     """Cohomology of the algebra in itself, computed along two routes."""
     mod = A.regular_bimodule()
     reports = [cohomology_report(A, mod, n) for n in range(min(N, 3) + 1)]
-    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], _routes_witness(rep))
+    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], routes_witness(rep))
               for rep in reports]
     return checks, {"reports": reports}
 

@@ -391,16 +391,22 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
 
 
 def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
-    """Span of w.h - (-1)^{ab} h.w over basis forms with a + b = r."""
-    red = RowReducer(form_space(algebra, r).dim)
-    for a in range((r + 2) // 2):  # [w,h] and [h,w] span the same lines
-        b = r - a
-        sign = (-1) ** (a * b)
-        eye_a, eye_b = (QMat.eye(form_space(algebra, t).dim) for t in (a, b))
-        for ia in range(eye_a.shape[0]):
-            w = eye_a.col(ia)
-            red.add_columns(products(algebra, w, a, eye_b, b)
-                            - products(algebra, None, b, w, a).scale(sign))
+    """C_r = span of w.h - (-1)^{ab} h.w, deg w + deg h = r: as the e_i and d e_j generate
+    Omega(A) and [xy, h] = [x, yh] + (-1)^{|x|(|y|+|h|)} [y, hx], that of the [d e_j, h],
+    h in Omega_{r-1}, and the [e_i, h] = (L_i - R_i) h, h in Omega_r.  The d e_j block goes
+    first: it spans most of C_r, so the dense e_i columns meet few new pivots."""
+    sp = form_space(algebra, r)
+    red = RowReducer(sp.dim)
+    if r:
+        n, m = form_space(algebra, r - 1).dim, algebra.dim
+        de = d_slots(form_space(algebra, 0).d_matrix())
+        hde = products(algebra, None, r - 1, de, 1)  # column h*(m-1) + j
+        hde = QMat(hde.num.reshape(sp.dim, n, m - 1).transpose(0, 2, 1)
+                   .reshape(sp.dim, n * (m - 1)), hde.den)
+        red.add_columns(products(algebra, de, 1, QMat.eye(n), r - 1)
+                        - hde.scale((-1) ** (r - 1)))
+    for L, R in zip(sp.left, sp.right):
+        red.add_columns(L - R)
     return red.subspace()
 
 

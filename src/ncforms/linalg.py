@@ -613,7 +613,8 @@ class QMat:
 
     @classmethod
     def column(cls, values: Sequence) -> "QMat":
-        return cls.from_rows([[v] for v in values])
+        """The len(values) x 1 matrix, 0 x 1 when values is empty."""
+        return cls.from_columns(len(values), [values])
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -403,6 +403,24 @@ def loop_commutator_subspace(algebra, r):
     return red.subspace()
 
 
+def split_commutator_subspace(algebra, r):
+    """Span of w.h - (-1)^{ab} h.w over every basis form w of degree a <= r/2,
+    one block of products with all basis forms h of degree b = r - a per w
+    ([w,h] and [h,w] span the same lines)."""
+    from ncforms.forms import form_space, products
+    from ncforms.linalg import QMat, RowReducer
+    red = RowReducer(form_space(algebra, r).dim)
+    for a in range((r + 2) // 2):
+        b = r - a
+        sign = (-1) ** (a * b)
+        eye_a, eye_b = (QMat.eye(form_space(algebra, t).dim) for t in (a, b))
+        for ia in range(eye_a.shape[0]):
+            w = eye_a.col(ia)
+            red.add_columns(products(algebra, w, a, eye_b, b)
+                            - products(algebra, None, b, w, a).scale(sign))
+    return red.subspace()
+
+
 def loop_horizontal_forms(bundle, k):
     """Degree-k span of w.h, w in the previous piece, h horizontal."""
     from ncforms.connections import exact_span

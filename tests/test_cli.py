@@ -17,13 +17,15 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from ncforms import cli, connections
+from ncforms import cli, connections, identities
 from ncforms.algebra import inner_derivation
-from ncforms.cli import _MATH_ERRORS, _VERIFY_CHECKS, main
+from ncforms.cli import main
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import (FieldValuedForm, GradedDerivation, field_from_derivation,
                                 field_valued_form_from_json,
                                 field_valued_form_space, fn_bracket, lie_operator)
+from ncforms.identities import MATH_ERRORS as _MATH_ERRORS
+from ncforms.identities import _VERIFY_CHECKS
 from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
@@ -173,7 +175,7 @@ def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatc
     # the seed draws the fields, not the degrees: the operators applied and
     # the blocks they are applied to, and with them the time and memory of
     # the check, are the same for any seed
-    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
+    env = identities._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
     applied = []
     apply = GradedDerivation.apply
 
@@ -185,7 +187,7 @@ def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatc
     runs = []
     for seed in range(4):
         applied.clear()
-        assert cli._chk_operator_jacobi(env, random.Random(seed)) is None
+        assert identities._chk_operator_jacobi(env, random.Random(seed)) is None
         runs.append(list(applied))
     assert all(run == runs[0] for run in runs)
     # the (1,1,1) triple reaches fields of degree 3, whose deltas are in Omega_3
@@ -197,15 +199,15 @@ def test_operator_jacobi_allocates_no_top_degree_square(m2, largest_qmat, monkey
     # build an operator's matrix: the largest block is Omega_2's stacked
     # right action (144 x 36) times 12 forms, far below an operator's
     # 324 x 324 matrix on Omega_4
-    env = cli._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
-    cli._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
+    env = identities._VerifyEnv(m2, 2, 0, cli._load_action(m2, None))
+    identities._chk_operator_jacobi(env, random.Random(0))     # fills the field cache
 
     def refuse(self, n):
         raise AssertionError(f"built the matrix of an operator on degree {n}")
 
     monkeypatch.setattr(GradedDerivation, "mat", refuse)
     largest_qmat.reset()
-    assert cli._chk_operator_jacobi(env, random.Random(0)) is None
+    assert identities._chk_operator_jacobi(env, random.Random(0)) is None
     assert largest_qmat.size <= 144 * 12, largest_qmat.shape
 
 
@@ -226,10 +228,10 @@ def _one_term_bracket(K, L):
 def test_operator_jacobi_fails_for_a_bracket_that_is_not_graded_lie(name, mutant,
                                                                     monkeypatch):
     A = builtin_algebra(name)
-    env = cli._VerifyEnv(A, 2, 0, cli._load_action(A, None))
-    assert cli._chk_operator_jacobi(env, random.Random(1)) is None
-    monkeypatch.setattr(cli, "fn_bracket", mutant)
-    witness = cli._chk_operator_jacobi(env, random.Random(1))
+    env = identities._VerifyEnv(A, 2, 0, cli._load_action(A, None))
+    assert identities._chk_operator_jacobi(env, random.Random(1)) is None
+    monkeypatch.setattr(identities, "fn_bracket", mutant)
+    witness = identities._chk_operator_jacobi(env, random.Random(1))
     assert witness is not None and witness.startswith("graded Jacobi of the bracket fails")
 
 
@@ -671,7 +673,8 @@ def test_each_projection_is_bracketed_once_per_report(monkeypatch, args):
         return bracket(K, L)
 
     monkeypatch.setattr(cli, "find_projections", finding)
-    monkeypatch.setattr(cli, "fn_bracket", counting)
+    monkeypatch.setattr(identities, "find_projections", finding)
+    monkeypatch.setattr(identities, "fn_bracket", counting)
     monkeypatch.setattr(connections, "fn_bracket", counting)
     assert run_cli(*args).exit_code == 0
     assert found

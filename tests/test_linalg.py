@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncforms
-from ncforms import algebra, cli, connections, fieldforms, forms, hochschild, linalg, schouten
+from ncforms import (algebra, connections, fieldforms, forms, hochschild, identities, linalg,
+                     schouten)
 from ncforms.algebra import matrix_algebra
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
@@ -636,6 +637,15 @@ def test_from_columns_edge_cases():
         QMat.from_columns(2, [[1, 2], [3]])
 
 
+def test_empty_column_is_one_column():
+    # a combination of no basis vectors, e.g. of an empty derivation basis
+    assert QMat.column([]).shape == (0, 1)
+    out = QMat.zeros(4, 0) @ QMat.column([])
+    assert out.shape == (4, 1) and out.is_zero()
+    assert out.unvec(2, 2).shape == (2, 2)
+    assert _same_qmat(QMat.column([1, Fraction(1, 2)]), QMat.from_rows([[1], [Fraction(1, 2)]]))
+
+
 def _dense_of(shape, entries, den):
     rows = [[Fraction(0)] * shape[1] for _ in range(shape[0])]
     for r, c, v in entries:
@@ -862,7 +872,7 @@ def test_graded_operators_have_one_encoding():
     # Kronecker product, and L_K is the commutator [j_K, d]
     for fn in (fieldforms.GradedDerivation, fieldforms.contraction,
                fieldforms.lie_operator, fieldforms.is_graded_derivation,
-               cli._chk_contraction_injective):
+               identities._chk_contraction_injective):
         assert "is None" not in inspect.getsource(fn), fn.__qualname__
     src = inspect.getsource(fieldforms.contraction)
     assert "qmat_sum(" not in src and "kron(" not in src

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ncforms.algebra import AlgebraHom
+from ncforms.algebra import AlgebraHom, matrix_algebra
 from ncforms.connections import (Bundle, find_projections, horizontal_forms,
                                  ideal_component, induced_endomorphism)
 from ncforms.dsl import parse_group_action
@@ -22,7 +22,7 @@ from ncforms.forms import Form, commutator_subspace, form_space, omega_functor, 
 from ncforms.linalg import QMat, Subspace
 from oracles import (
     loop_commutator_subspace, loop_horizontal_forms, loop_ideal_component,
-    loop_induced_endomorphism, loop_omega_functor, loop_product,
+    loop_induced_endomorphism, loop_omega_functor, loop_product, split_commutator_subspace,
 )
 from test_acceptance import SWAP_ACTION
 from test_algebra import catalog
@@ -119,6 +119,16 @@ def test_commutator_subspace_matches_loop(algebras):
         for r in range(TOP + 1):
             assert commutator_subspace(A, r) == loop_commutator_subspace(A, r), (
                 name, r)
+
+
+@pytest.mark.parametrize("name, top", [
+    ("m2", 5), ("upper2", 5), ("kc2", 5), ("truncpoly3", 4), ("m2frac", 4), ("t3big", 4),
+    ("matrix3", 2)])
+def test_commutator_subspace_matches_every_basis_pair(name, top):
+    # C_r from the generators e_i and d e_j against all pairs of basis forms
+    A = _algebras()[name] if name != "matrix3" else matrix_algebra(3)
+    for r in range(top + 1):
+        assert commutator_subspace(A, r) == split_commutator_subspace(A, r), (name, r)
 
 
 def _subalgebra(A, vectors):
