@@ -391,10 +391,10 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
 
 
 def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
-    """C_r = span of w.h - (-1)^{ab} h.w, deg w + deg h = r: as the e_i and d e_j generate
-    Omega(A) and [xy, h] = [x, yh] + (-1)^{|x|(|y|+|h|)} [y, hx], that of the [d e_j, h],
-    h in Omega_{r-1}, and the [e_i, h] = (L_i - R_i) h, h in Omega_r.  The d e_j block goes
-    first: it spans most of C_r, so the dense e_i columns meet few new pivots."""
+    """C_r, the span of [w, h] = w.h - (-1)^{ab} h.w over degrees a + b = r.  The e_i and
+    d e_j generate Omega(A) and [xy, h] = [x, yh] + (-1)^{|x|(|y|+|h|)} [y, hx], so the
+    [d e_j, h], h in Omega_{r-1}, and [e_i, h] = (L_i - R_i) h, h in Omega_r, span it.  The
+    d e_j block goes first: it spans most of C_r, and the e_i block then adds few pivots."""
     sp = form_space(algebra, r)
     red = RowReducer(sp.dim)
     if r:
