@@ -34,7 +34,7 @@ from .connections import (Bundle, bianchi_identities, check_projection_calculus,
 from .dsl import DslError, builtin_algebra, load_algebra_text, parse_group_action
 from .fieldforms import algebraic_bracket, field_valued_form_from_json, fn_bracket
 from .forms import de_rham_homology, form_space, kernel_of_mu_n
-from .hochschild import cohomology_report
+from .hochschild import cohomology_reports
 from .identities import MATH_ERRORS, check_identities, routes_witness
 from .linalg import QMat, qmat_to_json
 from .schouten import (commutator_bivector, multimap_from_json, nr_bracket,
@@ -366,7 +366,7 @@ def connection_check(A, N, seed, cap, action_path):
 def hochschild(A, N, seed, cap):
     """Cohomology of the algebra in itself, computed along two routes."""
     mod = A.regular_bimodule()
-    reports = [cohomology_report(A, mod, n) for n in range(min(N, 3) + 1)]
+    reports = cohomology_reports(A, mod, min(N, 3))
     checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], routes_witness(rep))
               for rep in reports]
     return checks, {"reports": reports}

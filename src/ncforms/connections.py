@@ -17,13 +17,13 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Bimodule, GroupAction, tensor_over_A
 from .fieldforms import (
-    FieldValuedForm, fn_bracket, identity_one_form, insertion_compose,
-    zero_field_valued_form,
+    FieldValuedForm, field_valued_form_space, fn_bracket, identity_one_form,
+    insertion_compose, zero_field_valued_form,
 )
 from .forms import (Form, d_slots, form_space, multiplicative_extension, omega_functor,
                     products)
 from .linalg import (
-    QMat, RowReducer, Subspace, is_idempotent_kernel, kron_rows, nullspace, qmat_hstack,
+    QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace, qmat_hstack,
     qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
 )
 
@@ -97,7 +97,7 @@ def bimodule_span(algebra: Algebra, generators) -> Distribution:
 
 def exact_span(algebra: Algebra, sub: Subspace) -> Distribution:
     """Bimodule span of d(sub) for a subspace of A."""
-    d0 = form_space(algebra, 0).d_matrix()
+    d0 = form_space(algebra, 0).d_matrix
     gens = subspace_from_columns(d0 @ sub.row_matrix().T)
     return Distribution(algebra, _action_closure(algebra, gens), check=False)
 
@@ -118,7 +118,7 @@ def ideal_component(dist: Distribution, r: int) -> Subspace:
     A, chain = dist.algebra, dist._ideal
     if r < 1:
         raise GeometryError("the ideal lives in degrees >= 1")
-    dA = d_slots(form_space(A, 0).d_matrix())
+    dA = d_slots(form_space(A, 0).d_matrix)
     while len(chain) < r:
         k, B = len(chain), chain[-1].row_matrix().T
         red = RowReducer(form_space(A, k + 1).dim)
@@ -132,7 +132,7 @@ def involutive(dist: Distribution, N: int = 2) -> bool:
     """d(dist) contained in I_2, read from the ideal chain of dist."""
     if N < 2:
         raise GeometryError("need truncation >= 2")
-    d1 = form_space(dist.algebra, 1).d_matrix()
+    d1 = form_space(dist.algebra, 1).d_matrix
     return subspace_from_columns(d1 @ dist.space.row_matrix().T).is_subspace_of(
         ideal_component(dist, 2))
 
@@ -157,7 +157,7 @@ class Projection:
 
     @classmethod
     def from_endomorphism(cls, algebra: Algebra, ext: QMat) -> "Projection":
-        d0 = form_space(algebra, 0).d_matrix()
+        d0 = form_space(algebra, 0).d_matrix
         return cls(FieldValuedForm(algebra, 1, ext @ d0, check=False))
 
     @classmethod
@@ -197,7 +197,7 @@ class Projection:
         if self._brackets is None:
             A, delta = self.algebra, self.chi.delta
             fn = fn_bracket(self.chi, self.chi)
-            ext, d0 = fn.extension(), form_space(A, 0).d_matrix()
+            ext, d0 = fn.extension(), form_space(A, 0).d_matrix
             self._brackets = (fn, FieldValuedForm(A, 2, ext @ delta, check=False),
                               FieldValuedForm(A, 2, ext @ (d0 - delta), check=False))
         return self._brackets
@@ -211,7 +211,7 @@ def curvature(p: Projection) -> tuple[FieldValuedForm, FieldValuedForm]:
 def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> list[QMat]:
     """The algebra endomorphisms of Omega_0..Omega_k applying ext to every
     d-slot."""
-    d0 = form_space(algebra, 0).d_matrix()
+    d0 = form_space(algebra, 0).d_matrix
     return multiplicative_extension(algebra, None, ext @ d0, k)
 
 
@@ -227,7 +227,7 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     kernel elimination."""
     A = p.algebra
     fn, R, Rbar = p.brackets()
-    d1 = form_space(A, 1).d_matrix()
+    d1 = form_space(A, 1).d_matrix
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
     top = max(N, 2)                        # the curvature formulas read degree 2
@@ -275,17 +275,14 @@ def bianchi_identities(p: Projection) -> dict:
 
 
 def bimodule_endomorphism_space(algebra: Algebra) -> list[QMat]:
-    """Basis of End^A_A(Omega_1): matrices commuting with both actions."""
-    sp = form_space(algebra, 1)
-    n = sp.dim
-    # M E - E M = 0 on E[i, j] at index i*n + j: rows M (x) I - I (x) M^T;
-    # the unit acts as identity
-    rows = itertools.chain.from_iterable(
-        kron_rows([(M, n), (n, -M.T)])[1] for M in (*sp.left[1:], *sp.right[1:]))
-    ker = nullspace(n * n, rows)
-    # each matrix over its pivot entry: the canonical basis matrix, reduced
+    """Basis of End^A_A(Omega_1), E[i, j] at i*n + j: the canonical basis of
+    the span of the degree-1 fields' extensions (a bimodule map E out of
+    Omega_1 extends the derivation E o d), each over its pivot entry."""
+    n = form_space(algebra, 1).dim
+    span = subspace_from_columns(qmat_hstack(n * n, [
+        _entries(K.extension()) for K in field_valued_form_space(algebra, 1)]))
     return [QMat.from_coo((n, n), ((c // n, c % n, v) for c, v in row.items()), row[p])
-            for p, row in zip(ker.pivots, ker.rows)]
+            for p, row in zip(span.pivots, span.rows)]
 
 
 # polynomial helpers over Fraction, ascending coefficient lists
@@ -587,7 +584,7 @@ def find_connections(bundle: Bundle) -> list[FieldValuedForm]:
     coeffs = qmat_hstack(len(endos), [sol] + [sol + shifts.col(i)
                                              for i in range(shifts.shape[1])])
     exts = qmat_hstack(n * n, [_entries(E) for E in endos]) @ coeffs
-    d0 = form_space(A, 0).d_matrix()
+    d0 = form_space(A, 0).d_matrix
     out, seen = [], []
     for j in range(exts.shape[1]):
         e = QMat(exts.num[:, j].reshape(n, n), exts.den)
@@ -622,7 +619,7 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
         om = omega_functor(h, 1)[1]
         acc = acc + om @ ext @ qmat_inverse(om)
     avg = acc.scale(Fraction(1, len(bundle.action.homs)))
-    d0 = form_space(A, 0).d_matrix()
+    d0 = form_space(A, 0).d_matrix
     out = FieldValuedForm(A, 1, avg @ d0, check=False)
     if not is_connection(bundle, out)["connection"]:
         raise GeometryError("averaging did not produce a connection")
@@ -669,7 +666,7 @@ def action_functoriality_defect(action: GroupAction, N: int
     for name, h in action.homs.items():
         om = omega_functor(h, N)
         for k in range(1, N + 1):
-            dk = form_space(A, k - 1).d_matrix()
+            dk = form_space(A, k - 1).d_matrix
             if om[k] @ dk != dk @ om[k - 1]:
                 return name, k
     return None

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .algebra import (Algebra, AlgebraHom, derivation_defect, derivation_matrix,
-                      derivation_space)
+from .algebra import Algebra, AlgebraHom, derivation_defect, derivation_space
 from .forms import Form, d_slots, form_space, omega_functor, products
 from .linalg import QMat, QVector, qmat_from_json, qmat_to_json, solve_linear
 
@@ -50,8 +49,7 @@ class FieldValuedForm(QVector):
 
     def validate(self) -> None:
         """delta(ab) = delta(a).b + a.delta(b) on all basis pairs."""
-        mod = form_space(self.algebra, self.degree).as_bimodule()
-        pair = derivation_defect(mod, self.delta)
+        pair = derivation_defect(form_space(self.algebra, self.degree), self.delta)
         if pair is not None:
             raise FieldFormError(
                 f"not a derivation into forms at basis pair ({pair[0]},{pair[1]})")
@@ -96,7 +94,7 @@ def zero_field_valued_form(algebra: Algebra, degree: int) -> FieldValuedForm:
 
 def identity_one_form(algebra: Algebra) -> FieldValuedForm:
     """Id of Omega_1 as a field-valued one-form: delta(a) = da."""
-    return FieldValuedForm(algebra, 1, form_space(algebra, 0).d_matrix(),
+    return FieldValuedForm(algebra, 1, form_space(algebra, 0).d_matrix,
                            check=False)
 
 
@@ -106,13 +104,11 @@ def field_from_derivation(algebra: Algebra, dmat: QMat) -> FieldValuedForm:
 
 
 def field_valued_form_space(algebra: Algebra, degree: int) -> list[FieldValuedForm]:
-    """Basis of Omega^1_degree = derivations A -> Omega_degree."""
+    """Basis of Omega^1_degree = derivations A -> Omega_degree, each the
+    dim Omega_degree x m matrix of a column of the derivation block."""
     sp = form_space(algebra, degree)
-    mod = sp.as_bimodule()
-    basis = derivation_space(mod)
-    return [FieldValuedForm(algebra, degree, derivation_matrix(mod, vec),
-                            check=False)
-            for vec in basis.basis]
+    return [FieldValuedForm(algebra, degree, delta, check=False)
+            for delta in derivation_space(sp).unvec_basis(sp.dim, algebra.dim)]
 
 
 def field_space(algebra: Algebra) -> list[FieldValuedForm]:
@@ -297,7 +293,7 @@ def decompose_derivation(D: GradedDerivation) -> tuple[FieldValuedForm, FieldVal
     if not is_graded_derivation(D):
         raise FieldFormError("operator is not a graded derivation")
     K = FieldValuedForm(A, k, D.mat(0))  # validates Leibniz
-    d0 = form_space(A, 0).d_matrix()
+    d0 = form_space(A, 0).d_matrix
     L = FieldValuedForm(A, k + 1, D.apply(1, d0) - lie_operator(K).apply(1, d0))
     return K, L
 

@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import Algebra, AlgebraHom, Bimodule
 from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
                      format_scalar, kron_rows, nullspace, parse_scalar, qmat_hstack,
-                     qmat_sum, subspace_from_columns)
+                     subspace_from_columns)
 
 
 class FormError(ValueError):
@@ -46,19 +46,18 @@ def form_space(algebra: Algebra, degree: int) -> "FormSpace":
         return sp
 
 
-class FormSpace:
-    """All degree-k forms over one algebra.  The dimension and the indexing
-    are set on construction; the actions and d are built on first read, each
-    once, and are immutable once built."""
+class FormSpace(Bimodule):
+    """All degree-k forms over one algebra, an A-bimodule.  The dimension and
+    indexing are set on construction, the actions and d on first read, once
+    (so ``Bimodule.__init__``, which takes the actions, is not called)."""
 
     def __init__(self, algebra: Algebra, degree: int):
         self.algebra = algebra
         self.degree = degree
+        self.name = f"Omega{degree}"
         m = algebra.dim
         self.dim = m * (m - 1) ** degree
         self._tail = (m - 1) ** degree
-        self._dmat: Optional[QMat] = None
-        self._stacked: Optional[QMat] = None
 
     @cached_property
     def right(self) -> list[QMat]:
@@ -96,12 +95,10 @@ class FormSpace:
         num[:moved.shape[0]] = moved
         return QMat(num, X.den)
 
+    @cached_property
     def d_matrix(self) -> QMat:
-        """d: degree k -> k+1 as a matrix, the shift of the identity
-        (memoized; the value is immutable)."""
-        if self._dmat is None:
-            self._dmat = self.apply_d(QMat.eye(self.dim))
-        return self._dmat
+        """d: degree k -> k+1 as a matrix, the shift of the identity."""
+        return self.apply_d(QMat.eye(self.dim))
 
     # -- actions ---------------------------------------------------------------
 
@@ -139,22 +136,10 @@ class FormSpace:
                     entries.append((self.index_of(k, word[1:]), idx, sign * v))
         return QMat.from_coo((self.dim, self.dim), entries, A.structure_den)
 
+    @cached_property
     def stacked_right(self) -> QMat:
-        """R_0, ..., R_{m-1} stacked, (m * dim) x dim over one denominator
-        (memoized; the value is immutable)."""
-        if self._stacked is None:
-            self._stacked = qmat_hstack(self.dim, [R.T for R in self.right]).T
-        return self._stacked
-
-    def left_action(self, a: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.left[i].scale(v) for i, v in enumerate(a)])
-
-    def right_action(self, b: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.right[i].scale(v) for i, v in enumerate(b)])
-
-    def as_bimodule(self) -> Bimodule:
-        return Bimodule(self.algebra, self.dim, self.left, self.right,
-                        name=f"Omega{self.degree}", check=False)
+        """R_0, ..., R_{m-1} stacked, (m * dim) x dim over one denominator."""
+        return qmat_hstack(self.dim, [R.T for R in self.right]).T
 
     # -- elements ---------------------------------------------------------------
 
@@ -243,7 +228,7 @@ def products(algebra: Algebra, P: Optional[QMat], k: int, Q: QMat, l: int,
     """
     left = form_space(algebra, k)
     m, dim, w = algebra.dim, left.dim, form_space(algebra, l)._tail
-    RP = left.stacked_right() if P is None else left.stacked_right() @ P
+    RP = left.stacked_right if P is None else left.stacked_right @ P
     r, s = RP.shape[1] // pairs, Q.shape[1] // pairs
     T = (QMat(RP.num.reshape(m, dim, pairs, r).transpose(1, 3, 0, 2)
               .reshape(dim * r, m * pairs), RP.den)
@@ -338,7 +323,7 @@ def omega_functor(f: AlgebraHom, degree: int) -> list[QMat]:
     """Matrices of Omega_k(f), k = 0..degree:
     e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
     B = f.target
-    return multiplicative_extension(B, f.matrix, form_space(B, 0).d_matrix() @ f.matrix,
+    return multiplicative_extension(B, f.matrix, form_space(B, 0).d_matrix @ f.matrix,
                                     degree)
 
 
@@ -399,7 +384,7 @@ def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
     red = RowReducer(sp.dim)
     if r:
         n, m = form_space(algebra, r - 1).dim, algebra.dim
-        de = d_slots(form_space(algebra, 0).d_matrix())
+        de = d_slots(form_space(algebra, 0).d_matrix)
         hde = products(algebra, None, r - 1, de, 1)  # column h*(m-1) + j
         hde = QMat(hde.num.reshape(sp.dim, n, m - 1).transpose(0, 2, 1)
                    .reshape(sp.dim, n * (m - 1)), hde.den)
@@ -427,13 +412,13 @@ def de_rham_homology(algebra: Algebra, truncation: int,
     quot_dims = [form_space(algebra, r).dim - comm[r].dim for r in range(N + 1)]
     # d maps commutators into commutators, so the induced map out of degree
     # r has rank dim(C_{r+1} + im d_r) - dim C_{r+1}
-    ranks = [(comm[r + 1] + subspace_from_columns(form_space(algebra, r).d_matrix())).dim
+    ranks = [(comm[r + 1] + subspace_from_columns(form_space(algebra, r).d_matrix)).dim
              - comm[r + 1].dim for r in range(N)]
     dims = [quot_dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(N)]
     # degree N: only a lower bound.  Without the degree-(N+1) commutator
     # space we can only see d(rep) = 0 on the nose, which undercounts the
     # kernel of the induced differential.
-    dN = form_space(algebra, N).d_matrix()
+    dN = form_space(algebra, N).d_matrix
     free = sorted(set(range(dN.shape[1])) - set(comm[N].pivots))
     kerN = len(free) - subspace_from_columns(QMat(dN.num[:, free], dN.den)).dim
     lower_N = max(0, kerN - ranks[N - 1])

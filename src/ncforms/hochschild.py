@@ -159,14 +159,16 @@ def cocycle_space(module: Bimodule, n: int) -> Subspace:
     return nullspace(cochain_dim(module, n), rows)
 
 
-def complex_dims(module: Bimodule, n: int) -> dict:
-    """Cocycle, coboundary and cohomology dimensions from the complex itself."""
-    z = cocycle_space(module, n).dim
-    if n == 0:
-        b = 0
-    else:
-        b = cochain_dim(module, n - 1) - cocycle_space(module, n - 1).dim
-    return {"cocycles": z, "coboundaries": b, "cohomology": z - b}
+def complex_dims(module: Bimodule, n: int,
+                 cocycles: Optional[dict[int, int]] = None) -> dict:
+    """Cocycle, coboundary and cohomology dimensions from the complex itself.
+    ``cocycles`` (degree k -> dim Z^k) is read and filled, so one dict passed
+    for n = 0, 1, ... eliminates each cocycle space once."""
+    z = {} if cocycles is None else cocycles
+    for k in {max(n - 1, 0), n} - z.keys():
+        z[k] = cocycle_space(module, k).dim
+    b = cochain_dim(module, n - 1) - z[n - 1] if n else 0
+    return {"cocycles": z[n], "coboundaries": b, "cohomology": z[n] - b}
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +181,9 @@ def universal_cocycle(algebra: Algebra, n: int) -> NormalizedCochain:
     if n < 1:
         raise HochschildError("the universal cocycle needs arity >= 1")
     sp = form_space(algebra, n)
-    module = sp.as_bimodule()
     nJ = _bar_dim(algebra.dim, n)
     # index_of(0, J) == flat J, big-endian
-    return NormalizedCochain(module, n, QMat.from_coo(
+    return NormalizedCochain(sp, n, QMat.from_coo(
         (sp.dim, nJ), ((flat, flat, 1) for flat in range(nJ))))
 
 
@@ -251,8 +252,10 @@ def form_hom_space(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
 
 
 def form_hom_matrices(algebra: Algebra, n: int, module: Bimodule) -> list[QMat]:
-    return [cochain_to_hom(NormalizedCochain.from_vector(module, n, v))
-            for v in form_hom_space(algebra, n, module).basis]
+    """The homs of the canonical basis of :func:`form_hom_space`."""
+    nJ = _bar_dim(algebra.dim, n)
+    return [cochain_to_hom(NormalizedCochain(module, n, data))
+            for data in form_hom_space(algebra, n, module).unvec_basis(module.dim, nJ)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +374,7 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
     """
     if n < 1:
         raise HochschildError("factorization needs arity >= 1")
-    sp = form_space(algebra, n)
-    src = sp.as_bimodule()
-    witness = bimodule_hom_violation(src, module, hom)
+    witness = bimodule_hom_violation(form_space(algebra, n), module, hom)
     if witness is not None:
         raise HochschildError(f"not a bimodule homomorphism: {witness}")
     # the cochain vector of hom: its generator columns, one after another
@@ -395,12 +396,14 @@ def is_coboundary(algebra: Algebra, n: int, module: Bimodule,
 # ---------------------------------------------------------------------------
 
 
-def cohomology_report(algebra: Algebra, module: Bimodule, n: int) -> dict:
+def cohomology_report(algebra: Algebra, module: Bimodule, n: int,
+                      cocycles: Optional[dict[int, int]] = None) -> dict:
     """Both computations of dim H^n(A, M) side by side.
 
     Route one: bimodule homomorphisms out of degree-n forms modulo those
     factoring through the comparison map.  Route two: the normalized
-    complex.  ``agree`` is the whole point.
+    complex (``cocycles`` as in :func:`complex_dims`).  ``agree`` is the
+    whole point.
     """
     if n < 0:
         raise HochschildError("cohomology degree must be >= 0")
@@ -413,7 +416,7 @@ def cohomology_report(algebra: Algebra, module: Bimodule, n: int) -> dict:
             raise HochschildError(
                 "comparison image escaped the hom space")  # pragma: no cover
         dim_istar = image.dim
-    direct = complex_dims(module, n)
+    direct = complex_dims(module, n, cocycles)
     forms_dim = homs.dim - dim_istar
     return {
         "n": n,
@@ -423,3 +426,10 @@ def cohomology_report(algebra: Algebra, module: Bimodule, n: int) -> dict:
         "dim_Hn_complex": direct["cohomology"],
         "agree": forms_dim == direct["cohomology"],
     }
+
+
+def cohomology_reports(algebra: Algebra, module: Bimodule, top: int) -> list[dict]:
+    """:func:`cohomology_report` for n = 0..top, each cocycle space
+    eliminated once."""
+    cocycles: dict[int, int] = {}
+    return [cohomology_report(algebra, module, n, cocycles) for n in range(top + 1)]

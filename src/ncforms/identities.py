@@ -22,11 +22,11 @@ from .connections import (Bundle, GeometryError, action_functoriality_defect,
                           bundle_tensor_dims, curvature, find_projections)
 from .dsl import DslError, load_algebra_text, print_algebra
 from .fieldforms import (FieldFormError, FieldValuedForm, contraction,
-                         field_from_derivation, field_space, field_valued_form_space,
-                         fn_bracket, lie_bracket_fields, zero_field_valued_form)
+                         field_from_derivation, field_space, fn_bracket,
+                         lie_bracket_fields)
 from .forms import Form, FormError, commutator_subspace, form_space, product
-from .hochschild import (NormalizedCochain, coboundary, cochain_dim, cochain_to_hom,
-                         cohomology_report, form_hom_space, hom_to_cochain,
+from .hochschild import (NormalizedCochain, coboundary, cochain_to_hom,
+                         cohomology_reports, form_hom_space, hom_to_cochain,
                          tensor_module)
 from .linalg import (QMat, Subspace, format_scalar, kron_apply, parse_scalar,
                      qmat_hstack, rank, subspace_from_columns)
@@ -41,8 +41,10 @@ def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
     return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
 
 
-def _rand_matrix(rng: random.Random, rows: int, cols: int) -> QMat:
-    return QMat.from_rows([_rand_vec(rng, cols) for _ in range(rows)])
+def _rand_block(rng: random.Random, rows: int, cols: int = 1) -> QMat:
+    """A rows x cols integer block of draws in {-2..2}, drawn row by row."""
+    draws = [rng.randint(-2, 2) for _ in range(rows * cols)]
+    return QMat(np.array(draws, dtype=np.int64).reshape(rows, cols))
 
 
 def _fmt_vec(vec) -> str:
@@ -58,7 +60,7 @@ class _VerifyEnv:
         self.N = truncation
         self.seed = seed
         self.action = action
-        self._fields: dict[int, list[FieldValuedForm]] = {}
+        self._blocks: dict[int, QMat] = {}
 
     @cached_property
     def derivations(self) -> Subspace:
@@ -73,28 +75,22 @@ class _VerifyEnv:
         return Bundle(self.algebra, self.action.fixed_subspace(), action=self.action)
 
     def random_field(self, degree: int, rng: random.Random) -> FieldValuedForm:
-        if degree not in self._fields:
-            self._fields[degree] = field_valued_form_space(self.algebra, degree)
-        K = zero_field_valued_form(self.algebra, degree)
-        for b in self._fields[degree]:
-            c = rng.randint(-2, 2)
-            if c:
-                K = K + b.scale(Fraction(c))
-        return K
+        """A random integer combination of the derivations A -> Omega_degree:
+        their basis block times one column of draws."""
+        A, sp = self.algebra, form_space(self.algebra, degree)
+        if degree not in self._blocks:
+            self._blocks[degree] = derivation_space(sp).basis_matrix()
+        block = self._blocks[degree]
+        delta = (block @ _rand_block(rng, block.shape[1])).unvec(sp.dim, A.dim)
+        return FieldValuedForm(A, degree, delta, check=False)
 
     def random_form(self, degree: int, rng: random.Random) -> Form:
         sp = form_space(self.algebra, degree)
-        return sp.form(_rand_vec(rng, sp.dim))
-
-    def random_derivation(self, rng: random.Random) -> QMat:
-        """A random integer combination of the derivation basis, as a matrix."""
-        der = self.derivations
-        coeffs = QMat.column([rng.randint(-2, 2) for _ in range(der.dim)])
-        return (der.basis_matrix() @ coeffs).unvec(self.algebra.dim, self.algebra.dim)
+        return Form(sp, _rand_block(rng, sp.dim))
 
     def random_multimap(self, arity: int, rng: random.Random) -> MultiMap:
         m = self.algebra.dim
-        raw = _rand_matrix(rng, m, m ** arity)
+        raw = _rand_block(rng, m, m ** arity)
         return alternation(MultiMap(self.algebra, arity, raw, check=False))
 
     def random_fields(self, rng: random.Random) -> Iterator[FieldValuedForm]:
@@ -103,8 +99,9 @@ class _VerifyEnv:
 
     def random_cochains(self, rng: random.Random) -> Iterator[NormalizedCochain]:
         """Three random n-cochains of the algebra in itself for each n <= min(N, 3)."""
-        mod = self.algebra.regular_bimodule()
-        return (NormalizedCochain.from_vector(mod, n, _rand_vec(rng, cochain_dim(mod, n)))
+        mod, m = self.algebra.regular_bimodule(), self.algebra.dim
+        # value r on tuple J is draw J*m + r, the cochain-vector order
+        return (NormalizedCochain(mod, n, _rand_block(rng, (m - 1) ** n, m).T)
                 for n in range(min(self.N, 3) + 1) for _ in range(3))
 
 
@@ -122,7 +119,7 @@ def _chk_scalar_roundtrip(env: _VerifyEnv, rng: random.Random):
 
 def _chk_rank_transpose(env: _VerifyEnv, rng: random.Random):
     for _ in range(10):
-        mat = _rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        mat = _rand_block(rng, rng.randint(1, 4), rng.randint(1, 5))
         rr, cr = rank(mat.to_fraction_rows()), rank(mat.T.to_fraction_rows())
         if rr != cr:
             rows = [_fmt_vec(r) for r in mat.to_fraction_rows()]
@@ -172,7 +169,7 @@ def _chk_derivation_leibniz(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     mod = A.regular_bimodule()
     der = env.derivations
-    draws = [(env.random_derivation(rng), _rand_vec(rng, A.dim)) for _ in range(8)]
+    draws = [(env.random_field(0, rng).delta, _rand_vec(rng, A.dim)) for _ in range(8)]
     inners = [inner_derivation(mod, mvec).vec() for _, mvec in draws]
     block = qmat_hstack(der.ambient, [der.basis_matrix()] + [
         col for (rand, _), inner in zip(draws, inners) for col in (rand.vec(), inner)])
@@ -242,7 +239,7 @@ def _chk_form_dims(env: _VerifyEnv, rng: random.Random):
 def _chk_d_squared_zero(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     for k in range(env.N):
-        dd = form_space(A, k + 1).apply_d(form_space(A, k).d_matrix())
+        dd = form_space(A, k + 1).apply_d(form_space(A, k).d_matrix)
         nonzero = np.argwhere(dd.num)
         if len(nonzero):
             r, c = nonzero[0]
@@ -325,7 +322,7 @@ def _chk_field_form_leibniz(env: _VerifyEnv, rng: random.Random):
 
 def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
-    d0 = form_space(A, 0).d_matrix()
+    d0 = form_space(A, 0).d_matrix
     for K in env.random_fields(rng):
         if contraction(K).mat(1) @ d0 != K.delta:
             return (f"degree {K.degree}: insertion operator does not "
@@ -417,8 +414,7 @@ def _chk_cohomology_routes(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     modules = [("A", A.regular_bimodule()), ("AxA", tensor_module(A, 1))]
     for label, mod in modules:
-        for n in range(min(env.N, 3) + 1):
-            rep = cohomology_report(A, mod, n)
+        for rep in cohomology_reports(A, mod, min(env.N, 3)):
             if not rep["agree"]:
                 return f"module {label}, {routes_witness(rep)}"
     return None
@@ -479,7 +475,7 @@ def _chk_schouten_jacobi(env: _VerifyEnv, rng: random.Random):
 def _chk_bracket_compatibility(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     for _ in range(6):
-        m1, m2 = env.random_derivation(rng), env.random_derivation(rng)
+        m1, m2 = (env.random_field(0, rng).delta for _ in range(2))
         K1, K2 = MultiMap(A, 1, m1), MultiMap(A, 1, m2)
         X1, X2 = field_from_derivation(A, m1), field_from_derivation(A, m2)
         if nr_bracket(K1, K2).data != lie_bracket_fields(X2, X1).delta:

@@ -30,8 +30,8 @@ Six conventions are fixed here and nowhere else:
   form, eliminated by cross-multiplying and back-substituted once on read.
   ``Fraction`` values are built only when a basis or coset is read.
 * Linear conditions.  A system whose matrix is a sum of Kronecker products
-  of action matrices (derivations, bimodule maps, cocycles,
-  polyderivations, commutants, tensor relations, tensor spans) is written
+  of action matrices (derivations, form homs, cocycles, polyderivations,
+  tensor relations, tensor spans) is written
   as its list of terms and turned into sparse integer rows by
   :func:`kron_rows`, which feed :func:`nullspace` or a :class:`RowReducer`.
   The same list is evaluated on a block by :func:`kron_apply` (the
@@ -39,13 +39,25 @@ Six conventions are fixed here and nowhere else:
 * Vector format.  Inside the package a block of vectors is a QMat of
   columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
   a system A X = B is one :func:`solve_linear` call for all columns of B.
-  A matrix unknown (a cochain, a derivation) is read as :meth:`QMat.vec`.
-  ``Fraction`` lists appear only at the boundary: parsing and printing
-  (the JSON matrix codec :func:`qmat_to_json` / :func:`qmat_from_json`),
-  CLI witnesses, public readers (``Form.coords``, ``Subspace.basis``,
-  ``MultiMap.value``, ``NormalizedCochain.to_vector``) and inputs that
-  are ``Fraction`` by contract (structure constants, polynomial
-  coefficients).
+  A matrix unknown (a cochain, a derivation) is read as :meth:`QMat.vec`,
+  and a kernel of them as :meth:`Subspace.unvec_basis`.  ``Fraction``
+  lists (from ``Subspace.basis``, ``RowReducer.reduce_dense``, QMat's
+  ``entry``, ``column_fractions`` and ``to_fraction_rows``) appear only at
+  the boundary, which is exactly: text (:func:`parse_scalar`,
+  :func:`format_scalar`, the JSON matrix codec :func:`qmat_to_json` /
+  :func:`qmat_from_json`); coefficient vectors taken or returned by the
+  public API (``Element``, ``Algebra.mult_vec``, ``AlgebraHom.__call__``,
+  ``Bimodule.left_action`` / ``right_action``, ``derivation_matrix`` /
+  ``derivation_vector``, ``inner_derivation``, ``SemidirectProduct``,
+  ``TensorQuotient.project_vector`` / ``pure_tensor``, ``RowReducer.basis``,
+  ``FormSpace.form``, ``Form.coords`` / ``left_mult`` / ``right_mult``,
+  ``Distribution.contains``, ``bimodule_span``, ``MultiMap.value`` /
+  ``evaluate`` / ``value_with_first``, ``derivation_matrix_of``,
+  ``NormalizedCochain.from_vector`` / ``to_vector`` / ``evaluate``); inputs
+  that are ``Fraction`` by contract (structure constants, in ``algebra``'s
+  constructions and ``Bundle.base_algebra``; polynomial coefficients, in
+  ``minimal_polynomial`` and ``find_projections`` with its centre scan);
+  and ``verify``'s witness strings and the draws it passes to those readers.
 * Exact objects.  A form, a field-valued form, a multimap and a cochain
   are each one QMat in a space: they take +, -, scale, ==, is_zero and
   the same-space check from :class:`QVector`, and write and read their
@@ -315,6 +327,12 @@ class Subspace:
             (c, i, v * (den // row[p]))
             for i, (p, row) in enumerate(zip(self.pivots, self.rows))
             for c, v in row.items()), den)
+
+    def unvec_basis(self, nrows: int, ncols: int) -> list["QMat"]:
+        """Each canonical basis vector as the reduced nrows x ncols matrix
+        whose :meth:`QMat.vec` it is: a column of :meth:`basis_matrix`."""
+        B = self.basis_matrix()
+        return [B.col(j).unvec(nrows, ncols).canonical() for j in range(self.dim)]
 
     def contains(self, vec: Sequence) -> bool:
         return self._reducer().contains(vec)

@@ -293,10 +293,8 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
     _, skew = kron_rows([(swaps, m)])
     # first-slot Leibniz: the derivation terms on K(., rest), rest in the middle
     _, leibniz = kron_rows(_slot_leibniz_terms(algebra, 0, arity - 1))
-    out = []
-    for vec in nullspace(N * m, itertools.chain(skew, leibniz)).basis:
-        out.append(MultiMap(algebra, arity, QMat.column(vec).unvec(m, N)))
-    return out
+    return [MultiMap(algebra, arity, data)
+            for data in nullspace(N * m, itertools.chain(skew, leibniz)).unvec_basis(m, N)]
 
 
 def commutator_bivector(algebra: Algebra) -> MultiMap:

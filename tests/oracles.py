@@ -351,7 +351,7 @@ def loop_omega_functor(f, degree):
     """Omega_k(f): e_i dJ |-> f(e_i) d(f(e_{j1})) ... d(f(e_{jk}))."""
     from ncforms.forms import Form, form_space
     B = f.target
-    d0 = form_space(B, 0).d_matrix()
+    d0 = form_space(B, 0).d_matrix
     dfs = [Form(form_space(B, 1), d0 @ f.matrix.col(j))
            for j in range(f.source.dim)]
     return _loop_extension(B, f.matrix, dfs, degree)
@@ -362,7 +362,7 @@ def loop_induced_endomorphism(algebra, ext, k):
     from ncforms.forms import Form, form_space
     from ncforms.linalg import QMat
     sp1 = form_space(algebra, 1)
-    d0 = form_space(algebra, 0).d_matrix()
+    d0 = form_space(algebra, 0).d_matrix
     images = [Form(sp1, ext @ d0.col(j)) for j in range(algebra.dim)]
     return _loop_extension(algebra, QMat.eye(algebra.dim), images, k)
 
@@ -536,12 +536,12 @@ def handmade_lie_operator(K, max_input):
     sign = (-1) ** ((K.degree - 1) % 2)
     mats = {}
     for j in range(max_input + 1):
-        first = jk.mats[j + 1] @ form_space(A, j).d_matrix()
+        first = jk.mats[j + 1] @ form_space(A, j).d_matrix
         second = jk.mats[j]
         if second is None:
             mats[j] = first
         else:
-            dmat = form_space(A, j + K.degree - 1).d_matrix()
+            dmat = form_space(A, j + K.degree - 1).d_matrix
             mats[j] = first - (dmat @ second).scale(sign)
     return NoneGradedDerivation(A, K.degree, mats)
 
@@ -626,7 +626,7 @@ def coo_d_matrix(space):
 def matrix_d_operator(algebra, max_input):
     from ncforms.forms import form_space
     return MatrixGradedDerivation(algebra, 1, {
-        j: form_space(algebra, j).d_matrix() for j in range(max_input + 1)})
+        j: form_space(algebra, j).d_matrix for j in range(max_input + 1)})
 
 
 def kron_contraction(K, max_input):
@@ -1067,7 +1067,7 @@ def loop_de_rham_homology(algebra, truncation):
                       if t not in red.rows])
     ranks, kernels = [], []
     for r in range(N):
-        dmat = form_space(algebra, r).d_matrix()
+        dmat = form_space(algebra, r).d_matrix
         red_im = FractionRowReducer(form_space(algebra, r + 1).dim)
         for t in frees[r]:
             rep = reducers[r + 1].reduce_dense(dmat.column_fractions(t))
@@ -1075,7 +1075,7 @@ def loop_de_rham_homology(algebra, truncation):
         ranks.append(red_im.dim)
         kernels.append(quot_dims[r] - red_im.dim)
     dims = [kernels[p] - (ranks[p - 1] if p >= 1 else 0) for p in range(N)]
-    dN = form_space(algebra, N).d_matrix()
+    dN = form_space(algebra, N).d_matrix
     red_top = FractionRowReducer(form_space(algebra, N + 1).dim)
     rank_top = sum(red_top.add_dense(dN.column_fractions(t)) for t in frees[N])
     lower_N = max(0, len(frees[N]) - rank_top - ranks[N - 1])
@@ -1144,7 +1144,7 @@ def rebuilt_involutive(dist):
     """d(dist) inside a freshly rebuilt I_2."""
     from ncforms.forms import form_space
     from ncforms.linalg import subspace_from_columns
-    d1 = form_space(dist.algebra, 1).d_matrix()
+    d1 = form_space(dist.algebra, 1).d_matrix
     return subspace_from_columns(d1 @ dist.space.row_matrix().T).is_subspace_of(
         recursive_ideal_component(dist, 2))
 
@@ -1156,7 +1156,7 @@ def kernel_projection_calculus(p, N):
     from ncforms.forms import form_space
     from ncforms.linalg import QMat
     A = p.algebra
-    d0, d1 = form_space(A, 0).d_matrix(), form_space(A, 1).d_matrix()
+    d0, d1 = form_space(A, 0).d_matrix, form_space(A, 1).d_matrix
 
     def curvature(chi):
         ext = fn_bracket(chi, chi).extension()
@@ -1191,3 +1191,41 @@ def kernel_projection_calculus(p, N):
         Rbar.is_zero() == rebuilt_involutive(kerP))
     report["all"] = all(report.values())
     return report
+
+
+# ---------------------------------------------------------------------------
+# Bases read as Fraction lists, and End(Omega_1) as a commutant.
+#
+# ``field_valued_form_space``, ``polyderivation_space`` and
+# ``form_hom_matrices`` read their kernel through ``Subspace.unvec_basis``,
+# columns sliced from ``basis_matrix()``; ``bimodule_endomorphism_space`` is
+# the span of the extensions of the degree-1 fields.  These are the routes
+# they replaced: each basis vector read from ``Subspace.basis`` as Fractions
+# and packed into a QMat by ``QMat.column``, and End(Omega_1) solved as the
+# matrices commuting with both actions.
+# ---------------------------------------------------------------------------
+
+
+def fraction_unvec_basis(space, nrows, ncols):
+    """``Subspace.unvec_basis`` through the Fraction basis."""
+    from ncforms.linalg import QMat
+
+    return [QMat.column(vec).unvec(nrows, ncols) for vec in space.basis]
+
+
+def commutant_endomorphism_space(algebra):
+    """Basis of End^A_A(Omega_1) as the kernel of the commutant system:
+    M E - E M = 0 on E[i, j] at index i*n + j, rows M (x) I - I (x) M^T for
+    every action but the unit's; each matrix over its pivot entry."""
+    import itertools
+
+    from ncforms.forms import form_space
+    from ncforms.linalg import QMat, kron_rows, nullspace
+
+    sp = form_space(algebra, 1)
+    n = sp.dim
+    rows = itertools.chain.from_iterable(
+        kron_rows([(M, n), (n, -M.T)])[1] for M in (*sp.left[1:], *sp.right[1:]))
+    ker = nullspace(n * n, rows)
+    return [QMat.from_coo((n, n), ((c // n, c % n, v) for c, v in row.items()), row[p])
+            for p, row in zip(ker.pivots, ker.rows)]

@@ -87,7 +87,7 @@ def test_criterion_01_differential_squares_to_zero_and_graded_leibniz():
     failure = None
     for name, A in catalog().items():
         for k in range(3):
-            comp = form_space(A, k + 1).d_matrix() @ form_space(A, k).d_matrix()
+            comp = form_space(A, k + 1).d_matrix @ form_space(A, k).d_matrix
             if not comp.is_zero():
                 failure = (name, "d o d", k)
         for _ in range(12):

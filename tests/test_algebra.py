@@ -412,10 +412,10 @@ def test_derivation_defect_matches_pair_loop(name):
     A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
     m = A.dim
     rng = random.Random(name)
-    regular, omega1 = A.regular_bimodule(), form_space(A, 1).as_bimodule()
+    regular, omega1 = A.regular_bimodule(), form_space(A, 1)
     for mod, ders in ((regular, [derivation_matrix(regular, v)
                                  for v in derivation_space(regular).basis]),
-                      (omega1, [form_space(A, 0).d_matrix()])):
+                      (omega1, [form_space(A, 0).d_matrix])):
         dM = mod.dim
         cands = list(ders)
         # a bump off the unit column can fail only at pairs (i, j) with i, j >= 1

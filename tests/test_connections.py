@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ncforms import connections
-from ncforms.algebra import AlgebraError, AlgebraHom, dual_numbers
+from ncforms.algebra import (AlgebraError, AlgebraHom, dual_numbers, matrix_algebra,
+                             truncated_polynomial_algebra)
 from ncforms.connections import (
     Bundle, Distribution, GeometryError, GroupAction, Projection,
     action_functoriality_defect, bianchi_identities, bimodule_endomorphism_space,
@@ -22,7 +23,8 @@ from ncforms.connections import (
 from ncforms.fieldforms import identity_one_form, zero_field_valued_form
 from ncforms.forms import form_space
 from ncforms.linalg import QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace
-from oracles import functor_kernel, kernel_projection_calculus, sympy_commutant_dim
+from oracles import (commutant_endomorphism_space, functor_kernel,
+                     kernel_projection_calculus, sympy_commutant_dim)
 from test_algebra import catalog, upper_triangular2
 from test_forms import _algebras
 
@@ -142,6 +144,17 @@ def test_endomorphisms_commute_with_actions(algebras):
     for E in bimodule_endomorphism_space(A):
         for M in list(sp.left) + list(sp.right):
             assert E @ M == M @ E
+
+
+def test_endomorphism_space_matches_the_commutant_system(algebras):
+    # End(Omega_1) read from Der(A, Omega_1) is the kernel of the commutant
+    # system, matrix for matrix, each with the same (num, den, dtype)
+    algs = {**algebras, "m2frac": _algebras()["m2frac"],
+            "truncpoly(4)": truncated_polynomial_algebra(4), "matrix(3)": matrix_algebra(3)}
+    for name, A in algs.items():
+        ours, ref = bimodule_endomorphism_space(A), commutant_endomorphism_space(A)
+        assert [(E.num.tolist(), E.den, E.num.dtype) for E in ours] == \
+            [(E.num.tolist(), E.den, E.num.dtype) for E in ref], name
 
 
 def test_minimal_polynomial_examples():

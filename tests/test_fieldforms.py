@@ -62,7 +62,7 @@ def bases(algebras):
 def test_field_valued_form_validates_leibniz(algebras):
     A = algebras["dual"]
     # delta(eps) = d(eps) is Leibniz; delta(eps) = 1*d(eps) + constant is not
-    d0 = form_space(A, 0).d_matrix()
+    d0 = form_space(A, 0).d_matrix
     FieldValuedForm(A, 1, d0)  # fine
     bad = QMat.from_rows([[1, 0], [0, 1]])  # delta(1) = d(eps) violates D(1)=0
     with pytest.raises(FieldFormError):
@@ -135,7 +135,7 @@ def test_lie_operator_on_functions_is_composition_with_d(algebras, bases):
             K = random_form(rng, bases[name][1], A, 1)
             # j_K recovers delta: j_K(da) = delta(a)
             jk = contraction(K, 1)
-            assert jk.mats[1] @ form_space(A, 0).d_matrix() == K.delta
+            assert jk.mats[1] @ form_space(A, 0).d_matrix == K.delta
 
 
 def test_lie_operators_commute_with_d(algebras, bases):
@@ -187,7 +187,7 @@ def test_operators_match_the_none_encoded_reference(name):
     rng = random.Random(101)
     fields = [identity_one_form(A)]
     for k in subscripts:
-        mod = form_space(A, k).as_bimodule()
+        mod = form_space(A, k)
         vec = [Fraction(rng.randint(-2, 2)) for _ in range(mod.dim)]
         if mod.dim:
             fields.append(FieldValuedForm(A, k, inner_derivation(mod, vec)))
@@ -208,7 +208,7 @@ def _inner_fields(A, rng, subscripts):
     """identity_one_form and one inner field per subscript, with den != 1."""
     fields = [identity_one_form(A)]
     for k in subscripts:
-        mod = form_space(A, k).as_bimodule()
+        mod = form_space(A, k)
         vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(mod.dim)]
         if mod.dim:
             fields.append(FieldValuedForm(A, k, inner_derivation(mod, vec)))
@@ -470,7 +470,7 @@ def test_operator_inputs_bound_the_matrices_read(algebras):
     with pytest.raises(FieldFormError):
         d.mat(4)
     eye4 = QMat.eye(form_space(A, 4).dim)
-    assert d.apply(4, eye4) == form_space(A, 4).d_matrix()
+    assert d.apply(4, eye4) == form_space(A, 4).d_matrix
     assert j.apply(4, eye4) == eye4.scale(4)
     assert (d + d).inputs == d.inputs and d.commutator(j).inputs == [0, 1]
     # below degree 0 every image is a block with 0 rows
@@ -520,8 +520,8 @@ def test_f_related_multiplication_twist():
     f = quotient_to_dual()
     src, tgt = f.source, f.target
     # K(a0 da1) = a0 t da1 upstairs, K'(b0 db1) = b0 eps db1 downstairs
-    d_src = form_space(src, 0).d_matrix()
-    d_tgt = form_space(tgt, 0).d_matrix()
+    d_src = form_space(src, 0).d_matrix
+    d_tgt = form_space(tgt, 0).d_matrix
     K = FieldValuedForm(src, 1, form_space(src, 1).left_action(
         [F(0), F(1), F(0)]) @ d_src)
     Kp = FieldValuedForm(tgt, 1, form_space(tgt, 1).left_action(
@@ -540,7 +540,7 @@ def test_pushforward_of_killed_multiplier_is_zero():
     # delta(a) = t^2 da is Leibniz (t^2 central); t^2 maps to 0 downstairs,
     # so the pushforward exists and is the zero one-form
     delta = form_space(src, 1).left_action([F(0), F(0), F(1)]) @ \
-        form_space(src, 0).d_matrix()
+        form_space(src, 0).d_matrix
     K = FieldValuedForm(src, 1, delta)
     assert pushforward(f, K) == zero_field_valued_form(f.target, 1)
 
@@ -598,7 +598,7 @@ def test_identity_in_one_form_space(algebras):
     for name in ("dual", "truncpoly3", "kxk", "m2"):
         A = algebras[name]
         basis = field_valued_form_space(A, 1)
-        mod = form_space(A, 1).as_bimodule()
+        mod = form_space(A, 1)
         space = derivation_space(mod)
         I = identity_one_form(A)
         vec = [I.delta.entry(r, j) for j in range(A.dim) for r in range(mod.dim)]

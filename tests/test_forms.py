@@ -36,8 +36,8 @@ def test_dims_formula():
 def test_d_squared_zero_matrices():
     for alg in catalog().values():
         for k in range(3):
-            d1 = form_space(alg, k).d_matrix()
-            d2 = form_space(alg, k + 1).d_matrix()
+            d1 = form_space(alg, k).d_matrix
+            d2 = form_space(alg, k + 1).d_matrix
             assert (d2 @ d1).is_zero()
 
 
@@ -74,7 +74,7 @@ def test_form_spaces_are_bimodules():
     for alg in catalog().values():
         deg_max = 3 if alg.dim <= 3 else 2
         for k in range(1, deg_max + 1):
-            form_space(alg, k).as_bimodule().validate()
+            form_space(alg, k).validate()
 
 
 def _embedding_columns(alg, n):
@@ -142,7 +142,7 @@ def test_embedding_model_agrees(algname):
         # d agrees with the embedded d: e_i dJ |-> delta(e_i) dJ, delta(1) = 0
         if n < max_deg:
             _, tcols = _embedding_columns(alg, n + 1)
-            dmat = sp.d_matrix()
+            dmat = sp.d_matrix
             for idx in range(sp.dim):
                 i, J = sp.tuple_of(idx)
                 ours = _embed_coords(tcols, dmat.col(idx).column_fractions(0))
@@ -176,7 +176,7 @@ def test_structural_operators_are_reduced():
         mats = alg.left + alg.right
         for k in range(3):
             sp = form_space(alg, k)
-            mats += sp.right + [sp.d_matrix()]
+            mats += sp.right + [sp.d_matrix]
         for M in mats:
             R = M.reduced()
             assert M.den == R.den and np.array_equal(M.num, R.num), name
@@ -189,7 +189,7 @@ def test_d_is_the_row_shift_of_the_coo_matrix():
     for name, alg in _algebras().items():
         for k in range(4):
             sp = form_space(alg, k)
-            D, ref = sp.d_matrix(), coo_d_matrix(sp)
+            D, ref = sp.d_matrix, coo_d_matrix(sp)
             assert (D.shape, D.den, D.num.dtype) == (ref.shape, ref.den, ref.num.dtype)
             assert np.array_equal(D.num, ref.num), (name, k)
             X = QMat.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)), 2 ** 63]
@@ -223,7 +223,7 @@ def test_form_space_build_makes_no_fraction_rows(monkeypatch):
 
     monkeypatch.setattr(QMat, "from_rows", classmethod(counting))
     sp = form_space(alg, 4)
-    form_space(alg, 3).d_matrix()
+    form_space(alg, 3).d_matrix
     sp.basis_form(7)
     multiplication_matrix(alg, 3)
     assert not calls
@@ -242,14 +242,14 @@ def test_form_space_dimension_builds_no_action(monkeypatch):
     assert [form_space(alg, k).dim for k in range(8)] == [4 * 3 ** k for k in range(8)]
     sp = form_space(alg, 7)
     assert sp.tuple_of(sp.index_of(2, (1, 3, 2, 1, 1, 3, 2))) == (2, (1, 3, 2, 1, 1, 3, 2))
-    form_space(alg, 2).d_matrix()
+    form_space(alg, 2).d_matrix
     with pytest.raises(AssertionError):
         form_space(alg, 1).right
     monkeypatch.undo()
     w = form_space(alg, 1).basis_form(1)
     product(w, form_space(alg, 3).basis_form(5))
     built = {k for k in range(8) if {"right", "left"} & set(vars(form_space(alg, k)))}
-    assert built == {1} and form_space(alg, 3)._stacked is None
+    assert built == {1} and "stacked_right" not in vars(form_space(alg, 3))
 
 
 def test_product_unital_and_examples():
@@ -328,8 +328,8 @@ def test_omega_functor_identity_and_quotient():
     # commutes with d, and chain rule through a second quotient
     om_f = omega_functor(f, 2)
     for k in range(2):
-        lhs = om_f[k + 1] @ form_space(tp3, k).d_matrix()
-        rhs = form_space(dual, k).d_matrix() @ om_f[k]
+        lhs = om_f[k + 1] @ form_space(tp3, k).d_matrix
+        rhs = form_space(dual, k).d_matrix @ om_f[k]
         assert lhs == rhs
     k_alg = base_field()
     g = AlgebraHom(dual, k_alg, QMat.from_rows([[1, 0]]), name="aug")
@@ -411,7 +411,7 @@ def test_d_descends_to_commutator_quotient():
         for r in range(3):
             cr = commutator_subspace(alg, r)
             cnext = commutator_subspace(alg, r + 1)
-            dmat = form_space(alg, r).d_matrix()
+            dmat = form_space(alg, r).d_matrix
             for row in cr.basis:
                 img = (dmat @ QMat.column(row)).column_fractions(0)
                 assert cnext.contains(img)

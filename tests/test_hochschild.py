@@ -245,7 +245,7 @@ def test_cocycle_extension_is_bimodule_hom(algebras):
     for name in ("dual", "truncpoly3", "kxk", "m2", "upper2"):
         A = algebras[name]
         M = A.regular_bimodule()
-        src = form_space(A, 2).as_bimodule()
+        src = form_space(A, 2)
         for vec in cocycle_space(M, 2).basis:
             hom = cochain_to_hom(NormalizedCochain.from_vector(M, 2, vec))
             assert is_bimodule_hom(src, M, hom)
@@ -258,7 +258,7 @@ def test_non_cocycle_extension_fails_on_right_action(algebras):
     c = NormalizedCochain(M, 1, QMat.from_rows([[F(1)], [F(0)]]))
     dc = coboundary(c)
     assert dc.value((1, 1)).column_fractions(0) == [F(0), F(2)]
-    witness = bimodule_hom_violation(form_space(A, 1).as_bimodule(), M,
+    witness = bimodule_hom_violation(form_space(A, 1), M,
                                      cochain_to_hom(c))
     assert witness is not None and witness["side"] == "right"
 
@@ -358,7 +358,7 @@ def test_comparison_hom_degree_one_display(algebras):
 def test_comparison_hom_is_bimodule_hom(algebras):
     for name, A in algebras.items():
         for n in (1, 2, 3):
-            src = form_space(A, n).as_bimodule()
+            src = form_space(A, n)
             T = tensor_module(A, n)
             assert is_bimodule_hom(src, T, universal_comparison_hom(A, n))
 

@@ -32,8 +32,11 @@ from ncforms.linalg import (
 from ncforms.schouten import MultiMap, SchoutenError
 from oracles import (
     FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
-    fraction_solve_linear, fraction_span, sympy_nullspace_dim, sympy_rank, sympy_rref,
+    fraction_solve_linear, fraction_span, fraction_unvec_basis, sympy_nullspace_dim,
+    sympy_rank, sympy_rref,
 )
+from test_algebra import catalog
+from test_forms import _algebras as _forms_algebras
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 small_matrix = st.lists(
@@ -838,8 +841,7 @@ def test_no_private_codec_or_column_copies():
 def test_linear_condition_builders_go_through_kron_rows():
     builders = [algebra.derivation_space, algebra.TensorQuotient.__init__,
                 schouten.polyderivation_space, hochschild.form_hom_space,
-                hochschild.cocycle_space, connections.bimodule_endomorphism_space,
-                forms.kernel_of_mu_n]
+                hochschild.cocycle_space, forms.kernel_of_mu_n]
     # the term lists the builders eliminate, each the one place its operator
     # is stated
     term_lists = [hochschild.coboundary_terms, algebra.leibniz_terms,
@@ -850,6 +852,75 @@ def test_linear_condition_builders_go_through_kron_rows():
         assert not [b for b in banned if b in src], fn.__qualname__
     for fn in builders:
         assert "kron_rows(" in inspect.getsource(fn), fn.__qualname__
+    # End(Omega_1) builds no system: it is read from Der(A, Omega_1)
+    src = inspect.getsource(connections.bimodule_endomorphism_space)
+    assert "field_valued_form_space(" in src
+    assert not [b for b in ("kron_rows(", "nullspace(") if b in src]
+
+
+def _attribute_reads(tree: ast.AST, attr: str) -> list[str]:
+    """The dotted name of the def or class around each read of ``.attr``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_library_reads_no_fraction_basis():
+    # Subspace.basis builds Fraction rows; inside the library a basis is read
+    # as integer rows or as basis_matrix() columns.  The readers left:
+    # RowReducer.basis (the Fraction reader itself), verify's witness
+    # strings, and find_projections's centre scan, whose candidates keep
+    # their order.  dsl's TableSpec.basis is a tuple of names.
+    allowed = {"linalg.RowReducer.basis", "identities._chk_derivation_leibniz",
+               "identities._chk_commutator_chain", "connections.find_projections",
+               "dsl._elaborate_table"}
+    found = set()
+    for info in pkgutil.iter_modules(ncforms.__path__):
+        mod = importlib.import_module(f"ncforms.{info.name}")
+        found |= {f"{info.name}.{where}"
+                  for where in _attribute_reads(ast.parse(inspect.getsource(mod)), "basis")}
+    assert found == allowed
+
+
+def test_bases_sliced_from_blocks_match_the_fraction_route(monkeypatch):
+    # field-valued forms, polyderivations and form homs read their kernel's
+    # basis_matrix() columns; reading each vector as Fractions instead
+    # gives every matrix with the same (num, den, dtype)
+    def sigs(mats):
+        return [(M.num.tolist(), M.den, M.num.dtype) for M in mats]
+
+    algs = {**catalog(), **{k: v for k, v in _forms_algebras().items()
+                            if k in ("m2frac", "t3big")},
+            "truncpoly(4)": builtin_algebra("truncpoly(4)"), "matrix(3)": matrix_algebra(3)}
+
+    def bases():
+        out = {}
+        for name, A in algs.items():
+            top = 1 if A.dim > 4 else 2
+            for k in range(top + 1):
+                out[name, "fields", k] = sigs(
+                    K.delta for K in fieldforms.field_valued_form_space(A, k))
+                out[name, "homs", k] = sigs(
+                    hochschild.form_hom_matrices(A, k, A.regular_bimodule()))
+            for arity in range(1, top + 2):
+                out[name, "polys", arity] = sigs(
+                    K.data for K in schouten.polyderivation_space(A, arity))
+        return out
+
+    blocks = bases()
+    monkeypatch.setattr(Subspace, "unvec_basis", fraction_unvec_basis)
+    assert bases() == blocks
 
 
 def test_products_of_forms_go_through_the_block_kernel():
