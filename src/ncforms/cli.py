@@ -14,6 +14,9 @@ Each subcommand is one body (algebra, N, seed, cap, **args) -> (checks,
 data) registered with ``_report``, the one pipeline that loads the input,
 maps errors to exit codes and renders the report.  The bodies call the
 library; ``verify`` reports the identity suite of :mod:`ncforms.identities`.
+The command starts OpenBLAS single-threaded unless ``OPENBLAS_NUM_THREADS``
+is set, since no int64 or object product reaches BLAS; the float64 dgemm
+products of ROADMAP item 3 must re-measure this default when they land.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
+
+# Set before numpy loads OpenBLAS: integer and object products never reach
+# BLAS, so its worker threads would only slow every report's start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

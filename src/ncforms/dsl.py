@@ -31,9 +31,8 @@ Diagnostics carry line/column and, for unexpected tokens, the expected set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import (
     Algebra, AlgebraError, AlgebraHom, GroupAction, base_field, dual_numbers,
@@ -67,8 +66,7 @@ _PUNCT = "{}(),;*=:+-"
 _NAME_CONT = "_.^"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # NAME | RATIONAL | one of _PUNCT | ARROW | EOF
     text: str
     value: Optional[Fraction]
@@ -142,16 +140,14 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: Fraction
     name: Optional[str]        # None = multiple of the unit
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     left: str
     right: str
     expr: tuple[Term, ...]
@@ -159,8 +155,7 @@ class Relation:
     col: int
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     name: str
     strict: bool
     basis: tuple[str, ...]             # declared order
@@ -170,16 +165,14 @@ class TableSpec:
     col: int = 1
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     elements: tuple[str, ...]
     products: dict
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(NamedTuple):
     name: str
     args: tuple = ()
     line: int = 1

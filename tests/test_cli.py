@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import random
 import re
 import resource
@@ -30,6 +31,7 @@ from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
 from test_dsl import MALFORMED_ACTIONS
+from test_imports import run_python
 
 BUILTINS = ["k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -322,6 +324,21 @@ def test_subprocess_reports_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc/self/task; OpenBLAS starts no pool on one CPU")
+def test_cli_starts_openblas_single_threaded_unless_set():
+    code = ("import ncforms.cli, os; print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert run_python(code) == "1 1"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2 2"
+
+
+def test_library_leaves_the_blas_setting_to_its_caller():
+    code = ("import ncforms.forms, ncforms.identities, os; "
+            "print('OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_python(code) == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every function, class and method it defines is named somewhere else."""
+"""Source hygiene: every name a library module imports is used in it,
+every function, class and method it defines is named somewhere else, and
+the command's start-up loads no optional package."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +124,24 @@ def test_every_library_definition_is_named_elsewhere():
             if words[name] == re.findall(r"\w+", lines[line - 1]).count(name):
                 dead.append(f"{module.name}:{line} {name}")
     assert dead == []
+
+
+def run_python(code: str, **env: str) -> str:
+    """stdout of ``python -c code`` in a fresh interpreter that imports
+    ncforms from this checkout, with OPENBLAS_NUM_THREADS unset unless
+    given in env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(SRC.parent)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, env={**base, **env})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_cli_start_up_loads_no_optional_package():
+    # every report pays for what ``import ncforms.cli`` loads: the test-only
+    # packages must not slip in, nor dataclasses' per-class code generation
+    heavy = ("dataclasses", "sympy", "scipy", "hypothesis", "jsonschema")
+    code = ("import sys, ncforms.cli; print(sorted(m for m in sys.modules "
+            f"if m.partition('.')[0] in {heavy!r}))")
+    assert run_python(code) == "[]"
