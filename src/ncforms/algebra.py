@@ -7,12 +7,14 @@ basis whose first vector is the unit:
 
 All the derived data (left/right multiplication operators, centers,
 derivations, bimodules) are exact rational matrices.  The constants are also
-kept as sparse integers over one common denominator (``constants``,
-``structure_den``); operators fixed by them are built from those directly.
+kept as one integer matrix over their common denominator ``structure_den``,
+mu^2, whose slices are the multiplication operators and the factors of the
+operators on forms and cochains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -20,8 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_apply, kron_rows,
-                     nullspace, qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
+from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_apply, kron_matrix,
+                     kron_rows, kron_transpose, nullspace, qmat_hstack, qmat_inverse,
+                     qmat_sum, solve_linear)
 
 
 class AlgebraError(ValueError):
@@ -41,23 +44,17 @@ class Algebra:
             raise AlgebraError("structure tensor shape mismatch")
         self.structure = [[tuple(Fraction(v) for v in structure[i][j])
                            for j in range(m)] for i in range(m)]
-        # the same constants as integers over one common denominator:
-        # constants[i][j] lists (k, structure_den * c[i][j][k]), nonzero only
+        # mu^2: column i*m + j is e_i e_j, integers over one common denominator
         den = self.structure_den = math.lcm(
             *(c.denominator for row in self.structure for cs in row for c in cs))
-        C = self.constants = [[[(k, c.numerator * (den // c.denominator))
-                                for k, c in enumerate(cs) if c] for cs in row]
-                              for row in self.structure]
-        # left multiplication: column j of L[i] is e_i e_j
-        self.left = [QMat.from_coo((m, m), ((k, j, v) for j in range(m)
-                                            for k, v in C[i][j]), den)
-                     for i in range(m)]
-        # right multiplication: column i of R[j] is e_i e_j
-        self.right = [QMat.from_coo((m, m), ((k, i, v) for i in range(m)
-                                             for k, v in C[i][j]), den)
-                      for j in range(m)]
-        # mu^2 = [L_0 .. L_{m-1}]: column i*m + j is e_i e_j
-        self.mu2 = qmat_hstack(m, self.left)
+        self.mu2 = QMat.from_coo((m, m * m), (
+            (k, i * m + j, c.numerator * (den // c.denominator))
+            for i, row in enumerate(self.structure) for j, cs in enumerate(row)
+            for k, c in enumerate(cs) if c), den)
+        mu = self.mu2.num.reshape(m, m, m)
+        # left multiplication: column j of L[i] is e_i e_j; right: column i of R[j]
+        self.left = [QMat(mu[:, i].copy(), self.mu2.den).canonical() for i in range(m)]
+        self.right = [QMat(mu[:, :, j].copy(), self.mu2.den).canonical() for j in range(m)]
         # degree -> FormSpace, filled by forms.form_space; owned by the
         # algebra so the spaces die with it
         self._form_spaces: dict = {}
@@ -73,14 +70,14 @@ class Algebra:
         if self.left[0] != eye or self.right[0] != eye:
             raise AlgebraError(
                 f"{self.name}: basis vector 0 is not a two-sided unit")
-        # associativity: column j*m + l of mu^2 (L_i (x) I) is (e_i e_j) e_l,
-        # of L_i mu^2 it is e_i (e_j e_l)
-        for i, L in enumerate(self.left):
-            bad = (self.mu2 @ L.kron(eye) - L @ self.mu2).num.any(axis=0)
-            if bad.any():
-                raise AlgebraError(
-                    f"{self.name}: product not associative at "
-                    f"({self.basis_names[i]}, {self.basis_names[int(bad.argmax()) // m]})")
+        # associativity: row (i, j, l) of (mu^2 (mu^2 (x) I))^T is (e_i e_j) e_l,
+        # of (mu^2 (I (x) mu^2))^T it is e_i (e_j e_l)
+        muT = self.mu2.T
+        bad = (kron_apply([(muT, m)], muT) - kron_apply([(m, muT)], muT)).num.any(axis=1)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()) // m, m)
+            raise AlgebraError(f"{self.name}: product not associative at "
+                               f"({self.basis_names[i]}, {self.basis_names[j]})")
 
     # -- products --------------------------------------------------------------
 
@@ -194,47 +191,52 @@ class Element:
 
 
 class Bimodule:
-    """A-bimodule: commuting left action (hom) and right action (anti-hom)."""
+    """A-bimodule: commuting left action (hom) and right action (anti-hom).
 
-    def __init__(self, algebra: Algebra, dim: int, left: Sequence[QMat],
-                 right: Sequence[QMat], name: str = "M", check: bool = True):
+    Each basis element acts by a Kronecker term list (see :func:`kron_rows`);
+    a QMat M given for it is the list [(M,)]."""
+
+    def __init__(self, algebra: Algebra, dim: int, left: Sequence, right: Sequence,
+                 name: str = "M", check: bool = True):
         self.algebra = algebra
         self.dim = dim
-        self.left = list(left)
-        self.right = list(right)
+        self.left = [[(M,)] if isinstance(M, QMat) else list(M) for M in left]
+        self.right = [[(M,)] if isinstance(M, QMat) else list(M) for M in right]
         self.name = name
         if check:
             self.validate()
 
     def validate(self) -> None:
-        A, dM = self.algebra, self.dim
-        m = A.dim
-        eye = QMat.eye(dM)
-        if len(self.left) != m or len(self.right) != m:
-            raise AlgebraError(f"{self.name}: need one action matrix per basis vector")
-        if any(M.shape != (dM, dM) for M in self.left + self.right):
-            raise AlgebraError(f"{self.name}: action matrix shape mismatch")
-        if self.left[0] != eye or self.right[0] != eye:
+        """The bimodule laws for all j at once, the action terms applied to the
+        blocks H = [M_0 .. M_{m-1}] of the matrices: block j of H (a_i (x) I), a_i
+        the algebra's, is sum_k a_i[k, j] M_k, and R_j L_i is (L_i^T R_j^T)^T."""
+        A, dM, m = self.algebra, self.dim, self.algebra.dim
+        L, R = ([kron_matrix(t) for t in acts] for acts in (self.left, self.right))
+        if len(L) != m or len(R) != m or any(M.shape != (dM, dM) for M in L + R):
+            raise AlgebraError(f"{self.name}: need one {dM} x {dM} action per basis vector")
+        if L[0] != QMat.eye(dM) or R[0] != QMat.eye(dM):
             raise AlgebraError(f"{self.name}: unit must act as identity")
+        HL, HR, HRt = (qmat_hstack(dM, Ms) for Ms in (L, R, [M.T for M in R]))
         for i in range(m):
-            for j in range(m):
-                prod = [A.structure[i][j][k] for k in range(m)]
-                # left action preserves products: (e_i e_j) . x = e_i . (e_j . x)
-                if self.left[i] @ self.left[j] != qmat_sum(
-                        [self.left[k].scale(prod[k]) for k in range(m)]):
-                    raise AlgebraError(f"{self.name}: left action not multiplicative")
-                # right action reverses them: x . (e_i e_j) = (x . e_i) . e_j
-                if self.right[j] @ self.right[i] != qmat_sum(
-                        [self.right[k].scale(prod[k]) for k in range(m)]):
-                    raise AlgebraError(f"{self.name}: right action not anti-multiplicative")
-                if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
-                    raise AlgebraError(f"{self.name}: left and right actions do not commute")
+            # (e_i e_j) . x = e_i . (e_j . x) and x . (e_j e_i) = (x . e_j) . e_i
+            if kron_apply(self.left[i], HL) != kron_apply([(A.left[i].T, dM)], HL.T).T:
+                raise AlgebraError(f"{self.name}: left action not multiplicative")
+            if kron_apply(self.right[i], HR) != kron_apply([(A.right[i].T, dM)], HR.T).T:
+                raise AlgebraError(f"{self.name}: right action not anti-multiplicative")
+            RLt = kron_apply(kron_transpose(self.left[i]), HRt)     # block j: (R_j L_i)^T
+            RL = RLt.num.reshape(dM, m, dM).transpose(2, 1, 0).reshape(dM, m * dM)
+            if kron_apply(self.left[i], HR) != QMat(RL, RLt.den):
+                raise AlgebraError(f"{self.name}: left and right actions do not commute")
 
-    def left_action(self, a: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.left[i].scale(ai) for i, ai in enumerate(a)])
+    def left_action(self, a: Sequence[Fraction], X: Optional[QMat] = None) -> QMat:
+        """a . X, for X the identity (the matrix of a) when None."""
+        X = QMat.eye(self.dim) if X is None else X
+        return qmat_sum([kron_apply(L, X).scale(ai) for L, ai in zip(self.left, a)])
 
-    def right_action(self, a: Sequence[Fraction]) -> QMat:
-        return qmat_sum([self.right[i].scale(ai) for i, ai in enumerate(a)])
+    def right_action(self, a: Sequence[Fraction], X: Optional[QMat] = None) -> QMat:
+        """X . a, for X the identity (the matrix of a) when None."""
+        X = QMat.eye(self.dim) if X is None else X
+        return qmat_sum([kron_apply(R, X).scale(ai) for R, ai in zip(self.right, a)])
 
     def __repr__(self) -> str:
         return f"Bimodule({self.name!r}, dim={self.dim} over {self.algebra.name})"
@@ -330,16 +332,10 @@ def matrix_algebra(n: int) -> Algebra:
     names = ["1"] + [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)
                      if not (i == n - 1 and j == n - 1)]
     m = n * n
-    # structure in the full E_ij basis first
-    def eidx(i, j):
-        return i * n + j
+    # structure in the full E_ij basis first: E_ij E_jl = E_il
     structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        structure[eidx(i, j)][eidx(k, l)][eidx(i, l)] = Fraction(1)
+    for i, j, l in itertools.product(range(n), repeat=3):
+        structure[i * n + j][j * n + l][i * n + l] = Fraction(1)
     unit = [Fraction(int(i == j)) for i in range(n) for j in range(n)]
     full_names = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     alg = rebase_unit_first(f"matrix({n})", full_names, structure, unit)
@@ -375,12 +371,10 @@ def product_algebra(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algeb
     structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
     for i in range(a.dim):
         for j in range(a.dim):
-            for k in range(a.dim):
-                structure[i][j][k] = a.structure[i][j][k]
+            structure[i][j][:a.dim] = a.structure[i][j]
     for i in range(b.dim):
         for j in range(b.dim):
-            for k in range(b.dim):
-                structure[a.dim + i][a.dim + j][a.dim + k] = b.structure[i][j][k]
+            structure[a.dim + i][a.dim + j][a.dim:] = b.structure[i][j]
     names = [f"a.{s}" for s in a.basis_names] + [f"b.{s}" for s in b.basis_names]
     unit = [Fraction(int(i == 0 or i == a.dim)) for i in range(m)]
     return rebase_unit_first(name or f"product({a.name},{b.name})",
@@ -389,20 +383,16 @@ def product_algebra(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algeb
 
 def semidirect_product(mod: Bimodule, name: Optional[str] = None) -> "SemidirectProduct":
     """Square-zero extension A (+) M with (a,m)(a',m') = (aa', a.m' + m.a')."""
-    A, dM = mod.algebra, mod.dim
-    m = A.dim
+    A, dM, m = mod.algebra, mod.dim, mod.algebra.dim
     n = m + dM
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(m):
         for j in range(m):
-            for k in range(m):
-                structure[i][j][k] = A.structure[i][j][k]
+            structure[i][j][:m] = A.structure[i][j]
+        li, ri = kron_matrix(mod.left[i]), kron_matrix(mod.right[i])
         for p in range(dM):
-            li = mod.left[i]
-            ri = mod.right[i]
-            for r in range(dM):
-                structure[i][m + p][m + r] = li.entry(r, p)
-                structure[m + p][i][m + r] = ri.entry(r, p)
+            structure[i][m + p][m:] = li.column_fractions(p)
+            structure[m + p][i][m:] = ri.column_fractions(p)
     names = list(A.basis_names) + [f"{mod.name}.{p}" for p in range(dM)]
     alg = Algebra(name or f"semidirect({A.name},{mod.name})", names, structure)
     return SemidirectProduct(alg, A, mod)
@@ -512,18 +502,15 @@ def leibniz_terms(mod: Bimodule) -> list[tuple]:
 
     On vec(D) (D[r, j] at index j*dM + r), row (i*m + j)*dM + r of
     C (x) I - sum_a (u_a (x) I (x) L_a + I (x) u_a (x) R_a) is coordinate r of
-    D(e_i e_j) - e_i.D(e_j) - D(e_i).e_j: C is the m^2 x m matrix of
-    structure constants and u_a the unit column of e_a (the head and tail
-    terms of the coboundary).  The last factor of every term acts on M.
+    D(e_i e_j) - e_i.D(e_j) - D(e_i).e_j: C = (mu^2)^T holds the structure
+    constants and u_a is the unit column of e_a (the head and tail terms of
+    the coboundary).  The module's term lists L_a, R_a are spliced in.
     """
-    A = mod.algebra
-    m = A.dim
-    C = QMat.from_coo((m * m, m), ((i * m + j, k, v) for i in range(m)
-                                   for j in range(m) for k, v in A.constants[i][j]),
-                      A.structure_den)
+    m = mod.algebra.dim
     units = [QMat.from_coo((m, 1), [(a, 0, -1)]) for a in range(m)]
-    return [(C, mod.dim), *((u, m, L) for u, L in zip(units, mod.left)),
-            *((m, u, R) for u, R in zip(units, mod.right))]
+    return [(mod.algebra.mu2.T, mod.dim),
+            *((u, m, *t) for u, L in zip(units, mod.left) for t in L),
+            *((m, u, *t) for u, R in zip(units, mod.right) for t in R)]
 
 
 def derivation_space(mod: Bimodule) -> Subspace:
@@ -560,8 +547,8 @@ def is_derivation(mod: Bimodule, mat: QMat) -> bool:
 def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
     """D_m(a) = m.a - a.m for a fixed module element m."""
     col = QMat.column(mvec)
-    return qmat_hstack(mod.dim, [(mod.right[i] - mod.left[i]) @ col
-                                 for i in range(mod.algebra.dim)])
+    return qmat_hstack(mod.dim, [kron_apply(R, col) - kron_apply(L, col)
+                                 for L, R in zip(mod.left, mod.right)])
 
 
 def derivation_to_hom(sd: SemidirectProduct, dmat: QMat) -> AlgebraHom:
@@ -601,11 +588,11 @@ class TensorQuotient:
         dm, dn = right_mod.dim, left_mod.dim
         self.ambient = dm * dn
         red = RowReducer(self.ambient)
-        # m.a (x) n - m (x) a.n: rows R_a^T (x) I - I (x) L_a^T; the unit
-        # gives the zero relation
+        # m.a (x) n - m (x) a.n, a != 0: rows R_a^T (x) I - I (x) L_a^T (-1 a factor)
         for a in range(1, self.algebra.dim):
-            _, rows = kron_rows([(right_mod.right[a].T, dn),
-                                 (dm, -left_mod.left[a].T)])
+            _, rows = kron_rows([*((*t, dn) for t in kron_transpose(right_mod.right[a])),
+                                 *((-QMat.eye(1), dm, *t)
+                                   for t in kron_transpose(left_mod.left[a]))])
             for row in rows:
                 red.add(row)
         self.relations = red.subspace()

@@ -23,8 +23,8 @@ from .fieldforms import (
 from .forms import (Form, d_slots, form_space, multiplicative_extension, omega_functor,
                     products)
 from .linalg import (
-    QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace, qmat_hstack,
-    qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
+    QMat, RowReducer, Subspace, is_idempotent_kernel, kron_apply, nullspace,
+    qmat_hstack, qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
 )
 
 
@@ -75,8 +75,8 @@ def _action_closure(algebra: Algebra, space: Subspace) -> Subspace:
     sp = form_space(algebra, 1)
     while True:
         block = space.row_matrix().T
-        grown = space + subspace_from_columns(
-            qmat_hstack(sp.dim, [M @ block for M in sp.left[1:] + sp.right[1:]]))
+        grown = space + subspace_from_columns(qmat_hstack(sp.dim, [
+            kron_apply(M, block) for M in sp.left[1:] + sp.right[1:]]))
         if grown.dim == space.dim:
             return space
         space = grown
@@ -97,8 +97,7 @@ def bimodule_span(algebra: Algebra, generators) -> Distribution:
 
 def exact_span(algebra: Algebra, sub: Subspace) -> Distribution:
     """Bimodule span of d(sub) for a subspace of A."""
-    d0 = form_space(algebra, 0).d_matrix
-    gens = subspace_from_columns(d0 @ sub.row_matrix().T)
+    gens = subspace_from_columns(form_space(algebra, 0).apply_d(sub.row_matrix().T))
     return Distribution(algebra, _action_closure(algebra, gens), check=False)
 
 
@@ -132,9 +131,8 @@ def involutive(dist: Distribution, N: int = 2) -> bool:
     """d(dist) contained in I_2, read from the ideal chain of dist."""
     if N < 2:
         raise GeometryError("need truncation >= 2")
-    d1 = form_space(dist.algebra, 1).d_matrix
-    return subspace_from_columns(d1 @ dist.space.row_matrix().T).is_subspace_of(
-        ideal_component(dist, 2))
+    image = form_space(dist.algebra, 1).apply_d(dist.space.row_matrix().T)
+    return subspace_from_columns(image).is_subspace_of(ideal_component(dist, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +155,8 @@ class Projection:
 
     @classmethod
     def from_endomorphism(cls, algebra: Algebra, ext: QMat) -> "Projection":
-        d0 = form_space(algebra, 0).d_matrix
-        return cls(FieldValuedForm(algebra, 1, ext @ d0, check=False))
+        return cls(FieldValuedForm(algebra, 1, form_space(algebra, 0).compose_d(ext),
+                                   check=False))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Projection":
@@ -211,8 +209,7 @@ def curvature(p: Projection) -> tuple[FieldValuedForm, FieldValuedForm]:
 def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> list[QMat]:
     """The algebra endomorphisms of Omega_0..Omega_k applying ext to every
     d-slot."""
-    d0 = form_space(algebra, 0).d_matrix
-    return multiplicative_extension(algebra, None, ext @ d0, k)
+    return multiplicative_extension(algebra, None, form_space(algebra, 0).compose_d(ext), k)
 
 
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:
@@ -227,13 +224,13 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     kernel elimination."""
     A = p.algebra
     fn, R, Rbar = p.brackets()
-    d1 = form_space(A, 1).d_matrix
+    d1 = form_space(A, 1).apply_d
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
     top = max(N, 2)                        # the curvature formulas read degree 2
     omega_p = induced_endomorphism(A, ext, top)
     omega_pb = induced_endomorphism(A, ext_bar, top)
-    curv, cocurv = omega_pb[2] @ d1 @ ext, omega_p[2] @ d1 @ ext_bar
+    curv, cocurv = omega_pb[2] @ d1(ext), omega_p[2] @ d1(ext_bar)
     kerP, imP = p.kernel(), p.image()
 
     report = {}
@@ -619,8 +616,7 @@ def principalize(bundle: Bundle, chi: FieldValuedForm) -> FieldValuedForm:
         om = omega_functor(h, 1)[1]
         acc = acc + om @ ext @ qmat_inverse(om)
     avg = acc.scale(Fraction(1, len(bundle.action.homs)))
-    d0 = form_space(A, 0).d_matrix
-    out = FieldValuedForm(A, 1, avg @ d0, check=False)
+    out = FieldValuedForm(A, 1, form_space(A, 0).compose_d(avg), check=False)
     if not is_connection(bundle, out)["connection"]:
         raise GeometryError("averaging did not produce a connection")
     return out
@@ -661,13 +657,14 @@ def curvature_horizontality(bundle: Bundle, chi: FieldValuedForm) -> dict:
 def action_functoriality_defect(action: GroupAction, N: int
                                 ) -> Optional[tuple[str, int]]:
     """First (group element, degree k <= N) where Omega_k(g) does not
-    intertwine d into degree k, or None when the action extends to forms."""
+    intertwine d into degree k, or None when the action extends to forms:
+    Omega_k(g) d against d Omega_{k-1}(g), a column and a row shift."""
     A = action.algebra
     for name, h in action.homs.items():
         om = omega_functor(h, N)
         for k in range(1, N + 1):
-            dk = form_space(A, k - 1).d_matrix
-            if om[k] @ dk != dk @ om[k - 1]:
+            sp = form_space(A, k - 1)
+            if sp.compose_d(om[k]) != sp.apply_d(om[k - 1]):
                 return name, k
     return None
 
@@ -676,10 +673,10 @@ def bundle_tensor_dims(bundle: Bundle) -> dict:
     """dim Omega_1(A) - dim hor_1 = dim(A tensor_B A) - dim A."""
     A = bundle.algebra
     B, incl = bundle.base_algebra()
-    # A as a B-bimodule via the inclusion: b.a = mu^2 (b (x) a), a.b likewise
-    mu, eye = A.mu2, QMat.eye(A.dim)
-    left = [mu @ incl.col(j).kron(eye) for j in range(B.dim)]
-    right = [mu @ eye.kron(incl.col(j)) for j in range(B.dim)]
+    # A as a B-bimodule via the inclusion: b.a = mu^2 (b (x) I) a, a.b likewise
+    m, muT = A.dim, A.mu2.T
+    left = [kron_apply([(incl.col(j).T, m)], muT).T for j in range(B.dim)]
+    right = [kron_apply([(m, incl.col(j).T)], muT).T for j in range(B.dim)]
     mod = Bimodule(B, A.dim, left, right, name="A|B")
     tq = tensor_over_A(mod, mod)
     hor1 = horizontal_forms(bundle, 1)

@@ -6,15 +6,13 @@ d(1) = 0, so unit indices never appear in d-slots).  The flat index is
 i * (m-1)^k plus the index of (j_1..j_k) under the tuple codec of
 ``linalg`` (base m-1, digits from 1), so i is the most significant digit.
 
-This makes the differential an index shift (:meth:`FormSpace.apply_d`, which
-also builds d's matrix from the identity), the left action a Kronecker
-product, and the product of forms a sum of outer products — everything stays
-in integer matrix arithmetic.  The right actions are emitted as integer
-(row, col, value) triples straight from the algebra's integer structure
-constants and built by ``QMat.from_coo``; no dense ``Fraction`` matrix is made.
-The product's merge formula a.b = sum_p (R_p a) (x) S_p b lives only in
-:func:`products`, which multiplies whole blocks of forms; functoriality,
-ideals, commutators, graded Leibniz, contraction and extension call it.
+This makes every structural operator a Kronecker term list (``linalg``):
+d is d_0 (x) I, a row shift on a block (:meth:`FormSpace.apply_d`) and a
+column shift composed from the right (:meth:`FormSpace.compose_d`); the left
+action is L_i (x) I, the right action one term per slot of the merge formula.
+The one dense action is :attr:`FormSpace.stacked_right`, built once from the
+terms: the product a.b = sum_p (R_p a) (x) S_p b lives only in
+:func:`products`, which multiplies whole blocks of forms by it.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraHom, Bimodule
 from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
-                     format_scalar, kron_rows, nullspace, parse_scalar, qmat_hstack,
-                     subspace_from_columns)
+                     format_scalar, kron_apply, kron_matrix, kron_rows, kron_transpose,
+                     nullspace, parse_scalar)
 
 
 class FormError(ValueError):
@@ -48,8 +46,8 @@ def form_space(algebra: Algebra, degree: int) -> "FormSpace":
 
 class FormSpace(Bimodule):
     """All degree-k forms over one algebra, an A-bimodule.  The dimension and
-    indexing are set on construction, the actions and d on first read, once
-    (so ``Bimodule.__init__``, which takes the actions, is not called)."""
+    indexing are set on construction, the actions on first read, once (so
+    ``Bimodule.__init__``, which takes the actions, is not called)."""
 
     def __init__(self, algebra: Algebra, degree: int):
         self.algebra = algebra
@@ -60,17 +58,32 @@ class FormSpace(Bimodule):
         self._tail = (m - 1) ** degree
 
     @cached_property
-    def right(self) -> list[QMat]:
-        """The right action of each basis element, from the merge formula."""
-        return [self._right_action_matrix(b) for b in range(self.algebra.dim)]
+    def right(self) -> list[list[tuple]]:
+        """The right action of each e_b as the terms of the merge formula
+        (a0 da1..dan).b = sum_{t=1..n} (-1)^{n-t} a0 da1..d(a_t a_{t+1})..da_{n+1}
+        + (-1)^n (a0 a1) da2..da_{n+1}, a_{n+1} = b: for t < n, Cbar (a, c) |->
+        e_a e_c mod 1 on slots t, t+1 with b's unit column u_b appended; for t = n,
+        Cbar_b a |-> e_a e_b mod 1 on slot n; and C01 (i, j) |-> e_i e_j on (a0, a1)
+        with u_b appended, all slices of mu^2.  R_0 is the identity."""
+        A, n, m = self.algebra, self.degree, self.algebra.dim
+        if n == 0:
+            return [[(R,)] for R in A.right]
+        mu = A.mu2.num.reshape(m, m, m)            # [k, i, j]: e_i e_j at e_k
+        cbar = QMat(mu[1:, 1:, 1:].reshape(m - 1, (m - 1) ** 2), A.mu2.den)
+        c01 = QMat(mu[:, :, 1:].reshape(m, m * (m - 1)), A.mu2.den)
+        out = [[(self.dim,)]]
+        for b in range(1, m):
+            u = QMat.from_coo((m - 1, 1), [(b - 1, 0, 1)])
+            out.append([(m * (m - 1) ** (t - 1), -cbar if (n - t) % 2 else cbar,
+                         (m - 1) ** (n - t - 1), u) for t in range(1, n)]
+                       + [(m * (m - 1) ** (n - 1), QMat(mu[1:, 1:, b], A.mu2.den)),
+                          (-c01 if n % 2 else c01, (m - 1) ** (n - 1), u)])
+        return out
 
     @cached_property
-    def left(self) -> list[QMat]:
-        """The left action of each e_i: it multiplies the leading coefficient."""
-        if self.degree == 0:
-            return list(self.algebra.left)
-        tail_eye = QMat.eye(self._tail)
-        return [L.kron(tail_eye) for L in self.algebra.left]
+    def left(self) -> list[list[tuple]]:
+        """L_i (x) I: the left action of e_i multiplies the leading coefficient."""
+        return [[(L, self._tail)] for L in self.algebra.left]
 
     # -- indexing ------------------------------------------------------------
 
@@ -95,51 +108,30 @@ class FormSpace(Bimodule):
         num[:moved.shape[0]] = moved
         return QMat(num, X.den)
 
+    def compose_d(self, X: QMat) -> QMat:
+        """X d, a column shift: column (i, J) is column (0; i, J) of X, 0 for i = 0."""
+        num = np.zeros((X.shape[0], self.dim), dtype=X.num.dtype)
+        num[:, self._tail:] = X.num[:, :self.dim - self._tail]
+        return QMat(num, X.den)
+
+    @property
+    def d_terms(self) -> list[tuple]:
+        """d as its term d_0 (x) I, d_0 on Omega_0, which the shifts evaluate."""
+        return [(form_space(self.algebra, 0).d_matrix, self._tail)]
+
     @cached_property
     def d_matrix(self) -> QMat:
-        """d: degree k -> k+1 as a matrix, the shift of the identity."""
+        """d as a matrix, the shift of the identity (d_0 on Omega_0)."""
         return self.apply_d(QMat.eye(self.dim))
 
     # -- actions ---------------------------------------------------------------
 
-    def _right_action_matrix(self, b: int) -> QMat:
-        """omega . e_b by merging b into the word and contracting once.
-
-        (a0 da1...dan).b = sum_{t=1..n} (-1)^{n-t} a0 da1...d(a_t a_{t+1})...da_{n+1}
-                           + (-1)^n (a0 a1) da2...da_{n+1},   a_{n+1} = b,
-        where each merged slot d(e_p e_q) expands through the structure
-        constants and unit components vanish under d.  Each term carries one
-        structure constant: integers over the algebra's common denominator.
-        """
-        A = self.algebra
-        n = self.degree
-        if n == 0:
-            return A.right[b]
-        C = A.constants
-        entries = []
-        for idx in range(self.dim):
-            i0, J = self.tuple_of(idx)
-            word = J + (b,)  # a_1 .. a_{n+1}
-            for t in range(1, n + 1):
-                sign = (-1) ** (n - t)
-                pre, post = word[:t - 1], word[t + 1:]
-                if 0 in post:
-                    continue
-                for k, v in C[word[t - 1]][word[t]]:
-                    if k:  # the unit component dies under d
-                        entries.append((self.index_of(i0, pre + (k,) + post),
-                                        idx, sign * v))
-            # last term: leading coefficients multiply
-            if b:
-                sign = (-1) ** n
-                for k, v in C[i0][word[0]]:
-                    entries.append((self.index_of(k, word[1:]), idx, sign * v))
-        return QMat.from_coo((self.dim, self.dim), entries, A.structure_den)
-
     @cached_property
     def stacked_right(self) -> QMat:
         """R_0, ..., R_{m-1} stacked, (m * dim) x dim over one denominator."""
-        return qmat_hstack(self.dim, [R.T for R in self.right]).T
+        m = self.algebra.dim
+        units = [QMat.from_coo((m, 1), [(b, 0, 1)]) for b in range(m)]
+        return kron_matrix([(u, *t) for u, R in zip(units, self.right) for t in R])
 
     # -- elements ---------------------------------------------------------------
 
@@ -183,10 +175,10 @@ class Form(QVector):
         return Form(target, self.space.apply_d(self.vec))
 
     def left_mult(self, a: Sequence[Fraction]) -> "Form":
-        return Form(self.space, self.space.left_action(a) @ self.vec)
+        return Form(self.space, self.space.left_action(a, self.vec))
 
     def right_mult(self, b: Sequence[Fraction]) -> "Form":
-        return Form(self.space, self.space.right_action(b) @ self.vec)
+        return Form(self.space, self.space.right_action(b, self.vec))
 
     def coords(self) -> list[Fraction]:
         return self.vec.column_fractions(0)
@@ -339,8 +331,8 @@ def multiplication_matrix(algebra: Algebra, n: int) -> QMat:
         raise FormError("multiplication arity must be >= 1")
     m = algebra.dim
     mu = QMat.eye(m)
-    for _ in range(n - 1):
-        mu = (algebra.mu2 @ mu.kron(QMat.eye(m))).reduced()
+    for _ in range(n - 1):     # (mu^2 (mu (x) I))^T = (mu^T (x) I) mu^2^T
+        mu = kron_apply([(mu.T, m)], algebra.mu2.T).T
     return mu
 
 
@@ -378,20 +370,23 @@ def kernel_of_mu_n(algebra: Algebra, n: int, size_cap: int = 100000) -> dict:
 def commutator_subspace(algebra: Algebra, r: int) -> Subspace:
     """C_r, the span of [w, h] = w.h - (-1)^{ab} h.w over degrees a + b = r.  The e_i and
     d e_j generate Omega(A) and [xy, h] = [x, yh] + (-1)^{|x|(|y|+|h|)} [y, hx], so the
-    [d e_j, h], h in Omega_{r-1}, and [e_i, h] = (L_i - R_i) h, h in Omega_r, span it.  The
-    d e_j block goes first: it spans most of C_r, and the e_i block then adds few pivots."""
-    sp = form_space(algebra, r)
-    red = RowReducer(sp.dim)
+    [d e_j, h], h in Omega_{r-1}, and [e_i, h] = (L_i - R_i) h, h in Omega_r, span it.
+    Each block's columns are kron_rows of its transposed terms: for h = e_i dJ,
+    d e_j . h = (d e_j . e_i) dJ is R1_j (x) I and h . d e_j = (i; J, j) is I (x) u_j.
+    The d e_j blocks go first: they span most of C_r, the e_i blocks add few pivots."""
+    sp, m = form_space(algebra, r), algebra.dim
+    blocks = []
     if r:
-        n, m = form_space(algebra, r - 1).dim, algebra.dim
+        n = form_space(algebra, r - 1).dim
         de = d_slots(form_space(algebra, 0).d_matrix)
-        hde = products(algebra, None, r - 1, de, 1)  # column h*(m-1) + j
-        hde = QMat(hde.num.reshape(sp.dim, n, m - 1).transpose(0, 2, 1)
-                   .reshape(sp.dim, n * (m - 1)), hde.den)
-        red.add_columns(products(algebra, de, 1, QMat.eye(n), r - 1)
-                        - hde.scale((-1) ** (r - 1)))
-    for L, R in zip(sp.left, sp.right):
-        red.add_columns(L - R)
+        R1 = products(algebra, de, 1, QMat.eye(m), 0)  # column j*m + i: d e_(j+1) . e_i
+        blocks += [[(QMat(R1.num[:, j * m:(j + 1) * m], R1.den), (m - 1) ** (r - 1)),
+                    (n, QMat.from_coo((m - 1, 1), [(j, 0, (-1) ** r)]))] for j in range(m - 1)]
+    blocks += [sp.left[i] + [(-QMat.eye(1), *t) for t in sp.right[i]] for i in range(1, m)]
+    red = RowReducer(sp.dim)
+    for terms in blocks:
+        for row in kron_rows(kron_transpose(terms))[1]:
+            red.add(row)
     return red.subspace()
 
 
@@ -411,16 +406,18 @@ def de_rham_homology(algebra: Algebra, truncation: int,
     comm = [commutator_subspace(algebra, r) for r in range(N + 1)]
     quot_dims = [form_space(algebra, r).dim - comm[r].dim for r in range(N + 1)]
     # d maps commutators into commutators, so the induced map out of degree
-    # r has rank dim(C_{r+1} + im d_r) - dim C_{r+1}
-    ranks = [(comm[r + 1] + subspace_from_columns(form_space(algebra, r).d_matrix)).dim
-             - comm[r + 1].dim for r in range(N)]
+    # r has rank dim(C_{r+1} + im d_r) - dim C_{r+1}; d(e_i dJ) = (0; i, J),
+    # so im d_r is the span of the first (m-1)^(r+1) basis forms
+    ranks = []
+    for r in range(N):
+        t = (m - 1) ** (r + 1)
+        image = Subspace(comm[r + 1].ambient, [{c: 1} for c in range(t)], range(t))
+        ranks.append((comm[r + 1] + image).dim - comm[r + 1].dim)
     dims = [quot_dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(N)]
-    # degree N: only a lower bound.  Without the degree-(N+1) commutator
-    # space we can only see d(rep) = 0 on the nose, which undercounts the
-    # kernel of the induced differential.
-    dN = form_space(algebra, N).d_matrix
-    free = sorted(set(range(dN.shape[1])) - set(comm[N].pivots))
-    kerN = len(free) - subspace_from_columns(QMat(dN.num[:, free], dN.den)).dim
+    # degree N: only a lower bound, d(rep) = 0 on the nose (without C_{N+1} that
+    # undercounts the induced kernel).  d_N kills the first (m-1)^N basis forms
+    # e_0 dJ and is injective on the rest: its kernel on free coordinates is a count
+    kerN = len(set(range((m - 1) ** N)) - set(comm[N].pivots))
     lower_N = max(0, kerN - ranks[N - 1])
     return {
         "truncation": N,

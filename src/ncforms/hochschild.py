@@ -26,8 +26,9 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, QVector, Subspace, flat_index, kron_apply, kron_rows,
-                     nullspace, qmat_hstack, solve_linear, subspace_from_columns)
+from .linalg import (QMat, QVector, Subspace, flat_index, kron_apply, kron_matrix,
+                     kron_rows, kron_transpose, nullspace, qmat_hstack, solve_linear,
+                     subspace_from_columns)
 
 
 class HochschildError(ValueError):
@@ -136,20 +137,20 @@ def coboundary_terms(module: Bimodule, n: int) -> list[tuple]:
     With u_a the unit column of a in Abar and Cbar the (m-1)^2 x (m-1)
     structure constants of Abar x Abar -> Abar, the terms are the head
     u_a (x) I (x) L_a, the merges (-1)^(t+1) I (x) Cbar (x) I at slots
-    t, t+1, and the tail (-1)^(n+1) I (x) u_a (x) R_a; unit components of
-    the merged products drop out because the cochain is normalized.
+    t, t+1, and the tail (-1)^(n+1) I (x) u_a (x) R_a (the module's terms
+    spliced in); unit components of the merged products drop out because
+    the cochain is normalized.
     """
     A = module.algebra
     m, dM, nJ = A.dim, module.dim, _bar_dim(A.dim, n)
     units = [QMat.from_coo((m - 1, 1), [(a - 1, 0, 1)]) for a in range(1, m)]
-    cbar = QMat.from_coo(((m - 1) ** 2, m - 1), (
-        ((a - 1) * (m - 1) + b - 1, p - 1, v) for a in range(1, m)
-        for b in range(1, m) for p, v in A.constants[a][b] if p), A.structure_den)
-    tail_sign = -1 if (n + 1) % 2 else 1
-    terms = [(u, nJ, L) for u, L in zip(units, module.left[1:])]
+    mu = A.mu2.num.reshape(m, m, m)            # [k, a, b]: e_a e_b at e_k
+    cbar = QMat(mu[1:, 1:, 1:].reshape(m - 1, (m - 1) ** 2).T.copy(), A.mu2.den)
+    terms = [(u, nJ, *t) for u, L in zip(units, module.left[1:]) for t in L]
     terms += [((m - 1) ** t, -cbar if t % 2 == 0 else cbar, (m - 1) ** (n - 1 - t), dM)
               for t in range(n)]
-    terms += [(nJ, u, R.scale(tail_sign)) for u, R in zip(units, module.right[1:])]
+    terms += [(nJ, u.scale((-1) ** (n + 1)), *t) for u, R in zip(units, module.right[1:])
+              for t in R]
     return terms
 
 
@@ -189,12 +190,12 @@ def universal_cocycle(algebra: Algebra, n: int) -> NormalizedCochain:
 
 def cochain_to_hom(c: NormalizedCochain) -> QMat:
     """Left-linear extension: column (i, J) is e_i . c(J), so the column
-    block of index i is L_i times the cochain matrix.
+    block of index i is L_i applied to the cochain matrix.
 
     The result commutes with the left actions by construction; it commutes
     with the right actions exactly when c is a cocycle.
     """
-    return qmat_hstack(c.module.dim, [L @ c.data for L in c.module.left])
+    return qmat_hstack(c.module.dim, [kron_apply(L, c.data) for L in c.module.left])
 
 
 def hom_to_cochain(module: Bimodule, n: int, hom: QMat) -> NormalizedCochain:
@@ -216,7 +217,8 @@ def bimodule_hom_violation(src: Bimodule, tgt: Bimodule,
     for side, src_acts, tgt_acts in (("left", src.left, tgt.left),
                                      ("right", src.right, tgt.right)):
         for i in range(src.algebra.dim):
-            bad = (hom @ src_acts[i] - tgt_acts[i] @ hom).num.any(axis=0)
+            bad = (kron_apply(kron_transpose(src_acts[i]), hom.T).T
+                   - kron_apply(tgt_acts[i], hom)).num.any(axis=0)
             if bad.any():
                 return {"side": side, "algebra_index": i, "source_index": int(bad.argmax())}
     return None
@@ -235,17 +237,19 @@ def form_hom_space(algebra: Algebra, n: int, module: Bimodule) -> Subspace:
     space can be compared verbatim with the cocycle space.
 
     For each p >= 1 the condition Phi((0; J) . e_p) = Phi(0; J) . e_p has
-    rows sum_i W_{p,i}^T (x) L_i - I (x) R_p, where W_{p,i} is row block i
-    of the form space's right action by e_p on the generator columns.
+    rows I (x) R_p - sum_i W_{p,i}^T (x) L_i (the module's terms spliced in),
+    where W_{p,i} is row block i of R_p on Omega_n applied to the generators.
     """
     m = algebra.dim
     sp = form_space(algebra, n)
     nJ = _bar_dim(m, n)
+    gens = QMat.from_coo((sp.dim, nJ), ((J, J, 1) for J in range(nJ)))
 
     def rows(p: int) -> Iterator[dict[int, int]]:
-        R = sp.right[p]
-        W = [QMat(R.num[i * nJ:(i + 1) * nJ, :nJ].T.copy(), R.den) for i in range(m)]
-        return kron_rows([*zip(W, module.left), (nJ, -module.right[p])])[1]
+        R = kron_apply(sp.right[p], gens)
+        W = [QMat(-R.num[i * nJ:(i + 1) * nJ].T, R.den) for i in range(m)]
+        return kron_rows([*((w, *t) for w, L in zip(W, module.left) for t in L),
+                          *((nJ, *t) for t in module.right[p])])[1]
 
     return nullspace(nJ * module.dim,
                      itertools.chain.from_iterable(map(rows, range(1, m))))
@@ -277,9 +281,8 @@ class TensorBimodule(Bimodule):
         self.n = n
         self.middles = n - 1
         mid = _bar_dim(m, n - 1)
-        left = [L.kron(QMat.eye(mid * m)) for L in algebra.left]
-        right = [QMat.eye(m * mid).kron(R) for R in algebra.right]
-        super().__init__(algebra, m * mid * m, left, right,
+        super().__init__(algebra, m * mid * m, [[(L, mid * m)] for L in algebra.left],
+                         [[(m * mid, R)] for R in algebra.right],
                          name=f"free{n}({algebra.name})", check=False)
 
     def index_of(self, i: int, J: Sequence[int], l: int) -> int:
@@ -315,7 +318,8 @@ def _stacked_actions(module: Bimodule) -> QMat:
     """The m^2 products L_i R_l, the action of e_i (x) e_l on the free
     bimodule's generators, stacked: row (i * m + l) * dim M + s of them."""
     m, dM = module.algebra.dim, module.dim
-    LR = qmat_hstack(dM, [L.T for L in module.left]).T @ qmat_hstack(dM, module.right)
+    rights = qmat_hstack(dM, [kron_matrix(R) for R in module.right])
+    LR = qmat_hstack(m * dM, [kron_apply(L, rights).T for L in module.left]).T
     num = LR.num.reshape(m, dM, m, dM).transpose(0, 2, 1, 3)
     return QMat(num.reshape(m * m * dM, dM), LR.den)
 

@@ -28,8 +28,8 @@ from .forms import Form, FormError, commutator_subspace, form_space, product
 from .hochschild import (NormalizedCochain, coboundary, cochain_to_hom,
                          cohomology_reports, form_hom_space, hom_to_cochain,
                          tensor_module)
-from .linalg import (QMat, Subspace, format_scalar, kron_apply, parse_scalar,
-                     qmat_hstack, rank, subspace_from_columns)
+from .linalg import (QMat, Subspace, format_scalar, kron_apply, kron_matrix, kron_transpose,
+                     parse_scalar, qmat_hstack, rank, subspace_from_columns)
 from .schouten import MultiMap, SchoutenError, alternation, insertion, nr_bracket
 
 # the library's errors for a computation that cannot go on: a check that
@@ -237,9 +237,10 @@ def _chk_form_dims(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_d_squared_zero(env: _VerifyEnv, rng: random.Random):
+    # each degree's d is its term d_0 (x) I: d_{k+1} applied to the block d_k
     A = env.algebra
     for k in range(env.N):
-        dd = form_space(A, k + 1).apply_d(form_space(A, k).d_matrix)
+        dd = kron_apply(form_space(A, k + 1).d_terms, kron_matrix(form_space(A, k).d_terms))
         nonzero = np.argwhere(dd.num)
         if len(nonzero):
             r, c = nonzero[0]
@@ -263,15 +264,16 @@ def _chk_graded_leibniz(env: _VerifyEnv, rng: random.Random):
 
 
 def _chk_bimodule_associativity(env: _VerifyEnv, rng: random.Random):
+    # L_i R_j against R_j L_i = (L_i^T R_j^T)^T: the left action's terms on R_j
     A = env.algebra
     for k in range(min(env.N, 2) + 1):
         sp = form_space(A, k)
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if sp.left[i] @ sp.right[j] != sp.right[j] @ sp.left[i]:
-                    return (f"left and right actions do not commute on "
-                            f"degree {k} at basis pair "
-                            f"({A.basis_names[i]}, {A.basis_names[j]})")
+        rights = [kron_matrix(R) for R in sp.right]
+        for i, L in enumerate(sp.left):
+            for j, Rj in enumerate(rights):
+                if kron_apply(L, Rj) != kron_apply(kron_transpose(L), Rj.T).T:
+                    return (f"left and right actions do not commute on degree {k} "
+                            f"at basis pair ({A.basis_names[i]}, {A.basis_names[j]})")
     for _ in range(6):
         k = rng.randint(0, max(0, env.N - 1))
         l = rng.randint(0, max(0, env.N - k))
@@ -322,9 +324,8 @@ def _chk_field_form_leibniz(env: _VerifyEnv, rng: random.Random):
 
 def _chk_contraction_injective(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
-    d0 = form_space(A, 0).d_matrix
     for K in env.random_fields(rng):
-        if contraction(K).mat(1) @ d0 != K.delta:
+        if form_space(A, 0).compose_d(contraction(K).mat(1)) != K.delta:
             return (f"degree {K.degree}: insertion operator does not "
                     f"recover the generating derivation")
     return None

@@ -19,23 +19,23 @@ Six conventions are fixed here and nowhere else:
   are indexed by tuples whose digits run over ``lo..lo+base-1``;
   :func:`flat_index` and :func:`digits_at` are the one big-endian codec
   between such a tuple and its flat index.
-* Matrix building.  An operator fixed by integer constants (bimodule
-  actions from structure constants, d, mu^n, unit columns) is emitted as
-  integer (row, col, value) triples over one denominator and built by
-  :meth:`QMat.from_coo`; columns that are already QMats are joined by
-  :func:`qmat_hstack`.  :meth:`QMat.from_columns` is kept for genuine
-  ``Fraction`` data.  All three return the reduced (num, den).
+* Matrix building.  A structural operator (a bimodule action, d) is a
+  Kronecker term list, kept dense only as ``FormSpace.stacked_right``;
+  :func:`kron_matrix` builds a list's matrix where its entries are read.
+  Small integer matrices (unit columns, mu^2) come from :meth:`QMat.from_coo`,
+  columns join by :func:`qmat_hstack`, ``Fraction`` data by
+  :meth:`QMat.from_columns`; all three return the reduced (num, den).
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`, fraction-free: primitive integer rows in echelon
   form, eliminated by cross-multiplying and back-substituted once on read.
   ``Fraction`` values are built only when a basis or coset is read.
 * Linear conditions.  A system whose matrix is a sum of Kronecker products
-  of action matrices (derivations, form homs, cocycles, polyderivations,
-  tensor relations, tensor spans) is written
-  as its list of terms and turned into sparse integer rows by
-  :func:`kron_rows`, which feed :func:`nullspace` or a :class:`RowReducer`.
-  The same list is evaluated on a block by :func:`kron_apply` (the
-  coboundary, the Leibniz defects), so each operator is stated once.
+  of actions (derivations, form homs, cocycles, polyderivations, tensor
+  relations and spans, commutators) is written as its list of terms, the
+  actions' terms spliced in, and turned into sparse integer rows (of the
+  :func:`kron_transpose` for columns) by :func:`kron_rows`, which feed
+  :func:`nullspace` or a :class:`RowReducer`.  The same list is evaluated
+  on a block by :func:`kron_apply`, so each operator is stated once.
 * Vector format.  Inside the package a block of vectors is a QMat of
   columns or a Subspace of integer rows (:meth:`Subspace.row_matrix`);
   a system A X = B is one :func:`solve_linear` call for all columns of B.
@@ -487,9 +487,9 @@ def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
     """(sum_t F_t1 (x) F_t2 (x) ...) X for a block X, the terms as in
     :func:`kron_rows`; they fix the height, which only an empty list needs
     given.  Terms of two shapes, or not X.shape[0] wide, raise LinAlgError.
-    One tensordot per QMat factor on X's numerators, shrinking factors first,
-    and no Kronecker product; the bound sum_t prod (width * max|F|) * max|X|,
-    over the common denominator, picks int64 or object before any product."""
+    One np.dot per QMat factor, shrinking factors first, and no Kronecker
+    product; the bound sum_t prod (width * max|F|) * max|X|, over the common
+    denominator, picks int64 or object before any product."""
     shapes = {_kron_shape(t) for t in terms} | (set() if height is None
                                                  else {(height, X.shape[0])})
     if len(shapes) != 1 or next(iter(shapes))[1] != X.shape[0]:
@@ -505,12 +505,26 @@ def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
     dtype = _int_dtype(bound)
     x, out = X.num.astype(dtype, copy=False), np.zeros((height, X.shape[1]), dtype=dtype)
     for t, fs, d in zip(terms, mats, dens):
-        Y = x.reshape(*(f.shape[1] if isinstance(f, QMat) else f for f in t), X.shape[1])
+        Y, dims = x, [f.shape[1] if isinstance(f, QMat) else f for f in t] + [X.shape[1]]
         for k, f in sorted(fs, key=lambda kf: kf[1].shape[0] / max(kf[1].shape[1], 1)):
-            F = f.num.astype(dtype, copy=False)
-            Y = np.moveaxis(np.tensordot(F, Y, axes=(1, k)), 0, k)
+            (r, c), pre, post = f.shape, math.prod(dims[:k]), math.prod(dims[k + 1:])
+            Y = np.dot(f.num.astype(dtype, copy=False),
+                       Y.reshape(pre, c, post).transpose(1, 0, 2).reshape(c, pre * post))
+            Y, dims[k] = Y.reshape(r, pre, post).transpose(1, 0, 2), r
         out += (den // d) * Y.reshape(height, X.shape[1])
     return QMat(out, den * X.den).canonical()
+
+
+def kron_transpose(terms: Sequence[Sequence[QMat | int]]) -> list[tuple]:
+    """The terms of the transposed sum: every QMat factor transposed."""
+    return [tuple(f.T if isinstance(f, QMat) else f for f in t) for t in terms]
+
+
+def kron_matrix(terms: Sequence[Sequence[QMat | int]]) -> QMat:
+    """The reduced matrix of a non-empty term list, from its sparse rows."""
+    den, rows = kron_rows(terms)
+    return QMat.from_coo(_kron_shape(terms[0]), ((r, c, v) for r, row in enumerate(rows)
+                                                 for c, v in row.items()), den)
 
 
 def solve_linear(A: QMat, B: QMat) -> Optional[QMat]:

@@ -4,6 +4,7 @@ Each oracle recomputes a quantity by a different algorithm (or a different
 library) than the package under test, so agreement is meaningful.
 """
 
+import weakref
 from fractions import Fraction
 
 import sympy
@@ -324,7 +325,7 @@ def loop_product(a, b):
     w = b.space.dim // A.dim
     acc = QMat.zeros(target.dim, 1)
     for p in range(A.dim):
-        col = a.space.right[p] @ a.vec
+        col = dense_right_action(a.space, p) @ a.vec
         seg = QMat(b.vec.num[p * w:(p + 1) * w].reshape(1, w), b.vec.den)
         block = col.kron(seg)  # (dim_a, w): row-major flatten = target index
         acc = acc + QMat(block.num.reshape(target.dim, 1), block.den)
@@ -896,7 +897,7 @@ def loop_tensor_hom_from_values(tensor, module, values):
     for idx in range(tensor.dim):
         rest, l = divmod(idx, m)
         i, J = divmod(rest, mid)
-        cols.append(module.left[i] @ module.right[l] @ values.col(J))
+        cols.append(kron_dense(module.left[i]) @ kron_dense(module.right[l]) @ values.col(J))
     return qmat_hstack(module.dim, cols)
 
 
@@ -908,7 +909,7 @@ def loop_cochain_to_hom(c):
     cols = []
     for idx in range(sp.dim):
         i, J = sp.tuple_of(idx)
-        cols.append(c.module.left[i] @ c.value(J))
+        cols.append(kron_dense(c.module.left[i]) @ c.value(J))
     return qmat_hstack(c.module.dim, cols)
 
 
@@ -958,7 +959,7 @@ def loop_coboundary(c):
     cols = []
     for flat in range((m - 1) ** (n + 1)):
         K = digits_at(flat, m - 1, n + 1, 1)
-        acc = module.left[K[0]] @ c.value(K[1:])
+        acc = kron_dense(module.left[K[0]]) @ c.value(K[1:])
         for t in range(n):
             sign = -1 if (t + 1) % 2 else 1
             prod = A.structure[K[t]][K[t + 1]]
@@ -967,7 +968,7 @@ def loop_coboundary(c):
                     merged = K[:t] + (p,) + K[t + 2:]
                     acc = acc + c.value(merged).scale(sign * prod[p])
         sign = -1 if (n + 1) % 2 else 1
-        cols.append(acc + (module.right[K[-1]] @ c.value(K[:-1])).scale(sign))
+        cols.append(acc + (kron_dense(module.right[K[-1]]) @ c.value(K[:-1])).scale(sign))
     return NormalizedCochain(module, n + 1, qmat_hstack(module.dim, cols))
 
 
@@ -995,7 +996,7 @@ def loop_derivation_defect(mod, mat):
             dj = mat.col(j)
             dij = qmat_sum([mat.col(k).scale(A.structure[i][j][k])
                             for k in range(A.dim)])
-            if dij != mod.left[i] @ dj + mod.right[j] @ di:
+            if dij != kron_dense(mod.left[i]) @ dj + kron_dense(mod.right[j]) @ di:
                 return i, j
     return None
 
@@ -1225,7 +1226,117 @@ def commutant_endomorphism_space(algebra):
     sp = form_space(algebra, 1)
     n = sp.dim
     rows = itertools.chain.from_iterable(
-        kron_rows([(M, n), (n, -M.T)])[1] for M in (*sp.left[1:], *sp.right[1:]))
+        kron_rows([(M, n), (n, -M.T)])[1]
+        for M in map(kron_dense, (*sp.left[1:], *sp.right[1:])))
     ker = nullspace(n * n, rows)
     return [QMat.from_coo((n, n), ((c // n, c % n, v) for c, v in row.items()), row[p])
             for p, row in zip(ker.pivots, ker.rows)]
+
+
+# ---------------------------------------------------------------------------
+# Structural operators built as dense squares.
+#
+# A form space's actions and d, the free bimodule's actions and the
+# commutator spaces C_r are Kronecker term lists, applied by
+# ``linalg.kron_apply`` and eliminated by ``linalg.kron_rows``.  These are
+# the builders they replaced: the right action as a per-entry loop over the
+# merge formula, the left action and the free bimodule's actions as
+# Kronecker products with an identity, d's matrix, and C_r from the dense
+# differences L_i - R_i.
+# ---------------------------------------------------------------------------
+
+
+def kron_dense(terms):
+    """The matrix of a term list as the sum of its Kronecker products (an
+    int factor n is I_n), each formed with ``QMat.kron``."""
+    import functools
+
+    from ncforms.linalg import QMat, qmat_sum
+    return qmat_sum(functools.reduce(QMat.kron, (
+        f if isinstance(f, QMat) else QMat.eye(f) for f in t)) for t in terms)
+
+
+_RIGHT_ACTIONS = weakref.WeakKeyDictionary()
+
+
+def dense_right_action(space, b):
+    """:func:`loop_right_action_matrix`, built once per space (the space
+    still dies with its algebra)."""
+    mats = _RIGHT_ACTIONS.setdefault(space, {})
+    if b not in mats:
+        mats[b] = loop_right_action_matrix(space, b)
+    return mats[b]
+
+
+def loop_right_action_matrix(space, b):
+    """omega . e_b by merging b into the word and contracting once.
+
+    (a0 da1...dan).b = sum_{t=1..n} (-1)^{n-t} a0 da1...d(a_t a_{t+1})...da_{n+1}
+                       + (-1)^n (a0 a1) da2...da_{n+1},   a_{n+1} = b,
+    where each merged slot d(e_p e_q) expands through the structure
+    constants and unit components vanish under d.  Each term carries one
+    structure constant: integers over the algebra's common denominator.
+    """
+    from ncforms.linalg import QMat
+    A = space.algebra
+    n = space.degree
+    if n == 0:
+        return A.right[b]
+    den = A.structure_den
+    C = [[[(k, int(c * den)) for k, c in enumerate(cs) if c] for cs in row]
+         for row in A.structure]
+    entries = []
+    for idx in range(space.dim):
+        i0, J = space.tuple_of(idx)
+        word = J + (b,)  # a_1 .. a_{n+1}
+        for t in range(1, n + 1):
+            sign = (-1) ** (n - t)
+            pre, post = word[:t - 1], word[t + 1:]
+            if 0 in post:
+                continue
+            for k, v in C[word[t - 1]][word[t]]:
+                if k:  # the unit component dies under d
+                    entries.append((space.index_of(i0, pre + (k,) + post),
+                                    idx, sign * v))
+        # last term: leading coefficients multiply
+        if b:
+            sign = (-1) ** n
+            for k, v in C[i0][word[0]]:
+                entries.append((space.index_of(k, word[1:]), idx, sign * v))
+    return QMat.from_coo((space.dim, space.dim), entries, A.structure_den)
+
+
+def kron_left_action_matrix(space, i):
+    """L_i (x) I on degree-k forms, the identity factor built."""
+    from ncforms.linalg import QMat
+    L = space.algebra.left[i]
+    return L if space.degree == 0 else L.kron(QMat.eye(space.dim // space.algebra.dim))
+
+
+def kron_tensor_actions(algebra, n):
+    """The free bimodule's left and right actions L_i (x) I and I (x) R_i."""
+    from ncforms.linalg import QMat
+    m = algebra.dim
+    mid = (m - 1) ** (n - 1)
+    return ([L.kron(QMat.eye(mid * m)) for L in algebra.left],
+            [QMat.eye(m * mid).kron(R) for R in algebra.right])
+
+
+def dense_commutator_subspace(algebra, r):
+    """C_r from two block products for the [d e_j, h] and the dense
+    differences L_i - R_i for the [e_i, h]."""
+    from ncforms.forms import d_slots, form_space, products
+    from ncforms.linalg import QMat, RowReducer
+    sp = form_space(algebra, r)
+    red = RowReducer(sp.dim)
+    if r:
+        n, m = form_space(algebra, r - 1).dim, algebra.dim
+        de = d_slots(form_space(algebra, 0).d_matrix)
+        hde = products(algebra, None, r - 1, de, 1)  # column h*(m-1) + j
+        hde = QMat(hde.num.reshape(sp.dim, n, m - 1).transpose(0, 2, 1)
+                   .reshape(sp.dim, n * (m - 1)), hde.den)
+        red.add_columns(products(algebra, de, 1, QMat.eye(n), r - 1)
+                        - hde.scale((-1) ** (r - 1)))
+    for b in range(algebra.dim):
+        red.add_columns(kron_left_action_matrix(sp, b) - loop_right_action_matrix(sp, b))
+    return red.subspace()

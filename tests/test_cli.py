@@ -25,6 +25,7 @@ from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import (FieldValuedForm, GradedDerivation, field_from_derivation,
                                 field_valued_form_from_json,
                                 field_valued_form_space, fn_bracket, lie_operator)
+from ncforms.forms import form_space
 from ncforms.identities import MATH_ERRORS as _MATH_ERRORS
 from ncforms.identities import _VERIFY_CHECKS
 from ncforms.linalg import QMat
@@ -237,6 +238,47 @@ def test_operator_jacobi_fails_for_a_bracket_that_is_not_graded_lie(name, mutant
     assert witness is not None and witness.startswith("graded Jacobi of the bracket fails")
 
 
+def _one_entry_off(F, row, col):
+    """F with entry (row, col) raised by 1."""
+    num = F.num.copy()
+    num[row, col] += F.den
+    return QMat(num, F.den)
+
+
+def _break_d(A, patch):
+    # d_0 sends e_1 to (0; 1) + (1; 1): every degree's d, the term d_0 (x) I, reads it
+    d0 = form_space(A, 0).d_matrix
+    patch.setitem(vars(form_space(A, 0)), "d_matrix", _one_entry_off(d0, A.dim - 1, 1))
+
+
+def _break_right_action(A, patch):
+    # entry (2, 0) of C01, the factor of e_1's right action on Omega_1 that
+    # multiplies the leading coefficients (its last term)
+    sp = form_space(A, 1)
+    merge, (C01, *rest) = sp.right[1]
+    patch.setitem(vars(sp), "right", [sp.right[0], [merge, (_one_entry_off(C01, 2, 0), *rest)],
+                                      *sp.right[2:]])
+
+
+@pytest.mark.parametrize("check,breaker", [
+    ("d-squared-zero", _break_d),
+    ("action-functoriality", _break_d),
+    ("bimodule-associativity", _break_right_action),
+    ("commutator-chain", _break_right_action)])
+def test_rewritten_checks_find_a_witness_for_a_broken_operator(check, breaker, monkeypatch):
+    # each check reads the operators it is about: one wrong entry of d or
+    # of an action gives a witness, and the same check passes on the intact ones
+    fn = dict(_VERIFY_CHECKS)[check]
+    A = builtin_algebra("m2")
+    env = identities._VerifyEnv(A, 2, 0, cli._load_action(A, None))
+    with monkeypatch.context() as patch:
+        breaker(A, patch)
+        assert fn(env, random.Random(0)) is not None
+    B = builtin_algebra("m2")
+    assert fn(identities._VerifyEnv(B, 2, 0, cli._load_action(B, None)),
+              random.Random(0)) is None
+
+
 @pytest.mark.parametrize("expr,N,dims", [
     ("m2", 8, [4 * 3 ** k for k in range(9)]),
     ("matrix(3)", 3, [9, 72, 576, 4608])])
@@ -259,6 +301,23 @@ def test_verify_matrix3_runs_in_one_gigabyte():
                             capture_output=True, timeout=120, preexec_fn=limit)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["counts"] == {"checks": 29, "passed": 29, "failed": 0}
+
+
+@pytest.mark.parametrize("args", [
+    ("derham", "--builtin", "m2", "-N", "7"),
+    ("derham", "--builtin", "matrix(3)", "-N", "3"),
+    ("hochschild", "--builtin", "matrix(3)", "-N", "3")])
+def test_frontier_reports_run_in_one_gigabyte(args):
+    # the actions are term lists, never dense squares: these reports died on
+    # a MemoryError while the actions of Omega_7 (2916^2 ... 8748^2) or of the
+    # free bimodule of matrix(3) at n = 3 (5184^2) were built dense
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    result = subprocess.run([sys.executable, "-m", "ncforms.cli", *args, "--format", "json"],
+                            capture_output=True, timeout=300, preexec_fn=limit)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["data"]
 
 
 def test_verify_check_names_sorted_and_frozen():

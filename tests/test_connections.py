@@ -24,7 +24,7 @@ from ncforms.fieldforms import identity_one_form, zero_field_valued_form
 from ncforms.forms import form_space
 from ncforms.linalg import QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace
 from oracles import (commutant_endomorphism_space, functor_kernel,
-                     kernel_projection_calculus, sympy_commutant_dim)
+                     kernel_projection_calculus, kron_dense, sympy_commutant_dim)
 from test_algebra import catalog, upper_triangular2
 from test_forms import _algebras
 
@@ -124,8 +124,7 @@ def test_endomorphism_space_dims_match_sympy(algebras):
         A = algebras[name]
         sp = form_space(A, 1)
         ours = bimodule_endomorphism_space(A)
-        mats = [M.to_fraction_rows() for M in sp.left[1:]] + \
-               [M.to_fraction_rows() for M in sp.right[1:]]
+        mats = [kron_dense(M).to_fraction_rows() for M in sp.left[1:] + sp.right[1:]]
         assert len(ours) == sympy_commutant_dim(mats, sp.dim)
         _assert_canonical_endomorphisms(sp.dim, ours)
 
@@ -142,7 +141,7 @@ def test_endomorphisms_commute_with_actions(algebras):
     A = algebras["m2"]
     sp = form_space(A, 1)
     for E in bimodule_endomorphism_space(A):
-        for M in list(sp.left) + list(sp.right):
+        for M in map(kron_dense, sp.left + sp.right):
             assert E @ M == M @ E
 
 

@@ -13,15 +13,17 @@ from ncforms.algebra import (
     Algebra, AlgebraHom, base_field, dual_numbers, matrix_algebra, product_algebra,
     truncated_polynomial_algebra,
 )
+from ncforms import forms
 from ncforms.dsl import builtin_algebra
 from ncforms.forms import (
     FormError, FormSpace, GradedForm, commutator_subspace, de_rham_homology, form_from_json,
     form_space, kernel_of_mu_n, multiplication_matrix, omega_functor, product,
 )
-from ncforms.linalg import QMat, RowReducer
+from ncforms.linalg import QMat, RowReducer, kron_apply, qmat_hstack
 from oracles import (
-    coo_d_matrix, emb_basis_form, emb_concat, emb_delta, emb_right_mult, emb_scale_add,
-    loop_de_rham_homology, stacked_multiplication_matrix,
+    coo_d_matrix, dense_commutator_subspace, emb_basis_form, emb_concat, emb_delta,
+    emb_right_mult, emb_scale_add, kron_left_action_matrix, loop_de_rham_homology,
+    loop_right_action_matrix, stacked_multiplication_matrix,
 )
 from test_algebra import c2_group_algebra, catalog, upper_triangular2
 
@@ -65,8 +67,8 @@ def test_right_action_by_unit_is_identity():
     for alg in catalog().values():
         for k in range(4):
             sp = form_space(alg, k)
-            assert sp.right[0] == QMat.eye(sp.dim)
-            assert sp.left[0] == QMat.eye(sp.dim)
+            assert kron_apply(sp.right[0], QMat.eye(sp.dim)) == QMat.eye(sp.dim)
+            assert kron_apply(sp.left[0], QMat.eye(sp.dim)) == QMat.eye(sp.dim)
 
 
 def test_form_spaces_are_bimodules():
@@ -134,7 +136,7 @@ def test_embedding_model_agrees(algname):
         assert red.dim == sp.dim
         # right action by every basis element agrees with "multiply last slot"
         for b in range(m):
-            rb = sp.right[b]
+            rb = kron_apply(sp.right[b], QMat.eye(sp.dim))
             for idx in range(sp.dim):
                 ours = _embed_coords(cols, rb.col(idx).column_fractions(0))
                 theirs = emb_right_mult(alg, cols[idx], n, b)
@@ -176,7 +178,7 @@ def test_structural_operators_are_reduced():
         mats = alg.left + alg.right
         for k in range(3):
             sp = form_space(alg, k)
-            mats += sp.right + [sp.d_matrix]
+            mats += [kron_apply(R, QMat.eye(sp.dim)) for R in sp.right] + [sp.d_matrix]
         for M in mats:
             R = M.reduced()
             assert M.den == R.den and np.array_equal(M.num, R.num), name
@@ -204,8 +206,9 @@ def test_big_common_denominator_gives_exact_object_actions():
     assert alg.right[1].entry(2, 1) == Fraction(1, 2 ** 62)
     for k in range(3):
         sp = form_space(alg, k)
-        assert sp.right[1].num.dtype == object, k
-        assert sp.right[1].den == 2 ** 62, k
+        R1 = kron_apply(sp.right[1], QMat.eye(sp.dim))
+        assert R1.num.dtype == object, k
+        assert R1.den == 2 ** 62, k
     # (1 dy) . y = d(y y) - (1 y) dy = 2**-62 d(x^2) - y dy
     sp1 = form_space(alg, 1)
     assert sp1.basis_form(0).right_mult([0, 1, 0]).coords() == [
@@ -230,26 +233,31 @@ def test_form_space_build_makes_no_fraction_rows(monkeypatch):
 
 
 def test_form_space_dimension_builds_no_action(monkeypatch):
-    # dim, indexing, d's target and info's omega_dims cost no matrix; the
-    # right factor of a product needs only its tail
+    # dim, indexing, d's target and info's omega_dims cost no action, not even
+    # its term list; the right factor of a product needs only its tail
     alg = matrix_algebra(2)
 
     def refuse(*args):
         raise AssertionError("built an action")
 
-    monkeypatch.setattr(FormSpace, "_right_action_matrix", refuse)
+    for name in ("right", "left"):
+        monkeypatch.setattr(FormSpace, name, property(refuse))
+    monkeypatch.setattr(forms, "kron_apply", refuse)
+    monkeypatch.setattr(forms, "kron_matrix", refuse)
     monkeypatch.setattr(QMat, "kron", refuse)
     assert [form_space(alg, k).dim for k in range(8)] == [4 * 3 ** k for k in range(8)]
     sp = form_space(alg, 7)
     assert sp.tuple_of(sp.index_of(2, (1, 3, 2, 1, 1, 3, 2))) == (2, (1, 3, 2, 1, 1, 3, 2))
     form_space(alg, 2).d_matrix
-    with pytest.raises(AssertionError):
-        form_space(alg, 1).right
+    for read in ("right", "left", "stacked_right"):
+        with pytest.raises(AssertionError):
+            getattr(form_space(alg, 1), read)
     monkeypatch.undo()
     w = form_space(alg, 1).basis_form(1)
     product(w, form_space(alg, 3).basis_form(5))
-    built = {k for k in range(8) if {"right", "left"} & set(vars(form_space(alg, k)))}
-    assert built == {1} and "stacked_right" not in vars(form_space(alg, 3))
+    built = {k for k in range(8)
+             if {"right", "left", "stacked_right"} & set(vars(form_space(alg, k)))}
+    assert built == {1} and "left" not in vars(form_space(alg, 1))
 
 
 def test_product_unital_and_examples():
@@ -467,3 +475,50 @@ def test_graded_form_operations():
     assert dgf.components[1] == eps.d()
     with pytest.raises(FormError):
         GradedForm(dual, 2, [one, one, one])
+
+
+def _sig(M):
+    return M.shape, M.num.dtype, M.den, M.num.tolist()
+
+
+# (algebra, top degree) for the term-list oracles: every builtin, truncpoly(4)
+# and the two rebased algebras with den != 1 through degree 4, matrix(3) through 2
+TERM_CASES = [*((name, 4) for name in _algebras()), ("truncpoly4", 4), ("matrix3", 2)]
+
+
+def _term_algebra(name):
+    extra = {"truncpoly4": lambda: truncated_polynomial_algebra(4),
+             "matrix3": lambda: matrix_algebra(3)}
+    return extra[name]() if name in extra else _algebras()[name]
+
+
+@pytest.mark.parametrize("name,top", TERM_CASES)
+def test_action_and_d_terms_match_the_dense_builders(name, top):
+    # kron_apply of each term list on I is the matrix the replaced builder
+    # made, with its (num, dtype, den): find_projections sorts by raw (den, num)
+    A = _term_algebra(name)
+    rng = random.Random(5)
+    for k in range(top + 1):
+        sp = form_space(A, k)
+        eye = QMat.eye(sp.dim)
+        for b in range(A.dim):
+            assert _sig(kron_apply(sp.right[b], eye)) == _sig(
+                loop_right_action_matrix(sp, b)), (name, k, b)
+            assert _sig(kron_apply(sp.left[b], eye)) == _sig(
+                kron_left_action_matrix(sp, b)), (name, k, b)
+        D = coo_d_matrix(sp)
+        assert _sig(kron_apply(sp.d_terms, eye)) == _sig(D), (name, k)
+        # the shifts evaluate d's terms, on a block and composed from the right
+        X = QMat.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             for _ in range(3)] for _ in range(sp.dim)])
+        assert sp.apply_d(X) == kron_apply(sp.d_terms, X), (name, k)
+        Y = QMat.from_rows([[rng.randint(-3, 3) for _ in range(D.shape[0])]
+                            for _ in range(2)])
+        assert sp.compose_d(Y) == Y @ D, (name, k)
+        if k <= 2:
+            stacked = qmat_hstack(sp.dim, [loop_right_action_matrix(sp, b).T
+                                           for b in range(A.dim)]).T
+            assert sp.stacked_right == stacked, (name, k)
+        # C_r from the term lists against the dense differences L_i - R_i
+        if k <= 3:
+            assert commutator_subspace(A, k) == dense_commutator_subspace(A, k), (name, k)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncforms.algebra import derivation_space, derivation_matrix, inner_derivation, matrix_algebra
+from ncforms.algebra import (AlgebraError, derivation_space, derivation_matrix,
+                             inner_derivation, matrix_algebra)
 from ncforms.forms import form_space
 from ncforms.hochschild import (
     HochschildError, NormalizedCochain, bimodule_hom_violation, coboundary,
@@ -16,10 +17,10 @@ from ncforms.hochschild import (
     is_coboundary, tensor_hom_from_values, tensor_module,
     unit_frame_cochain, universal_cocycle, universal_comparison_hom,
 )
-from ncforms.linalg import QMat, kron_rows
-from oracles import (emb_comparison_columns, loop_coboundary, loop_cochain_evaluate,
-                     loop_cochain_to_hom, loop_comparison_image, loop_tensor_hom_from_values,
-                     sympy_hochschild_dim, tensor_hom_basis)
+from ncforms.linalg import QMat, kron_apply, kron_rows
+from oracles import (emb_comparison_columns, kron_tensor_actions, loop_coboundary,
+                     loop_cochain_evaluate, loop_cochain_to_hom, loop_comparison_image,
+                     loop_tensor_hom_from_values, sympy_hochschild_dim, tensor_hom_basis)
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -530,3 +531,52 @@ def test_complex_dims_shape(algebras):
     dims = complex_dims(M, 0)
     assert dims == {"cocycles": 1, "coboundaries": 0, "cohomology": 1}
     assert complex_dims(M, 2)["cohomology"] == 0
+
+
+@pytest.mark.parametrize("name", [*_algebras(), "matrix3"])
+def test_tensor_module_terms_match_the_identity_kronecker_actions(name):
+    # the free bimodule's actions (L_i, mid * m) and (m * mid, R_i), applied
+    # to I, are the Kronecker products with an identity they replace, with
+    # the same (num, dtype, den)
+    A = matrix_algebra(3) if name == "matrix3" else _algebras()[name]
+    for n in ((1, 2) if name == "matrix3" else (1, 2, 3)):
+        T = tensor_module(A, n)
+        eye = QMat.eye(T.dim)
+        lefts, rights = kron_tensor_actions(A, n)
+        for terms, ref in zip(T.left + T.right, lefts + rights):
+            got = kron_apply(terms, eye)
+            assert (got.num.dtype, got.den, got.num.tolist()) == (
+                ref.num.dtype, ref.den, ref.num.tolist()), (name, n)
+
+
+def _corrupted(terms):
+    """The term list with one entry of its first QMat factor raised by 1."""
+    k, F = next((k, f) for k, f in enumerate(terms[0]) if isinstance(f, QMat))
+    num = F.num.copy()
+    num[0, 0] += F.den
+    return [(*terms[0][:k], QMat(num, F.den), *terms[0][k + 1:]), *terms[1:]]
+
+
+@pytest.mark.parametrize("build", [lambda A: form_space(A, 3), lambda A: tensor_module(A, 2)],
+                         ids=["omega3", "free2"])
+def test_validate_applies_term_lists_and_catches_one_corrupted_entry(build, monkeypatch):
+    # Bimodule.validate multiplies no two actions as squares (no QMat product
+    # or Kronecker product at all), and one wrong factor entry fails it
+    A = matrix_algebra(2)
+    M = build(A)
+
+    def refuse(*args):
+        raise AssertionError("multiplied dense matrices")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QMat, "__matmul__", refuse)
+        patch.setattr(QMat, "kron", refuse)
+        M.validate()
+    for side in ("left", "right"):
+        acts = getattr(M, side)
+        for b in (1, A.dim - 1):
+            with monkeypatch.context() as patch:
+                patch.setitem(vars(M), side, [*acts[:b], _corrupted(acts[b]), *acts[b + 1:]])
+                with pytest.raises(AlgebraError):
+                    M.validate()
+    M.validate()

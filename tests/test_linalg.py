@@ -838,10 +838,51 @@ def test_no_private_codec_or_column_copies():
     assert not found
 
 
+def _square_builders(tree):
+    """Line numbers of a Kronecker product with an identity operand
+    (QMat.eye(...) or a name with eye) and of d_matrix read on anything but
+    form_space(..., 0)."""
+    def identity(node):
+        return ((isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "eye")
+                or (isinstance(node, ast.Name) and "eye" in node.id))
+
+    def omega0(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "form_space" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == 0)
+
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "kron"
+                and any(map(identity, [node.func.value, *node.args])))
+            or (isinstance(node, ast.Attribute) and node.attr == "d_matrix"
+                and not omega0(node.value))]
+
+
+def test_structural_operators_are_term_lists_not_squares():
+    # no Kronecker product with an identity operand is left in the package
+    # (L (x) I is the term (L, n)), the per-entry right-action loop is gone,
+    # and d is read as a matrix only on Omega_0 (its factor d_0)
+    found = {}
+    for info in pkgutil.iter_modules(ncforms.__path__):
+        src = inspect.getsource(importlib.import_module(f"ncforms.{info.name}"))
+        lines = _square_builders(ast.parse(src))
+        if lines or "_right_action_matrix" in src:
+            found[info.name] = lines
+    assert not found
+    # the guard sees the spellings it bans, and passes d_0
+    for text in ("L.kron(QMat.eye(3))", "QMat.eye(n).kron(R)", "mu.kron(eye)",
+                 "form_space(A, k).d_matrix", "sp.d_matrix"):
+        assert _square_builders(ast.parse(text)) == [1], text
+    assert not _square_builders(ast.parse("form_space(A, 0).d_matrix @ F.kron(F)"))
+
+
 def test_linear_condition_builders_go_through_kron_rows():
     builders = [algebra.derivation_space, algebra.TensorQuotient.__init__,
                 schouten.polyderivation_space, hochschild.form_hom_space,
-                hochschild.cocycle_space, forms.kernel_of_mu_n]
+                hochschild.cocycle_space, forms.kernel_of_mu_n,
+                forms.commutator_subspace]
     # the term lists the builders eliminate, each the one place its operator
     # is stated
     term_lists = [hochschild.coboundary_terms, algebra.leibniz_terms,
@@ -975,7 +1016,8 @@ def test_multimap_calculus_stays_on_integer_numerators():
     for fn in (hochschild.tensor_hom_from_values, hochschild._factored_cochains):
         src = inspect.getsource(fn)
         assert "_stacked_actions(" in src, fn.__qualname__
-        assert not [b for b in (".col(", "range(tensor.dim)", "module.left") if b in src]
+        assert not [b for b in (".col(", "range(tensor.dim)", "module.left", "kron_apply(")
+                    if b in src]
 
 
 def test_elimination_stays_on_integer_rows():

@@ -55,7 +55,7 @@ def test_products_match_pairwise_loop(name, k, l, r, s, identity, seed):
     A = _algebras()[name]
     spk, spl = form_space(A, k), form_space(A, l)
     if name == "t3big":
-        assert spk.right[1].num.dtype == object
+        assert spk.stacked_right.num.dtype == object
     rng = random.Random(seed)
     P = QMat.eye(spk.dim) if identity else _block(rng, spk.dim, r)
     Q = _block(rng, spl.dim, s)
