@@ -230,13 +230,18 @@ class Bimodule:
 
     def left_action(self, a: Sequence[Fraction], X: Optional[QMat] = None) -> QMat:
         """a . X, for X the identity (the matrix of a) when None."""
-        X = QMat.eye(self.dim) if X is None else X
-        return qmat_sum([kron_apply(L, X).scale(ai) for L, ai in zip(self.left, a)])
+        return self._act(self.left, a, X)
 
     def right_action(self, a: Sequence[Fraction], X: Optional[QMat] = None) -> QMat:
         """X . a, for X the identity (the matrix of a) when None."""
+        return self._act(self.right, a, X)
+
+    def _act(self, acts: list, a: Sequence[Fraction], X: Optional[QMat]) -> QMat:
+        if len(a) != self.algebra.dim:
+            raise AlgebraError(f"{self.name}: coefficient vector of length {len(a)} for "
+                               f"an algebra of dimension {self.algebra.dim}")
         X = QMat.eye(self.dim) if X is None else X
-        return qmat_sum([kron_apply(R, X).scale(ai) for R, ai in zip(self.right, a)])
+        return qmat_sum([kron_apply(T, X).scale(ai) for T, ai in zip(acts, a)])
 
     def __repr__(self) -> str:
         return f"Bimodule({self.name!r}, dim={self.dim} over {self.algebra.name})"

@@ -10,9 +10,11 @@ This makes every structural operator a Kronecker term list (``linalg``):
 d is d_0 (x) I, a row shift on a block (:meth:`FormSpace.apply_d`) and a
 column shift composed from the right (:meth:`FormSpace.compose_d`); the left
 action is L_i (x) I, the right action one term per slot of the merge formula.
-The one dense action is :attr:`FormSpace.stacked_right`, built once from the
-terms: the product a.b = sum_p (R_p a) (x) S_p b lives only in
-:func:`products`, which multiplies whole blocks of forms by it.
+The product a.b = sum_p (R_p a) (x) S_p b lives only in :func:`products`,
+which multiplies whole blocks of forms by :attr:`FormSpace.stacked_right`,
+the right actions built dense once from the terms.  The other dense reads of
+an action (``Bimodule.validate``, two of ``verify``'s identities) are listed
+in ``linalg``.
 """
 
 from __future__ import annotations

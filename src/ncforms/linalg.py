@@ -20,11 +20,16 @@ Six conventions are fixed here and nowhere else:
   :func:`flat_index` and :func:`digits_at` are the one big-endian codec
   between such a tuple and its flat index.
 * Matrix building.  A structural operator (a bimodule action, d) is a
-  Kronecker term list, kept dense only as ``FormSpace.stacked_right``;
-  :func:`kron_matrix` builds a list's matrix where its entries are read.
-  Small integer matrices (unit columns, mu^2) come from :meth:`QMat.from_coo`,
-  columns join by :func:`qmat_hstack`, ``Fraction`` data by
-  :meth:`QMat.from_columns`; all three return the reduced (num, den).
+  Kronecker term list; :func:`kron_matrix` builds a list's matrix only
+  where its entries are read: ``FormSpace.stacked_right``,
+  ``Bimodule.validate``, ``semidirect_product``, the free bimodule's
+  stacked actions in ``hochschild`` and ``verify``'s ``d-squared-zero`` and
+  ``bimodule-associativity``.  Small integer matrices (unit columns, mu^2)
+  come from :meth:`QMat.from_coo`, columns join by :func:`qmat_hstack`,
+  ``Fraction`` data by :meth:`QMat.from_columns`; all three return the
+  reduced (num, den).  Every integer product in the package is ``QMat @``,
+  :meth:`QMat.kron` or :func:`kron_apply`, so the int64/object choice is
+  made only here.
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`, fraction-free: primitive integer rows in echelon
   form, eliminated by cross-multiplying and back-substituted once on read.
@@ -218,16 +223,24 @@ class RowReducer:
         for col in mat.T.sparse_rows():
             self.add(col)
 
+    def _dense(self, row: Iterable) -> dict:
+        """{col: value} of a row given in full, of length ambient."""
+        vec = dict(enumerate(row))
+        if len(vec) != self.ambient:
+            raise LinAlgError(f"a row of length {len(vec)} in a space of "
+                              f"dimension {self.ambient}")
+        return vec
+
     def add_dense(self, row: Iterable) -> bool:
-        return self.add(dict(enumerate(row)))
+        return self.add(self._dense(row))
 
     def contains(self, row: Iterable) -> bool:
-        return not self._reduce(_integer_row(dict(enumerate(row)))[1])
+        return not self._reduce(_integer_row(self._dense(row))[1])
 
     def reduce_dense(self, row: Iterable) -> list[Fraction]:
         """The canonical representative of row modulo the span (0 at pivots)."""
         self.int_rows()
-        rows, (den, vec) = self._rows, _integer_row(dict(enumerate(row)))
+        rows, (den, vec) = self._rows, _integer_row(self._dense(row))
         # reduced rows hold no other pivot column, so the hits stay fixed
         for c in [c for c in vec if c in rows]:
             den *= _eliminate(vec, rows[c], c)

@@ -5,14 +5,16 @@ algebra or in scalars, stored as the QMat of its values on all basis
 tuples (flat index big-endian).  Skewness is validated on construction by
 adjacent-argument swaps.
 
-Wedge and insertion are one contraction of the integer numerators each
-(a Kronecker product, multiplied out for two algebra values; the first
-slot against the inserted map) plus a signed sum of column permutations,
-one per shuffle: exact, in int64 below 2**62 and on Python ints above.
-Because the inputs are skew this equals the full permutation sums with
-their 1/k!l! and 1/(k+1)!(p-1)! normalizations, and that equality is itself
-checked in the test suite.  ``Fraction`` values appear only when values
-are read (``value``) and in JSON.  The graded bracket of algebra-valued
+Wedge and insertion each take their values from one ``linalg`` product
+(the Kronecker term phi^T (x) psi^T applied to mu^2 transposed, or to the
+identity when a side is scalar; phi's first slot contracted with the
+inserted map) and then sum signed column permutations, one per shuffle.
+The same signed sum (:func:`_signed_sum`) gives the alternation, the
+skewness test and the commutator bivector.  Because the inputs are skew
+the shuffle sums equal the full permutation sums with their 1/k!l! and
+1/(k+1)!(p-1)! normalizations, and that equality is itself checked in the
+test suite.  ``Fraction`` values appear only when values are read
+(``value``) and in JSON.  The graded bracket of algebra-valued
 multimaps is i_K L - (-1)^{kl} i_L K with k, l the arities shifted down by
 one; the polyderivations (first-slot Leibniz maps) are closed under it, and
 a skew biderivation with vanishing self-bracket is a Poisson structure.
@@ -24,25 +26,19 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .algebra import Algebra, leibniz_terms
-from .linalg import (QMat, QVector, _exact_pair, flat_index, kron_apply,
-                     kron_rows, nullspace, qmat_from_json, qmat_sum, qmat_to_json)
+from .linalg import (QMat, QVector, flat_index, kron_apply, kron_rows, nullspace,
+                     qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
 
 
 class SchoutenError(ValueError):
     pass
-
-
-def _shuffle_sign(S: Sequence[int]) -> int:
-    """Sign of the permutation that moves the sorted positions S up front."""
-    total = sum(S) - sum(range(len(S)))
-    return -1 if total % 2 else 1
 
 
 class MultiMap(QVector):
@@ -85,15 +81,21 @@ class MultiMap(QVector):
         Kronecker product."""
         if len(args) != self.arity:
             raise SchoutenError("argument count does not match arity")
-        vec = functools.reduce(QMat.kron, map(QMat.column, args), QMat.eye(1))
+        vec = functools.reduce(QMat.kron, map(self._column, args), QMat.eye(1))
         return MultiMap(self.algebra, 0, self.data @ vec, scalar=self.scalar,
                         check=False).value(())
 
     def value_with_first(self, w: Sequence[Fraction],
                          rest: Sequence[int]) -> list[Fraction]:
         """Value on (w, e_rest) with w a coefficient vector."""
-        return MultiMap(self.algebra, self.arity - 1, _first_slot(self, QMat.column(w)),
+        return MultiMap(self.algebra, self.arity - 1, derivation_matrix_of(self, w),
                         scalar=self.scalar, check=False).value(rest)
+
+    def _column(self, w: Sequence[Fraction]) -> QMat:
+        if len(w) != self.algebra.dim:
+            raise SchoutenError(f"coefficient vector of length {len(w)} for an "
+                                f"algebra of dimension {self.algebra.dim}")
+        return QMat.column(w)
 
     def _space(self) -> tuple:
         return (self.algebra, self.arity, self.scalar)
@@ -119,8 +121,8 @@ def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
 
 
 def _first_slot(mm: MultiMap, w: QMat) -> QMat:
-    """The values of mm(w, .) on basis tuples, w an m x 1 column: the data
-    times w (x) I."""
+    """mm(w_j, e_rest) at column (j, rest), for the columns w_j of an m-row
+    block w: the data times w (x) I."""
     return kron_apply([(w.T, mm.algebra.dim ** (mm.arity - 1))], mm.data.T).T
 
 
@@ -134,47 +136,41 @@ def _adjacent_swaps(k: int) -> list[tuple[int, ...]]:
     return [(*range(t), t + 1, t, *range(t + 2, k)) for t in range(k - 1)]
 
 
+def _signed_sum(T: QMat, m: int, n: int, perms: Iterable[Sequence[int]]) -> QMat:
+    """sum_p sign(p) T_p over perms, where column I of T_p is T's column at
+    the tuple (I[p[0]], .., I[p[n-1]]) of n digits below m."""
+    # QMat moves the sign of a negative denominator onto the numerators
+    return qmat_sum(QMat(T.num[:, _permuted_columns(m, n, p)], _perm_sign(p) * T.den)
+                    for p in perms)
+
+
+def _shuffles(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """S + rest for each k-subset S of range(n); its sign is (-1)^(sum S - k(k-1)/2)."""
+    return (S + tuple(t for t in range(n) if t not in S)
+            for S in itertools.combinations(range(n), k))
+
+
 def is_skew(mm: MultiMap) -> bool:
     """Adjacent swaps negate the value on every basis tuple."""
-    num = mm.data.num
-    return not any(
-        np.count_nonzero(num + num[:, _permuted_columns(mm.algebra.dim, mm.arity, swap)])
-        for swap in _adjacent_swaps(mm.arity))
+    return all(_signed_sum(mm.data, mm.algebra.dim, mm.arity, [swap]) == mm.data
+               for swap in _adjacent_swaps(mm.arity))
 
 
 def alternation(mm: MultiMap) -> MultiMap:
     """Skew-symmetrization (1/k!) sum of signed argument permutations."""
-    m, k = mm.algebra.dim, mm.arity
-    total = qmat_sum([QMat(mm.data.num[:, _permuted_columns(m, k, perm)]).scale(
-        _perm_sign(perm)) for perm in itertools.permutations(range(k))])
-    data = QMat(total.num, mm.data.den * math.factorial(k)).reduced()
-    return MultiMap(mm.algebra, k, data, scalar=mm.scalar)
+    k = mm.arity
+    total = _signed_sum(mm.data, mm.algebra.dim, k, itertools.permutations(range(k)))
+    return MultiMap(mm.algebra, k, total.scale(Fraction(1, math.factorial(k))).canonical(),
+                    scalar=mm.scalar)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
 # Wedge and insertion
 # ---------------------------------------------------------------------------
-
-
-def _shuffle_sum(T: np.ndarray, m: int, n: int, k: int, lead: bool) -> np.ndarray:
-    """sum_S sign(S) T[:, idx_S] over the k-subsets S of range(n), where
-    column I of T[:, idx_S] is T's column at the tuple (I_S, I_rest) if
-    lead, else at (I_rest, I_S)."""
-    out = np.zeros_like(T)
-    for S in itertools.combinations(range(n), k):
-        rest = tuple(t for t in range(n) if t not in S)
-        perm = S + rest if lead else rest + S
-        out += _shuffle_sign(S) * T[:, _permuted_columns(m, n, perm)]
-    return out
 
 
 def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
@@ -183,22 +179,15 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     if phi.algebra is not psi.algebra:
         raise SchoutenError("wedge needs multimaps over one algebra")
     A = phi.algebra
-    m = A.dim
-    k, l = phi.arity, psi.arity
-    if k + l > MAX_ARITY:
-        raise SchoutenError(f"wedge arity {k + l} exceeds cap {MAX_ARITY}")
-    # kron(phi, psi) has column (a, b) = phi(e_a) (x) psi(e_b): a scalar
-    # side scales the other; two algebra values are multiplied out
-    multiply = not (phi.scalar or psi.scalar)
-    mult = A.mu2 if multiply else QMat.eye(1)
-    count = math.comb(k + l, k) * mult.shape[1] * mult.max_abs
-    x, y = _exact_pair(phi.data, psi.data,
-                       lambda x, y: count * x.max_abs * y.max_abs)
-    T = np.kron(x.num, y.num)
-    if multiply:
-        T = np.dot(mult.num.astype(T.dtype), T)
-    data = QMat(_shuffle_sum(T, m, k + l, k, lead=True), x.den * y.den * mult.den)
-    return MultiMap(A, k + l, data.canonical(), scalar=phi.scalar and psi.scalar,
+    n = phi.arity + psi.arity
+    if n > MAX_ARITY:
+        raise SchoutenError(f"wedge arity {n} exceeds cap {MAX_ARITY}")
+    # column (a, b) of phi (x) psi is phi(e_a) (x) psi(e_b): a scalar side
+    # scales the other; two algebra values are multiplied out by mu^2
+    mult = QMat.eye(phi.target_dim * psi.target_dim) if phi.scalar or psi.scalar else A.mu2
+    T = kron_apply([(phi.data.T, psi.data.T)], mult.T).T
+    data = _signed_sum(T, A.dim, n, _shuffles(n, phi.arity))
+    return MultiMap(A, n, data.canonical(), scalar=phi.scalar and psi.scalar,
                     check=False)
 
 
@@ -210,7 +199,6 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
     if K.algebra is not phi.algebra:
         raise SchoutenError("insertion needs multimaps over one algebra")
     A = K.algebra
-    m = A.dim
     kappa, p = K.arity, phi.arity
     if p == 0:
         if kappa == 0:
@@ -219,13 +207,8 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
     n = kappa - 1 + p
     if n > MAX_ARITY:
         raise SchoutenError(f"insertion arity {n} exceeds cap {MAX_ARITY}")
-    count = math.comb(n, kappa) * m
-    x, y = _exact_pair(phi.data, K.data,
-                       lambda x, y: count * x.max_abs * y.max_abs)
-    # T has column (rest, S) = phi(K(e_S), e_rest)
-    T = np.tensordot(x.num.reshape(phi.target_dim, m, -1), y.num, axes=(1, 0))
-    data = QMat(_shuffle_sum(T.reshape(phi.target_dim, -1), m, n, kappa, lead=False),
-                x.den * y.den)
+    # column (S, rest) is phi(K(e_S), e_rest)
+    data = _signed_sum(_first_slot(phi, K.data), A.dim, n, _shuffles(n, kappa))
     return MultiMap(A, n, data.canonical(), scalar=phi.scalar, check=False)
 
 
@@ -299,9 +282,8 @@ def polyderivation_space(algebra: Algebra, arity: int) -> list[MultiMap]:
 
 def commutator_bivector(algebra: Algebra) -> MultiMap:
     """mu(a, b) = ab - ba."""
-    mult = algebra.mu2
-    swapped = QMat(mult.num[:, _permuted_columns(algebra.dim, 2, (1, 0))], mult.den)
-    return MultiMap(algebra, 2, (mult - swapped).canonical())
+    mu = _signed_sum(algebra.mu2, algebra.dim, 2, itertools.permutations(range(2)))
+    return MultiMap(algebra, 2, mu.canonical())
 
 
 def poisson_check(mu: MultiMap) -> dict:
@@ -317,8 +299,11 @@ def poisson_check(mu: MultiMap) -> dict:
 
 
 def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
-    """The linear map b |-> mu(a, b) as a matrix."""
-    return _first_slot(mu, QMat.column(a))
+    """The values of mu(a, .) on basis tuples: for a bivector, the linear map
+    b |-> mu(a, b) as a matrix."""
+    if mu.arity < 1:
+        raise SchoutenError("an arity-0 multimap has no first slot")
+    return _first_slot(mu, mu._column(a))
 
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:
@@ -337,8 +322,7 @@ def poisson_bracket_hom_check(mu: MultiMap) -> dict:
             "all": derivation_valued and lie_hom}
 
 
-def poisson_scan(algebra: Algebra, bound: int = 1,
-                 cap: int = 100000) -> list[MultiMap]:
+def poisson_scan(algebra: Algebra, bound: int = 1, cap: int = 100000) -> list[MultiMap]:
     """All nonzero integer combinations of the skew-biderivation basis with
     coefficients in [-bound, bound] that have vanishing self-bracket.
 
@@ -349,17 +333,11 @@ def poisson_scan(algebra: Algebra, bound: int = 1,
     basis = polyderivation_space(algebra, 2)
     count = (2 * bound + 1) ** len(basis)
     if count > cap:
-        raise SchoutenError(
-            f"lattice of {count} candidates exceeds cap {cap}")
+        raise SchoutenError(f"lattice of {count} candidates exceeds cap {cap}")
     found = []
-    for coeffs in itertools.product(range(-bound, bound + 1),
-                                    repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        mu = MultiMap.zeros(algebra, 2)
-        for c, b in zip(coeffs, basis):
-            if c:
-                mu = mu + b.scale(c)
-        if nr_bracket(mu, mu).is_zero():
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        mu = sum((b.scale(c) for c, b in zip(coeffs, basis) if c),
+                 MultiMap.zeros(algebra, 2))
+        if any(coeffs) and nr_bracket(mu, mu).is_zero():
             found.append(mu)
     return found

@@ -8,6 +8,7 @@ import weakref
 from fractions import Fraction
 
 import sympy
+from sympy.combinatorics import Permutation
 
 
 def sympy_rref(rows):
@@ -888,6 +889,29 @@ def loop_insertion(K, phi):
                     scalar=phi.scalar, check=False)
 
 
+def loop_alternation(mm):
+    """(1/k!) sum_p sign(p) mm(e_{I[p[0]]}, ..), one basis tuple and one
+    permutation at a time, the sign from sympy."""
+    import itertools
+    import math
+
+    from ncforms.linalg import QMat
+    from ncforms.schouten import MultiMap
+    m, k = mm.algebra.dim, mm.arity
+    cols = []
+    for flat in range(m ** k):
+        I = _digits(flat, m, k)
+        acc = [Fraction(0)] * mm.target_dim
+        for perm in itertools.permutations(range(k)):
+            sign = Permutation(list(perm)).signature()
+            val = mm.value(tuple(I[t] for t in perm))
+            for r in range(mm.target_dim):
+                acc[r] += sign * val[r]
+        cols.append([v / math.factorial(k) for v in acc])
+    return MultiMap(mm.algebra, k, QMat.from_columns(mm.target_dim, cols),
+                    scalar=mm.scalar, check=False)
+
+
 def loop_tensor_hom_from_values(tensor, module, values):
     """(i, J, l) |-> e_i . values(J) . e_l, one matmul per basis element."""
     from ncforms.linalg import qmat_hstack
@@ -1340,3 +1364,79 @@ def dense_commutator_subspace(algebra, r):
     for b in range(algebra.dim):
         red.add_columns(kron_left_action_matrix(sp, b) - loop_right_action_matrix(sp, b))
     return red.subspace()
+
+
+# ---------------------------------------------------------------------------
+# Wedge and insertion as numpy contractions of the numerators.
+#
+# ``schouten`` now takes each value block from one ``linalg`` product
+# (``kron_apply``) and permutes columns with one signed sum.  These are the
+# earlier bodies: ``np.kron`` (and ``np.dot`` by mu^2) or ``np.tensordot``
+# on the numerators, int64 or object chosen by a hand-made bound, then
+# one signed column permutation per shuffle.
+# ---------------------------------------------------------------------------
+
+
+def _numpy_shuffle_sum(T, m, n, k, lead):
+    """sum_S sign(S) T[:, idx_S] over the k-subsets S of range(n), where
+    column I of T[:, idx_S] is T's column at the tuple (I_S, I_rest) if
+    lead, else at (I_rest, I_S)."""
+    import itertools
+
+    import numpy as np
+
+    from ncforms.schouten import _permuted_columns
+    out = np.zeros_like(T)
+    for S in itertools.combinations(range(n), k):
+        rest = tuple(t for t in range(n) if t not in S)
+        perm = S + rest if lead else rest + S
+        out += _shuffle_sign(S) * T[:, _permuted_columns(m, n, perm)]
+    return out
+
+
+def numpy_wedge(phi, psi):
+    """Shuffle wedge from np.kron of the numerators, multiplied out by mu^2
+    for two algebra values."""
+    import math
+
+    import numpy as np
+
+    from ncforms.linalg import QMat, _exact_pair
+    from ncforms.schouten import MultiMap
+    A = phi.algebra
+    k, l = phi.arity, psi.arity
+    multiply = not (phi.scalar or psi.scalar)
+    mult = A.mu2 if multiply else QMat.eye(1)
+    count = math.comb(k + l, k) * mult.shape[1] * mult.max_abs
+    x, y = _exact_pair(phi.data, psi.data,
+                       lambda x, y: count * x.max_abs * y.max_abs)
+    T = np.kron(x.num, y.num)
+    if multiply:
+        T = np.dot(mult.num.astype(T.dtype), T)
+    data = QMat(_numpy_shuffle_sum(T, A.dim, k + l, k, lead=True),
+                x.den * y.den * mult.den)
+    return MultiMap(A, k + l, data.canonical(), scalar=phi.scalar and psi.scalar,
+                    check=False)
+
+
+def numpy_insertion(K, phi):
+    """Insertion from np.tensordot of phi's first slot with K's values."""
+    import math
+
+    import numpy as np
+
+    from ncforms.linalg import QMat, _exact_pair
+    from ncforms.schouten import MultiMap
+    A = K.algebra
+    m, kappa, p = A.dim, K.arity, phi.arity
+    if p == 0:
+        return MultiMap.zeros(A, kappa - 1, scalar=phi.scalar)
+    n = kappa - 1 + p
+    count = math.comb(n, kappa) * m
+    x, y = _exact_pair(phi.data, K.data,
+                       lambda x, y: count * x.max_abs * y.max_abs)
+    # T has column (rest, S) = phi(K(e_S), e_rest)
+    T = np.tensordot(x.num.reshape(phi.target_dim, m, -1), y.num, axes=(1, 0))
+    data = QMat(_numpy_shuffle_sum(T.reshape(phi.target_dim, -1), m, n, kappa,
+                                   lead=False), x.den * y.den)
+    return MultiMap(A, n, data.canonical(), scalar=phi.scalar, check=False)

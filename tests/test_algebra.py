@@ -195,6 +195,23 @@ def test_bimodule_rejects_bad_actions():
         Bimodule(dual, 2, [eye, bad], [eye, bad.T])
 
 
+def test_left_action_rejects_a_coefficient_vector_of_the_wrong_length():
+    # zip dropped the missing coefficients: [0, 1] acted as e_1 on M_2
+    reg = matrix_algebra(2).regular_bimodule()
+    for a in ([0, 1], [0, 1, 0, 0, 1]):
+        with pytest.raises(AlgebraError, match=f"length {len(a)} for an algebra of dimension 4"):
+            reg.left_action(a)
+
+
+def test_right_action_rejects_a_coefficient_vector_of_the_wrong_length():
+    # zip ignored a fifth coefficient
+    reg = matrix_algebra(2).regular_bimodule()
+    assert reg.right_action([0, 1, 0, 0]) == matrix_algebra(2).right[1]
+    for a in ([0, 1, 0, 0, 1], [1]):
+        with pytest.raises(AlgebraError, match=f"length {len(a)} for an algebra of dimension 4"):
+            reg.right_action(a)
+
+
 def test_augmentation_bimodule():
     # one-dimensional module over dual numbers: eps acts as zero on both sides
     dual = dual_numbers()

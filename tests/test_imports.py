@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it,
-every function, class and method it defines is named somewhere else, and
-the command's start-up loads no optional package."""
+every function, class and method it defines is named somewhere else, only
+``linalg`` multiplies integer arrays, and the command's start-up loads no
+optional package."""
 
 import ast
 import os
@@ -124,6 +125,45 @@ def test_every_library_definition_is_named_elsewhere():
             if words[name] == re.findall(r"\w+", lines[line - 1]).count(name):
                 dead.append(f"{module.name}:{line} {name}")
     assert dead == []
+
+
+NUMPY_PRODUCTS = {"dot", "kron", "tensordot", "matmul", "einsum"}
+
+
+def products_outside_linalg(source: str) -> list[str]:
+    """'np.name:line' of each numpy product named (called or passed), and
+    'name:line' of each underscore name imported from ``linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"np.{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"np.{a.name}:{node.lineno}" for a in node.names
+                      if a.name in NUMPY_PRODUCTS]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("linalg", "ncforms.linalg"):
+            found += [f"{a.name}:{node.lineno}" for a in node.names
+                      if a.name.startswith("_")]
+    return sorted(found)
+
+
+def test_product_scanner():
+    source = ("import numpy as np\n"
+              "from numpy import einsum\n"
+              "from .linalg import QMat, _exact_pair\n"
+              "x = np.dot(a, b) + np.zeros(3)\n"
+              "y = functools.reduce(np.kron, mats)\n"
+              "z = a @ b\n")
+    assert products_outside_linalg(source) == [
+        "_exact_pair:3", "np.dot:4", "np.einsum:2", "np.kron:5"]
+
+
+def test_only_linalg_multiplies_integer_arrays():
+    # every integer product is QMat @, QMat.kron or kron_apply, where the
+    # int64/object rule is stated once; no module reaches past them
+    found = {p.name: products_outside_linalg(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: where for name, where in found.items() if where} == {}
 
 
 def run_python(code: str, **env: str) -> str:

@@ -123,6 +123,35 @@ def test_subspace_sum_intersect_dims():
     assert u.is_subspace_of(s) and v.is_subspace_of(s)
 
 
+# A dense row of the wrong length once lost its missing entries, or put an
+# extra one in a column past the ambient space, without an error.
+
+
+def test_add_dense_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(LinAlgError, match="length 3 in a space of dimension 2"):
+        Subspace.from_generators(2, [[1, 2, 3]])
+    with pytest.raises(LinAlgError, match="length 1 in a space of dimension 2"):
+        rank([[1, 2], [3]])
+
+
+def test_contains_rejects_a_row_of_the_wrong_length():
+    # the centre of M_2 is the line of the unit: [1, 0] was read as [1, 0, 0, 0]
+    center = matrix_algebra(2).center()
+    with pytest.raises(LinAlgError, match="length 2 in a space of dimension 4"):
+        center.contains([1, 0])
+    with pytest.raises(LinAlgError, match="length 5 in a space of dimension 4"):
+        center.contains([1, 0, 0, 0, 1])
+
+
+def test_reduce_dense_rejects_a_row_of_the_wrong_length():
+    red = RowReducer(3)
+    red.add_dense([1, 1, 0])
+    assert red.reduce_dense([1, 0, 0]) == [0, -1, 0]
+    for row in ([1, 0], [1, 0, 0, 2]):
+        with pytest.raises(LinAlgError, match=f"length {len(row)} in a space of dimension 3"):
+            red.reduce_dense(row)
+
+
 @given(small_matrix, small_matrix)
 @settings(max_examples=30)
 def test_grassmann_formula(rows_a, rows_b):

@@ -22,9 +22,9 @@ from ncforms.schouten import (
     poisson_check, poisson_scan, polyderivation_space, schouten_closure_check,
     wedge,
 )
-from oracles import (loop_derivation_defect, loop_evaluate, loop_first_slot_leibniz,
-                     loop_insertion, loop_value_with_first, loop_wedge,
-                     sympy_polyderivation_dim)
+from oracles import (loop_alternation, loop_derivation_defect, loop_evaluate,
+                     loop_first_slot_leibniz, loop_insertion, loop_value_with_first,
+                     loop_wedge, numpy_insertion, numpy_wedge, sympy_polyderivation_dim)
 from test_algebra import DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -134,6 +134,35 @@ def test_evaluate_is_multilinear(algebras):
     rhs = [c * a + b for a, b in zip(mm.evaluate(u, w), mm.evaluate(v, w))]
     assert lhs == rhs
     assert mm.evaluate(u, v) == [-x for x in mm.evaluate(v, u)]
+
+
+# Bad arguments raise SchoutenError, not the TypeError, LinAlgError or numpy
+# ValueError of the contraction they would reach.
+
+
+def test_first_slot_of_an_arity_zero_map_is_a_schouten_error(algebras):
+    const = element(algebras["m2"], [1, 2, 0, 3])
+    with pytest.raises(SchoutenError, match="no first slot"):
+        const.value_with_first(basis_vec(4, 0), [])
+    with pytest.raises(SchoutenError, match="no first slot"):
+        derivation_matrix_of(const, basis_vec(4, 0))
+
+
+def test_first_slot_rejects_a_vector_of_the_wrong_length(algebras):
+    mu = commutator_bivector(algebras["m2"])
+    for w in ([F(1)] * 3, [F(1)] * 5):
+        with pytest.raises(SchoutenError, match=f"length {len(w)} for an algebra of dimension 4"):
+            mu.value_with_first(w, [0])
+        with pytest.raises(SchoutenError, match=f"length {len(w)} for an algebra of dimension 4"):
+            derivation_matrix_of(mu, w)
+
+
+def test_evaluate_rejects_a_vector_of_the_wrong_length(algebras):
+    mu = commutator_bivector(algebras["m2"])
+    assert mu.evaluate(basis_vec(4, 1), basis_vec(4, 2)) == mu.value((1, 2))
+    for short in ([F(1)] * 3, []):
+        with pytest.raises(SchoutenError, match=f"length {len(short)} for an algebra"):
+            mu.evaluate(basis_vec(4, 1), short)
 
 
 def test_json_round_trip(algebras):
@@ -764,12 +793,19 @@ def _parity_algebras():
     return algs
 
 
-def _scaled_multimap(rng, algebra, arity, scalar, big):
-    """A random skew multimap over a denominator from 1, 2, 3, 7; with big,
-    its numerators reach past 2**62 and live on Python integers."""
-    c = F(rng.choice([1, -1, 2, 5]) * (2 ** 62 + 1 if big else 1),
-          rng.choice([1, 2, 3, 7]))
-    return random_multimap(rng, algebra, arity, scalar).scale(c)
+def _scale_factor(rng, big):
+    """A random rational over a denominator from 1, 2, 3, 7; with big, its
+    numerator is past 2**62."""
+    return F(rng.choice([1, -1, 2, 5]) * (2 ** 62 + 1 if big else 1),
+             rng.choice([1, 2, 3, 7]))
+
+
+def _scaled_multimap(rng, algebra, arity, scalar, big, skew=True):
+    """A random multimap (skew unless told otherwise) scaled by
+    :func:`_scale_factor`; with big its numerators live on Python integers."""
+    c = _scale_factor(rng, big)
+    mm = random_multimap if skew else raw_multimap
+    return mm(rng, algebra, arity, scalar).scale(c)
 
 
 def _signature(mm):
@@ -779,7 +815,9 @@ def _signature(mm):
 # (op, k, l) with output arity at most 3; arity 0 on either side included
 SHAPES = ([("insertion", k, p) for k in range(4) for p in range(4)
            if k + p and k - 1 + p <= 3]
-          + [("wedge", k, l) for k in range(4) for l in range(4 - k)])
+          + [("wedge", k, l) for k in range(4) for l in range(4 - k)]
+          + [(op, k, 0) for op in ("alternation", "is_skew") for k in range(4)]
+          + [("commutator", 1, 1)])
 
 
 @given(name=st.sampled_from(["m2", "upper2", "truncpoly3", "matrix3"]),
@@ -790,8 +828,13 @@ SHAPES = ([("insertion", k, p) for k in range(4) for p in range(4)
 @example(name="truncpoly3", shape=("wedge", 0, 0), s1=True, s2=False, big=True, seed=2)
 @example(name="matrix3", shape=("wedge", 1, 1), s1=False, s2=False, big=True, seed=3)
 @example(name="m2", shape=("wedge", 0, 0), s1=True, s2=False, big=True, seed=425862)
+@example(name="upper2", shape=("alternation", 3, 0), s1=False, s2=False, big=True, seed=4)
+@example(name="m2", shape=("is_skew", 2, 0), s1=True, s2=False, big=True, seed=5)
+@example(name="matrix3", shape=("is_skew", 3, 0), s1=False, s2=True, big=True, seed=6)
+@example(name="m2", shape=("commutator", 1, 1), s1=False, s2=False, big=True, seed=7)
 @settings(max_examples=30, deadline=None)
 def test_wedge_and_insertion_match_shuffle_loops(name, shape, s1, s2, big, seed):
+    # and alternation, is_skew and the commutator, on the same inputs
     A = _parity_algebras()[name]
     op, k, l = shape
     rng = random.Random(seed)
@@ -799,10 +842,25 @@ def test_wedge_and_insertion_match_shuffle_loops(name, shape, s1, s2, big, seed)
         K = _scaled_multimap(rng, A, k, False, big)
         phi = _scaled_multimap(rng, A, l, s2, big and rng.random() < 0.5)
         got, want = insertion(K, phi), loop_insertion(K, phi)
-    else:
+        assert _signature(numpy_insertion(K, phi)) == _signature(want)
+    elif op == "wedge":
         phi = _scaled_multimap(rng, A, k, s1, big)
         psi = _scaled_multimap(rng, A, l, s2, False)
         got, want = wedge(phi, psi), loop_wedge(phi, psi)
+        assert _signature(numpy_wedge(phi, psi)) == _signature(want)
+    elif op == "alternation":
+        phi = _scaled_multimap(rng, A, k, s1, big, skew=False)
+        got, want = alternation(phi), loop_alternation(phi)
+    elif op == "is_skew":
+        phi = _scaled_multimap(rng, A, k, s1, big, skew=s2)
+        assert is_skew(phi) == (loop_alternation(phi) == phi)
+        got = want = phi
+    else:
+        # mu(a, b) = ab - ba is the wedge of the identity with itself
+        c1, c2 = _scale_factor(rng, big), _scale_factor(rng, big)
+        ident = MultiMap(A, 1, QMat.eye(A.dim))
+        got = MultiMap(A, 2, commutator_bivector(A).data.scale(c1 * c2).canonical())
+        want = loop_wedge(ident.scale(c1), ident.scale(c2))
     assert _signature(got) == _signature(want)
     if big and not got.is_zero():
         assert got.data.num.dtype == object
