@@ -83,6 +83,9 @@ class Algebra:
 
     def mult_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         """uv = mu^2 (u (x) v)."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise AlgebraError(f"{self.name}: coefficient vectors of lengths {len(u)} "
+                               f"and {len(v)} for an algebra of dimension {self.dim}")
         uv = QMat.column(u).kron(QMat.column(v))
         return (self.mu2 @ uv).column_fractions(0)
 
@@ -612,7 +615,10 @@ class TensorQuotient:
         return [rep[t] for t in self.free]
 
     def pure_tensor(self, mvec: Sequence[Fraction], nvec: Sequence[Fraction]) -> list[Fraction]:
-        dn = self.n_mod.dim
+        dm, dn = self.m_mod.dim, self.n_mod.dim
+        if len(mvec) != dm or len(nvec) != dn:
+            raise AlgebraError(f"pure tensor of vectors of lengths {len(mvec)} and "
+                               f"{len(nvec)} in modules of dimensions {dm} and {dn}")
         vec = [Fraction(0)] * self.ambient
         for p, a in enumerate(mvec):
             if not a:

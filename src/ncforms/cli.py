@@ -21,6 +21,8 @@ products of ROADMAP item 3 must re-measure this default when they land.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import sys
@@ -30,6 +32,8 @@ from typing import Callable, Optional
 # Set before numpy loads OpenBLAS: integer and object products never reach
 # BLAS, so its worker threads would only slow every report's start-up.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A report's objects die with the process: skip the cyclic GC's exit sweep.
+atexit.register(gc.freeze)
 
 import click
 
@@ -109,25 +113,29 @@ def _load_algebra(algebra_path: Optional[str],
             "provide exactly one of --algebra FILE or --builtin EXPR")
     try:
         if builtin_expr is not None:
-            A, source = builtin_algebra(builtin_expr), f"builtin {builtin_expr}"
-        else:
-            text = Path(algebra_path).read_text(encoding="utf-8")
-            A, source = load_algebra_text(text), f"file {algebra_path}"
+            return builtin_algebra(builtin_expr), f"builtin {builtin_expr}"
+        return (load_algebra_text(_read_text(algebra_path)),
+                f"file {algebra_path}")
     except DslError as exc:
         raise InputError(f"algebra definition: {exc}")
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; an unreadable or undecodable file exits 2."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {algebra_path}: {exc.strerror}")
-    return A, source
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason} at "
+                         f"byte {exc.start})")
 
 
 def _load_object(algebra: Algebra, path: str, what: str, from_json: Callable):
     """``from_json(algebra, obj)`` for the JSON object in ``path``; a file,
     JSON or content defect exits 2 naming ``what`` and the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}")
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} {path}: invalid JSON ({exc})")
     if not isinstance(obj, dict):
@@ -143,13 +151,11 @@ def _load_action(algebra: Algebra, action_path: Optional[str]) -> GroupAction:
     if action_path is None:
         ident = AlgebraHom(algebra, algebra, QMat.eye(algebra.dim), name="id")
         return GroupAction(algebra, [ident])
+    text = _read_text(action_path)
     try:
-        text = Path(action_path).read_text(encoding="utf-8")
         return parse_group_action(text, algebra)
     except DslError as exc:
         raise InputError(f"group action: {exc}")
-    except OSError as exc:
-        raise InputError(f"cannot read {action_path}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ Grammar (statements end with ``;``, comments run from ``#`` to end of line)::
         map s: 1 -> 1, p -> 1 - p;
     }
 
+Tokens: a name starts with a letter or ``_`` and goes on with letters,
+digits and ``_.^``; a rational is ASCII ``p`` or ``p/q`` (``linalg.RATIONAL``,
+the literal ``parse_scalar`` reads too; a sign is the ``-`` token); then
+``->`` and the punctuation ``{}(),;*=:+-``.  Any other character is an
+error.
+
 A group table has one grammar, ``elements g, ...;`` then ``g*h = k;``
 lines, and one check of the group axioms (``algebra.group_identity``), in
 ``group_algebra({...})`` and in an ``action`` block alike.
@@ -31,15 +37,19 @@ Diagnostics carry line/column and, for unexpected tokens, the expected set.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .algebra import (
     Algebra, AlgebraError, AlgebraHom, GroupAction, base_field, dual_numbers,
     group_algebra, group_identity, matrix_algebra, product_algebra,
     truncated_polynomial_algebra,
 )
-from .linalg import LinAlgError, QMat, format_scalar, qmat_inverse
+from .linalg import (RATIONAL, LinAlgError, QMat, format_scalar, parse_scalar,
+                     qmat_inverse)
+
+T = TypeVar("T")
 
 
 class DslError(ValueError):
@@ -58,16 +68,34 @@ class DslError(ValueError):
         super().__init__(full)
 
 
+def _error(at, message: str, expected: Sequence[str] = ()) -> DslError:
+    """A DslError at the line and column of ``at``, a token or AST node."""
+    return DslError(message, at.line, at.col, expected)
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = "{}(),;*=:+-"
-_NAME_CONT = "_.^"
+# Token classes, tried in order.  ``[\w.^]`` is exactly ``str.isalnum()`` or
+# one of ``_.^``; a NAME must also start with a letter or ``_``, which no
+# regex class states exactly, so ``tokenize`` checks its first character.
+_TOKEN_CLASSES = (
+    ("NEWLINE", r"\n"),
+    ("SKIP", r"[ \t\r]+|#[^\n]*"),
+    ("ARROW", r"->"),
+    ("PUNCT", r"[{}(),;*=:+\-]"),
+    ("BAD_RATIONAL", r"[0-9]+/(?![0-9])"),
+    ("RATIONAL", RATIONAL),
+    ("NAME", r"[\w.^]+"),
+    ("OTHER", r"."),
+)
+_LEXER = re.compile("|".join(f"(?P<{kind}>{pattern})"
+                             for kind, pattern in _TOKEN_CLASSES))
 
 
 class Token(NamedTuple):
-    kind: str       # NAME | RATIONAL | one of _PUNCT | ARROW | EOF
+    kind: str       # NAME | RATIONAL | ARROW | EOF | the punctuation itself
     text: str
     value: Optional[Fraction]
     line: int
@@ -76,62 +104,24 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(Token("ARROW", "->", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(ch, ch, None, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            den = 1
-            if j < n and text[j] == "/":
-                j += 1
-                k = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                den = int(text[k:j]) if j > k else 0
-                if den == 0:
-                    raise DslError("malformed rational literal", line, col)
-            toks.append(Token("RATIONAL", text[i:j],
-                              Fraction(int(text[i:j].split("/")[0]), den),
+    line, start = 1, 0          # start: index of the line's first character
+    for m in _LEXER.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+        elif kind in ("RATIONAL", "BAD_RATIONAL"):
+            try:
+                value = parse_scalar(tok)
+            except LinAlgError:
+                raise DslError("malformed rational literal", line, col) from None
+            toks.append(Token("RATIONAL", tok, value, line, col))
+        elif kind in ("ARROW", "PUNCT") or (
+                kind == "NAME" and (tok[0].isalpha() or tok[0] == "_")):
+            toks.append(Token(tok if kind == "PUNCT" else kind, tok, None,
                               line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in _NAME_CONT):
-                j += 1
-            toks.append(Token("NAME", text[i:j], None, line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "end of input", None, line, col))
+        elif kind != "SKIP":
+            raise DslError(f"unexpected character {tok[0]!r}", line, col)
+    toks.append(Token("EOF", "end of input", None, line, len(text) - start + 1))
     return toks
 
 
@@ -201,127 +191,110 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        """The next token if it has ``kind`` (and ``text``), consumed."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col,
-                           expected=[text if text is not None else kind])
-        return self.advance()
+        if tok.kind == kind and text in (None, tok.text):
+            return self.advance()
+        return None
 
-    def at_keyword(self, word: str) -> bool:
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        tok = self.accept(kind, text)
+        if tok is None:
+            raise self.unexpected(text if text is not None else kind)
+        return tok
+
+    def unexpected(self, *expected: str) -> DslError:
         tok = self.peek()
-        return tok.kind == "NAME" and tok.text == word
+        return _error(tok, f"unexpected token {tok.text!r}", expected)
+
+    def items(self, item: Callable[[], T]) -> list[T]:
+        """``item (, item)*``"""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
 
     # -- shared pieces --------------------------------------------------
 
     def basis_name(self) -> Token:
         """A NAME, or the literal `1` standing for the unit element."""
-        tok = self.peek()
-        if tok.kind == "NAME":
-            return self.advance()
-        if tok.kind == "RATIONAL" and tok.text == "1":
-            return self.advance()
-        raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col,
-                       expected=["basis name"])
+        tok = self.accept("NAME") or self.accept("RATIONAL", "1")
+        if tok is None:
+            raise self.unexpected("basis name")
+        return tok
 
     def linear_expr(self) -> tuple[Term, ...]:
+        """``[-] term (+|- term)*``; a term is ``q``, ``q name``, ``q*name``
+        or ``name``."""
         terms: list[Term] = []
-        sign = Fraction(1)
-        tok = self.peek()
-        if tok.kind == "-":
-            sign = Fraction(-1)
-            self.advance()
+        sign = -1 if self.accept("-") else 1
         while True:
-            tok = self.peek()
-            if tok.kind == "RATIONAL":
-                self.advance()
-                coeff = sign * tok.value
-                name = None
-                nxt = self.peek()
-                if nxt.kind == "*":
-                    self.advance()
-                    name = self.basis_name().text
-                elif nxt.kind == "NAME":
-                    name = self.advance().text
-                terms.append(Term(coeff, name, tok.line, tok.col))
-            elif tok.kind == "NAME":
-                self.advance()
-                terms.append(Term(sign, tok.text, tok.line, tok.col))
+            tok = self.accept("RATIONAL") or self.accept("NAME")
+            if tok is None:
+                raise self.unexpected("rational", "basis name")
+            if tok.kind == "NAME":
+                terms.append(Term(Fraction(sign), tok.text, tok.line, tok.col))
             else:
-                raise DslError(f"unexpected token {tok.text!r}",
-                               tok.line, tok.col,
-                               expected=["rational", "basis name"])
-            tok = self.peek()
-            if tok.kind == "+":
-                sign = Fraction(1)
-                self.advance()
-            elif tok.kind == "-":
-                sign = Fraction(-1)
-                self.advance()
+                name = self.accept("NAME") or (self.accept("*")
+                                               and self.basis_name())
+                terms.append(Term(sign * tok.value, name and name.text,
+                                  tok.line, tok.col))
+            if self.accept("+"):
+                sign = 1
+            elif self.accept("-"):
+                sign = -1
             else:
                 return tuple(terms)
 
     # -- algebra tables ---------------------------------------------------
 
+    def algebra_spec(self) -> AlgebraSpec:
+        """One algebra definition: a table or a builtin expression."""
+        if self.peek()[:2] == ("NAME", "algebra"):
+            return self.table_spec()
+        if self.accept("NAME", "builtin"):
+            return self.builtin_expr()
+        raise self.unexpected("algebra", "builtin")
+
     def table_spec(self) -> TableSpec:
         head = self.expect("NAME", "algebra")
         name = self.expect("NAME").text
-        strict = False
-        if self.at_keyword("strict"):
-            strict = True
-            self.advance()
+        strict = bool(self.accept("NAME", "strict"))
         self.expect("{")
         basis: list[str] = []
         unit: Optional[str] = None
         relations: list[Relation] = []
-        while self.peek().kind != "}":
-            tok = self.peek()
-            if self.at_keyword("basis"):
-                self.advance()
-                while True:
-                    item = self.basis_name()
+        while not self.accept("}"):
+            kw = self.peek()
+            if self.accept("NAME", "basis"):
+                for item in self.items(self.basis_name):
                     if item.text in basis:
-                        raise DslError(
-                            f"duplicate basis name {item.text!r}",
-                            item.line, item.col)
+                        raise _error(item, f"duplicate basis name {item.text!r}")
                     basis.append(item.text)
                     if item.text == "1":
                         if unit is not None:
-                            raise DslError("duplicate unit declaration",
-                                           item.line, item.col)
+                            raise _error(item, "duplicate unit declaration")
                         unit = "1"
-                    if self.peek().kind == ",":
-                        self.advance()
-                    else:
-                        break
-                self.expect(";")
-            elif self.at_keyword("unit"):
-                kw = self.advance()
+            elif self.accept("NAME", "unit"):
                 item = self.basis_name()
                 if unit is not None:
-                    raise DslError("duplicate unit declaration",
-                                   kw.line, kw.col)
+                    raise _error(kw, "duplicate unit declaration")
                 unit = item.text
-                self.expect(";")
-            elif tok.kind in ("NAME", "RATIONAL"):
+            elif kw.kind in ("NAME", "RATIONAL"):
                 left = self.basis_name()
                 self.expect("*")
                 right = self.basis_name()
                 self.expect("=")
-                expr = self.linear_expr()
-                self.expect(";")
-                relations.append(Relation(left.text, right.text, expr,
-                                          left.line, left.col))
+                relations.append(Relation(left.text, right.text,
+                                          self.linear_expr(), left.line, left.col))
             else:
-                raise DslError(f"unexpected token {tok.text!r}",
-                               tok.line, tok.col,
-                               expected=["basis", "unit", "relation", "}"])
-        self.expect("}")
+                raise self.unexpected("basis", "unit", "relation", "}")
+            self.expect(";")
         if unit is None:
-            raise DslError("no unit declared", head.line, head.col)
+            raise _error(head, "no unit declared")
         if unit not in basis:
-            raise DslError(f"unit {unit!r} is not a basis name",
-                           head.line, head.col)
+            raise _error(head, f"unit {unit!r} is not a basis name")
         return TableSpec(name, strict, tuple(basis), unit, tuple(relations),
                          head.line, head.col)
 
@@ -330,15 +303,9 @@ class _Parser:
     def builtin_expr(self) -> BuiltinSpec:
         head = self.expect("NAME")
         args: list = []
-        if self.peek().kind == "(":
-            self.advance()
+        if self.accept("("):
             if self.peek().kind != ")":
-                while True:
-                    args.append(self.builtin_arg())
-                    if self.peek().kind == ",":
-                        self.advance()
-                    else:
-                        break
+                args = self.items(self.builtin_arg)
             self.expect(")")
         return BuiltinSpec(head.text, tuple(args), head.line, head.col)
 
@@ -347,16 +314,13 @@ class _Parser:
         if tok.kind == "RATIONAL":
             self.advance()
             if tok.value.denominator != 1 or tok.value <= 0:
-                raise DslError("expected a positive integer parameter",
-                               tok.line, tok.col)
+                raise _error(tok, "expected a positive integer parameter")
             return int(tok.value)
         if tok.kind == "{":
             return self.group_table()
         if tok.kind == "NAME":
             return self.builtin_expr()
-        raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col,
-                       expected=["integer", "builtin expression",
-                                 "group table"])
+        raise self.unexpected("integer", "builtin expression", "group table")
 
     # -- group tables and actions ----------------------------------------
 
@@ -364,16 +328,10 @@ class _Parser:
         """`elements g, h, ...;`"""
         self.expect("NAME", "elements")
         elements: list[str] = []
-        while True:
-            tok = self.expect("NAME")
+        for tok in self.items(lambda: self.expect("NAME")):
             if tok.text in elements:
-                raise DslError(f"duplicate group element {tok.text!r}",
-                               tok.line, tok.col)
+                raise _error(tok, f"duplicate group element {tok.text!r}")
             elements.append(tok.text)
-            if self.peek().kind == ",":
-                self.advance()
-            else:
-                break
         self.expect(";")
         return tuple(elements)
 
@@ -387,21 +345,24 @@ class _Parser:
         self.expect(";")
         for tok in (g, h, k):
             if tok.text not in elements:
-                raise DslError(f"unknown group element {tok.text!r}",
-                               tok.line, tok.col)
+                raise _error(tok, f"unknown group element {tok.text!r}")
         if (g.text, h.text) in products:
-            raise DslError(f"duplicate product {g.text}*{h.text}",
-                           g.line, g.col)
+            raise _error(g, f"duplicate product {g.text}*{h.text}")
         products[(g.text, h.text)] = k.text
 
     def group_table(self) -> GroupTable:
         head = self.expect("{")
         elements = self.group_elements()
         products: dict = {}
-        while self.peek().kind != "}":
+        while not self.accept("}"):
             self.group_product(elements, products)
-        self.expect("}")
         return GroupTable(elements, products, head.line, head.col)
+
+    def assignment(self) -> tuple[Token, tuple[Term, ...]]:
+        """`name -> linear expression`, one image of a map."""
+        src = self.basis_name()
+        self.expect("ARROW")
+        return src, self.linear_expr()
 
     def action_spec(self):
         head = self.expect("NAME", "action")
@@ -410,49 +371,33 @@ class _Parser:
         elements = self.group_elements()
         products: dict = {}
         maps: dict = {}
-        while self.peek().kind != "}":
-            if self.at_keyword("map"):
-                kw = self.advance()
-                label = self.expect("NAME")
-                if label.text not in elements:
-                    raise DslError(f"unknown group element {label.text!r}",
-                                   label.line, label.col)
-                if label.text in maps:
-                    raise DslError(f"duplicate map for {label.text!r}",
-                                   kw.line, kw.col)
-                self.expect(":")
-                assignments: list = []
-                while True:
-                    src = self.basis_name()
-                    self.expect("ARROW")
-                    expr = self.linear_expr()
-                    assignments.append((src, expr))
-                    if self.peek().kind == ",":
-                        self.advance()
-                    else:
-                        break
-                self.expect(";")
-                maps[label.text] = (kw, assignments)
-            else:
+        while not self.accept("}"):
+            kw = self.accept("NAME", "map")
+            if kw is None:
                 self.group_product(elements, products)
-        self.expect("}")
+                continue
+            label = self.expect("NAME")
+            if label.text not in elements:
+                raise _error(label, f"unknown group element {label.text!r}")
+            if label.text in maps:
+                raise _error(kw, f"duplicate map for {label.text!r}")
+            self.expect(":")
+            maps[label.text] = (kw, self.items(self.assignment))
+            self.expect(";")
         return elements, products, maps, head
+
+
+def _parse_all(text: str, rule: Callable[[_Parser], T]) -> T:
+    """``rule`` over the tokens of ``text``, which it must use up."""
+    p = _Parser(tokenize(text))
+    out = rule(p)
+    p.expect("EOF")
+    return out
 
 
 def parse(text: str) -> AlgebraSpec:
     """One algebra definition: a table or a builtin expression."""
-    p = _Parser(tokenize(text))
-    tok = p.peek()
-    if p.at_keyword("algebra"):
-        spec: AlgebraSpec = p.table_spec()
-    elif p.at_keyword("builtin"):
-        p.advance()
-        spec = p.builtin_expr()
-    else:
-        raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col,
-                       expected=["algebra", "builtin"])
-    p.expect("EOF")
-    return spec
+    return _parse_all(text, _Parser.algebra_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +412,7 @@ def _resolve_expr(expr: Sequence[Term], index: dict, m: int) -> list[Fraction]:
             out[0] += term.coeff
         else:
             if term.name not in index:
-                raise DslError(f"unknown basis name {term.name!r}",
-                               term.line, term.col)
+                raise _error(term, f"unknown basis name {term.name!r}")
             out[index[term.name]] += term.coeff
     return out
 
@@ -485,50 +429,30 @@ def _elaborate_table(spec: TableSpec) -> Algebra:
     for rel in spec.relations:
         for nm in (rel.left, rel.right):
             if nm not in index:
-                raise DslError(f"unknown basis name {nm!r}",
-                               rel.line, rel.col)
+                raise _error(rel, f"unknown basis name {nm!r}")
         li, ri = index[rel.left], index[rel.right]
         if (li, ri) in seen:
-            raise DslError(
-                f"duplicate relation for {rel.left}*{rel.right}",
-                rel.line, rel.col)
+            raise _error(rel, f"duplicate relation for {rel.left}*{rel.right}")
         seen.add((li, ri))
         coeffs = _resolve_expr(rel.expr, index, m)
         if li == 0 or ri == 0:
             forced = [Fraction(int(t == (ri if li == 0 else li)))
                       for t in range(m)]
             if coeffs != forced:
-                raise DslError(
-                    f"product {rel.left}*{rel.right} conflicts with the "
-                    "unit law", rel.line, rel.col)
+                raise _error(rel, f"product {rel.left}*{rel.right} conflicts "
+                                  "with the unit law")
         else:
             structure[li][ri] = coeffs
     if spec.strict:
         for i in range(1, m):
             for j in range(1, m):
                 if (i, j) not in seen:
-                    raise DslError(
-                        f"strict table is missing the product "
-                        f"{order[i]}*{order[j]}", spec.line, spec.col)
+                    raise _error(spec, "strict table is missing the product "
+                                       f"{order[i]}*{order[j]}")
     try:
         return Algebra(spec.name, order, structure)
     except AlgebraError as exc:
-        raise DslError(str(exc), spec.line, spec.col) from exc
-
-
-def _catalog_builders() -> dict:
-    return {
-        "k": base_field,
-        "dual": dual_numbers,
-        "truncpoly3": lambda: truncated_polynomial_algebra(3),
-        "kxk": lambda: product_algebra(base_field(), base_field(),
-                                       name="kxk"),
-        "m2": lambda: matrix_algebra(2),
-        "kc2": lambda: group_algebra(
-            ["e", "g"], {("e", "e"): "e", ("e", "g"): "g",
-                         ("g", "e"): "g", ("g", "g"): "e"}, name="kc2"),
-        "upper2": lambda: _elaborate_table(parse(_UPPER2_SOURCE)),
-    }
+        raise _error(spec, str(exc)) from exc
 
 
 _UPPER2_SOURCE = """
@@ -539,64 +463,59 @@ algebra upper2 {
 }
 """
 
-BUILTIN_NAMES = ("k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2",
-                 "matrix", "truncpoly", "product", "opposite",
-                 "group_algebra")
+# name -> (arity message, argument types, builder of the checked arguments,
+# a BuiltinSpec elaborated first).  The first seven, taking no arguments,
+# are the named catalog.  Builders look the constructors up when called, so
+# a profiler that rebinds module names (perfbench/tracer.py) sees them.
+_BUILTINS = {
+    "k": ("no parameters", (), lambda: base_field()),
+    "dual": ("no parameters", (), lambda: dual_numbers()),
+    "truncpoly3": ("no parameters", (),
+                   lambda: truncated_polynomial_algebra(3)),
+    "kxk": ("no parameters", (),
+            lambda: product_algebra(base_field(), base_field(), name="kxk")),
+    "m2": ("no parameters", (), lambda: matrix_algebra(2)),
+    "kc2": ("no parameters", (), lambda: group_algebra(
+        ["e", "g"], {("e", "e"): "e", ("e", "g"): "g",
+                     ("g", "e"): "g", ("g", "g"): "e"}, name="kc2")),
+    "upper2": ("no parameters", (),
+               lambda: _elaborate_table(parse(_UPPER2_SOURCE))),
+    "matrix": ("one integer parameter", (int,), lambda n: matrix_algebra(n)),
+    "truncpoly": ("one integer parameter", (int,),
+                  lambda n: truncated_polynomial_algebra(n)),
+    "product": ("two algebra arguments", (BuiltinSpec,) * 2,
+                lambda a, b: product_algebra(a, b)),
+    "opposite": ("one algebra argument", (BuiltinSpec,), lambda a: a.opposite()),
+    "group_algebra": ("a group table", (GroupTable,),
+                      lambda t: group_algebra(t.elements, t.products)),
+}
+_ARG_NAMES = {int: "an integer parameter", BuiltinSpec: "an algebra argument",
+              GroupTable: "a group table"}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_catalog() -> dict:
     """The seven ready-made algebras, freshly constructed."""
-    return {name: build() for name, build in _catalog_builders().items()}
+    return {name: build() for name, (_, types, build) in _BUILTINS.items()
+            if not types}
 
 
 def _elaborate_builtin(spec: BuiltinSpec) -> Algebra:
-    name, args = spec.name, spec.args
-
-    def arity(n: int, what: str):
-        if len(args) != n:
-            raise DslError(
-                f"builtin {name!r} takes {what}", spec.line, spec.col)
-
-    def int_arg(i: int) -> int:
-        if not isinstance(args[i], int):
-            raise DslError(f"builtin {name!r} needs an integer parameter",
-                           spec.line, spec.col)
-        return args[i]
-
-    def alg_arg(i: int) -> Algebra:
-        if not isinstance(args[i], BuiltinSpec):
-            raise DslError(f"builtin {name!r} needs an algebra argument",
-                           spec.line, spec.col)
-        return _elaborate_builtin(args[i])
-
-    catalog = _catalog_builders()
+    if spec.name not in _BUILTINS:
+        raise _error(spec, f"unknown builtin {spec.name!r}", BUILTIN_NAMES)
+    arity, types, build = _BUILTINS[spec.name]
+    if len(spec.args) != len(types):
+        raise _error(spec, f"builtin {spec.name!r} takes {arity}")
+    args = []
+    for arg, cls in zip(spec.args, types):
+        if not isinstance(arg, cls):
+            raise _error(spec, f"builtin {spec.name!r} needs {_ARG_NAMES[cls]}")
+        args.append(_elaborate_builtin(arg) if cls is BuiltinSpec else arg)
     try:
-        if name in catalog:
-            arity(0, "no parameters")
-            return catalog[name]()
-        if name == "matrix":
-            arity(1, "one integer parameter")
-            return matrix_algebra(int_arg(0))
-        if name == "truncpoly":
-            arity(1, "one integer parameter")
-            return truncated_polynomial_algebra(int_arg(0))
-        if name == "product":
-            arity(2, "two algebra arguments")
-            return product_algebra(alg_arg(0), alg_arg(1))
-        if name == "opposite":
-            arity(1, "one algebra argument")
-            return alg_arg(0).opposite()
-        if name == "group_algebra":
-            arity(1, "a group table")
-            table = args[0]
-            if not isinstance(table, GroupTable):
-                raise DslError("builtin 'group_algebra' needs a group table",
-                               spec.line, spec.col)
-            return group_algebra(table.elements, table.products)
+        return build(*args)
     except AlgebraError as exc:
-        raise DslError(str(exc), spec.line, spec.col) from exc
-    raise DslError(f"unknown builtin {name!r}", spec.line, spec.col,
-                   expected=BUILTIN_NAMES)
+        raise _error(spec, str(exc)) from exc
 
 
 def elaborate(spec: AlgebraSpec) -> Algebra:
@@ -613,10 +532,7 @@ def load_algebra_text(text: str) -> Algebra:
 
 def builtin_algebra(expr: str) -> Algebra:
     """An algebra from a builtin expression string like ``matrix(2)``."""
-    p = _Parser(tokenize(expr))
-    spec = p.builtin_expr()
-    p.expect("EOF")
-    return _elaborate_builtin(spec)
+    return _elaborate_builtin(_parse_all(expr, _Parser.builtin_expr))
 
 
 # ---------------------------------------------------------------------------
@@ -627,57 +543,49 @@ def builtin_algebra(expr: str) -> Algebra:
 def parse_group_action(text: str, over: Algebra) -> GroupAction:
     """The action an ``action`` block defines on ``over``; every defect
     raises DslError at its line and column."""
-    p = _Parser(tokenize(text))
-    elements, products, maps, head = p.action_spec()
-    p.expect("EOF")
+    elements, products, maps, head = _parse_all(text, _Parser.action_spec)
     try:
         unit = group_identity(elements, products)
     except AlgebraError as exc:
-        raise DslError(str(exc), head.line, head.col) from exc
+        raise _error(head, str(exc)) from exc
     # -- per-element automorphisms -------------------------------------------
     m = over.dim
     index = {nm: i for i, nm in enumerate(over.basis_names)}
     homs: dict = {}
     for g in elements:
         if g not in maps:
-            raise DslError(f"no map declared for group element {g!r}",
-                           head.line, head.col)
+            raise _error(head, f"no map declared for group element {g!r}")
         kw, assignments = maps[g]
         cols: dict = {}
         for src, expr in assignments:
             if src.text not in index:
-                raise DslError(f"unknown basis name {src.text!r}",
-                               src.line, src.col)
+                raise _error(src, f"unknown basis name {src.text!r}")
             if src.text in cols:
-                raise DslError(f"duplicate image for {src.text!r}",
-                               src.line, src.col)
+                raise _error(src, f"duplicate image for {src.text!r}")
             cols[src.text] = _resolve_expr(expr, index, m)
         missing = [nm for nm in over.basis_names if nm not in cols]
         if missing:
-            raise DslError(
-                f"map for {g!r} does not assign an image to "
-                f"{missing[0]!r}", kw.line, kw.col)
+            raise _error(kw, f"map for {g!r} does not assign an image to "
+                             f"{missing[0]!r}")
         mat = QMat.from_columns(m, [cols[nm] for nm in over.basis_names])
         try:
             qmat_inverse(mat)
         except LinAlgError:
-            raise DslError(f"map for {g!r} is not invertible",
-                           kw.line, kw.col) from None
+            raise _error(kw, f"map for {g!r} is not invertible") from None
         try:
             homs[g] = AlgebraHom(over, over, mat, name=g)
         except AlgebraError as exc:
-            raise DslError(f"map for {g!r} is not an automorphism: {exc}",
-                           kw.line, kw.col) from exc
+            raise _error(kw, f"map for {g!r} is not an automorphism: "
+                             f"{exc}") from exc
     # -- the assignment is a group homomorphism ------------------------------
     if homs[unit].matrix != QMat.eye(m):
-        raise DslError(f"identity element {unit!r} must act as the identity",
-                       head.line, head.col)
+        raise _error(head, f"identity element {unit!r} must act as the "
+                           "identity")
     for g in elements:
         for h in elements:
             if homs[g].matrix @ homs[h].matrix != homs[products[g, h]].matrix:
-                raise DslError(
-                    f"matrices disagree with the composition table at "
-                    f"({g}, {h})", head.line, head.col)
+                raise _error(head, "matrices disagree with the composition "
+                                   f"table at ({g}, {h})")
     return GroupAction(over, list(homs.values()), check=False)
 
 
@@ -687,8 +595,7 @@ def parse_group_action(text: str, over: Algebra) -> GroupAction:
 
 
 def _lexable_name(name: str) -> str:
-    text = "".join(ch if ch.isalnum() or ch in _NAME_CONT else "_"
-                   for ch in name) or "algebra"
+    text = re.sub(r"[^\w.^]", "_", name) or "algebra"
     if not (text[0].isalpha() or text[0] == "_"):
         text = "a_" + text
     return text

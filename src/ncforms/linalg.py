@@ -48,9 +48,10 @@ Six conventions are fixed here and nowhere else:
   and a kernel of them as :meth:`Subspace.unvec_basis`.  ``Fraction``
   lists (from ``Subspace.basis``, ``RowReducer.reduce_dense``, QMat's
   ``entry``, ``column_fractions`` and ``to_fraction_rows``) appear only at
-  the boundary, which is exactly: text (:func:`parse_scalar`,
-  :func:`format_scalar`, the JSON matrix codec :func:`qmat_to_json` /
-  :func:`qmat_from_json`); coefficient vectors taken or returned by the
+  the boundary, which is exactly: text (one literal grammar,
+  :data:`RATIONAL`, read by :func:`parse_scalar` and the ``dsl`` lexer and
+  written by :func:`format_scalar`; the JSON matrix codec
+  :func:`qmat_to_json` / :func:`qmat_from_json`); coefficient vectors taken or returned by the
   public API (``Element``, ``Algebra.mult_vec``, ``AlgebraHom.__call__``,
   ``Bimodule.left_action`` / ``right_action``, ``derivation_matrix`` /
   ``derivation_vector``, ``inner_derivation``, ``SemidirectProduct``,
@@ -73,12 +74,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 _INT64_SAFE = 2 ** 62
+
+# The one rational literal of every text input (the DSL lexer and
+# parse_scalar): ASCII decimal p or p/q, no sign.
+RATIONAL = "[0-9]+(?:/[0-9]+)?"
+_SCALAR = re.compile(rf"\s*([+-]?)({RATIONAL})\s*")
 
 
 class LinAlgError(ValueError):
@@ -93,21 +100,15 @@ def make_scalar(p: int, q: int = 1) -> Fraction:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' (ASCII decimal integers, optional sign)."""
+    """Parse a :data:`RATIONAL` literal with one optional sign, surrounding
+    whitespace allowed."""
     if not isinstance(text, str):
         raise LinAlgError(f"rational literal {text!r} is not a string")
-    s = text.strip()
-    if "/" in s:
-        p_str, _, q_str = s.partition("/")
-        try:
-            p, q = int(p_str), int(q_str)
-        except ValueError:
-            raise LinAlgError(f"malformed rational literal {text!r}") from None
-        return make_scalar(p, q)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        raise LinAlgError(f"malformed rational literal {text!r}") from None
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise LinAlgError(f"malformed rational literal {text!r}")
+    p, _, q = m[2].partition("/")
+    return make_scalar(int(m[1] + p), int(q or 1))
 
 
 def format_scalar(x: Fraction) -> str:

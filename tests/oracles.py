@@ -1440,3 +1440,94 @@ def numpy_insertion(K, phi):
     data = QMat(_numpy_shuffle_sum(T.reshape(phi.target_dim, -1), m, n, kappa,
                                    lead=False), x.den * y.den)
     return MultiMap(A, n, data.canonical(), scalar=phi.scalar, check=False)
+
+
+# ---------------------------------------------------------------------------
+# Text front end before the regex lexer: a character scanner and int()-based
+# rational parsing.  The lexer and parse_scalar must agree with them apart
+# from the documented tightenings (ASCII-only rationals, a DslError for any
+# character no token starts, the true EOF column after a comment).
+# ---------------------------------------------------------------------------
+
+
+def tokenize(text):
+    from ncforms.dsl import DslError, Token
+
+    punct, name_cont = "{}(),;*=:+-", "_.^"
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            toks.append(Token("ARROW", "->", None, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in punct:
+            toks.append(Token(ch, ch, None, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            den = 1
+            if j < n and text[j] == "/":
+                j += 1
+                k = j
+                while j < n and text[j].isdigit():
+                    j += 1
+                den = int(text[k:j]) if j > k else 0
+                if den == 0:
+                    raise DslError("malformed rational literal", line, col)
+            toks.append(Token("RATIONAL", text[i:j],
+                              Fraction(int(text[i:j].split("/")[0]), den),
+                              line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in name_cont):
+                j += 1
+            toks.append(Token("NAME", text[i:j], None, line, col))
+            col += j - i
+            i = j
+            continue
+        raise DslError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("EOF", "end of input", None, line, col))
+    return toks
+
+
+def parse_scalar(text):
+    from ncforms.linalg import LinAlgError, make_scalar
+
+    if not isinstance(text, str):
+        raise LinAlgError(f"rational literal {text!r} is not a string")
+    s = text.strip()
+    if "/" in s:
+        p_str, _, q_str = s.partition("/")
+        try:
+            p, q = int(p_str), int(q_str)
+        except ValueError:
+            raise LinAlgError(f"malformed rational literal {text!r}") from None
+        return make_scalar(p, q)
+    try:
+        return Fraction(int(s))
+    except ValueError:
+        raise LinAlgError(f"malformed rational literal {text!r}") from None

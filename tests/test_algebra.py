@@ -212,6 +212,25 @@ def test_right_action_rejects_a_coefficient_vector_of_the_wrong_length():
             reg.right_action(a)
 
 
+def test_mult_vec_rejects_vectors_of_the_wrong_length():
+    # numpy raised "shapes (4,16) and (8,1) not aligned"
+    m2 = matrix_algebra(2)
+    for u, v in (([1, 0], [1, 0, 0, 0]), ([1, 0, 0, 0], [1, 0, 0, 0, 0])):
+        with pytest.raises(AlgebraError, match=f"lengths {len(u)} and {len(v)} "
+                                               "for an algebra of dimension 4"):
+            m2.mult_vec(u, v)
+
+
+def test_pure_tensor_rejects_vectors_of_the_wrong_length():
+    # [0, 1] was read as e_1, so this returned the class of e_1 (x) e_0
+    reg = matrix_algebra(2).regular_bimodule()
+    t = tensor_over_A(reg, reg)
+    for m, n in (([0, 1], [1, 0, 0, 0]), ([1, 0, 0, 0], [0, 0, 0, 0, 1])):
+        with pytest.raises(AlgebraError, match=f"lengths {len(m)} and {len(n)} "
+                                               "in modules of dimensions 4 and 4"):
+            t.pure_tensor(m, n)
+
+
 def test_augmentation_bimodule():
     # one-dimensional module over dual numbers: eps acts as zero on both sides
     dual = dual_numbers()

@@ -394,10 +394,18 @@ def test_cli_starts_openblas_single_threaded_unless_set():
     assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2 2"
 
 
+def test_cli_freezes_the_heap_at_exit():
+    # atexit runs handlers last in, first out: this one runs after the CLI's
+    code = ("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            "import ncforms.cli")
+    assert run_python(code) == "True"
+
+
 def test_library_leaves_the_blas_setting_to_its_caller():
-    code = ("import ncforms.forms, ncforms.identities, os; "
-            "print('OPENBLAS_NUM_THREADS' in os.environ)")
-    assert run_python(code) == "False"
+    code = ("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); "
+            "import ncforms.forms, ncforms.identities, os; "
+            "print('OPENBLAS_NUM_THREADS' in os.environ, gc.isenabled())")
+    assert run_python(code).split() == ["False", "True", "0"]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +475,7 @@ def test_non_derivation_field_input_exits_2(tmp_path):
     {"degree": None, "delta": [["0", "0"], ["0", "0"]]},
     {"arity": None, "coords": [["0"], ["0"]]},
     {"arity": 1, "coords": [[0, 1], [0, 0]]},
+    {"degree": 0, "delta": [["0", "0"], ["0", "1_000"]]},  # int() read 1000
 ])
 def test_malformed_matrix_input_exits_2(tmp_path, obj):
     path = tmp_path / "bad.json"
@@ -475,6 +484,35 @@ def test_malformed_matrix_input_exits_2(tmp_path, obj):
     result = run_cli(command, str(path), str(path), "--builtin", "dual")
     assert result.exit_code == 2, repr(result.exception)
     assert result.stderr.count("\n") == 1 and str(path) in result.stderr
+
+
+def assert_input_error(result, *fragments):
+    """Exit 2 with one ``Error:`` line on stderr naming every fragment."""
+    assert result.exit_code == 2, repr(result.exception)
+    assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+    assert all(f in result.stderr for f in fragments), result.stderr
+
+
+def test_character_no_token_starts_exits_2(tmp_path):
+    path = tmp_path / "sq.alg"
+    path.write_text("algebra sq { basis 1, e; e*e = \u00b2; }", encoding="utf-8")
+    assert_input_error(run_cli("info", "--algebra", str(path), "-N", "1"),
+                       "line 1, col 32: unexpected character '\u00b2'")
+
+
+@pytest.mark.parametrize("kind", ["algebra", "action", "field"])
+def test_non_utf8_input_file_exits_2(tmp_path, kind):
+    path = tmp_path / f"bad.{kind}"
+    if kind == "algebra":
+        path.write_bytes(b"algebra x { basis 1, e; }  # \xff\n")
+        args = ("info", "--algebra", str(path), "-N", "1")
+    elif kind == "action":
+        path.write_bytes(SWAP_ACTION.encode() + b"# \xff\n")
+        args = ("verify", "--builtin", "kxk", "-N", "1", "--action", str(path))
+    else:
+        path.write_bytes(b'{"degree": 0, "delta": [["0", "0"], ["0", "1"]]} \xff')
+        args = ("fn-bracket", str(path), str(path), "--builtin", "dual")
+    assert_input_error(run_cli(*args), f"cannot read {path}: not UTF-8")
 
 
 def test_alg_bracket_rejects_degree_zero_inputs(m2_fields):

@@ -1,10 +1,14 @@
 """Algebra definition text format: lexing, parsing, elaboration, actions."""
 
 import ast
+import re
+import string
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncforms.algebra import Algebra, GroupAction
 from ncforms.dsl import (
@@ -13,6 +17,7 @@ from ncforms.dsl import (
     tokenize,
 )
 from ncforms.linalg import QMat
+import oracles
 from test_algebra import catalog
 
 F = Fraction
@@ -60,6 +65,50 @@ def test_unexpected_character():
     with pytest.raises(DslError) as err:
         tokenize("basis 1, e;\n  e @ e;")
     assert err.value.line == 2 and "'@'" in str(err.value)
+
+
+# DSL fragments and the characters the two lexers read differently: é (a
+# letter), ² (alphanumeric, no letter, a digit to str.isdigit), ٣ (a
+# non-ASCII decimal digit), and the comment and whitespace characters
+_LEX_PIECES = ["1", "2/3", "0", "/", "x", "a.1", "t^2", "_", "-", "->", ">",
+               ";", "{", "}", "*", "=", ",", "@", "é", "²", "٣", "#", " c",
+               "\t", "\r", "\n"]
+_LEX_TEXT = st.one_of(st.text(st.sampled_from(string.printable + "é²٣"), max_size=30),
+                      st.lists(st.sampled_from(_LEX_PIECES), max_size=20).map("".join))
+
+
+@given(_LEX_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_lexer_matches_the_scanner_it_replaced(text):
+    try:
+        old = oracles.tokenize(text)
+    except ValueError:  # a DslError, or int() of a digit like ²
+        with pytest.raises(DslError):
+            tokenize(text)
+        return
+    if any(t.kind == "RATIONAL" and not t.text.isascii() for t in old):
+        with pytest.raises(DslError):  # non-ASCII digits make no rational
+            tokenize(text)
+        return
+    new = tokenize(text)
+    assert new[:-1] == old[:-1]
+    last_line = text[text.rfind("\n") + 1:]
+    assert new[-1] == old[-1]._replace(col=len(last_line) + 1)
+    if "#" not in last_line:  # the scanner did not count a comment's columns
+        assert old[-1] == new[-1]
+
+
+def test_lexer_departs_from_the_scanner_only_as_documented():
+    with pytest.raises(ValueError) as err:
+        oracles.tokenize("x = ²")
+    assert type(err.value) is ValueError
+    with pytest.raises(DslError, match="line 1, col 5: unexpected character '²'"):
+        tokenize("x = ²")
+    assert oracles.tokenize("٣")[0].value == 3
+    with pytest.raises(DslError, match="unexpected character '٣'"):
+        tokenize("٣")
+    assert oracles.tokenize("a # c")[-1].col == 3
+    assert tokenize("a # c")[-1].col == 6
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +300,28 @@ def test_builtin_errors():
     with pytest.raises(DslError, match="not associative|not a group|inverse|identity"):
         builtin_algebra("group_algebra({elements e, s;"
                         " e*e = e; e*s = s; s*e = s; s*s = s;})")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_readme_input_parses():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+    listed = text.split("or from builtin expressions:")[1].split("\n\n")[0]
+    exprs = re.findall(r"`([^`]+)`", listed) + [
+        arg.strip('"') for lang, body in blocks if lang == "sh"
+        for arg in re.findall(r'--builtin ("[^"]+"|\S+)', body)]
+    defs = [body for _, body in blocks
+            if re.match(r"(#.*\n)*(algebra|action) ", body)]
+    assert len(exprs) >= 11 and len(defs) == 2
+    for expr in exprs:
+        builtin_algebra(expr)
+    for body in defs:
+        if body.lstrip().startswith("action"):  # README runs it on kxk
+            parse_group_action(body, builtin_algebra("kxk"))
+        else:
+            load_algebra_text(body)
 
 
 # ---------------------------------------------------------------------------

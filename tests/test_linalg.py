@@ -30,6 +30,7 @@ from ncforms.linalg import (
     subspace_from_columns,
 )
 from ncforms.schouten import MultiMap, SchoutenError
+import oracles
 from oracles import (
     FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
     fraction_solve_linear, fraction_span, fraction_unvec_basis, sympy_nullspace_dim,
@@ -68,6 +69,15 @@ def test_scalar_zero_denominator_rejected():
         parse_scalar("1/0" if False else "1/0")  # literal 1/0
     with pytest.raises(LinAlgError):
         parse_scalar("abc")
+
+
+@pytest.mark.parametrize("text, old", [("1_000", 1000), ("٣", 3), ("1/ 2", Fraction(1, 2)),
+                                       ("-1/-2", Fraction(1, 2))])
+def test_parse_scalar_reads_only_the_rational_literal(text, old):
+    # int() let these through; the literal is ASCII p or p/q, one outer sign
+    assert oracles.parse_scalar(text) == old
+    with pytest.raises(LinAlgError, match="malformed rational literal"):
+        parse_scalar(text)
 
 
 @given(small_matrix)
