@@ -174,6 +174,107 @@ def test_verify_report_matches_its_digest(name):
     assert digest == VERIFY_REPORT_DIGESTS[name]
 
 
+# sha256 of the whole JSON stdout of each remaining report at its default
+# seed and -N (derham at -N 4), taken before each report loaded only the
+# modules its subcommand runs
+REPORT_DIGESTS = {
+    ("info", "k"):
+        "2956068b9a54ccfd70d2dc78d503140d8cc470f6cd1627c0496035336717c99c",
+    ("info", "dual"):
+        "13cd3277c0cdc2e071835b5c5fe18d413d024d7913a85359031e58795d350264",
+    ("info", "truncpoly3"):
+        "522885d3b73ef35baf48f2854c2e0e96c827449eca2f439163cb0fdc88b45923",
+    ("info", "kxk"):
+        "8d8790170a21bbff339906e93168ac004243d1316a7a55117d5c234e2e36df42",
+    ("info", "m2"):
+        "a592764181ceed4351535b4b51f3f76f325aa28d8ec879e813eb20ecf2f44248",
+    ("info", "kc2"):
+        "d29bce1f75baa602f31ff17e6701add57393a00cc8da3ee165e26b4e745dad3c",
+    ("info", "upper2"):
+        "350a5846590f5431ae2c2d37c46858d2d05b2a0f2b2a153bd09ff4d52d89e07d",
+    ("hochschild", "k"):
+        "402a13e8817a433ee2d55ba5c3c700d64890934c4e574b2485fbc758ad3ad94e",
+    ("hochschild", "dual"):
+        "1c390058b9665686a01c72ff100a30b92779f5363c7e67eb8a8ceb19566d4604",
+    ("hochschild", "truncpoly3"):
+        "6567e1af2201e82cdecf6c5c3a75655289935d3713725d875886908413c6e0e9",
+    ("hochschild", "kxk"):
+        "039c1b2df3f837a99983829f0366c4a795ffc113c0ac0f8b72c4a168468cb1ed",
+    ("hochschild", "m2"):
+        "4b15124fa022044cc42759327cf9833b2b198862e4b74770714076d6732444fa",
+    ("hochschild", "kc2"):
+        "9739f7d374790e2bf3c66f965b260fa2bd361b204db6c0730e642783622b922d",
+    ("hochschild", "upper2"):
+        "cc1a068212f67e06078985da43463744736736e20eb5da978d133bdb6b454e54",
+    ("derham", "k"):
+        "9fada1fbcc6327b3580f3cf91eca1b09cec99d25460aba2714fe8d2f2277aed0",
+    ("derham", "dual"):
+        "8e668ae264b7f72fb455899392d3d87458d2672d2a881753ab0b017ba63a1446",
+    ("derham", "truncpoly3"):
+        "f3628dbbd4941724e7b1f0c0abed096a2de9ef547209042573b645e5574f035d",
+    ("derham", "kxk"):
+        "9add25d9edbd324e5a0d6258eca3ba374f5d04403b01ddba0e6ec2cf7fce68e0",
+    ("derham", "m2"):
+        "2b00dac1fbd7f0fbe93ae5321e8dc19bfdf4e1f9b49812872401b2009b4903cd",
+    ("derham", "kc2"):
+        "b3de587feef28d5877066a0eeabf34951b4d90761bd62f59d39e8cd23120b290",
+    ("derham", "upper2"):
+        "9234f9d0de2c1778e6b3f10577f18d742d97685cd32aa7840a56baecf2b6e195",
+    ("kernel-mu-n", "k"):
+        "916e0d34726996b72e60771718d1b0ab00003bb8bdbaf825f336c07bb6834c40",
+    ("kernel-mu-n", "dual"):
+        "b6b72e7ffcdfb72bdb4b50872b4da38ea1b3b1d4a1a6b19bc572691f01b4c298",
+    ("kernel-mu-n", "truncpoly3"):
+        "bf32816db21cdc9a9b0e94a763cee3e62861487f935fe6a9c7aead8c893b23e7",
+    ("kernel-mu-n", "kxk"):
+        "d15e786056159d530db9146f9569921bde2f799715203f5fa3337f53d7f69525",
+    ("kernel-mu-n", "m2"):
+        "00dd1d95ca8b54c9354dcb3823cd08eacc517dc84e79b94a4cb544ed72decd93",
+    ("kernel-mu-n", "kc2"):
+        "a19a31a76a54fa4c0e66cbf566a704416ad5078967142a750148c815e63ba24f",
+    ("kernel-mu-n", "upper2"):
+        "3310b7a2aaaed49fac78c9692b39deb72733c557c020f1a4a3efc2bacfdb88eb",
+    ("poisson-check", "k"):
+        "2b3e9677967a976423203431c4b3ebe29fc17ded8411f0fcf7559b6f84363477",
+    ("poisson-check", "dual"):
+        "ff99b1350a55ad2b0a61468f902367e9b6d2ae5a9d51baf00b63faac99a0f501",
+    ("poisson-check", "truncpoly3"):
+        "01351e35411a32dd5d782fcadfda3b36a8bd434626de15c0233c5fe9a2067842",
+    ("poisson-check", "kxk"):
+        "b53fbb5a5bf6bf3550d3d6d8fe8627be430b006b3c8ddd4b1f49845fdc5d0734",
+    ("poisson-check", "m2"):
+        "c939fd296d0b139bd7633d2a2dbed692b2e4f4dfe08081db3c802025aeb47d95",
+    ("poisson-check", "kc2"):
+        "acfc6e25c4c02c72955e1da84e30a7314efeb71474d768e92cbd78fbab75625f",
+    ("poisson-check", "upper2"):
+        "cc6f95b1e13b698640182a403c1dd9ce7bc1f1a6375ec648dbaef8e4350dc282",
+    ("connection-check", "k"):
+        "cc65a17196ab63964ce3142f423f9690f0f26535d2301bbe4d2765de231b00e4",
+    ("connection-check", "dual"):
+        "d77788402255e668716a99575b40f24124f49ba514252e3350ed76d75da6c594",
+    ("connection-check", "truncpoly3"):
+        "7ce75ffbdb0f0cce50c61d02df817a435c79e2fd64f1553dcbe79ee2c456d758",
+    ("connection-check", "kxk"):
+        "b60f635b6aaab95ed8949f1c1328ae91531d5c980b3af12b1848a242129e8b74",
+    ("connection-check", "m2"):
+        "0127808b5125c8a419e6d5207615bf8ecd234c8a41c93e5e5e4d692d5c47ddd9",
+    ("connection-check", "kc2"):
+        "94ad1921366eaaa11b7e93fccfb285513c420e17d9382df1e9b7a00b4c66786e",
+    ("connection-check", "upper2"):
+        "cc9bc676976a2cdec541ea833f215caa4a7c8ad20372b96a579d1e22bf50bec6",
+}
+REPORT_ARGS = {"derham": ("-N", "4")}
+
+
+@pytest.mark.parametrize("command, name", REPORT_DIGESTS)
+def test_report_matches_its_digest(command, name):
+    result = run_cli(command, "--builtin", name, *REPORT_ARGS.get(command, ()),
+                     "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[command, name]
+
+
 def test_operator_jacobi_builds_the_same_operators_for_every_seed(m2, monkeypatch):
     # the seed draws the fields, not the degrees: the operators applied and
     # the blocks they are applied to, and with them the time and memory of
