@@ -27,7 +27,11 @@ from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_apply, kron_m
                      qmat_sum, solve_linear)
 
 
-class AlgebraError(ValueError):
+class MathError(ValueError):
+    """A computation cannot go on: a check fails with it, the command exits 2."""
+
+
+class AlgebraError(MathError):
     pass
 
 

@@ -12,8 +12,11 @@ too large for the available memory (diagnostics go to stderr).
 
 Each subcommand is one body (algebra, N, seed, cap, **args) -> (checks,
 data) registered with ``_report``, the one pipeline that loads the input,
-maps errors to exit codes and renders the report.  The bodies call the
-library; ``verify`` reports the identity suite of :mod:`ncforms.identities`.
+maps errors to exit codes and renders the report.  ``import ncforms.cli``
+loads only ``algebra``, ``dsl`` and ``linalg``, which every report runs; each
+body reads the other modules it calls off the package (``ncforms.forms``),
+which loads them then.  ``verify`` reports the identity suite of
+:mod:`ncforms.identities`, which loads them all.
 The command starts OpenBLAS single-threaded unless ``OPENBLAS_NUM_THREADS``
 is set, since no int64 or object product reaches BLAS; the float64 dgemm
 products of ROADMAP item 3 must re-measure this default when they land.
@@ -37,19 +40,12 @@ atexit.register(gc.freeze)
 
 import click
 
+import ncforms
+
 from . import __version__
-from .algebra import Algebra, AlgebraHom, GroupAction, derivation_space
-from .connections import (Bundle, bianchi_identities, check_projection_calculus,
-                          curvature, curvature_horizontality, find_connections,
-                          find_projections, is_connection, is_principal)
+from .algebra import Algebra, AlgebraHom, GroupAction, MathError, derivation_space
 from .dsl import DslError, builtin_algebra, load_algebra_text, parse_group_action
-from .fieldforms import algebraic_bracket, field_valued_form_from_json, fn_bracket
-from .forms import de_rham_homology, form_space, kernel_of_mu_n
-from .hochschild import cohomology_reports
-from .identities import MATH_ERRORS, check_identities, routes_witness
 from .linalg import QMat, qmat_to_json
-from .schouten import (commutator_bivector, multimap_from_json, nr_bracket,
-                       poisson_bracket_hom_check, poisson_check)
 
 DEFAULT_SIZE_CAP = 100000
 SIZE_CAP_ENV = "NCFORMS_SIZE_CAP"
@@ -249,7 +245,7 @@ def _report(name: str, *params: Callable) -> Callable:
                 checks, data = body(A, truncation, seed, cap, **args)
                 _finish(_make_report(name, A, source, seed, truncation, cap,
                                      checks, data), fmt)
-            except MATH_ERRORS as exc:
+            except MathError as exc:
                 raise InputError(str(exc))
             except MemoryError:
                 # the input is too large for this machine: name its size
@@ -282,7 +278,7 @@ def info(A, N, seed, cap):
     """Dimensions of the algebra, its form spaces, and its derivations."""
     return [], {
         "basis": list(A.basis_names),
-        "omega_dims": [form_space(A, k).dim for k in range(N + 1)],
+        "omega_dims": [ncforms.forms.form_space(A, k).dim for k in range(N + 1)],
         "derivation_dim": derivation_space(A.regular_bimodule()).dim,
         "center_dim": A.center().dim,
     }
@@ -294,44 +290,46 @@ def info(A, N, seed, cap):
          "the trivial action)."))
 def verify(A, N, seed, cap, action_path):
     """Run the full invariant suite and report each identity."""
-    results = check_identities(A, N, seed, _load_action(A, action_path))
+    results = ncforms.identities.check_identities(A, N, seed, _load_action(A, action_path))
     return [_check(name, witness is None, witness) for name, witness in results], {}
 
 
-def _bracket(name: str, what: str, from_json: Callable, bracket: Callable,
+def _bracket(name: str, what: str, module: str, from_json: str, bracket: str,
              doc: str) -> None:
-    """A subcommand reporting ``bracket`` of two serialized objects."""
+    """A subcommand reporting ``module``'s ``bracket`` of two serialized
+    objects, each read by ``module``'s ``from_json``."""
     files = [click.argument(arg, type=click.Path(exists=True, dir_okay=False))
              for arg in ("left_file", "right_file")]
 
     def body(A, N, seed, cap, left_file, right_file):
-        K, L = (_load_object(A, path, what, from_json)
+        lib = getattr(ncforms, module)
+        K, L = (_load_object(A, path, what, getattr(lib, from_json))
                 for path in (left_file, right_file))
         return [], {"left": K.to_json(), "right": L.to_json(),
-                    "bracket": bracket(K, L).to_json()}
+                    "bracket": getattr(lib, bracket)(K, L).to_json()}
 
     body.__doc__ = doc
     _report(name, *files)(body)
 
 
-_bracket("fn-bracket", "field-valued form", field_valued_form_from_json,
-         fn_bracket, "Differential-compatible bracket of two serialized "
-                     "field-valued forms.")
-_bracket("alg-bracket", "field-valued form", field_valued_form_from_json,
-         algebraic_bracket, "Insertion-commutator bracket of two serialized "
-                            "field-valued forms.")
-_bracket("nr-bracket", "multilinear map", multimap_from_json, nr_bracket,
-         "Graded bracket of two serialized skew multilinear maps.")
+_bracket("fn-bracket", "field-valued form", "fieldforms",
+         "field_valued_form_from_json", "fn_bracket",
+         "Differential-compatible bracket of two serialized field-valued forms.")
+_bracket("alg-bracket", "field-valued form", "fieldforms",
+         "field_valued_form_from_json", "algebraic_bracket",
+         "Insertion-commutator bracket of two serialized field-valued forms.")
+_bracket("nr-bracket", "multilinear map", "schouten", "multimap_from_json",
+         "nr_bracket", "Graded bracket of two serialized skew multilinear maps.")
 
 
 @_report("curvature")
 def curvature_cmd(A, N, seed, cap):
     """Curvature and cocurvature of every projection the search finds."""
     checks, entries = [], []
-    projs = find_projections(A, seed=seed)
+    projs = ncforms.connections.find_projections(A, seed=seed)
     for idx, p in enumerate(projs):
-        R, Rbar = curvature(p)
-        checks += _verdicts(check_projection_calculus(p, N=N),
+        R, Rbar = ncforms.connections.curvature(p)
+        checks += _verdicts(ncforms.connections.check_projection_calculus(p, N=N),
                             f"projection-{idx:02d}-", f"projection {idx}")
         entries.append({
             "index": idx,
@@ -345,9 +343,9 @@ def curvature_cmd(A, N, seed, cap):
 @_report("bianchi")
 def bianchi(A, N, seed, cap):
     """Differential identities for the curvature of every found projection."""
-    projs = find_projections(A, seed=seed)
+    projs = ncforms.connections.find_projections(A, seed=seed)
     checks = [c for idx, p in enumerate(projs)
-              for c in _verdicts(bianchi_identities(p),
+              for c in _verdicts(ncforms.connections.bianchi_identities(p),
                                  f"projection-{idx:02d}-", f"projection {idx}")]
     return checks, {"count": len(projs)}
 
@@ -358,18 +356,19 @@ def bianchi(A, N, seed, cap):
          "the trivial action)."))
 def connection_check(A, N, seed, cap, action_path):
     """Find connections on the induced bundle and check their properties."""
+    lib = ncforms.connections
     action = _load_action(A, action_path)
-    bundle = Bundle(A, action.fixed_subspace(), action=action)
+    bundle = lib.Bundle(A, action.fixed_subspace(), action=action)
     checks, entries = [], []
-    conns = find_connections(bundle)
+    conns = lib.find_connections(bundle)
     for idx, chi in enumerate(conns):
-        rep = is_connection(bundle, chi)
-        rep.update(curvature_horizontality(bundle, chi))
+        rep = lib.is_connection(bundle, chi)
+        rep.update(lib.curvature_horizontality(bundle, chi))
         checks += _verdicts(rep, f"connection-{idx:02d}-", f"connection {idx}")
         entries.append({
             "index": idx,
             "connection": chi.to_json(),
-            "principal": is_principal(bundle, chi),
+            "principal": lib.is_principal(bundle, chi),
         })
     return checks, {"connections": entries, "count": len(conns),
                     "base_dim": bundle.base.dim}
@@ -378,9 +377,9 @@ def connection_check(A, N, seed, cap, action_path):
 @_report("hochschild")
 def hochschild(A, N, seed, cap):
     """Cohomology of the algebra in itself, computed along two routes."""
-    mod = A.regular_bimodule()
-    reports = cohomology_reports(A, mod, min(N, 3))
-    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], routes_witness(rep))
+    lib = ncforms.hochschild
+    reports = lib.cohomology_reports(A, A.regular_bimodule(), min(N, 3))
+    checks = [_check(f"routes-agree-n{rep['n']}", rep["agree"], lib.routes_witness(rep))
               for rep in reports]
     return checks, {"reports": reports}
 
@@ -388,28 +387,29 @@ def hochschild(A, N, seed, cap):
 @_report("derham")
 def derham(A, N, seed, cap):
     """Quotient homology dimensions of the truncated form complex."""
-    return [], de_rham_homology(A, N, size_cap=cap)
+    return [], ncforms.forms.de_rham_homology(A, N, size_cap=cap)
 
 
 @_report("poisson-check", click.argument(
     "mu_file", required=False, type=click.Path(exists=True, dir_okay=False)))
 def poisson_check_cmd(A, N, seed, cap, mu_file):
     """Check a bivector for the bracket axioms (default: the commutator)."""
+    lib = ncforms.schouten
     if mu_file is not None:
-        mu = _load_object(A, mu_file, "multilinear map", multimap_from_json)
+        mu = _load_object(A, mu_file, "multilinear map", lib.multimap_from_json)
     else:
-        mu = commutator_bivector(A)
-    verdict = poisson_check(mu)
+        mu = lib.commutator_bivector(A)
+    verdict = lib.poisson_check(mu)
     data = {"bivector": mu.to_json()}
     if verdict["poisson"]:
-        data["bracket_maps"] = poisson_bracket_hom_check(mu)
+        data["bracket_maps"] = lib.poisson_bracket_hom_check(mu)
     return _verdicts(verdict, "", "bivector"), data
 
 
 @_report("kernel-mu-n")
 def kernel_mu_n_cmd(A, N, seed, cap):
     """Compare ker(multiplication) with the span of first-slot relations."""
-    reports = [kernel_of_mu_n(A, n, size_cap=cap)
+    reports = [ncforms.forms.kernel_of_mu_n(A, n, size_cap=cap)
                for n in range(2, max(N, 2) + 1)]
     checks = [_check(f"kernel-matches-span-n{rep['arity']}", rep["equal"],
                      f"n = {rep['arity']}: kernel dim {rep['dim_kernel']} "

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Algebra, Bimodule, GroupAction, tensor_over_A
+from .algebra import Algebra, Bimodule, GroupAction, MathError, tensor_over_A
 from .fieldforms import (
     FieldValuedForm, field_valued_form_space, fn_bracket, identity_one_form,
     insertion_compose, zero_field_valued_form,
@@ -28,7 +28,7 @@ from .linalg import (
 )
 
 
-class GeometryError(ValueError):
+class GeometryError(MathError):
     pass
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .algebra import Algebra, AlgebraHom, derivation_defect, derivation_space
+from .algebra import Algebra, AlgebraHom, MathError, derivation_defect, derivation_space
 from .forms import Form, d_slots, form_space, omega_functor, products
 from .linalg import QMat, QVector, qmat_from_json, qmat_to_json, solve_linear
 
 
-class FieldFormError(ValueError):
+class FieldFormError(MathError):
     pass
 
 

@@ -25,13 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraHom, Bimodule
+from .algebra import Algebra, AlgebraHom, Bimodule, MathError
 from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
                      format_scalar, kron_apply, kron_matrix, kron_rows, kron_transpose,
                      nullspace, parse_scalar)
 
 
-class FormError(ValueError):
+class FormError(MathError):
     pass
 
 

@@ -437,3 +437,9 @@ def cohomology_reports(algebra: Algebra, module: Bimodule, top: int) -> list[dic
     eliminated once."""
     cocycles: dict[int, int] = {}
     return [cohomology_report(algebra, module, n, cocycles) for n in range(top + 1)]
+
+
+def routes_witness(rep: dict) -> str:
+    """The two dimensions of one ``cohomology_report`` that disagree."""
+    return (f"n = {rep['n']}: forms route gives {rep['dim_Hn_forms']}, "
+            f"complex route gives {rep['dim_Hn_complex']}")

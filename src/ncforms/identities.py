@@ -16,25 +16,21 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .algebra import (Algebra, AlgebraError, GroupAction, derivation_space,
+from .algebra import (Algebra, AlgebraError, GroupAction, MathError, derivation_space,
                       derivation_vector, inner_derivation, leibniz_terms)
-from .connections import (Bundle, GeometryError, action_functoriality_defect,
+from .connections import (Bundle, action_functoriality_defect,
                           bundle_tensor_dims, curvature, find_projections)
 from .dsl import DslError, load_algebra_text, print_algebra
 from .fieldforms import (FieldFormError, FieldValuedForm, contraction,
                          field_from_derivation, field_space, fn_bracket,
                          lie_bracket_fields)
-from .forms import Form, FormError, commutator_subspace, form_space, product
+from .forms import Form, commutator_subspace, form_space, product
 from .hochschild import (NormalizedCochain, coboundary, cochain_to_hom,
                          cohomology_reports, form_hom_space, hom_to_cochain,
-                         tensor_module)
+                         routes_witness, tensor_module)
 from .linalg import (QMat, Subspace, format_scalar, kron_apply, kron_matrix, kron_transpose,
                      parse_scalar, qmat_hstack, rank, subspace_from_columns)
 from .schouten import MultiMap, SchoutenError, alternation, insertion, nr_bracket
-
-# the library's errors for a computation that cannot go on: a check that
-# raises one fails with it as the witness, and the command line exits 2
-MATH_ERRORS = (AlgebraError, GeometryError, FieldFormError, FormError, SchoutenError)
 
 
 def _rand_vec(rng: random.Random, n: int) -> list[Fraction]:
@@ -405,12 +401,6 @@ def _chk_coboundary_squared(env: _VerifyEnv, rng: random.Random):
     return None
 
 
-def routes_witness(rep: dict) -> str:
-    """The two dimensions of one ``cohomology_report`` that disagree."""
-    return (f"n = {rep['n']}: forms route gives {rep['dim_Hn_forms']}, "
-            f"complex route gives {rep['dim_Hn_complex']}")
-
-
 def _chk_cohomology_routes(env: _VerifyEnv, rng: random.Random):
     A = env.algebra
     modules = [("A", A.regular_bimodule()), ("AxA", tensor_module(A, 1))]
@@ -529,7 +519,7 @@ def check_identities(algebra: Algebra, truncation: int, seed: int,
         try:
             # string seeds hash via SHA-512 inside random.Random: stable across runs
             witness = fn(env, random.Random(f"{seed}:{name}"))
-        except MATH_ERRORS as exc:
+        except MathError as exc:
             witness = f"raised: {exc}"
         results.append((name, witness))
     return results

@@ -30,14 +30,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, leibniz_terms
+from .algebra import Algebra, MathError, leibniz_terms
 from .linalg import (QMat, QVector, flat_index, kron_apply, kron_rows, nullspace,
                      qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
 
 
-class SchoutenError(ValueError):
+class SchoutenError(MathError):
     pass
 
 

@@ -19,20 +19,22 @@ import pytest
 from click.testing import CliRunner
 
 from ncforms import cli, connections, identities
-from ncforms.algebra import inner_derivation
+from ncforms.algebra import MathError, inner_derivation
 from ncforms.cli import main
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import (FieldValuedForm, GradedDerivation, field_from_derivation,
                                 field_valued_form_from_json,
                                 field_valued_form_space, fn_bracket, lie_operator)
 from ncforms.forms import form_space
-from ncforms.identities import MATH_ERRORS as _MATH_ERRORS
 from ncforms.identities import _VERIFY_CHECKS
 from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
 from test_dsl import MALFORMED_ACTIONS
 from test_imports import run_python
+
+# every error class a report maps to exit code 2
+_MATH_ERRORS = tuple(MathError.__subclasses__())
 
 BUILTINS = ["k", "dual", "truncpoly3", "kxk", "m2", "kc2", "upper2"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -649,7 +651,7 @@ def _out_of_memory(*args, **kwargs):
 
 
 def test_out_of_memory_exits_2_with_one_size_line(monkeypatch):
-    monkeypatch.setattr("ncforms.cli.form_space", _out_of_memory)
+    monkeypatch.setattr("ncforms.forms.form_space", _out_of_memory)
     result = run_cli("info", "--builtin", "matrix(3)", "-N", "3")
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -672,6 +674,12 @@ def test_out_of_memory_exits_2_from_every_subcommand(monkeypatch, tmp_path):
         assert result.stderr == (
             f"Error: out of memory in {name} on a dimension-4 algebra at "
             f"-N 2 (Omega_2 has dimension 36); try a smaller -N\n")
+
+
+def test_math_errors_are_the_five_library_errors():
+    # linalg's, hochschild's and the DSL's errors stay outside the base
+    assert sorted(e.__name__ for e in _MATH_ERRORS) == [
+        "AlgebraError", "FieldFormError", "FormError", "GeometryError", "SchoutenError"]
 
 
 def test_library_error_exits_2_from_every_subcommand(monkeypatch, tmp_path):
@@ -875,7 +883,7 @@ def test_projection_reports_match_their_digests(command, name, N):
 ])
 def test_each_projection_is_bracketed_once_per_report(monkeypatch, args):
     found, squared = [], []
-    find, bracket = cli.find_projections, connections.fn_bracket
+    find, bracket = connections.find_projections, connections.fn_bracket
 
     def finding(*a, **kw):
         projs = find(*a, **kw)
@@ -887,7 +895,7 @@ def test_each_projection_is_bracketed_once_per_report(monkeypatch, args):
             squared.append(K)      # kept alive, so identity stays meaningful
         return bracket(K, L)
 
-    monkeypatch.setattr(cli, "find_projections", finding)
+    monkeypatch.setattr(connections, "find_projections", finding)
     monkeypatch.setattr(identities, "find_projections", finding)
     monkeypatch.setattr(identities, "fn_bracket", counting)
     monkeypatch.setattr(connections, "fn_bracket", counting)

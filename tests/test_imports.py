@@ -1,15 +1,25 @@
 """Source hygiene: every name a library module imports is used in it,
 every function, class and method it defines is named somewhere else, only
-``linalg`` multiplies integer arrays, and the command's start-up loads no
-optional package."""
+``linalg`` multiplies integer arrays, one point loads a module by name, and
+each command report loads only the library modules it runs and no optional
+package."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from ncforms.algebra import inner_derivation
+from ncforms.dsl import builtin_algebra
+from ncforms.fieldforms import field_from_derivation, field_valued_form_space
+from ncforms.schouten import commutator_bivector
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ncforms"
@@ -80,6 +90,54 @@ def test_library_imports_at_module_top():
     found = {p.name: imports_in_functions(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {}
+
+
+LOADERS = {"import_module", "__import__", "LazyLoader"}
+
+
+def module_loads(source: str) -> list[str]:
+    """'function:line' of each mention of a by-name module loader (as a
+    name, an attribute, an imported name or a string), with ``<module>``
+    for the module body."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            names = [getattr(child, "id", None), getattr(child, "attr", None),
+                     getattr(child, "value", None)]
+            if isinstance(child, ast.ImportFrom):
+                names += [alias.name for alias in child.names]
+            if LOADERS.intersection(n for n in names if isinstance(n, str)):
+                found.append(f"{where}:{child.lineno}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_module_load_scanner():
+    source = ("import importlib\n"
+              "from importlib.util import LazyLoader\n"
+              "def f(name):\n"
+              "    return importlib.import_module(name)\n"
+              "def g():\n"
+              "    def h():\n"
+              "        return __import__('os'), getattr(importlib, 'import_module')\n"
+              "x = importlib.reload(importlib)\n")
+    assert module_loads(source) == ["<module>:2", "f:4", "h:7", "h:7"]
+
+
+def test_one_point_loads_a_module_by_name():
+    # the package's __getattr__ is the lazy-loading point; anything else
+    # loading by name would hide which modules a report loads
+    found = {p.name: module_loads(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    found = {name: where for name, where in found.items() if where}
+    assert list(found) == ["__init__.py"]
+    assert [where.partition(":")[0] for where in found["__init__.py"]] == ["__getattr__"]
 
 
 def undecorated_definitions(source: str) -> list[tuple[str, int]]:
@@ -185,3 +243,61 @@ def test_cli_start_up_loads_no_optional_package():
     code = ("import sys, ncforms.cli; print(sorted(m for m in sys.modules "
             f"if m.partition('.')[0] in {heavy!r}))")
     assert run_python(code) == "[]"
+
+
+def loaded_modules(*args: str) -> list[str]:
+    """The ``ncforms`` modules a fresh interpreter holds after ``import
+    ncforms.cli`` and, given ``args``, the report they name."""
+    code = ("import json, sys, ncforms.cli\n"
+            f"argv = {list(args)!r}\n"
+            "if argv:\n"
+            "    ncforms.cli.main.main(args=argv, prog_name='ncforms',"
+            " standalone_mode=False)\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'ncforms')))")
+    return json.loads(run_python(code).splitlines()[-1])
+
+
+START_UP = ["ncforms", "ncforms.algebra", "ncforms.cli", "ncforms.dsl",
+            "ncforms.linalg"]
+
+
+def test_cli_start_up_loads_only_what_every_report_runs():
+    assert loaded_modules() == START_UP
+
+
+@pytest.fixture(scope="module")
+def bracket_files(tmp_path_factory):
+    """Two degree-0 fields, a degree-1 field-valued form and the commutator
+    bivector of m2, serialized."""
+    base = tmp_path_factory.mktemp("brackets")
+    m2 = builtin_algebra("m2")
+    mod = m2.regular_bimodule()
+    unit = [[Fraction(int(i == j)) for i in range(4)] for j in range(4)]
+    objs = {"X": field_from_derivation(m2, inner_derivation(mod, unit[1])),
+            "Y": field_from_derivation(m2, inner_derivation(mod, unit[2])),
+            "L": field_valued_form_space(m2, 1)[0], "mu": commutator_bivector(m2)}
+    for name, obj in objs.items():
+        (base / f"{name}.json").write_text(json.dumps(obj.to_json()))
+    return base
+
+
+@pytest.mark.parametrize("command, files, extra", [
+    ("info", (), ["forms"]),
+    ("derham", (), ["forms"]),
+    ("kernel-mu-n", (), ["forms"]),
+    ("hochschild", (), ["forms", "hochschild"]),
+    ("fn-bracket", ("X", "Y"), ["fieldforms", "forms"]),
+    ("alg-bracket", ("L", "L"), ["fieldforms", "forms"]),
+    ("nr-bracket", ("mu", "mu"), ["schouten"]),
+    ("poisson-check", (), ["schouten"]),
+    ("curvature", (), ["connections", "fieldforms", "forms"]),
+    ("bianchi", (), ["connections", "fieldforms", "forms"]),
+    ("connection-check", (), ["connections", "fieldforms", "forms"]),
+    ("verify", (), ["connections", "fieldforms", "forms", "hochschild",
+                    "identities", "schouten"]),
+])
+def test_each_report_loads_only_the_modules_it_runs(bracket_files, command, files, extra):
+    paths = [str(bracket_files / f"{name}.json") for name in files]
+    loaded = loaded_modules(command, *paths, "--builtin", "m2", "-N", "2")
+    assert loaded == sorted(START_UP + [f"ncforms.{name}" for name in extra])
