@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (LinAlgError, QMat, RowReducer, Subspace, kron_apply, kron_matrix,
-                     kron_rows, kron_transpose, nullspace, qmat_hstack, qmat_inverse,
-                     qmat_sum, solve_linear)
+from .linalg import (LinAlgError, QMat, QVector, RowReducer, Subspace, checked_column,
+                     kron_apply, kron_matrix, kron_rows, kron_transpose, nullspace,
+                     qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
 
 
 class MathError(ValueError):
@@ -87,18 +87,12 @@ class Algebra:
 
     def mult_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         """uv = mu^2 (u (x) v)."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise AlgebraError(f"{self.name}: coefficient vectors of lengths {len(u)} "
-                               f"and {len(v)} for an algebra of dimension {self.dim}")
-        uv = QMat.column(u).kron(QMat.column(v))
-        return (self.mu2 @ uv).column_fractions(0)
+        return (self.element(u) * self.element(v)).col.column_fractions(0)
 
     # -- elements ---------------------------------------------------------------
 
     def element(self, coeffs: Sequence) -> "Element":
-        if len(coeffs) != self.dim:
-            raise AlgebraError("coefficient vector has wrong length")
-        return Element(self, tuple(Fraction(v) for v in coeffs))
+        return Element(self, checked_column(coeffs, self.dim, AlgebraError))
 
     def unit(self) -> "Element":
         return self.basis_element(0)
@@ -138,50 +132,39 @@ class Algebra:
         return f"Algebra({self.name!r}, dim={self.dim})"
 
 
-class Element:
-    """Algebra element: coefficient tuple against the algebra basis."""
+class Element(QVector):
+    """Algebra element: its coefficient column against the algebra basis."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "col")
+    _field, _error = "col", AlgebraError
 
-    def __init__(self, algebra: Algebra, coeffs: tuple[Fraction, ...]):
+    def __init__(self, algebra: Algebra, col: QMat):
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.col = col
 
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.algebra, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def _space(self) -> tuple:
+        return (self.algebra,)
 
-    def __sub__(self, other: "Element") -> "Element":
-        return Element(self.algebra, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
+    def _with(self, col: QMat) -> "Element":
+        return Element(self.algebra, col)
 
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a for a in self.coeffs))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.col.column_fractions(0))
 
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return Element(self.algebra, tuple(
-                self.algebra.mult_vec(self.coeffs, other.coeffs)))
-        return Element(self.algebra, tuple(a * Fraction(other) for a in self.coeffs))
+    def __mul__(self, other) -> "Element":
+        if not isinstance(other, Element):
+            return self.scale(other)
+        self._same(other)
+        return self._with((self.algebra.mu2 @ self.col.kron(other.col)).reduced())
 
-    def __rmul__(self, other) -> "Element":
-        return Element(self.algebra, tuple(Fraction(other) * a for a in self.coeffs))
+    __rmul__ = QVector.scale
 
     def __pow__(self, n: int) -> "Element":
         out = self.algebra.unit()
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Element) and self.algebra is other.algebra
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         parts = []
@@ -244,9 +227,7 @@ class Bimodule:
         return self._act(self.right, a, X)
 
     def _act(self, acts: list, a: Sequence[Fraction], X: Optional[QMat]) -> QMat:
-        if len(a) != self.algebra.dim:
-            raise AlgebraError(f"{self.name}: coefficient vector of length {len(a)} for "
-                               f"an algebra of dimension {self.algebra.dim}")
+        a = checked_column(a, self.algebra.dim, AlgebraError).column_fractions(0)
         X = QMat.eye(self.dim) if X is None else X
         return qmat_sum([kron_apply(T, X).scale(ai) for T, ai in zip(acts, a)])
 
@@ -282,8 +263,9 @@ class AlgebraHom:
                     f"{self.name}: not multiplicative at basis pair ({i},{j})")
 
     def __call__(self, x: Element) -> Element:
-        out = self.matrix @ QMat.column(x.coeffs)
-        return self.target.element(out.column_fractions(0))
+        if x.algebra is not self.source:
+            raise AlgebraError(f"{self.name}: element of {x.algebra.name}, not of {self.source.name}")
+        return Element(self.target, self.matrix @ x.col)
 
     def compose(self, other: "AlgebraHom") -> "AlgebraHom":
         if other.target is not self.source:
@@ -417,9 +399,13 @@ class SemidirectProduct:
         self.module = module
 
     def embed(self, a: Sequence[Fraction], mvec: Sequence[Fraction]) -> Element:
-        return self.algebra.element(list(a) + list(mvec))
+        cols = [checked_column(a, self.base.dim, AlgebraError),
+                checked_column(mvec, self.module.dim, AlgebraError, "a module")]
+        return Element(self.algebra, qmat_hstack(1, [c.T for c in cols]).T)
 
     def project_module(self, x: Element) -> list[Fraction]:
+        if x.algebra is not self.algebra:
+            raise AlgebraError(f"element of {x.algebra.name}, not of {self.algebra.name}")
         return list(x.coeffs[self.base.dim:])
 
 
@@ -536,11 +522,15 @@ def derivation_space(mod: Bimodule) -> Subspace:
 
 def derivation_matrix(mod: Bimodule, vec: Sequence[Fraction]) -> QMat:
     """Reshape a derivation-space vector into the dM x m matrix of D."""
-    return QMat.column(vec).unvec(mod.dim, mod.algebra.dim)
+    return checked_column(vec, mod.dim * mod.algebra.dim, AlgebraError,
+                          "Hom(A, M)").unvec(mod.dim, mod.algebra.dim)
 
 
 def derivation_vector(mod: Bimodule, mat: QMat) -> list[Fraction]:
     """The dM x m matrix of D read column by column (D[r, j] at j*dM + r)."""
+    if mat.shape != (mod.dim, mod.algebra.dim):
+        raise AlgebraError(f"a {mat.shape[0]} x {mat.shape[1]} matrix for Hom(A, M) "
+                           f"of shape {mod.dim} x {mod.algebra.dim}")
     return mat.vec().column_fractions(0)
 
 
@@ -558,7 +548,7 @@ def is_derivation(mod: Bimodule, mat: QMat) -> bool:
 
 def inner_derivation(mod: Bimodule, mvec: Sequence[Fraction]) -> QMat:
     """D_m(a) = m.a - a.m for a fixed module element m."""
-    col = QMat.column(mvec)
+    col = checked_column(mvec, mod.dim, AlgebraError, "a module")
     return qmat_hstack(mod.dim, [kron_apply(R, col) - kron_apply(L, col)
                                  for L, R in zip(mod.left, mod.right)])
 
@@ -619,18 +609,9 @@ class TensorQuotient:
         return [rep[t] for t in self.free]
 
     def pure_tensor(self, mvec: Sequence[Fraction], nvec: Sequence[Fraction]) -> list[Fraction]:
-        dm, dn = self.m_mod.dim, self.n_mod.dim
-        if len(mvec) != dm or len(nvec) != dn:
-            raise AlgebraError(f"pure tensor of vectors of lengths {len(mvec)} and "
-                               f"{len(nvec)} in modules of dimensions {dm} and {dn}")
-        vec = [Fraction(0)] * self.ambient
-        for p, a in enumerate(mvec):
-            if not a:
-                continue
-            for q, b in enumerate(nvec):
-                if b:
-                    vec[p * dn + q] = a * b
-        return self.project_vector(vec)
+        m = checked_column(mvec, self.m_mod.dim, AlgebraError, "a module")
+        n = checked_column(nvec, self.n_mod.dim, AlgebraError, "a module")
+        return self.project_vector(m.kron(n).column_fractions(0))
 
     def factor_map(self, mat: QMat) -> Optional[QMat]:
         """Induced matrix on the quotient of a map defined on M (x) N.

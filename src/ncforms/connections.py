@@ -54,6 +54,9 @@ class Distribution:
         return self.space.dim
 
     def contains(self, w: Form) -> bool:
+        if w.space.algebra is not self.algebra or w.degree != 1:
+            raise GeometryError(f"a degree-{w.degree} form over {w.space.algebra.name} "
+                                f"is not in Omega_1({self.algebra.name})")
         return self.space.contains(w.coords())
 
     def __eq__(self, other: object) -> bool:
@@ -127,10 +130,8 @@ def ideal_component(dist: Distribution, r: int) -> Subspace:
     return chain[r - 1]
 
 
-def involutive(dist: Distribution, N: int = 2) -> bool:
+def involutive(dist: Distribution) -> bool:
     """d(dist) contained in I_2, read from the ideal chain of dist."""
-    if N < 2:
-        raise GeometryError("need truncation >= 2")
     image = form_space(dist.algebra, 1).apply_d(dist.space.row_matrix().T)
     return subspace_from_columns(image).is_subspace_of(ideal_component(dist, 2))
 
@@ -367,8 +368,23 @@ def minimal_polynomial(E: QMat) -> list[Fraction]:
     return _poly_trim([-c for c in sol.column_fractions(0)] + [Fraction(1)])
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, from its factorization by trial
+    division up to the square root of what is left to factor."""
+    n, divs, p = abs(n), [1], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if k:
+            divs = [d * p ** e for d in divs for e in range(k + 1)]
+        p += 1 if p == 2 else 2
+    return divs + [d * n for d in divs] if n > 1 else divs
+
+
 def _rational_roots(p: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities."""
+    """Rational roots with multiplicities: the candidates +-a/b, a dividing
+    the lowest nonzero coefficient and b the leading one."""
     p = list(p)
     den = math.lcm(*[c.denominator for c in p]) if p else 1
     ints = [int(c * den) for c in p]
@@ -376,12 +392,8 @@ def _rational_roots(p: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
     const = next((c for c in ints if c), 0)
     cands = {Fraction(0)}
     if const and lead:
-        ps = [d for d in range(1, abs(const) + 1) if const % d == 0]
-        qs = [d for d in range(1, abs(lead) + 1) if lead % d == 0]
-        for a in ps:
-            for b in qs:
-                cands.add(Fraction(a, b))
-                cands.add(Fraction(-a, b))
+        cands |= {Fraction(s * a, b) for a in _divisors(const)
+                  for b in _divisors(lead) for s in (1, -1)}
     out = []
     for c in sorted(cands):
         mult = 0

@@ -223,7 +223,13 @@ def lie_operator(K: FieldValuedForm, max_input: int = 1) -> GradedDerivation:
     return contraction(K, max_input).commutator(d_operator(K.algebra, max_input))
 
 
+def _same_algebra(K: FieldValuedForm, L: FieldValuedForm) -> None:
+    if K.algebra is not L.algebra:
+        raise FieldFormError("algebra mismatch")
+
+
 def lie_bracket_fields(X: FieldValuedForm, Y: FieldValuedForm) -> FieldValuedForm:
+    _same_algebra(X, Y)
     if X.degree != 0 or Y.degree != 0:
         raise FieldFormError("lie bracket of fields needs degree 0")
     return FieldValuedForm(X.algebra, 0,
@@ -232,6 +238,7 @@ def lie_bracket_fields(X: FieldValuedForm, Y: FieldValuedForm) -> FieldValuedFor
 
 def algebraic_bracket(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm:
     """[K,L]^Delta = j_K o L - (-1)^{(k-1)(l-1)} j_L o K, subscripts k,l >= 1."""
+    _same_algebra(K, L)
     if K.degree < 1 or L.degree < 1:
         raise FieldFormError("algebraic bracket needs subscripts >= 1")
     sign = (-1) ** (((K.degree - 1) * (L.degree - 1)) % 2)
@@ -242,8 +249,7 @@ def algebraic_bracket(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm
 
 def fn_bracket(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm:
     """Graded bracket characterized by [L_K, L_L] = L_([K,L])."""
-    if K.algebra is not L.algebra:
-        raise FieldFormError("algebra mismatch")
+    _same_algebra(K, L)
     lk = lie_operator(K)
     ll = lk if L is K else lie_operator(L)
     sign = (-1) ** ((K.degree * L.degree) % 2)
@@ -253,6 +259,7 @@ def fn_bracket(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm:
 
 def insertion_compose(K: FieldValuedForm, L: FieldValuedForm) -> FieldValuedForm:
     """j_K o L as a field-valued form (delta = j_K applied to L's delta)."""
+    _same_algebra(K, L)
     out = contraction(K).apply(L.degree, L.delta)
     return FieldValuedForm(K.algebra, L.degree + K.degree - 1, out, check=False)
 

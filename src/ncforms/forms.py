@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import Algebra, AlgebraHom, Bimodule, MathError
-from .linalg import (QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
-                     format_scalar, kron_apply, kron_matrix, kron_rows, kron_transpose,
-                     nullspace, parse_scalar)
+from .linalg import (QMat, QVector, RowReducer, Subspace, checked_column, digits_at,
+                     flat_index, format_scalar, kron_apply, kron_matrix, kron_rows,
+                     kron_transpose, nullspace, parse_scalar)
 
 
 class FormError(MathError):
@@ -138,9 +138,7 @@ class FormSpace(Bimodule):
     # -- elements ---------------------------------------------------------------
 
     def form(self, coords: Sequence) -> "Form":
-        if len(coords) != self.dim:
-            raise FormError("coordinate length does not match space dimension")
-        return Form(self, QMat.column(coords))
+        return Form(self, checked_column(coords, self.dim, FormError, self.name))
 
     def zero(self) -> "Form":
         return Form(self, QMat.zeros(self.dim, 1))

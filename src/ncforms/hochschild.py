@@ -26,9 +26,9 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import Algebra, Bimodule
 from .forms import form_space
-from .linalg import (QMat, QVector, Subspace, flat_index, kron_apply, kron_matrix,
-                     kron_rows, kron_transpose, nullspace, qmat_hstack, solve_linear,
-                     subspace_from_columns)
+from .linalg import (QMat, QVector, Subspace, checked_column, flat_index, kron_apply,
+                     kron_matrix, kron_rows, kron_transpose, nullspace, qmat_hstack,
+                     solve_linear, subspace_from_columns)
 
 
 class HochschildError(ValueError):
@@ -75,9 +75,8 @@ class NormalizedCochain(QVector):
     def from_vector(cls, module: Bimodule, arity: int,
                     vec: Sequence[Fraction]) -> "NormalizedCochain":
         nJ, dM = _bar_dim(module.algebra.dim, arity), module.dim
-        if len(vec) != nJ * dM:
-            raise HochschildError("cochain vector length mismatch")
-        return cls(module, arity, QMat.column(vec).unvec(dM, nJ))
+        col = checked_column(vec, nJ * dM, HochschildError, "the cochains")
+        return cls(module, arity, col.unvec(dM, nJ))
 
     def to_vector(self) -> list[Fraction]:
         """The values one tuple after another: entry (r, J) at J*dim M + r."""
@@ -93,8 +92,8 @@ class NormalizedCochain(QVector):
         """Multilinear extension: data times the Kronecker product of the bar parts."""
         if len(args) != self.arity:
             raise HochschildError("argument count does not match arity")
-        m = self.module.algebra.dim
-        bars = (QMat.from_columns(m - 1, [a[1:]]) for a in args)
+        cols = (checked_column(a, self.module.algebra.dim, HochschildError) for a in args)
+        bars = (QMat(c.num[1:], c.den) for c in cols)
         return (self.data @ functools.reduce(QMat.kron, bars, QMat.eye(1))).column_fractions(0)
 
     def _space(self) -> tuple:

@@ -51,23 +51,20 @@ Six conventions are fixed here and nowhere else:
   the boundary, which is exactly: text (one literal grammar,
   :data:`RATIONAL`, read by :func:`parse_scalar` and the ``dsl`` lexer and
   written by :func:`format_scalar`; the JSON matrix codec
-  :func:`qmat_to_json` / :func:`qmat_from_json`); coefficient vectors taken or returned by the
-  public API (``Element``, ``Algebra.mult_vec``, ``AlgebraHom.__call__``,
-  ``Bimodule.left_action`` / ``right_action``, ``derivation_matrix`` /
-  ``derivation_vector``, ``inner_derivation``, ``SemidirectProduct``,
-  ``TensorQuotient.project_vector`` / ``pure_tensor``, ``RowReducer.basis``,
-  ``FormSpace.form``, ``Form.coords`` / ``left_mult`` / ``right_mult``,
-  ``Distribution.contains``, ``bimodule_span``, ``MultiMap.value`` /
-  ``evaluate`` / ``value_with_first``, ``derivation_matrix_of``,
-  ``NormalizedCochain.from_vector`` / ``to_vector`` / ``evaluate``); inputs
-  that are ``Fraction`` by contract (structure constants, in ``algebra``'s
-  constructions and ``Bundle.base_algebra``; polynomial coefficients, in
+  :func:`qmat_to_json` / :func:`qmat_from_json`); the coefficient vectors
+  of the public API, each one it takes turned into a column by
+  :func:`checked_column`, the one check of their length, and each one it
+  returns read by the readers above; inputs that are ``Fraction`` by
+  contract (structure constants, in ``algebra``'s constructions and
+  ``Bundle.base_algebra``; polynomial coefficients, in
   ``minimal_polynomial`` and ``find_projections`` with its centre scan);
-  and ``verify``'s witness strings and the draws it passes to those readers.
-* Exact objects.  A form, a field-valued form, a multimap and a cochain
-  are each one QMat in a space: they take +, -, scale, ==, is_zero and
-  the same-space check from :class:`QVector`, and write and read their
-  matrices as JSON with the codec above.
+  and ``verify``'s witness strings and the draws it passes to those
+  readers.
+* Exact objects.  An algebra element, a form, a field-valued form, a
+  multimap and a cochain are each one QMat in a space: they take +, -,
+  scale, ==, is_zero and the same-space check from :class:`QVector`, and
+  the last four write and read their matrices as JSON with the codec
+  above.
 """
 
 from __future__ import annotations
@@ -768,6 +765,16 @@ class QMat:
 
     def __repr__(self) -> str:
         return f"QMat({self.shape[0]}x{self.shape[1]}, den={self.den})"
+
+
+def checked_column(values: Sequence, n: int, error: type = LinAlgError,
+                   of: str = "an algebra") -> QMat:
+    """The n x 1 QMat of a coefficient vector the public API takes, and the
+    one check of its length: any other length raises ``error``, the
+    caller's class, naming both lengths."""
+    if len(values) != n:
+        raise error(f"coefficient vector of length {len(values)} for {of} of dimension {n}")
+    return QMat.column(values)
 
 
 def qmat_inverse(mat: QMat) -> QMat:

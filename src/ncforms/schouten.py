@@ -31,8 +31,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .algebra import Algebra, MathError, leibniz_terms
-from .linalg import (QMat, QVector, flat_index, kron_apply, kron_rows, nullspace,
-                     qmat_from_json, qmat_sum, qmat_to_json)
+from .linalg import (QMat, QVector, checked_column, flat_index, kron_apply, kron_rows,
+                     nullspace, qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
 
@@ -81,7 +81,8 @@ class MultiMap(QVector):
         Kronecker product."""
         if len(args) != self.arity:
             raise SchoutenError("argument count does not match arity")
-        vec = functools.reduce(QMat.kron, map(self._column, args), QMat.eye(1))
+        cols = (checked_column(w, self.algebra.dim, SchoutenError) for w in args)
+        vec = functools.reduce(QMat.kron, cols, QMat.eye(1))
         return MultiMap(self.algebra, 0, self.data @ vec, scalar=self.scalar,
                         check=False).value(())
 
@@ -90,12 +91,6 @@ class MultiMap(QVector):
         """Value on (w, e_rest) with w a coefficient vector."""
         return MultiMap(self.algebra, self.arity - 1, derivation_matrix_of(self, w),
                         scalar=self.scalar, check=False).value(rest)
-
-    def _column(self, w: Sequence[Fraction]) -> QMat:
-        if len(w) != self.algebra.dim:
-            raise SchoutenError(f"coefficient vector of length {len(w)} for an "
-                                f"algebra of dimension {self.algebra.dim}")
-        return QMat.column(w)
 
     def _space(self) -> tuple:
         return (self.algebra, self.arity, self.scalar)
@@ -303,7 +298,7 @@ def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
     b |-> mu(a, b) as a matrix."""
     if mu.arity < 1:
         raise SchoutenError("an arity-0 multimap has no first slot")
-    return _first_slot(mu, mu._column(a))
+    return _first_slot(mu, checked_column(a, mu.algebra.dim, SchoutenError))
 
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:

@@ -1531,3 +1531,87 @@ def parse_scalar(text):
         return Fraction(int(s))
     except ValueError:
         raise LinAlgError(f"malformed rational literal {text!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Algebra elements as Fraction tuples, the arithmetic ``algebra.Element``
+# had before it held a QMat column; products by the structure-constant loop.
+# ---------------------------------------------------------------------------
+
+
+class TupleElement:
+    """An algebra element as its coefficient tuple, every operation
+    entry by entry."""
+
+    def __init__(self, algebra, coeffs):
+        self.algebra = algebra
+        self.coeffs = tuple(Fraction(v) for v in coeffs)
+
+    def __add__(self, other):
+        return TupleElement(self.algebra, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return TupleElement(self.algebra, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return TupleElement(self.algebra, (-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, TupleElement):
+            return TupleElement(self.algebra,
+                                loop_mult_vec(self.algebra, self.coeffs, other.coeffs))
+        return TupleElement(self.algebra, (a * Fraction(other) for a in self.coeffs))
+
+    def __rmul__(self, other):
+        return TupleElement(self.algebra, (Fraction(other) * a for a in self.coeffs))
+
+    def __pow__(self, n):
+        out = TupleElement(self.algebra, [int(k == 0) for k in range(self.algebra.dim)])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return (isinstance(other, TupleElement) and self.algebra is other.algebra
+                and self.coeffs == other.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Rational roots from divisors listed by scanning 1..|n|, the candidate
+# loop ``connections._rational_roots`` had before it factored.
+# ---------------------------------------------------------------------------
+
+
+def range_divisors(n):
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def range_rational_roots(p):
+    """(root, multiplicity) of each rational root of p (ascending
+    coefficients), candidates +-a/b over the scanned divisors."""
+    import math
+    from ncforms.connections import _poly_divmod
+    p = list(p)
+    den = math.lcm(*[c.denominator for c in p]) if p else 1
+    ints = [int(c * den) for c in p]
+    lead = ints[-1]
+    const = next((c for c in ints if c), 0)
+    cands = {Fraction(0)}
+    if const and lead:
+        for a in range_divisors(const):
+            for b in range_divisors(lead):
+                cands.add(Fraction(a, b))
+                cands.add(Fraction(-a, b))
+    out = []
+    for c in sorted(cands):
+        mult = 0
+        q = list(p)
+        while True:
+            qq, r = _poly_divmod(q, [-c, Fraction(1)])
+            if r:
+                break
+            mult += 1
+            q = qq
+        if mult:
+            out.append((c, mult))
+    return out

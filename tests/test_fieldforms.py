@@ -625,3 +625,27 @@ def test_operator_algebra_basics(algebras):
     assert all(two_d.mat(n) == d.mat(n).scale(2) for n in d.inputs)
     with pytest.raises(FieldFormError):
         GradedDerivation(A, 0, {5: QMat.eye(2)}).mat(1)
+
+
+def _fields_over_two_algebras(degree):
+    """A field-valued form of the given degree over m2 and one over
+    truncpoly(4): both algebras have dimension 4, so every shape agrees."""
+    out = []
+    for A in (matrix_algebra(2), truncated_polynomial_algebra(4)):
+        if degree:
+            out.append(identity_one_form(A))
+        else:
+            mod = A.regular_bimodule()
+            out.append(field_from_derivation(A, derivation_matrix(mod, derivation_space(mod).basis[0])))
+    return out
+
+
+@pytest.mark.parametrize("bracket, degree", [(lie_bracket_fields, 0), (algebraic_bracket, 1),
+                                             (insertion_compose, 1), (fn_bracket, 1)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_brackets_reject_fields_over_two_algebras(bracket, degree):
+    K, L = _fields_over_two_algebras(degree)
+    with pytest.raises(FieldFormError, match="algebra mismatch"):
+        bracket(K, L)
+    with pytest.raises(FieldFormError, match="algebra mismatch"):
+        bracket(L, K)

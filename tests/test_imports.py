@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used in it,
 every function, class and method it defines is named somewhere else, only
-``linalg`` multiplies integer arrays, one point loads a module by name, and
-each command report loads only the library modules it runs and no optional
-package."""
+``linalg`` multiplies integer arrays or packs a coefficient vector, one
+point loads a module by name, and each command report loads only the
+library modules it runs and no optional package."""
 
 import ast
 import json
@@ -222,6 +222,28 @@ def test_only_linalg_multiplies_integer_arrays():
     found = {p.name: products_outside_linalg(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
     assert {name: where for name, where in found.items() if where} == {}
+
+
+def column_packings(source: str) -> list[int]:
+    """The line of each mention of ``QMat.column`` (called or passed)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "column"
+                  and getattr(node.value, "id", None) == "QMat")
+
+
+def test_column_scanner():
+    source = ("a = QMat.column(v)\n"
+              "b = map(QMat.column, vs)\n"
+              "c = x.column(v) + QMat.col(0)\n")
+    assert column_packings(source) == [1, 2]
+
+
+def test_only_linalg_packs_a_coefficient_vector():
+    # every public entry converts its vector with linalg.checked_column, the
+    # one length check; a QMat.column elsewhere would take a vector unchecked
+    found = {p.name: column_packings(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def run_python(code: str, **env: str) -> str:

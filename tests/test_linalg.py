@@ -18,18 +18,22 @@ from hypothesis import strategies as st
 import ncforms
 from ncforms import (algebra, connections, fieldforms, forms, hochschild, identities, linalg,
                      schouten)
-from ncforms.algebra import matrix_algebra
+from ncforms.algebra import (AlgebraError, AlgebraHom, Element, derivation_matrix,
+                             derivation_vector, dual_numbers, inner_derivation,
+                             matrix_algebra, semidirect_product, tensor_over_A,
+                             truncated_polynomial_algebra)
+from ncforms.connections import Distribution, GeometryError
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
 from ncforms.forms import Form, FormError, form_space
 from ncforms.hochschild import HochschildError, NormalizedCochain, TensorBimodule, tensor_module
 from ncforms.linalg import (
-    LinAlgError, QMat, QVector, RowReducer, Subspace, digits_at, flat_index,
+    LinAlgError, QMat, QVector, RowReducer, Subspace, checked_column, digits_at, flat_index,
     format_scalar, kron_apply, kron_rows, make_scalar, nullspace, parse_scalar, qmat_from_json,
     qmat_hstack, qmat_inverse, qmat_sum, qmat_to_json, rank, solve_linear,
     subspace_from_columns,
 )
-from ncforms.schouten import MultiMap, SchoutenError
+from ncforms.schouten import MultiMap, SchoutenError, commutator_bivector, derivation_matrix_of
 import oracles
 from oracles import (
     FractionRowReducer, bareiss_rank, fraction_intersection, fraction_nullspace,
@@ -1119,7 +1123,7 @@ def test_linear_operators_are_applied_from_their_term_lists():
     assert not hasattr(hochschild, "tensor_hom_basis")
 
 
-EXACT_OBJECTS = (Form, FieldValuedForm, MultiMap, NormalizedCochain)
+EXACT_OBJECTS = (Element, Form, FieldValuedForm, MultiMap, NormalizedCochain)
 
 
 def test_exact_objects_take_their_linear_structure_from_qvector():
@@ -1174,6 +1178,7 @@ def _exact_object_makers():
     sp = form_space(A, 1)
     mod = A.regular_bimodule()
     return [
+        (lambda q: Element(A, q), (A.dim, 1)),
         (lambda q: Form(sp, q), (sp.dim, 1)),
         (lambda q: FieldValuedForm(A, 1, q, check=False), (sp.dim, A.dim)),
         (lambda q: MultiMap(A, 2, q, check=False), (A.dim, A.dim ** 2)),
@@ -1209,6 +1214,7 @@ def test_exact_objects_combine_as_their_qmats():
 def test_exact_objects_of_two_spaces_raise_their_module_error():
     A, B = matrix_algebra(2), builtin_algebra("m2")
     pairs = [
+        (A.unit(), B.unit(), AlgebraError),
         (form_space(A, 1).zero(), form_space(A, 2).zero(), FormError),
         (form_space(A, 1).zero(), form_space(B, 1).zero(), FormError),
         (zero_field_valued_form(A, 0), zero_field_valued_form(A, 1), FieldFormError),
@@ -1222,3 +1228,59 @@ def test_exact_objects_of_two_spaces_raise_their_module_error():
             with pytest.raises(error, match="different spaces"):
                 op()
         assert x != y and not x == y
+
+
+def _boundary_cases():
+    """(call, error) named by the entry: each public entry taking a
+    coefficient vector given one of the wrong length, and each taking an
+    element or a form given another algebra's, with its module's error."""
+    m2, dual, t4 = matrix_algebra(2), dual_numbers(), truncated_polynomial_algebra(4)
+    reg = m2.regular_bimodule()
+    sd = semidirect_product(dual.regular_bimodule())
+    mu = commutator_bivector(m2)
+    cochain = NormalizedCochain.zeros(reg, 1)
+    short, e0 = [1, 0, 0], [1, 0, 0, 0]
+    cases = [
+        ("Element.__add__", lambda: m2.unit() + dual.unit(), AlgebraError),
+        ("Element.__mul__", lambda: m2.unit() * t4.unit(), AlgebraError),
+        ("Algebra.element", lambda: m2.element(short), AlgebraError),
+        ("Algebra.mult_vec", lambda: m2.mult_vec(e0, short), AlgebraError),
+        ("Bimodule.left_action", lambda: reg.left_action(short), AlgebraError),
+        ("Bimodule.right_action", lambda: reg.right_action(e0 + [0]), AlgebraError),
+        ("derivation_matrix", lambda: derivation_matrix(reg, [0] * 15), AlgebraError),
+        ("derivation_vector", lambda: derivation_vector(reg, QMat.zeros(3, 3)), AlgebraError),
+        ("inner_derivation", lambda: inner_derivation(reg, short), AlgebraError),
+        ("AlgebraHom.__call__", lambda: AlgebraHom(m2, m2, QMat.eye(4))(dual.unit()),
+         AlgebraError),
+        ("SemidirectProduct.embed", lambda: sd.embed([1, 2, 3], [4]), AlgebraError),
+        ("SemidirectProduct.project_module", lambda: sd.project_module(t4.unit()),
+         AlgebraError),
+        ("TensorQuotient.pure_tensor",
+         lambda: tensor_over_A(reg, reg).pure_tensor(e0, short), AlgebraError),
+        ("FormSpace.form", lambda: form_space(m2, 1).form(short), FormError),
+        ("MultiMap.evaluate", lambda: mu.evaluate(e0, short), SchoutenError),
+        ("MultiMap.value_with_first", lambda: mu.value_with_first(short, [0]), SchoutenError),
+        ("derivation_matrix_of", lambda: derivation_matrix_of(mu, e0 + [0]), SchoutenError),
+        ("NormalizedCochain.from_vector",
+         lambda: NormalizedCochain.from_vector(reg, 1, [0] * 11), HochschildError),
+        ("NormalizedCochain.evaluate", lambda: cochain.evaluate(short), HochschildError),
+        ("Distribution.contains", lambda: Distribution(
+            m2, Subspace.full(12), check=False).contains(form_space(t4, 1).zero()),
+         GeometryError),
+    ]
+    return [pytest.param(call, error, id=entry) for entry, call, error in cases]
+
+
+@pytest.mark.parametrize("call, error", _boundary_cases())
+def test_each_boundary_entry_checks_its_vector_or_its_algebra(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_checked_column_names_both_lengths():
+    assert checked_column([1, Fraction(1, 2)], 2) == QMat.from_rows([[1], [Fraction(1, 2)]])
+    assert checked_column([], 0).shape == (0, 1)
+    with pytest.raises(FormError, match="length 3 for Omega1 of dimension 12"):
+        checked_column([1, 2, 3], 12, FormError, "Omega1")
+    with pytest.raises(LinAlgError, match="length 1 for an algebra of dimension 2"):
+        checked_column([1], 2)
