@@ -1,21 +1,19 @@
 """Finite-dimensional unital associative algebras over Q.
 
-An algebra is stored by its structure constants c[i][j][k] with respect to a
-basis whose first vector is the unit:
+An algebra is stored by its product mu^2: A (x) A -> A, one exact m x m^2
+matrix against a basis whose first vector is the unit:
 
-    e_i * e_j = sum_k c[i][j][k] e_k,       e_0 = 1.
+    e_i * e_j = sum_k mu^2[k, i*m + j] e_k,       e_0 = 1.
 
-All the derived data (left/right multiplication operators, centers,
-derivations, bimodules) are exact rational matrices.  The constants are also
-kept as one integer matrix over their common denominator ``structure_den``,
-mu^2, whose slices are the multiplication operators and the factors of the
-operators on forms and cochains.
+Its slices are the left and right multiplication operators and the factors
+of the operators on forms and cochains; every construction builds it as a
+matrix, and all the derived data (centers, derivations, bimodules) are
+exact rational matrices too.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,25 +34,17 @@ class AlgebraError(MathError):
 
 
 class Algebra:
-    """Unital associative algebra given by structure constants, unit first."""
+    """Unital associative algebra given by its product mu^2, unit first."""
 
-    def __init__(self, name: str, basis_names: Sequence[str],
-                 structure: Sequence[Sequence[Sequence]], check: bool = True):
+    def __init__(self, name: str, basis_names: Sequence[str], mu2: QMat,
+                 check: bool = True):
         self.name = name
         self.basis_names = list(basis_names)
-        self.dim = len(basis_names)
-        m = self.dim
-        if len(structure) != m or any(len(row) != m for row in structure):
+        self.dim = m = len(basis_names)
+        if mu2.shape != (m, m * m):
             raise AlgebraError("structure tensor shape mismatch")
-        self.structure = [[tuple(Fraction(v) for v in structure[i][j])
-                           for j in range(m)] for i in range(m)]
-        # mu^2: column i*m + j is e_i e_j, integers over one common denominator
-        den = self.structure_den = math.lcm(
-            *(c.denominator for row in self.structure for cs in row for c in cs))
-        self.mu2 = QMat.from_coo((m, m * m), (
-            (k, i * m + j, c.numerator * (den // c.denominator))
-            for i, row in enumerate(self.structure) for j, cs in enumerate(row)
-            for k, c in enumerate(cs) if c), den)
+        # mu^2: column i*m + j is e_i e_j, reduced, int64 below 2**62
+        self.mu2 = mu2.canonical()
         mu = self.mu2.num.reshape(m, m, m)
         # left multiplication: column j of L[i] is e_i e_j; right: column i of R[j]
         self.left = [QMat(mu[:, i].copy(), self.mu2.den).canonical() for i in range(m)]
@@ -109,8 +99,7 @@ class Algebra:
     # -- invariants --------------------------------------------------------------
 
     def is_commutative(self) -> bool:
-        return all(self.structure[i][j] == self.structure[j][i]
-                   for i in range(self.dim) for j in range(i))
+        return self.mu2 == self._opposite_mu2()
 
     def center(self) -> Subspace:
         """{x : xa = ax for all a}, as coefficient vectors."""
@@ -118,10 +107,14 @@ class Algebra:
             row for j in range(self.dim)
             for row in (self.left[j] - self.right[j]).sparse_rows()))
 
-    def opposite(self, name: Optional[str] = None) -> "Algebra":
+    def _opposite_mu2(self) -> QMat:
+        """mu^2 with column i*m + j moved to j*m + i: x * y = yx."""
         m = self.dim
-        structure = [[self.structure[j][i] for j in range(m)] for i in range(m)]
-        return Algebra(name or f"op({self.name})", self.basis_names, structure,
+        return QMat(self.mu2.num.reshape(m, m, m).transpose(0, 2, 1).reshape(m, m * m),
+                    self.mu2.den)
+
+    def opposite(self, name: Optional[str] = None) -> "Algebra":
+        return Algebra(name or f"op({self.name})", self.basis_names, self._opposite_mu2(),
                        check=False)
 
     def regular_bimodule(self) -> "Bimodule":
@@ -291,30 +284,27 @@ class AlgebraHom:
 # ---------------------------------------------------------------------------
 
 
-def rebase_unit_first(name: str, basis_names: Sequence[str],
-                      structure: Sequence[Sequence[Sequence]],
+def rebase_unit_first(name: str, basis_names: Sequence[str], mu2: QMat,
                       unit_coeffs: Sequence) -> Algebra:
-    """Re-express an algebra so the (given) unit is basis vector 0.
+    """Re-express an algebra, given by its m x m^2 product mu^2, so the
+    (given) unit is basis vector 0.
 
     Keeps as many of the original basis vectors as possible: the new basis is
     the unit followed by the original basis vectors that remain independent,
     in order.  Basis names are preserved for the kept vectors.
     """
     m = len(basis_names)
+    if mu2.shape != (m, m * m):
+        raise AlgebraError("structure tensor shape mismatch")
+    unit = checked_column(unit_coeffs, m, AlgebraError, "the unit")
     red = RowReducer(m)
-    if not red.add_dense(unit_coeffs):
+    if not red.add(unit.T.sparse_rows()[0]):
         raise AlgebraError("unit vector is zero")
     keep = [t for t in range(m) if red.add({t: 1})]
-    if len(keep) != m - 1:
-        raise AlgebraError("could not extend unit to a basis")
-    P = qmat_hstack(m, [QMat.from_columns(m, [unit_coeffs]),
-                        QMat(np.eye(m, dtype=np.int64)[:, keep])])
+    P = qmat_hstack(m, [unit, QMat(np.eye(m, dtype=np.int64)[:, keep])])
     # column i*m + j: the new coordinates of the product of new basis vectors
-    raw = Algebra(name, basis_names, structure, check=False)
-    prods = solve_linear(P, raw.mu2 @ P.kron(P))
     return Algebra(name, ["1"] + [basis_names[t] for t in keep],
-                   [[prods.column_fractions(i * m + j) for j in range(m)]
-                    for i in range(m)])
+                   solve_linear(P, mu2 @ P.kron(P)))
 
 
 def matrix_algebra(n: int) -> Algebra:
@@ -326,13 +316,12 @@ def matrix_algebra(n: int) -> Algebra:
     names = ["1"] + [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)
                      if not (i == n - 1 and j == n - 1)]
     m = n * n
-    # structure in the full E_ij basis first: E_ij E_jl = E_il
-    structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i, j, l in itertools.product(range(n), repeat=3):
-        structure[i * n + j][j * n + l][i * n + l] = Fraction(1)
-    unit = [Fraction(int(i == j)) for i in range(n) for j in range(n)]
+    # the product in the full E_ij basis first: E_ij E_jl = E_il
+    mu2 = QMat.from_coo((m, m * m), ((i * n + l, (i * n + j) * m + j * n + l, 1)
+                                     for i, j, l in itertools.product(range(n), repeat=3)))
+    unit = [int(i == j) for i in range(n) for j in range(n)]
     full_names = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    alg = rebase_unit_first(f"matrix({n})", full_names, structure, unit)
+    alg = rebase_unit_first(f"matrix({n})", full_names, mu2, unit)
     assert alg.basis_names == names
     return alg
 
@@ -342,9 +331,9 @@ def truncated_polynomial_algebra(n: int, var: str = "t") -> Algebra:
     if n < 1:
         raise AlgebraError("truncation order must be >= 1")
     names = ["1"] + [var if p == 1 else f"{var}^{p}" for p in range(1, n)]
-    structure = [[[Fraction(int(k == i + j)) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-    return Algebra(f"truncpoly({n})", names, structure)
+    mu2 = QMat.from_coo((n, n * n), ((i + j, i * n + j, 1) for i in range(n)
+                                     for j in range(n - i)))
+    return Algebra(f"truncpoly({n})", names, mu2)
 
 
 def dual_numbers() -> Algebra:
@@ -359,36 +348,35 @@ def base_field() -> Algebra:
     return a
 
 
+def _inclusion(n: int, lo: int, k: int) -> QMat:
+    """The n x k matrix placing Q^k at coordinates lo .. lo+k-1 of Q^n."""
+    return QMat(np.eye(n, k, -lo, dtype=np.int64))
+
+
 def product_algebra(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algebra:
     """Direct product A x B, rebased so the unit (1,1) comes first."""
     m = a.dim + b.dim
-    structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            structure[i][j][:a.dim] = a.structure[i][j]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            structure[a.dim + i][a.dim + j][a.dim:] = b.structure[i][j]
+    # each factor's product on its own block: i mu^2 (i^T (x) i^T)
+    mu2 = qmat_sum(i @ x.mu2 @ i.T.kron(i.T)
+                   for i, x in ((_inclusion(m, 0, a.dim), a), (_inclusion(m, a.dim, b.dim), b)))
     names = [f"a.{s}" for s in a.basis_names] + [f"b.{s}" for s in b.basis_names]
-    unit = [Fraction(int(i == 0 or i == a.dim)) for i in range(m)]
-    return rebase_unit_first(name or f"product({a.name},{b.name})",
-                             names, structure, unit)
+    unit = [int(i == 0 or i == a.dim) for i in range(m)]
+    return rebase_unit_first(name or f"product({a.name},{b.name})", names, mu2, unit)
 
 
 def semidirect_product(mod: Bimodule, name: Optional[str] = None) -> "SemidirectProduct":
     """Square-zero extension A (+) M with (a,m)(a',m') = (aa', a.m' + m.a')."""
     A, dM, m = mod.algebra, mod.dim, mod.algebra.dim
     n = m + dM
-    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            structure[i][j][:m] = A.structure[i][j]
-        li, ri = kron_matrix(mod.left[i]), kron_matrix(mod.right[i])
-        for p in range(dM):
-            structure[i][m + p][m:] = li.column_fractions(p)
-            structure[m + p][i][m:] = ri.column_fractions(p)
+    iA, iM = _inclusion(n, 0, m), _inclusion(n, m, dM)
+    # a.m' = sum_i a_i L_i m' on a (x) m', m.a' = sum_i a'_i R_i m on m (x) a'
+    units = [QMat.from_coo((1, m), [(0, i, 1)]) for i in range(m)]
+    acts = kron_matrix([(u, *t) for u, L in zip(units, mod.left) for t in L])
+    coacts = kron_matrix([(*t, u) for u, R in zip(units, mod.right) for t in R])
+    mu2 = (iA @ A.mu2 @ iA.T.kron(iA.T)
+           + iM @ (acts @ iA.T.kron(iM.T) + coacts @ iM.T.kron(iA.T)))
     names = list(A.basis_names) + [f"{mod.name}.{p}" for p in range(dM)]
-    alg = Algebra(name or f"semidirect({A.name},{mod.name})", names, structure)
+    alg = Algebra(name or f"semidirect({A.name},{mod.name})", names, mu2)
     return SemidirectProduct(alg, A, mod)
 
 
@@ -449,9 +437,9 @@ def group_algebra(elements: Sequence[str], table: dict, name: Optional[str] = No
     ident = group_identity(elements, table)
     order = [ident] + [g for g in elements if g != ident]
     pos = {g: i for i, g in enumerate(order)}
-    structure = [[[Fraction(int(pos[table[(g, h)]] == k)) for k in range(n)]
-                  for h in order] for g in order]
-    return Algebra(name or "group_algebra", order, structure)
+    mu2 = QMat.from_coo((n, n * n), ((pos[table[g, h]], pos[g] * n + pos[h], 1)
+                                     for g in order for h in order))
+    return Algebra(name or "group_algebra", order, mu2)
 
 
 class GroupAction:
@@ -605,7 +593,8 @@ class TensorQuotient:
 
     def project_vector(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Coordinates of the class of vec against the free-coordinate basis."""
-        rep = self._reducer.reduce_dense(vec)
+        col = checked_column(vec, self.ambient, AlgebraError, "M (x) N")
+        rep = self._reducer.reduce_dense(col.column_fractions(0))
         return [rep[t] for t in self.free]
 
     def pure_tensor(self, mvec: Sequence[Fraction], nvec: Sequence[Fraction]) -> list[Fraction]:

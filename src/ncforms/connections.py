@@ -23,7 +23,7 @@ from .fieldforms import (
 from .forms import (Form, d_slots, form_space, multiplicative_extension, omega_functor,
                     products)
 from .linalg import (
-    QMat, RowReducer, Subspace, is_idempotent_kernel, kron_apply, nullspace,
+    QMat, RowReducer, Subspace, checked_column, is_idempotent_kernel, kron_apply, nullspace,
     qmat_hstack, qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
 )
 
@@ -54,10 +54,7 @@ class Distribution:
         return self.space.dim
 
     def contains(self, w: Form) -> bool:
-        if w.space.algebra is not self.algebra or w.degree != 1:
-            raise GeometryError(f"a degree-{w.degree} form over {w.space.algebra.name} "
-                                f"is not in Omega_1({self.algebra.name})")
-        return self.space.contains(w.coords())
+        return self.space.contains(_omega1_column(self.algebra, w).column_fractions(0))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Distribution)
@@ -91,10 +88,22 @@ def is_distribution(algebra: Algebra, space: Subspace) -> bool:
     return _action_closure(algebra, space).dim == space.dim
 
 
+def _omega1_column(algebra: Algebra, g) -> QMat:
+    """A generator of a distribution, a one-form of algebra or its
+    coefficient vector, as a column."""
+    sp = form_space(algebra, 1)
+    if not isinstance(g, Form):
+        return checked_column(g, sp.dim, GeometryError, f"Omega_1({algebra.name})")
+    if g.space is not sp:
+        raise GeometryError(f"a degree-{g.degree} form over {g.space.algebra.name} "
+                            f"is not in Omega_1({algebra.name})")
+    return g.vec
+
+
 def bimodule_span(algebra: Algebra, generators) -> Distribution:
     """Smallest distribution containing the generators (vectors or forms)."""
-    gens = Subspace.from_generators(form_space(algebra, 1).dim, (
-        g.coords() if isinstance(g, Form) else g for g in generators))
+    gens = subspace_from_columns(qmat_hstack(form_space(algebra, 1).dim, [
+        _omega1_column(algebra, g) for g in generators]))
     return Distribution(algebra, _action_closure(algebra, gens), check=False)
 
 
@@ -532,10 +541,8 @@ class Bundle:
         nb = incl.shape[1]
         # column x*nb + y: the coordinates of b_x b_y against the basis of B
         prods = solve_linear(incl, A.mu2 @ incl.kron(incl))
-        structure = [[prods.column_fractions(x * nb + y) for y in range(nb)]
-                     for x in range(nb)]
         names = ["1"] + [f"b{i}" for i in range(1, nb)]
-        return Algebra(f"{A.name}|base", names, structure), incl
+        return Algebra(f"{A.name}|base", names, prods), incl
 
 
 def horizontal_forms(bundle: Bundle, k: int) -> Subspace:

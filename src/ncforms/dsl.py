@@ -421,10 +421,9 @@ def _elaborate_table(spec: TableSpec) -> Algebra:
     order = [spec.unit] + [nm for nm in spec.basis if nm != spec.unit]
     index = {nm: i for i, nm in enumerate(order)}
     m = len(order)
-    structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        structure[0][i][i] = Fraction(1)
-        structure[i][0][i] = Fraction(1)
+    # column i*m + j is e_i e_j; the unit law gives e_0 e_j = e_j and e_i e_0 = e_i
+    cols = [[Fraction(int(i * j == 0 and k == i + j)) for k in range(m)]
+            for i in range(m) for j in range(m)]
     seen = set()
     for rel in spec.relations:
         for nm in (rel.left, rel.right):
@@ -442,7 +441,7 @@ def _elaborate_table(spec: TableSpec) -> Algebra:
                 raise _error(rel, f"product {rel.left}*{rel.right} conflicts "
                                   "with the unit law")
         else:
-            structure[li][ri] = coeffs
+            cols[li * m + ri] = coeffs
     if spec.strict:
         for i in range(1, m):
             for j in range(1, m):
@@ -450,7 +449,7 @@ def _elaborate_table(spec: TableSpec) -> Algebra:
                     raise _error(spec, "strict table is missing the product "
                                        f"{order[i]}*{order[j]}")
     try:
-        return Algebra(spec.name, order, structure)
+        return Algebra(spec.name, order, QMat.from_columns(m, cols))
     except AlgebraError as exc:
         raise _error(spec, str(exc)) from exc
 
@@ -633,7 +632,7 @@ def print_algebra(algebra: Algebra) -> str:
         lines.append(f"    unit {names[0]};")
     for i in range(1, m):
         for j in range(1, m):
-            coeffs = algebra.structure[i][j]
+            coeffs = algebra.mu2.column_fractions(i * m + j)
             if any(coeffs):
                 lines.append(f"    {names[i]}*{names[j]} = "
                              f"{_format_linear(coeffs, names)};")

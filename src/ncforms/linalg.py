@@ -22,14 +22,14 @@ Six conventions are fixed here and nowhere else:
 * Matrix building.  A structural operator (a bimodule action, d) is a
   Kronecker term list; :func:`kron_matrix` builds a list's matrix only
   where its entries are read: ``FormSpace.stacked_right``,
-  ``Bimodule.validate``, ``semidirect_product``, the free bimodule's
-  stacked actions in ``hochschild`` and ``verify``'s ``d-squared-zero`` and
-  ``bimodule-associativity``.  Small integer matrices (unit columns, mu^2)
-  come from :meth:`QMat.from_coo`, columns join by :func:`qmat_hstack`,
-  ``Fraction`` data by :meth:`QMat.from_columns`; all three return the
-  reduced (num, den).  Every integer product in the package is ``QMat @``,
-  :meth:`QMat.kron` or :func:`kron_apply`, so the int64/object choice is
-  made only here.
+  ``Bimodule.validate``, the stacked actions of ``semidirect_product`` and
+  of the free bimodule in ``hochschild``, and ``verify``'s
+  ``d-squared-zero`` and ``bimodule-associativity``.  Small integer
+  matrices (unit columns, mu^2) come from :meth:`QMat.from_coo`, columns
+  join by :func:`qmat_hstack`, ``Fraction`` data by
+  :meth:`QMat.from_columns`; all three return the reduced (num, den).
+  Every integer product in the package is ``QMat @``, :meth:`QMat.kron` or
+  :func:`kron_apply`, so the int64/object choice is made only here.
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`, fraction-free: primitive integer rows in echelon
   form, eliminated by cross-multiplying and back-substituted once on read.
@@ -55,11 +55,11 @@ Six conventions are fixed here and nowhere else:
   of the public API, each one it takes turned into a column by
   :func:`checked_column`, the one check of their length, and each one it
   returns read by the readers above; inputs that are ``Fraction`` by
-  contract (structure constants, in ``algebra``'s constructions and
-  ``Bundle.base_algebra``; polynomial coefficients, in
-  ``minimal_polynomial`` and ``find_projections`` with its centre scan);
-  and ``verify``'s witness strings and the draws it passes to those
-  readers.
+  contract (polynomial coefficients, in ``minimal_polynomial`` and
+  ``find_projections`` with its centre scan); and ``verify``'s witness
+  strings and the draws it passes to those readers.  An algebra's product
+  is its mu^2 QMat alone, read as ``Fraction`` columns only by
+  ``print_algebra`` and those witnesses.
 * Exact objects.  An algebra element, a form, a field-valued form, a
   multimap and a cochain are each one QMat in a space: they take +, -,
   scale, ==, is_zero and the same-space check from :class:`QVector`, and

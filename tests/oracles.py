@@ -4,6 +4,7 @@ Each oracle recomputes a quantity by a different algorithm (or a different
 library) than the package under test, so agreement is meaningful.
 """
 
+import math
 import weakref
 from fractions import Fraction
 
@@ -28,6 +29,142 @@ def sympy_nullspace_dim(rows):
 def sympy_rank(rows):
     M = sympy.Matrix([[sympy.Rational(v) for v in r] for r in rows])
     return M.rank()
+
+
+# ---------------------------------------------------------------------------
+# Structure tables: the product as nested Fractions c[i][j][k], the
+# coefficient of e_k in e_i e_j.  Algebras once stored this table and built
+# mu^2 from it; the table route is the reference for every mu^2 built
+# directly, and the table is what the loop oracles below read.
+# ---------------------------------------------------------------------------
+
+
+def table_mu2(table):
+    """The m x m^2 mu^2 of a structure table, by ``QMat.from_coo`` over the
+    common denominator (column i*m + j is e_i e_j)."""
+    from ncforms.linalg import QMat
+    m = len(table)
+    fr = [[[Fraction(c) for c in cs] for cs in row] for row in table]
+    den = math.lcm(*(c.denominator for row in fr for cs in row for c in cs))
+    return QMat.from_coo((m, m * m), (
+        (k, i * m + j, c.numerator * (den // c.denominator))
+        for i, row in enumerate(fr) for j, cs in enumerate(row)
+        for k, c in enumerate(cs) if c), den)
+
+
+def table_algebra(name, basis_names, table, check=True):
+    """The algebra of a structure table, through :func:`table_mu2`."""
+    from ncforms.algebra import Algebra
+    return Algebra(name, basis_names, table_mu2(table), check=check)
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def structure_table(alg):
+    """c[i][j] as a tuple of Fractions for every basis pair, read off mu^2
+    (built once per algebra)."""
+    if alg not in _TABLES:
+        m = alg.dim
+        _TABLES[alg] = [[tuple(alg.mu2.column_fractions(i * m + j)) for j in range(m)]
+                        for i in range(m)]
+    return _TABLES[alg]
+
+
+def table_rebase_unit_first(name, basis_names, table, unit_coeffs):
+    """``rebase_unit_first`` on a table: the products of the new basis
+    solved through a throwaway table algebra and read back as a table."""
+    import numpy as np
+    from ncforms.linalg import QMat, RowReducer, qmat_hstack, solve_linear
+    m = len(basis_names)
+    red = RowReducer(m)
+    red.add_dense(unit_coeffs)
+    keep = [t for t in range(m) if red.add({t: 1})]
+    P = qmat_hstack(m, [QMat.from_columns(m, [unit_coeffs]),
+                        QMat(np.eye(m, dtype=np.int64)[:, keep])])
+    raw = table_algebra(name, basis_names, table, check=False)
+    prods = solve_linear(P, raw.mu2 @ P.kron(P))
+    return table_algebra(name, ["1"] + [basis_names[t] for t in keep],
+                         [[prods.column_fractions(i * m + j) for j in range(m)]
+                          for i in range(m)])
+
+
+def table_matrix_algebra(n):
+    """M_n from E_ij E_jl = E_il in the full basis, rebased on the identity."""
+    import itertools
+    m = n * n
+    table = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j, l in itertools.product(range(n), repeat=3):
+        table[i * n + j][j * n + l][i * n + l] = Fraction(1)
+    unit = [Fraction(int(i == j)) for i in range(n) for j in range(n)]
+    names = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    return table_rebase_unit_first(f"matrix({n})", names, table, unit)
+
+
+def table_truncated_polynomial_algebra(n, var="t"):
+    names = ["1"] + [var if p == 1 else f"{var}^{p}" for p in range(1, n)]
+    return table_algebra(f"truncpoly({n})", names, [
+        [[Fraction(int(k == i + j)) for k in range(n)] for j in range(n)] for i in range(n)])
+
+
+def table_group_algebra(elements, products, name="group_algebra"):
+    """QG from {(g, h): gh}, the identity first (found by scanning)."""
+    ident = next(e for e in elements
+                 if all(products[e, g] == g == products[g, e] for g in elements))
+    order = [ident] + [g for g in elements if g != ident]
+    n = len(order)
+    return table_algebra(name, order, [
+        [[Fraction(int(order.index(products[g, h]) == k)) for k in range(n)]
+         for h in order] for g in order])
+
+
+def table_product_algebra(a, b, name=None):
+    """A x B on the two tables side by side, rebased on the unit (1, 1)."""
+    m = a.dim + b.dim
+    table = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            table[i][j][:a.dim] = structure_table(a)[i][j]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            table[a.dim + i][a.dim + j][a.dim:] = structure_table(b)[i][j]
+    names = [f"a.{s}" for s in a.basis_names] + [f"b.{s}" for s in b.basis_names]
+    unit = [Fraction(int(i == 0 or i == a.dim)) for i in range(m)]
+    return table_rebase_unit_first(name or f"product({a.name},{b.name})", names, table, unit)
+
+
+def table_semidirect_algebra(mod):
+    """A (+) M: A's table, then a.m and m.a column by column of the actions."""
+    from ncforms.linalg import kron_matrix
+    A, dM, m = mod.algebra, mod.dim, mod.algebra.dim
+    n = m + dM
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(m):
+        for j in range(m):
+            table[i][j][:m] = structure_table(A)[i][j]
+        li, ri = kron_matrix(mod.left[i]), kron_matrix(mod.right[i])
+        for p in range(dM):
+            table[i][m + p][m:] = li.column_fractions(p)
+            table[m + p][i][m:] = ri.column_fractions(p)
+    names = list(A.basis_names) + [f"{mod.name}.{p}" for p in range(dM)]
+    return table_algebra(f"semidirect({A.name},{mod.name})", names, table)
+
+
+def table_opposite(A):
+    m = A.dim
+    return table_algebra(f"op({A.name})", A.basis_names, [
+        [structure_table(A)[j][i] for j in range(m)] for i in range(m)], check=False)
+
+
+def table_base_algebra(bundle):
+    """``Bundle.base_algebra``'s algebra with its products read back as a table."""
+    from ncforms.linalg import solve_linear
+    A = bundle.algebra
+    _, incl = bundle.base_algebra()
+    nb = incl.shape[1]
+    prods = solve_linear(incl, A.mu2 @ incl.kron(incl))
+    return table_algebra(f"{A.name}|base", ["1"] + [f"b{i}" for i in range(1, nb)], [
+        [prods.column_fractions(x * nb + y) for y in range(nb)] for x in range(nb)])
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +209,7 @@ def emb_concat(alg, x, p, y, q):
         dx = _digits(ix, m, p + 1)
         for iy, vy in y.items():
             dy = _digits(iy, m, q + 1)
-            merged = alg.structure[dx[-1]][dy[0]]
+            merged = structure_table(alg)[dx[-1]][dy[0]]
             for k in range(m):
                 if merged[k]:
                     idx = _flat(dx[:-1] + [k] + dy[1:], m)
@@ -100,7 +237,7 @@ def emb_right_mult(alg, x, n, b):
     out = {}
     for ix, vx in x.items():
         dx = _digits(ix, m, n + 1)
-        prods = alg.structure[dx[-1]][b]
+        prods = structure_table(alg)[dx[-1]][b]
         for k in range(m):
             if prods[k]:
                 idx = _flat(dx[:-1] + [k], m)
@@ -222,7 +359,7 @@ def emb_comparison_columns(alg, n):
 def sympy_hochschild_dim(alg, n):
     """dim H^n(A, A) from the normalized complex, entirely inside sympy."""
     m = alg.dim
-    struct = alg.structure
+    struct = structure_table(alg)
 
     def bar_tuples(k):
         if k == 0:
@@ -273,7 +410,7 @@ def sympy_polyderivation_dim(alg, arity: int) -> int:
     import sympy
 
     m = alg.dim
-    struct = [[[sympy.Rational(alg.structure[i][j][r]) for r in range(m)]
+    struct = [[[sympy.Rational(structure_table(alg)[i][j][r]) for r in range(m)]
                for j in range(m)] for i in range(m)]
     tuples = list(itertools.product(range(m), repeat=arity))
     pos = {T: i for i, T in enumerate(tuples)}
@@ -986,7 +1123,7 @@ def loop_coboundary(c):
         acc = kron_dense(module.left[K[0]]) @ c.value(K[1:])
         for t in range(n):
             sign = -1 if (t + 1) % 2 else 1
-            prod = A.structure[K[t]][K[t + 1]]
+            prod = structure_table(A)[K[t]][K[t + 1]]
             for p in range(1, m):
                 if prod[p]:
                     merged = K[:t] + (p,) + K[t + 2:]
@@ -1004,7 +1141,7 @@ def loop_mult_vec(algebra, u, v):
     out = [Fraction(0)] * m
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
-            for k, c in enumerate(algebra.structure[i][j]):
+            for k, c in enumerate(structure_table(algebra)[i][j]):
                 out[k] += Fraction(ui) * vj * c
     return out
 
@@ -1018,7 +1155,7 @@ def loop_derivation_defect(mod, mat):
         di = mat.col(i)
         for j in range(A.dim):
             dj = mat.col(j)
-            dij = qmat_sum([mat.col(k).scale(A.structure[i][j][k])
+            dij = qmat_sum([mat.col(k).scale(structure_table(A)[i][j][k])
                             for k in range(A.dim)])
             if dij != kron_dense(mod.left[i]) @ dj + kron_dense(mod.right[j]) @ di:
                 return i, j
@@ -1306,9 +1443,9 @@ def loop_right_action_matrix(space, b):
     n = space.degree
     if n == 0:
         return A.right[b]
-    den = A.structure_den
+    den = A.mu2.den
     C = [[[(k, int(c * den)) for k, c in enumerate(cs) if c] for cs in row]
-         for row in A.structure]
+         for row in structure_table(A)]
     entries = []
     for idx in range(space.dim):
         i0, J = space.tuple_of(idx)
@@ -1327,7 +1464,7 @@ def loop_right_action_matrix(space, b):
             sign = (-1) ** n
             for k, v in C[i0][word[0]]:
                 entries.append((space.index_of(k, word[1:]), idx, sign * v))
-    return QMat.from_coo((space.dim, space.dim), entries, A.structure_den)
+    return QMat.from_coo((space.dim, space.dim), entries, den)
 
 
 def kron_left_action_matrix(space, i):

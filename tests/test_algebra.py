@@ -1,8 +1,10 @@
 """Structure-constant algebras, bimodules, homs, derivations, tensor-over-A."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from ncforms.algebra import (
 )
 from ncforms.forms import form_space
 from ncforms.linalg import QMat
-from oracles import TupleElement, loop_derivation_defect, loop_mult_vec
+import oracles
+from oracles import (TupleElement, loop_derivation_defect, loop_mult_vec, structure_table,
+                     table_algebra, table_mu2)
 
 
 def upper_triangular2():
@@ -28,13 +32,14 @@ def upper_triangular2():
         c[i][0][i] = o
     c[1][1][1] = o          # p*p = p
     c[1][2][2] = o          # p*n = n
-    return Algebra("upper2", ["1", "p", "n"], c)
+    return table_algebra("upper2", ["1", "p", "n"], c)
+
+
+C2_TABLE = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
 
 
 def c2_group_algebra():
-    return group_algebra(["e", "g"], {("e", "e"): "e", ("e", "g"): "g",
-                                      ("g", "e"): "g", ("g", "g"): "e"},
-                         name="kc2")
+    return group_algebra(["e", "g"], C2_TABLE, name="kc2")
 
 
 def catalog():
@@ -62,10 +67,10 @@ def test_validation_rejects_non_associative():
         c[0][i][i] = o
         c[i][0][i] = o
     c[1][1][0] = o  # x*x = 1 ... fine, this IS associative (group algebra C2)
-    Algebra("ok", ["1", "x"], c)
+    table_algebra("ok", ["1", "x"], c)
     c[1][1][0] = z
     c[1][1][1] = o  # x*x = x: then (xx)x = x but associativity as operators:
-    Algebra("idem", ["1", "x"], c)  # still associative
+    table_algebra("idem", ["1", "x"], c)  # still associative
     # now a genuinely broken one: x*x = 1 + x but tweak only one side later
     z3 = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for i in range(3):
@@ -74,7 +79,7 @@ def test_validation_rejects_non_associative():
     z3[1][1][2] = Fraction(1)   # x*x = y
     z3[1][2][0] = Fraction(1)   # x*y = 1  -> (xx)x = yx = 0, x(xx) = xy = 1
     with pytest.raises(AlgebraError, match="associative"):
-        Algebra("bad", ["1", "x", "y"], z3)
+        table_algebra("bad", ["1", "x", "y"], z3)
 
 
 def test_validation_rejects_missing_unit():
@@ -82,7 +87,7 @@ def test_validation_rejects_missing_unit():
     c = [[[z] * 2 for _ in range(2)] for _ in range(2)]
     c[0][0][0] = o  # e0*e0 = e0 but e0*e1 = 0: not a unit
     with pytest.raises(AlgebraError, match="unit"):
-        Algebra("bad", ["1", "x"], c)
+        table_algebra("bad", ["1", "x"], c)
 
 
 def test_matrix_algebra_products():
@@ -141,9 +146,9 @@ def test_opposite():
     op.validate()
     for i in range(4):
         for j in range(4):
-            assert op.structure[i][j] == m2.structure[j][i]
+            assert structure_table(op)[i][j] == structure_table(m2)[j][i]
     tp = truncated_polynomial_algebra(3)
-    assert tp.opposite().structure == tp.structure
+    assert structure_table(tp.opposite()) == structure_table(tp)
 
 
 def test_center_dims():
@@ -196,11 +201,90 @@ def test_rebase_unit_first():
     # k x k presented on the idempotent basis {p, q}, unit p + q
     z, o = Fraction(0), Fraction(1)
     c = [[[o, z], [z, z]], [[z, z], [z, o]]]
-    alg = rebase_unit_first("kxk2", ["p", "q"], c, [1, 1])
+    alg = rebase_unit_first("kxk2", ["p", "q"], table_mu2(c), [1, 1])
     assert alg.dim == 2
     assert alg.basis_names == ["1", "p"]
     one, p = alg.elements()
     assert p * p == p
+
+
+def test_rebase_unit_first_checks_its_inputs():
+    mu2 = truncated_polynomial_algebra(2).mu2
+    with pytest.raises(AlgebraError, match="structure tensor shape mismatch"):
+        rebase_unit_first("x", ["1", "e", "f"], mu2, [1, 0, 0])
+    with pytest.raises(AlgebraError, match="length 3 for the unit of dimension 2"):
+        rebase_unit_first("x", ["1", "e"], mu2, [1, 0, 0])
+    with pytest.raises(AlgebraError, match="unit vector is zero"):
+        rebase_unit_first("x", ["1", "e"], mu2, [0, 0])
+
+
+def test_an_algebra_is_its_mu2():
+    A = truncated_polynomial_algebra(3)
+    assert not hasattr(A, "structure") and not hasattr(A, "structure_den")
+    for mu2 in (A.mu2.T, QMat.eye(3)):
+        with pytest.raises(AlgebraError, match="structure tensor shape mismatch"):
+            Algebra("x", A.basis_names, mu2)
+    # stored reduced, with int64 numerators below 2**62
+    B = Algebra("x", A.basis_names, QMat(np.asarray(A.mu2.num * 6, dtype=object), 6))
+    assert (B.mu2.den, B.mu2.num.dtype) == (1, np.int64) and B.mu2 == A.mu2
+
+
+def _same_mu2(A, ref):
+    """A and the reference have the same basis and the same mu^2 (num, den, dtype)."""
+    return (A.basis_names == ref.basis_names and A.mu2.den == ref.mu2.den
+            and A.mu2.num.dtype == ref.mu2.num.dtype and np.array_equal(A.mu2.num, ref.mu2.num))
+
+
+def _table_built():
+    """name -> (mu^2 built directly, the table route): the seven catalog
+    builtins, matrix(1..3), truncpoly(1..5), m2frac and t3big."""
+    from ncforms.dsl import builtin_catalog
+    from test_forms import RESCALINGS, _algebras, _rescaled_table
+    tp = oracles.table_truncated_polynomial_algebra
+    ref = {"k": tp(1), "dual": tp(2, "eps"), "truncpoly3": tp(3),
+           "kxk": oracles.table_product_algebra(tp(1), tp(1)),
+           "m2": oracles.table_matrix_algebra(2),
+           "kc2": oracles.table_group_algebra(["e", "g"], C2_TABLE),
+           "upper2": upper_triangular2()}
+    pairs = {name: (A, ref[name]) for name, A in builtin_catalog().items()}
+    pairs.update({f"matrix({n})": (matrix_algebra(n), oracles.table_matrix_algebra(n))
+                  for n in (1, 2, 3)})
+    pairs.update({f"truncpoly({n})": (truncated_polynomial_algebra(n), tp(n))
+                  for n in range(1, 6)})
+    algs = _algebras()
+    pairs.update({name: (algs[name], _rescaled_table(algs[base], scales, name))
+                  for name, (base, scales) in RESCALINGS.items()})
+    return pairs
+
+
+def test_every_construction_builds_the_table_routes_mu2():
+    pairs = _table_built()
+    assert len(pairs) == 17
+    for name, (A, ref) in pairs.items():
+        assert _same_mu2(A, ref), name
+    t3big = pairs["t3big"][0].mu2
+    assert (t3big.den, t3big.num.dtype) == (2 ** 62, object)
+
+
+def test_products_semidirect_products_and_opposites_build_the_table_routes_mu2():
+    cat = catalog()
+    for a, b in itertools.product(sorted(cat), repeat=2):
+        assert _same_mu2(product_algebra(cat[a], cat[b]),
+                         oracles.table_product_algebra(cat[a], cat[b])), (a, b)
+    for name, A in cat.items():
+        assert _same_mu2(A.opposite(), oracles.table_opposite(A)), name
+        mods = [A.regular_bimodule()] + ([form_space(A, 1)] if name in ("m2", "upper2") else [])
+        for mod in mods:
+            assert _same_mu2(semidirect_product(mod).algebra,
+                             oracles.table_semidirect_algebra(mod)), (name, mod.name)
+
+
+def test_is_commutative_compares_mu2_with_its_swap():
+    commutative = {name: all(structure_table(A)[i][j] == structure_table(A)[j][i]
+                             for i in range(A.dim) for j in range(A.dim))
+                   for name, A in catalog().items()}
+    assert {name: A.is_commutative() for name, A in catalog().items()} == commutative
+    assert sorted(name for name, c in commutative.items() if not c) == ["m2", "upper2"]
 
 
 def test_regular_bimodule_validates():
@@ -331,20 +415,20 @@ def test_associativity_check_names_the_first_failing_pair(name):
     m = base.dim
     rng = random.Random(name)
     for _ in range(12):
-        c = [[list(cs) for cs in row] for row in base.structure]
+        c = [[list(cs) for cs in row] for row in structure_table(base)]
         i, j, k = rng.randrange(1, m), rng.randrange(1, m), rng.randrange(m)
         c[i][j][k] += rng.choice([-1, 1, Fraction(1, 2)])
-        raw = Algebra("bent", base.basis_names, c, check=False)
+        raw = table_algebra("bent", base.basis_names, c, check=False)
         e = [raw.basis_element(t).coeffs for t in range(m)]
         first = next(((a, b) for a in range(m) for b in range(m) for t in range(m)
                       if raw.mult_vec(raw.mult_vec(e[a], e[b]), e[t])
                       != raw.mult_vec(e[a], raw.mult_vec(e[b], e[t]))), None)
         if first is None:
-            Algebra("bent", base.basis_names, c)
+            table_algebra("bent", base.basis_names, c)
             continue
         names = [base.basis_names[t] for t in first]
         with pytest.raises(AlgebraError, match=rf"not associative at \({names[0]}, {names[1]}\)"):
-            Algebra("bent", base.basis_names, c)
+            table_algebra("bent", base.basis_names, c)
 
 
 def test_is_isomorphism_lets_unrelated_errors_through(monkeypatch):
@@ -417,11 +501,7 @@ def test_tensor_over_A_regular_is_algebra():
         t = tensor_over_A(mod, mod)
         assert t.dim == alg.dim, name
         # multiplication factors through the quotient ...
-        m = alg.dim
-        mult = QMat.from_rows([
-            [alg.structure[i][j][k] for i in range(m) for j in range(m)]
-            for k in range(m)])
-        fac = t.factor_map(mult)
+        fac = t.factor_map(alg.mu2)
         assert fac is not None
         # ... to an isomorphism A (x)_A A -> A
         from ncforms.linalg import qmat_inverse

@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from ncforms import cli, connections, identities
-from ncforms.algebra import MathError, inner_derivation
+from ncforms.algebra import Algebra, MathError, inner_derivation
 from ncforms.cli import main
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import (FieldValuedForm, GradedDerivation, field_from_derivation,
@@ -30,6 +30,7 @@ from ncforms.identities import _VERIFY_CHECKS
 from ncforms.linalg import QMat
 from ncforms.schouten import (MultiMap, alternation, commutator_bivector,
                               multimap_from_json, nr_bracket)
+from oracles import table_algebra
 from test_dsl import MALFORMED_ACTIONS
 from test_imports import run_python
 
@@ -339,6 +340,43 @@ def test_operator_jacobi_fails_for_a_bracket_that_is_not_graded_lie(name, mutant
     monkeypatch.setattr(identities, "fn_bracket", mutant)
     witness = identities._chk_operator_jacobi(env, random.Random(1))
     assert witness is not None and witness.startswith("graded Jacobi of the bracket fails")
+
+
+def _run_check(name, A, seed=0):
+    """The witness of one registry check, seeded as check_identities seeds it."""
+    env = identities._VerifyEnv(A, 1, seed, cli._load_action(A, None))
+    return dict(_VERIFY_CHECKS)[name](env, random.Random(f"{seed}:{name}"))
+
+
+def test_algebra_table_names_the_first_pair_that_is_not_associative():
+    # x*x = y and x*y = 1: (x x) x = y x = 0 but x (x x) = x y = 1
+    table = [[[Fraction(int(k == i + j)) if i * j == 0 else Fraction(0) for k in range(3)]
+              for j in range(3)] for i in range(3)]
+    table[1][1][2] = table[1][2][0] = Fraction(1)
+    A = table_algebra("bad", ["1", "x", "y"], table, check=False)
+    assert _run_check("algebra-table", A) == "bad: product not associative at (x, x)"
+    assert _run_check("algebra-table", builtin_algebra("m2")) is None
+
+
+def _one_column_off(A, row, col):
+    """A's mu^2 with entry (row, col) raised by 1, unchecked."""
+    m = A.dim
+    return Algebra(A.name, A.basis_names,
+                   A.mu2 + QMat.from_coo((m, m * m), [(row, col, 1)]), check=False)
+
+
+def test_dsl_roundtrip_names_the_changed_product(monkeypatch):
+    A = builtin_algebra("truncpoly3")
+    assert _run_check("dsl-roundtrip", A) is None
+    # the text leaves the unit's products to the unit law: 1*t = 2t comes back as t
+    assert (_run_check("dsl-roundtrip", _one_column_off(A, 1, 1))
+            == "product 1*t changed from [0, 2, 0] to [0, 1, 0]")
+    # a loader that corrupts column t*t
+    load = identities.load_algebra_text
+    monkeypatch.setattr(identities, "load_algebra_text",
+                        lambda text: _one_column_off(load(text), 2, 4))
+    assert (_run_check("dsl-roundtrip", A)
+            == "product t*t changed from [0, 0, 1] to [0, 0, 2]")
 
 
 def _one_entry_off(F, row, col):

@@ -28,8 +28,8 @@ from ncforms.forms import form_space
 from ncforms.linalg import QMat, RowReducer, Subspace, is_idempotent_kernel, nullspace
 from oracles import (commutant_endomorphism_space, functor_kernel,
                      kernel_projection_calculus, kron_dense, range_divisors,
-                     range_rational_roots, sympy_commutant_dim)
-from test_algebra import catalog, upper_triangular2
+                     range_rational_roots, sympy_commutant_dim, table_base_algebra)
+from test_algebra import _same_mu2, catalog, upper_triangular2
 from test_forms import _algebras
 
 F = Fraction
@@ -456,6 +456,17 @@ def test_bundle_validation(algebras):
     scalars = Subspace.from_generators(4, [[1, 0, 0, 0]])
     with pytest.raises(GeometryError):
         Bundle(m2, scalars, conj_action_m2(m2))
+
+
+def test_base_algebra_builds_the_table_routes_mu2(algebras):
+    kxk, m2 = algebras["kxk"], algebras["m2"]
+    swap = Bundle(kxk, Subspace.from_generators(2, [[1, 0]]), swap_action(kxk))
+    diag = Bundle(m2, Subspace.from_generators(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+                  conj_action_m2(m2))
+    for bundle, dim in ((swap, 1), (diag, 2)):
+        B, incl = bundle.base_algebra()
+        assert B.dim == incl.shape[1] == dim
+        assert _same_mu2(B, table_base_algebra(bundle))
 
 
 def test_kxk_swap_bundle_unique_zero_connection(algebras):

@@ -1,11 +1,15 @@
 """Algebra definition text format: lexing, parsing, elaboration, actions."""
 
 import ast
+import importlib
+import random
 import re
 import string
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +22,7 @@ from ncforms.dsl import (
 )
 from ncforms.linalg import QMat
 import oracles
+from oracles import structure_table
 from test_algebra import catalog
 
 F = Fraction
@@ -182,8 +187,8 @@ def test_duplicate_and_missing_unit_declarations():
 def test_elaborate_defaults_unmentioned_products_to_zero():
     A = load_algebra_text("algebra dual { basis 1, e; }")
     assert A.dim == 2
-    assert A.structure[1][1] == (F(0), F(0))
-    assert A.structure[0][1] == (F(0), F(1))  # unit law filled in
+    assert structure_table(A)[1][1] == (F(0), F(0))
+    assert structure_table(A)[0][1] == (F(0), F(1))  # unit law filled in
 
 
 def test_elaborate_rebases_declared_unit_first():
@@ -192,7 +197,7 @@ def test_elaborate_rebases_declared_unit_first():
         " a*a = a; a*b = b; b*a = 0; b*b = 0; }")
     assert A.basis_names == ["u", "a", "b"]
     ref = catalog()["upper2"]
-    assert A.structure == ref.structure
+    assert A.mu2 == ref.mu2
 
 
 def test_unit_law_relations_verified():
@@ -241,7 +246,7 @@ def test_builtin_families_expand_and_revalidate():
     for expr in exprs:
         A = builtin_algebra(expr)
         # every builtin expands to a table that passes full validation
-        Algebra(A.name, A.basis_names, A.structure, check=True)
+        Algebra(A.name, A.basis_names, A.mu2, check=True)
 
 
 def test_builtin_matrix_dimension():
@@ -252,8 +257,8 @@ def test_builtin_matrix_dimension():
 def test_builtin_truncpoly_relations():
     A = builtin_algebra("truncpoly(3)")
     assert A.dim == 3
-    assert A.structure[1][1][2] == 1          # t * t = t^2
-    assert not any(A.structure[1][2])         # t * t^2 = 0
+    assert structure_table(A)[1][1][2] == 1          # t * t = t^2
+    assert not any(structure_table(A)[1][2])         # t * t^2 = 0
 
 
 def test_builtin_product_is_componentwise():
@@ -273,7 +278,7 @@ def test_builtin_opposite_reverses_products():
     m = A.dim
     for i in range(m):
         for j in range(m):
-            assert B.structure[i][j] == A.structure[j][i]
+            assert structure_table(B)[i][j] == structure_table(A)[j][i]
 
 
 def test_builtin_catalog_matches_reference_tables():
@@ -282,7 +287,7 @@ def test_builtin_catalog_matches_reference_tables():
     assert sorted(mine) == sorted(ref)
     for name in ref:
         assert mine[name].basis_names == ref[name].basis_names
-        assert mine[name].structure == ref[name].structure
+        assert mine[name].mu2 == ref[name].mu2
 
 
 def test_builtin_errors():
@@ -302,7 +307,8 @@ def test_builtin_errors():
                         " e*e = e; e*s = s; s*e = s; s*s = s;})")
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_readme_input_parses():
@@ -334,15 +340,40 @@ def test_print_parse_round_trip_on_catalog():
         text = print_algebra(A)
         B = load_algebra_text(text)
         assert B.basis_names == A.basis_names, name
-        assert B.structure == A.structure, name
+        assert B.mu2 == A.mu2, name
 
 
 def test_print_round_trip_with_fractional_coefficients():
     A = load_algebra_text(
         "algebra q { basis 1, x; x*x = 1/2 x + 1/3; }")
     B = load_algebra_text(print_algebra(A))
-    assert B.structure == A.structure
+    assert B.mu2 == A.mu2
     assert "x*x = 1/3 + 1/2 x;" in print_algebra(A)
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """perfbench/gen.py, which writes the dense-basis benchmark's algebras."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+@pytest.mark.parametrize("name, seed", [("m2", 2), ("m2", 71), ("truncpoly3", 2),
+                                        ("truncpoly3", 71)])
+def test_dense_basis_text_builds_the_table_routes_mu2(bench_gen, name, seed):
+    # m2 and truncpoly(3) rebased as the dense-basis benchmark draws them:
+    # the table's columns, through the parser and through its printed text,
+    # give the mu^2 of the table route, (num, den, dtype) alike
+    table = bench_gen.m2_table() if name == "m2" else bench_gen.truncpoly_table(3)
+    dense = bench_gen.rebase(table, bench_gen.random_basis(random.Random(seed), len(table)))
+    ref = oracles.table_mu2(dense)
+    A = load_algebra_text(bench_gen.algebra_source(f"{name}s{seed}", dense))
+    for mu2 in (A.mu2, load_algebra_text(print_algebra(A)).mu2):
+        assert (mu2.den, mu2.num.dtype) == (ref.den, ref.num.dtype) and mu2.den > 1
+        assert np.array_equal(mu2.num, ref.num)
 
 
 def test_print_sanitizes_algebra_names():
@@ -350,7 +381,7 @@ def test_print_sanitizes_algebra_names():
     text = print_algebra(A)
     assert text.splitlines()[0] == "algebra matrix_2_ {"
     B = load_algebra_text(text)
-    assert B.structure == A.structure
+    assert B.mu2 == A.mu2
 
 
 # ---------------------------------------------------------------------------

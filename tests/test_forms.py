@@ -19,11 +19,11 @@ from ncforms.forms import (
     FormError, FormSpace, GradedForm, commutator_subspace, de_rham_homology, form_from_json,
     form_space, kernel_of_mu_n, multiplication_matrix, omega_functor, product,
 )
-from ncforms.linalg import QMat, RowReducer, kron_apply, qmat_hstack
+from ncforms.linalg import QMat, RowReducer, kron_apply, qmat_hstack, qmat_inverse
 from oracles import (
     coo_d_matrix, dense_commutator_subspace, emb_basis_form, emb_concat, emb_delta,
     emb_right_mult, emb_scale_add, kron_left_action_matrix, loop_de_rham_homology,
-    loop_right_action_matrix, stacked_multiplication_matrix,
+    loop_right_action_matrix, stacked_multiplication_matrix, structure_table, table_algebra,
 )
 from test_algebra import c2_group_algebra, catalog, upper_triangular2
 
@@ -97,22 +97,32 @@ def _embed_coords(cols, coords):
 
 
 def _rescaled(alg, scales, name):
-    """alg in the basis s_i e_i: constants s_i s_j c_ij^k / s_k."""
+    """alg in the basis f_i = s_i e_i: f_i f_j = S^-1 mu^2 (S f_i (x) S f_j)."""
+    S = QMat.from_rows([[Fraction(s) if i == j else 0 for j, s in enumerate(scales)]
+                        for i in range(alg.dim)])
+    return Algebra(name, alg.basis_names, qmat_inverse(S) @ alg.mu2 @ S.kron(S))
+
+
+def _rescaled_table(alg, scales, name):
+    """:func:`_rescaled` on the table: constants s_i s_j c_ij^k / s_k."""
     m = alg.dim
-    return Algebra(name, alg.basis_names, [[[
+    return table_algebra(name, alg.basis_names, [[[
         Fraction(scales[i] * scales[j]) * c / scales[k]
-        for k, c in enumerate(alg.structure[i][j])] for j in range(m)]
+        for k, c in enumerate(structure_table(alg)[i][j])] for j in range(m)]
         for i in range(m)])
+
+
+RESCALINGS = {"m2frac": ("m2", [1, 1, 2, Fraction(1, 3)]),
+              "t3big": ("truncpoly3", [1, Fraction(1, 2 ** 31), 1])}
 
 
 def _algebras():
     algs = catalog()
-    # m2 with e2 = 2 E12 and e3 = E21/3: fractional structure constants
-    algs["m2frac"] = _rescaled(algs["m2"], [1, 1, 2, Fraction(1, 3)], "m2frac")
-    # truncpoly(3) with y = x/2**31: y y = x^2/2**62, so the numerators over
-    # the common denominator 2**62 reach 2**62
-    algs["t3big"] = _rescaled(algs["truncpoly3"], [1, Fraction(1, 2 ** 31), 1],
-                              "t3big")
+    # m2frac: m2 with e2 = 2 E12 and e3 = E21/3, fractional structure
+    # constants; t3big: truncpoly(3) with y = x/2**31, where y y = x^2/2**62,
+    # so the numerators over the common denominator 2**62 reach 2**62
+    for name, (base, scales) in RESCALINGS.items():
+        algs[name] = _rescaled(algs[base], scales, name)
     return algs
 
 
@@ -202,7 +212,7 @@ def test_d_is_the_row_shift_of_the_coo_matrix():
 
 def test_big_common_denominator_gives_exact_object_actions():
     alg = _algebras()["t3big"]
-    assert alg.structure_den == 2 ** 62
+    assert (alg.mu2.den, alg.mu2.num.dtype) == (2 ** 62, object)
     assert alg.right[1].entry(2, 1) == Fraction(1, 2 ** 62)
     for k in range(3):
         sp = form_space(alg, k)

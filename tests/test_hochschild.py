@@ -20,7 +20,8 @@ from ncforms.hochschild import (
 from ncforms.linalg import QMat, kron_apply, kron_rows
 from oracles import (emb_comparison_columns, kron_tensor_actions, loop_coboundary,
                      loop_cochain_evaluate, loop_cochain_to_hom, loop_comparison_image,
-                     loop_tensor_hom_from_values, sympy_hochschild_dim, tensor_hom_basis)
+                     loop_tensor_hom_from_values, structure_table, sympy_hochschild_dim,
+                     tensor_hom_basis)
 from test_algebra import CENTER_DIMS, DER_DIMS, catalog
 from test_forms import _algebras
 
@@ -327,7 +328,7 @@ def test_comparison_cochain_matches_displayed_formula(algebras):
                 col[T.index_of(J[0], J[1:], 0)] += 1
                 for t in range(n - 1):
                     sign = -1 if (t + 1) % 2 else 1
-                    prod = A.structure[J[t]][J[t + 1]]
+                    prod = structure_table(A)[J[t]][J[t + 1]]
                     for p in range(1, m):
                         if prod[p]:
                             moved = J[:t] + (p,) + J[t + 2:]
@@ -347,7 +348,7 @@ def test_comparison_hom_degree_one_display(algebras):
             for j in range(1, A.dim):
                 # a da' |-> a a' (x) 1 - a (x) a'
                 col = [F(0)] * T.dim
-                prod = A.structure[i][j]
+                prod = structure_table(A)[i][j]
                 for q in range(A.dim):
                     if prod[q]:
                         col[T.index_of(q, (), 0)] += prod[q]

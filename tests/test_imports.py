@@ -246,6 +246,29 @@ def test_only_linalg_packs_a_coefficient_vector():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def structure_reads(source: str) -> list[int]:
+    """The line of each mention of an attribute ``structure`` or ``structure_den``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("structure", "structure_den"))
+
+
+def test_structure_scanner():
+    source = ("c = A.structure[i][j]\n"
+              "den = alg.structure_den\n"
+              "mu = A.mu2.column_fractions(0)  # structure constants\n"
+              "self.structure = table\n")
+    assert structure_reads(source) == [1, 2, 4]
+
+
+def test_no_module_reads_a_structure_table():
+    # mu^2 is the only stored form of the product: no module keeps or reads
+    # a nested table of structure constants beside it
+    found = {p.name: structure_reads(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def run_python(code: str, **env: str) -> str:
     """stdout of ``python -c code`` in a fresh interpreter that imports
     ncforms from this checkout, with OPENBLAS_NUM_THREADS unset unless

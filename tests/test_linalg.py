@@ -22,7 +22,7 @@ from ncforms.algebra import (AlgebraError, AlgebraHom, Element, derivation_matri
                              derivation_vector, dual_numbers, inner_derivation,
                              matrix_algebra, semidirect_product, tensor_over_A,
                              truncated_polynomial_algebra)
-from ncforms.connections import Distribution, GeometryError
+from ncforms.connections import Distribution, GeometryError, bimodule_span
 from ncforms.dsl import builtin_algebra
 from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
 from ncforms.forms import Form, FormError, form_space
@@ -1257,6 +1257,8 @@ def _boundary_cases():
          AlgebraError),
         ("TensorQuotient.pure_tensor",
          lambda: tensor_over_A(reg, reg).pure_tensor(e0, short), AlgebraError),
+        ("TensorQuotient.project_vector",
+         lambda: tensor_over_A(reg, reg).project_vector(short), AlgebraError),
         ("FormSpace.form", lambda: form_space(m2, 1).form(short), FormError),
         ("MultiMap.evaluate", lambda: mu.evaluate(e0, short), SchoutenError),
         ("MultiMap.value_with_first", lambda: mu.value_with_first(short, [0]), SchoutenError),
@@ -1264,6 +1266,9 @@ def _boundary_cases():
         ("NormalizedCochain.from_vector",
          lambda: NormalizedCochain.from_vector(reg, 1, [0] * 11), HochschildError),
         ("NormalizedCochain.evaluate", lambda: cochain.evaluate(short), HochschildError),
+        ("bimodule_span", lambda: bimodule_span(m2, [short]), GeometryError),
+        ("bimodule_span of a form",
+         lambda: bimodule_span(m2, [form_space(t4, 1).zero()]), GeometryError),
         ("Distribution.contains", lambda: Distribution(
             m2, Subspace.full(12), check=False).contains(form_space(t4, 1).zero()),
          GeometryError),
