@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (LinAlgError, QMat, QVector, RowReducer, Subspace, checked_column,
-                     kron_apply, kron_matrix, kron_rows, kron_transpose, nullspace,
-                     qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
+                     kron_apply, kron_matrix, kron_rows, kron_transpose, multilinear,
+                     nullspace, qmat_hstack, qmat_inverse, qmat_sum, solve_linear)
 
 
 class MathError(ValueError):
@@ -149,7 +149,7 @@ class Element(QVector):
         if not isinstance(other, Element):
             return self.scale(other)
         self._same(other)
-        return self._with((self.algebra.mu2 @ self.col.kron(other.col)).reduced())
+        return self._with(multilinear(self.algebra.mu2, self.col, other.col))
 
     __rmul__ = QVector.scale
 
@@ -202,9 +202,9 @@ class Bimodule:
         HL, HR, HRt = (qmat_hstack(dM, Ms) for Ms in (L, R, [M.T for M in R]))
         for i in range(m):
             # (e_i e_j) . x = e_i . (e_j . x) and x . (e_j e_i) = (x . e_j) . e_i
-            if kron_apply(self.left[i], HL) != kron_apply([(A.left[i].T, dM)], HL.T).T:
+            if kron_apply(self.left[i], HL) != multilinear(HL, A.left[i], dM):
                 raise AlgebraError(f"{self.name}: left action not multiplicative")
-            if kron_apply(self.right[i], HR) != kron_apply([(A.right[i].T, dM)], HR.T).T:
+            if kron_apply(self.right[i], HR) != multilinear(HR, A.right[i], dM):
                 raise AlgebraError(f"{self.name}: right action not anti-multiplicative")
             RLt = kron_apply(kron_transpose(self.left[i]), HRt)     # block j: (R_j L_i)^T
             RL = RLt.num.reshape(dM, m, dM).transpose(2, 1, 0).reshape(dM, m * dM)
@@ -246,14 +246,11 @@ class AlgebraHom:
             raise AlgebraError(f"{self.name}: matrix shape mismatch")
         if F.col(0) != QMat.eye(T.dim).col(0):
             raise AlgebraError(f"{self.name}: does not preserve the unit")
-        # f(e_i e_j) = f(e_i) f(e_j) for every j: F L_i = L_{f(e_i)} F, with
-        # L_{f(e_i)} F = mu^2 (f(e_i) (x) F)
-        for i in range(self.source.dim):
-            diff = F @ self.source.left[i] - T.mu2 @ F.col(i).kron(F)
-            if not diff.is_zero():
-                j = int(diff.num.any(axis=0).argmax())
-                raise AlgebraError(
-                    f"{self.name}: not multiplicative at basis pair ({i},{j})")
+        # f(e_i e_j) = f(e_i) f(e_j) at column i*m + j of F mu^2 = mu^2 (F (x) F)
+        bad = (F @ self.source.mu2 - multilinear(T.mu2, F, F)).num.any(axis=0)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), self.source.dim)
+            raise AlgebraError(f"{self.name}: not multiplicative at basis pair ({i},{j})")
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.source:
@@ -304,7 +301,7 @@ def rebase_unit_first(name: str, basis_names: Sequence[str], mu2: QMat,
     P = qmat_hstack(m, [unit, QMat(np.eye(m, dtype=np.int64)[:, keep])])
     # column i*m + j: the new coordinates of the product of new basis vectors
     return Algebra(name, ["1"] + [basis_names[t] for t in keep],
-                   solve_linear(P, mu2 @ P.kron(P)))
+                   solve_linear(P, multilinear(mu2, P, P)))
 
 
 def matrix_algebra(n: int) -> Algebra:
@@ -357,7 +354,7 @@ def product_algebra(a: Algebra, b: Algebra, name: Optional[str] = None) -> Algeb
     """Direct product A x B, rebased so the unit (1,1) comes first."""
     m = a.dim + b.dim
     # each factor's product on its own block: i mu^2 (i^T (x) i^T)
-    mu2 = qmat_sum(i @ x.mu2 @ i.T.kron(i.T)
+    mu2 = qmat_sum(i @ multilinear(x.mu2, i.T, i.T)
                    for i, x in ((_inclusion(m, 0, a.dim), a), (_inclusion(m, a.dim, b.dim), b)))
     names = [f"a.{s}" for s in a.basis_names] + [f"b.{s}" for s in b.basis_names]
     unit = [int(i == 0 or i == a.dim) for i in range(m)]
@@ -373,8 +370,8 @@ def semidirect_product(mod: Bimodule, name: Optional[str] = None) -> "Semidirect
     units = [QMat.from_coo((1, m), [(0, i, 1)]) for i in range(m)]
     acts = kron_matrix([(u, *t) for u, L in zip(units, mod.left) for t in L])
     coacts = kron_matrix([(*t, u) for u, R in zip(units, mod.right) for t in R])
-    mu2 = (iA @ A.mu2 @ iA.T.kron(iA.T)
-           + iM @ (acts @ iA.T.kron(iM.T) + coacts @ iM.T.kron(iA.T)))
+    mu2 = (iA @ multilinear(A.mu2, iA.T, iA.T)
+           + iM @ (multilinear(acts, iA.T, iM.T) + multilinear(coacts, iM.T, iA.T)))
     names = list(A.basis_names) + [f"{mod.name}.{p}" for p in range(dM)]
     alg = Algebra(name or f"semidirect({A.name},{mod.name})", names, mu2)
     return SemidirectProduct(alg, A, mod)
@@ -600,7 +597,7 @@ class TensorQuotient:
     def pure_tensor(self, mvec: Sequence[Fraction], nvec: Sequence[Fraction]) -> list[Fraction]:
         m = checked_column(mvec, self.m_mod.dim, AlgebraError, "a module")
         n = checked_column(nvec, self.n_mod.dim, AlgebraError, "a module")
-        return self.project_vector(m.kron(n).column_fractions(0))
+        return self.project_vector(kron_apply([(m, n)], QMat.eye(1)).column_fractions(0))
 
     def factor_map(self, mat: QMat) -> Optional[QMat]:
         """Induced matrix on the quotient of a map defined on M (x) N.

@@ -23,8 +23,8 @@ from .fieldforms import (
 from .forms import (Form, d_slots, form_space, multiplicative_extension, omega_functor,
                     products)
 from .linalg import (
-    QMat, RowReducer, Subspace, checked_column, is_idempotent_kernel, kron_apply, nullspace,
-    qmat_hstack, qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
+    QMat, RowReducer, Subspace, checked_column, is_idempotent_kernel, kron_apply, multilinear,
+    nullspace, qmat_hstack, qmat_inverse, qmat_sum, solve_linear, subspace_from_columns,
 )
 
 
@@ -222,6 +222,13 @@ def induced_endomorphism(algebra: Algebra, ext: QMat, k: int) -> list[QMat]:
     return multiplicative_extension(algebra, None, form_space(algebra, 0).compose_d(ext), k)
 
 
+def projection_bracket_identities(p: Projection) -> dict:
+    """R + Rbar = [P,P], and Rbar is the curvature of the complement Pbar."""
+    fn, R, Rbar = p.brackets()
+    return {"sum_is_bracket": R + Rbar == fn,
+            "cocurvature_is_complement_curvature": curvature(p.complement())[0] == Rbar}
+
+
 def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     """Curvature formulas, ideal = functor kernel, involutivity criteria.
 
@@ -233,7 +240,7 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     :func:`is_idempotent_kernel` certifies I_k = ker Omega_k(P) with no
     kernel elimination."""
     A = p.algebra
-    fn, R, Rbar = p.brackets()
+    _, R, Rbar = p.brackets()
     d1 = form_space(A, 1).apply_d
     ext = p.ext
     ext_bar = QMat.eye(ext.shape[0]) - ext
@@ -243,12 +250,9 @@ def check_projection_calculus(p: Projection, N: int = 3) -> dict:
     curv, cocurv = omega_pb[2] @ d1(ext), omega_p[2] @ d1(ext_bar)
     kerP, imP = p.kernel(), p.image()
 
-    report = {}
+    report = projection_bracket_identities(p)
     report["curvature_formula"] = R.extension() == curv.scale(-2)
     report["cocurvature_formula"] = Rbar.extension() == cocurv.scale(-2)
-    report["sum_is_bracket"] = (R + Rbar == fn)
-    report["cocurvature_is_complement_curvature"] = (
-        curvature(p.complement())[0] == Rbar)
     report["kernel_ideal_is_functor_kernel"] = all(
         is_idempotent_kernel(ideal_component(kerP, k), omega_p[k])
         for k in range(1, N + 1))
@@ -521,8 +525,7 @@ class Bundle:
         if not self.base.contains(list(A.unit().coeffs)):
             raise GeometryError("base subalgebra must contain 1")
         B = self.base.row_matrix().T
-        if not subspace_from_columns(
-                A.mu2 @ B.kron(B)).is_subspace_of(self.base):
+        if not subspace_from_columns(multilinear(A.mu2, B, B)).is_subspace_of(self.base):
             raise GeometryError("base is not closed under products")
         if self.action is not None:
             if self.action.fixed_subspace() != self.base:
@@ -540,7 +543,7 @@ class Bundle:
                                    QMat(basis.num[:, keep], basis.den)])
         nb = incl.shape[1]
         # column x*nb + y: the coordinates of b_x b_y against the basis of B
-        prods = solve_linear(incl, A.mu2 @ incl.kron(incl))
+        prods = solve_linear(incl, multilinear(A.mu2, incl, incl))
         names = ["1"] + [f"b{i}" for i in range(1, nb)]
         return Algebra(f"{A.name}|base", names, prods), incl
 
@@ -693,9 +696,8 @@ def bundle_tensor_dims(bundle: Bundle) -> dict:
     A = bundle.algebra
     B, incl = bundle.base_algebra()
     # A as a B-bimodule via the inclusion: b.a = mu^2 (b (x) I) a, a.b likewise
-    m, muT = A.dim, A.mu2.T
-    left = [kron_apply([(incl.col(j).T, m)], muT).T for j in range(B.dim)]
-    right = [kron_apply([(m, incl.col(j).T)], muT).T for j in range(B.dim)]
+    left = [multilinear(A.mu2, incl.col(j), A.dim) for j in range(B.dim)]
+    right = [multilinear(A.mu2, A.dim, incl.col(j)) for j in range(B.dim)]
     mod = Bimodule(B, A.dim, left, right, name="A|B")
     tq = tensor_over_A(mod, mod)
     hor1 = horizontal_forms(bundle, 1)

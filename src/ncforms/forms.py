@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraHom, Bimodule, MathError
 from .linalg import (QMat, QVector, RowReducer, Subspace, checked_column, digits_at,
-                     flat_index, format_scalar, kron_apply, kron_matrix, kron_rows,
-                     kron_transpose, nullspace, parse_scalar)
+                     flat_index, format_scalar, kron_matrix, kron_rows, kron_transpose,
+                     multilinear, nullspace, parse_scalar)
 
 
 class FormError(MathError):
@@ -331,8 +331,8 @@ def multiplication_matrix(algebra: Algebra, n: int) -> QMat:
         raise FormError("multiplication arity must be >= 1")
     m = algebra.dim
     mu = QMat.eye(m)
-    for _ in range(n - 1):     # (mu^2 (mu (x) I))^T = (mu^T (x) I) mu^2^T
-        mu = kron_apply([(mu.T, m)], algebra.mu2.T).T
+    for _ in range(n - 1):
+        mu = multilinear(algebra.mu2, mu, m)
     return mu
 
 

@@ -19,7 +19,6 @@ from the normalized complex; the two dimensions must agree.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -27,8 +26,8 @@ from typing import Iterator, Optional, Sequence
 from .algebra import Algebra, Bimodule
 from .forms import form_space
 from .linalg import (QMat, QVector, Subspace, checked_column, flat_index, kron_apply,
-                     kron_matrix, kron_rows, kron_transpose, nullspace, qmat_hstack,
-                     solve_linear, subspace_from_columns)
+                     kron_matrix, kron_rows, kron_transpose, multilinear, nullspace,
+                     qmat_hstack, solve_linear, subspace_from_columns)
 
 
 class HochschildError(ValueError):
@@ -89,12 +88,12 @@ class NormalizedCochain(QVector):
         return self.data.col(flat_index(J, self.module.algebra.dim - 1, 1))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
-        """Multilinear extension: data times the Kronecker product of the bar parts."""
+        """Multilinear extension: the data on the tensor product of the bar parts."""
         if len(args) != self.arity:
             raise HochschildError("argument count does not match arity")
         cols = (checked_column(a, self.module.algebra.dim, HochschildError) for a in args)
         bars = (QMat(c.num[1:], c.den) for c in cols)
-        return (self.data @ functools.reduce(QMat.kron, bars, QMat.eye(1))).column_fractions(0)
+        return multilinear(self.data, *bars).column_fractions(0)
 
     def _space(self) -> tuple:
         # the module's actions, not its dim: tuple equality passes at once

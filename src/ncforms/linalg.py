@@ -24,12 +24,15 @@ Six conventions are fixed here and nowhere else:
   where its entries are read: ``FormSpace.stacked_right``,
   ``Bimodule.validate``, the stacked actions of ``semidirect_product`` and
   of the free bimodule in ``hochschild``, and ``verify``'s
-  ``d-squared-zero`` and ``bimodule-associativity``.  Small integer
+  ``d-squared-zero`` and ``bimodule-associativity``.  A multilinear map
+  (mu^2, a cochain, a multimap) is its matrix M, evaluated on argument
+  blocks as M (X_1 (x) ... (x) X_k) by :func:`multilinear`.  Small integer
   matrices (unit columns, mu^2) come from :meth:`QMat.from_coo`, columns
   join by :func:`qmat_hstack`, ``Fraction`` data by
   :meth:`QMat.from_columns`; all three return the reduced (num, den).
-  Every integer product in the package is ``QMat @``, :meth:`QMat.kron` or
-  :func:`kron_apply`, so the int64/object choice is made only here.
+  Every integer product in the package is ``QMat @`` or :func:`kron_apply`,
+  so the int64/object choice is made only here; :meth:`QMat.kron` is the
+  dense reference the tests check them against.
 * Elimination.  Every rank, kernel, solve, inverse and span goes through
   :class:`RowReducer`, fraction-free: primitive integer rows in echelon
   form, eliminated by cross-multiplying and back-substituted once on read.
@@ -529,6 +532,13 @@ def kron_apply(terms: Sequence[Sequence[QMat | int]], X: QMat,
 def kron_transpose(terms: Sequence[Sequence[QMat | int]]) -> list[tuple]:
     """The terms of the transposed sum: every QMat factor transposed."""
     return [tuple(f.T if isinstance(f, QMat) else f for f in t) for t in terms]
+
+
+def multilinear(M: QMat, *blocks: QMat | int) -> QMat:
+    """M (X_1 (x) ... (x) X_k), an int n standing for I_n: the multilinear
+    map whose matrix is M evaluated on a block of argument tuples.  It is
+    kron_apply on M^T, so no Kronecker product is formed."""
+    return kron_apply(kron_transpose([blocks]), M.T).T
 
 
 def kron_matrix(terms: Sequence[Sequence[QMat | int]]) -> QMat:

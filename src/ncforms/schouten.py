@@ -5,10 +5,10 @@ algebra or in scalars, stored as the QMat of its values on all basis
 tuples (flat index big-endian).  Skewness is validated on construction by
 adjacent-argument swaps.
 
-Wedge and insertion each take their values from one ``linalg`` product
-(the Kronecker term phi^T (x) psi^T applied to mu^2 transposed, or to the
-identity when a side is scalar; phi's first slot contracted with the
-inserted map) and then sum signed column permutations, one per shuffle.
+Wedge and insertion each take their values from one
+``linalg.multilinear`` evaluation (mu^2, or the identity when a side is
+scalar, on phi (x) psi; phi on the inserted map (x) I) and then sum signed
+column permutations, one per shuffle.
 The same signed sum (:func:`_signed_sum`) gives the alternation, the
 skewness test and the commutator bivector.  Because the inputs are skew
 the shuffle sums equal the full permutation sums with their 1/k!l! and
@@ -22,7 +22,6 @@ a skew biderivation with vanishing self-bracket is a Poisson structure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -32,7 +31,7 @@ import numpy as np
 
 from .algebra import Algebra, MathError, leibniz_terms
 from .linalg import (QMat, QVector, checked_column, flat_index, kron_apply, kron_rows,
-                     nullspace, qmat_from_json, qmat_sum, qmat_to_json)
+                     multilinear, nullspace, qmat_from_json, qmat_sum, qmat_to_json)
 
 MAX_ARITY = 6
 
@@ -77,13 +76,11 @@ class MultiMap(QVector):
         return self.data.column_fractions(flat_index(I, self.algebra.dim))
 
     def evaluate(self, *args: Sequence[Fraction]) -> list[Fraction]:
-        """The value on coefficient vectors: the numerator times their
-        Kronecker product."""
+        """The value on coefficient vectors: the data on their tensor product."""
         if len(args) != self.arity:
             raise SchoutenError("argument count does not match arity")
         cols = (checked_column(w, self.algebra.dim, SchoutenError) for w in args)
-        vec = functools.reduce(QMat.kron, cols, QMat.eye(1))
-        return MultiMap(self.algebra, 0, self.data @ vec, scalar=self.scalar,
+        return MultiMap(self.algebra, 0, multilinear(self.data, *cols), scalar=self.scalar,
                         check=False).value(())
 
     def value_with_first(self, w: Sequence[Fraction],
@@ -113,12 +110,6 @@ def multimap_from_json(algebra: Algebra, obj: dict) -> MultiMap:
     data = qmat_from_json(obj["coords"])
     return MultiMap(algebra, int(obj["arity"]), data,
                     scalar=bool(obj.get("scalar", False)))
-
-
-def _first_slot(mm: MultiMap, w: QMat) -> QMat:
-    """mm(w_j, e_rest) at column (j, rest), for the columns w_j of an m-row
-    block w: the data times w (x) I."""
-    return kron_apply([(w.T, mm.algebra.dim ** (mm.arity - 1))], mm.data.T).T
 
 
 def _permuted_columns(m: int, k: int, perm: Sequence[int]) -> np.ndarray:
@@ -180,7 +171,7 @@ def wedge(phi: MultiMap, psi: MultiMap) -> MultiMap:
     # column (a, b) of phi (x) psi is phi(e_a) (x) psi(e_b): a scalar side
     # scales the other; two algebra values are multiplied out by mu^2
     mult = QMat.eye(phi.target_dim * psi.target_dim) if phi.scalar or psi.scalar else A.mu2
-    T = kron_apply([(phi.data.T, psi.data.T)], mult.T).T
+    T = multilinear(mult, phi.data, psi.data)
     data = _signed_sum(T, A.dim, n, _shuffles(n, phi.arity))
     return MultiMap(A, n, data.canonical(), scalar=phi.scalar and psi.scalar,
                     check=False)
@@ -202,8 +193,9 @@ def insertion(K: MultiMap, phi: MultiMap) -> MultiMap:
     n = kappa - 1 + p
     if n > MAX_ARITY:
         raise SchoutenError(f"insertion arity {n} exceeds cap {MAX_ARITY}")
-    # column (S, rest) is phi(K(e_S), e_rest)
-    data = _signed_sum(_first_slot(phi, K.data), A.dim, n, _shuffles(n, kappa))
+    # column (S, rest) is phi(K(e_S), e_rest): phi on K (x) I
+    first = multilinear(phi.data, K.data, A.dim ** (p - 1))
+    data = _signed_sum(first, A.dim, n, _shuffles(n, kappa))
     return MultiMap(A, n, data.canonical(), scalar=phi.scalar, check=False)
 
 
@@ -298,7 +290,8 @@ def derivation_matrix_of(mu: MultiMap, a: Sequence[Fraction]) -> QMat:
     b |-> mu(a, b) as a matrix."""
     if mu.arity < 1:
         raise SchoutenError("an arity-0 multimap has no first slot")
-    return _first_slot(mu, checked_column(a, mu.algebra.dim, SchoutenError))
+    m = mu.algebra.dim
+    return multilinear(mu.data, checked_column(a, m, SchoutenError), m ** (mu.arity - 1))
 
 
 def poisson_bracket_hom_check(mu: MultiMap) -> dict:
@@ -307,9 +300,9 @@ def poisson_bracket_hom_check(mu: MultiMap) -> dict:
     # mats[i] = mu(e_i, .), a derivation iff the second slot is one; the
     # image of mu(e_i, e_j) is the same slot contracted with column i*m + j
     eye = QMat.eye(m)
-    mats = [_first_slot(mu, eye.col(i)) for i in range(m)]
+    mats = [multilinear(mu.data, eye.col(i), m) for i in range(m)]
     derivation_valued = _is_slot_derivation(mu, 1)
-    lie_hom = all(_first_slot(mu, mu.data.col(i * m + j))
+    lie_hom = all(multilinear(mu.data, mu.data.col(i * m + j), m)
                   == mats[i] @ mats[j] - mats[j] @ mats[i]
                   for i in range(m) for j in range(m))
     return {"derivation_valued": derivation_valued,

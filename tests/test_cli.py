@@ -348,14 +348,48 @@ def _run_check(name, A, seed=0):
     return dict(_VERIFY_CHECKS)[name](env, random.Random(f"{seed}:{name}"))
 
 
-def test_algebra_table_names_the_first_pair_that_is_not_associative():
-    # x*x = y and x*y = 1: (x x) x = y x = 0 but x (x x) = x y = 1
+def _not_associative():
+    """x*x = y and x*y = 1, unchecked: (x x) x = y x = 0 but x (x x) = x y = 1."""
     table = [[[Fraction(int(k == i + j)) if i * j == 0 else Fraction(0) for k in range(3)]
               for j in range(3)] for i in range(3)]
     table[1][1][2] = table[1][2][0] = Fraction(1)
-    A = table_algebra("bad", ["1", "x", "y"], table, check=False)
+    return table_algebra("bad", ["1", "x", "y"], table, check=False)
+
+
+def test_algebra_table_names_the_first_pair_that_is_not_associative():
+    A = _not_associative()
     assert _run_check("algebra-table", A) == "bad: product not associative at (x, x)"
     assert _run_check("algebra-table", builtin_algebra("m2")) is None
+    # mu^2 is stored canonical, so rebuilding the algebra is the same check
+    assert dict(_VERIFY_CHECKS)["dsl-revalidate"] is identities._chk_algebra_table
+
+
+def test_a_hochschild_error_is_its_checks_witness():
+    # the Hochschild comparison map fails on a product that is not
+    # associative; the other 28 witnesses still come back
+    A = _not_associative()
+    results = identities.check_identities(A, 1, 0, cli._load_action(A, None))
+    assert [name for name, _ in results] == [name for name, _ in _VERIFY_CHECKS]
+    witnesses = dict(results)
+    assert witnesses["cohomology-routes"] == "raised: comparison image escaped the hom space"
+    assert witnesses["algebra-table"] == "bad: product not associative at (x, x)"
+
+
+def test_projection_checks_build_no_ideal_chain(monkeypatch):
+    # both read connections.projection_bracket_identities, once per projection
+    def refuse(*args):
+        raise AssertionError("ideal chain built")
+
+    monkeypatch.setattr(connections, "ideal_component", refuse)
+    calls = []
+    bracket_identities = connections.projection_bracket_identities
+    monkeypatch.setattr(identities, "projection_bracket_identities",
+                        lambda p: calls.append(p) or bracket_identities(p))
+    A = builtin_algebra("m2")
+    env = identities._VerifyEnv(A, 1, 0, cli._load_action(A, None))
+    for name in ("projection-curvature-sum", "projection-complement"):
+        assert dict(_VERIFY_CHECKS)[name](env, random.Random(0)) is None
+    assert calls == env.projections and len(calls) > 2
 
 
 def _one_column_off(A, row, col):

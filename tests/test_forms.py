@@ -252,7 +252,7 @@ def test_form_space_dimension_builds_no_action(monkeypatch):
 
     for name in ("right", "left"):
         monkeypatch.setattr(FormSpace, name, property(refuse))
-    monkeypatch.setattr(forms, "kron_apply", refuse)
+    monkeypatch.setattr(forms, "multilinear", refuse)
     monkeypatch.setattr(forms, "kron_matrix", refuse)
     monkeypatch.setattr(QMat, "kron", refuse)
     assert [form_space(alg, k).dim for k in range(8)] == [4 * 3 ** k for k in range(8)]

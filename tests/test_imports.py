@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used in it,
 every function, class and method it defines is named somewhere else, only
-``linalg`` multiplies integer arrays or packs a coefficient vector, one
-point loads a module by name, and each command report loads only the
-library modules it runs and no optional package."""
+``linalg`` multiplies integer arrays, forms a Kronecker product or packs a
+coefficient vector, one point loads a module by name, and each command
+report loads only the library modules it runs and no optional package."""
 
 import ast
 import json
@@ -217,11 +217,32 @@ def test_product_scanner():
 
 
 def test_only_linalg_multiplies_integer_arrays():
-    # every integer product is QMat @, QMat.kron or kron_apply, where the
-    # int64/object rule is stated once; no module reaches past them
+    # every integer product is QMat @ or kron_apply, where the int64/object
+    # rule is stated once; no module reaches past them
     found = {p.name: products_outside_linalg(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
     assert {name: where for name, where in found.items() if where} == {}
+
+
+def kron_mentions(source: str) -> list[int]:
+    """The line of each attribute ``kron``, called (``x.kron(y)``) or passed."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "kron")
+
+
+def test_kron_scanner():
+    source = ("a = M @ x.kron(y)\n"
+              "b = functools.reduce(QMat.kron, cols)\n"
+              "c = kron_apply([(x, y)], X)  # not x.kron(y)\n")
+    assert kron_mentions(source) == [1, 2]
+
+
+def test_only_linalg_forms_a_kronecker_product():
+    # a multilinear map is evaluated by linalg.multilinear or kron_apply;
+    # QMat.kron is left to the tests as the dense reference
+    found = {p.name: kron_mentions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def column_packings(source: str) -> list[int]:

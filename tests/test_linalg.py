@@ -23,14 +23,14 @@ from ncforms.algebra import (AlgebraError, AlgebraHom, Element, derivation_matri
                              matrix_algebra, semidirect_product, tensor_over_A,
                              truncated_polynomial_algebra)
 from ncforms.connections import Distribution, GeometryError, bimodule_span
-from ncforms.dsl import builtin_algebra
+from ncforms.dsl import builtin_algebra, builtin_catalog
 from ncforms.fieldforms import FieldFormError, FieldValuedForm, zero_field_valued_form
 from ncforms.forms import Form, FormError, form_space
 from ncforms.hochschild import HochschildError, NormalizedCochain, TensorBimodule, tensor_module
 from ncforms.linalg import (
     LinAlgError, QMat, QVector, RowReducer, Subspace, checked_column, digits_at, flat_index,
-    format_scalar, kron_apply, kron_rows, make_scalar, nullspace, parse_scalar, qmat_from_json,
-    qmat_hstack, qmat_inverse, qmat_sum, qmat_to_json, rank, solve_linear,
+    format_scalar, kron_apply, kron_rows, make_scalar, multilinear, nullspace, parse_scalar,
+    qmat_from_json, qmat_hstack, qmat_inverse, qmat_sum, qmat_to_json, rank, solve_linear,
     subspace_from_columns,
 )
 from ncforms.schouten import MultiMap, SchoutenError, commutator_bivector, derivation_matrix_of
@@ -846,6 +846,53 @@ def test_kron_apply_edge_cases():
     assert out.num.dtype == object and out.num[0, 0] == 2 ** 62
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_multilinear_matches_the_dense_kronecker_product(data):
+    # M (X_1 (x) ... (x) X_k), an int n for I_n, against M times QMat.kron
+    shapes = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                min_size=1, max_size=3))
+    blocks = [data.draw(_apply_factor_st(*sh)) for sh in shapes]
+    width = math.prod(r for r, _ in shapes)
+    entry = st.one_of(fractions_st, st.integers(-2 ** 70, 2 ** 70).map(Fraction))
+    height = data.draw(st.integers(0, 3))
+    M = QMat.from_columns(height, data.draw(st.lists(
+        st.lists(entry, min_size=height, max_size=height), min_size=width, max_size=width)))
+    dense = M @ functools.reduce(QMat.kron, map(_as_qmat, blocks))
+    assert _same_qmat(multilinear(M, *blocks), dense.canonical())
+
+
+def test_the_library_forms_no_kronecker_product(monkeypatch):
+    # QMat.kron is the tests' dense reference: every multilinear map the
+    # library evaluates goes through linalg.multilinear or kron_apply
+    def refuse(self, other):
+        raise AssertionError("QMat.kron called by the library")
+
+    monkeypatch.setattr(QMat, "kron", refuse)
+    assert len(builtin_catalog()) == 7
+    for spec in ("matrix(3)", "product(dual,kc2)"):
+        builtin_algebra(spec)
+    A = builtin_algebra("m2")
+    reg = A.regular_bimodule()
+    sd = semidirect_product(reg)
+    algebra.derivation_to_hom(sd, inner_derivation(reg, [0, 1, 0, 0]))
+    diag = Subspace.from_generators(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    B, _ = connections.Bundle(A, diag).base_algebra()
+    u, v = [1, 2, 0, -1], [Fraction(1, 2), 0, 3, 1]
+    cochain = NormalizedCochain(reg, 2, QMat.from_rows([[1, 0, 2, 0, 1, 0, 0, 3, 1]] * 4))
+    bivector, tq = commutator_bivector(A), tensor_over_A(reg, reg)
+    got = [A.mult_vec(u, v), cochain.evaluate(u, v), bivector.evaluate(u, v),
+           tq.pure_tensor(u, v)]
+    monkeypatch.undo()
+    cols = [checked_column(w, 4) for w in (u, v)]
+    bars = [QMat(c.num[1:], c.den) for c in cols]
+    assert got == [(A.mu2 @ cols[0].kron(cols[1])).column_fractions(0),
+                   (cochain.data @ bars[0].kron(bars[1])).column_fractions(0),
+                   (bivector.data @ cols[0].kron(cols[1])).column_fractions(0),
+                   tq.project_vector(cols[0].kron(cols[1]).column_fractions(0))]
+    assert B.dim == 2
+
+
 def test_structural_indices_reject_out_of_range_digits():
     A = matrix_algebra(2)
     m = A.dim
@@ -1106,7 +1153,7 @@ def test_linear_operators_are_applied_from_their_term_lists():
     # (kron_rows) and applied (kron_apply); no per-basis loop evaluates it
     appliers = [hochschild.coboundary, algebra.derivation_defect,
                 schouten.first_slot_leibniz, hochschild._factored_cochains,
-                hochschild.NormalizedCochain.evaluate, schouten._first_slot,
+                hochschild.NormalizedCochain.evaluate, linalg.multilinear,
                 algebra.Algebra.mult_vec]
     banned = (".value(", ".col(", ".scale(", "qmat_sum", "Fraction(", "digits_at",
               "tensor_hom_basis")
